@@ -32,7 +32,7 @@ from .families import (
 from .hilbert import QuotientSpec, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, product_series
-from .qseries import INFINITE, NonDivisibleError, TruncatedSeries, first_mismatch
+from .qseries import INFINITE, TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -45,7 +45,15 @@ SERIES_ROUTES = {
     "family": lambda p, N: family_limit(Side.HILBERT, p, N),
 }
 
-SUITES = ("hp-identities", "hp-recursion", "family-match", "expansion", "valuation")
+# each extra property suite, called as check(params, order, d_max) -> bool
+SUITE_CHECKS = {
+    "hp-identities": lambda p, N, d_max: verify_hp_identities(p.r, p.J + 1, N),
+    "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
+    "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
+    "expansion": lambda p, N, d_max: all(verify_expansion(p, d, N) for d in range(p.J + 1, p.J + 4)),
+    "valuation": lambda p, N, d_max: _valuation_suite(p, N),
+}
+SUITES = tuple(SUITE_CHECKS)
 
 
 @dataclass
@@ -72,8 +80,9 @@ def build_report(params: GordonParams, order: int) -> VerificationReport:
         start = time.perf_counter()
         try:
             s = route(params, order)
-        except NonDivisibleError as exc:
-            report.routes[name] = RouteResult("-", [], time.perf_counter() - start, str(exc))
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            report.routes[name] = RouteResult("-", [], time.perf_counter() - start, error)
             continue
         series[name] = s
         head = [str(c) for c in s.coeffs[: min(8, order + 1)]]
@@ -148,25 +157,29 @@ class UsageError(Exception):
 
 
 def _order_from(args) -> int:
-    if args.order is not None:
-        return args.order
-    env = os.environ.get(ORDER_ENV_VAR)
-    if env is not None:
+    order = args.order
+    if order is None:
+        env = os.environ.get(ORDER_ENV_VAR, str(DEFAULT_ORDER))
         try:
-            return int(env)
+            order = int(env)
         except ValueError:
             raise UsageError(f"{ORDER_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_ORDER
+    if order < 0:
+        raise UsageError("order must be non-negative")
+    return order
+
+
+def _cell_from(args) -> tuple[GordonParams, int]:
+    """The (r, i, J) cell and order a verify or table request names."""
+    try:
+        params = GordonParams(args.r, args.i, args.J)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return params, _order_from(args)
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = GordonParams(args.r, args.i, args.J)
-        order = _order_from(args)
-        if order < 0:
-            raise ValueError("order must be non-negative")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    params, order = _cell_from(args)
     report = build_report(params, order)
     if args.format == "json":
         print(json.dumps(report_json_dict(report), indent=2, sort_keys=True))
@@ -175,23 +188,16 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
+def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> bool:
+    """A suite that raises counts as failed, like a mismatch."""
+    try:
+        return SUITE_CHECKS[suite](params, order, d_max)
+    except Exception:
+        return False
+
+
 def _run_suites(params: GordonParams, order: int, suites: tuple[str, ...], d_max: int) -> dict[str, bool]:
-    out = {}
-    for suite in suites:
-        if suite == "hp-identities":
-            out[suite] = verify_hp_identities(params.r, params.J + 1, order)
-        elif suite == "hp-recursion":
-            out[suite] = verify_hp_recursion(params.r, params.J + 1, params.i, order)
-        elif suite == "family-match":
-            out[suite] = verify_family_match(params, max(d_max, params.J + 1), order)
-        elif suite == "expansion":
-            out[suite] = all(
-                verify_expansion(params, d, order)
-                for d in range(params.J + 1, params.J + 4)
-            )
-        elif suite == "valuation":
-            out[suite] = _valuation_suite(params, order)
-    return out
+    return {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
 
 
 def _valuation_suite(params: GordonParams, order: int) -> bool:
@@ -237,8 +243,8 @@ def cmd_scan(args) -> int:
             raise UsageError("r must be at least 2")
         if j_lo < 0:
             raise UsageError("J must be non-negative")
-        if order < 0:
-            raise UsageError("order must be non-negative")
+        if args.d_max < 0:
+            raise UsageError("--d-max must be non-negative")
         if args.jobs < 1:
             raise UsageError("jobs must be at least 1")
         suites = tuple(s for s in args.suites.split(",") if s) if args.suites else ()
@@ -248,16 +254,15 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    cells = []
-    for r in range(r_lo, r_hi + 1):
-        if args.i == "all":
-            i_values = range(1, r + 1)
-        else:
-            i_lo, i_hi = _parse_range(args.i, "--i")
-            i_values = range(max(1, i_lo), min(r, i_hi) + 1)
-        for i in i_values:
-            for J in range(j_lo, j_hi + 1):
-                cells.append((r, i, J, order, suites, args.d_max))
+    i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
+    cells = [
+        (r, i, J, order, suites, args.d_max)
+        for r in range(r_lo, r_hi + 1)
+        for i in range(max(1, i_lo), min(r, i_hi) + 1)
+        for J in range(j_lo, j_hi + 1)
+    ]
+    if not cells:
+        raise UsageError("the requested grid has no cells")
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -290,13 +295,7 @@ TABLE_KINDS = ("counts", "product", "hilbert")
 
 
 def cmd_table(args) -> int:
-    try:
-        params = GordonParams(args.r, args.i, args.J)
-        order = _order_from(args)
-        if order < 0:
-            raise ValueError("order must be non-negative")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    params, order = _cell_from(args)
     if args.kind == "counts":
         series = gordon_series(params, order)
     elif args.kind == "product":

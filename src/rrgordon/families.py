@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .hilbert import QuotientSpec, gordon_quotient, hp_series
 from .partitions import GordonParams
@@ -70,13 +71,9 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
     prefix sums of the current entries."""
     r = fam.params.r
     d_new = fam.stage + 1
-    new = []
-    for j in range(1, r + 1):
-        acc = fam.entries[0]
-        for m in range(2, r - j + 2):
-            acc = acc + fam.entries[m - 1]
-        new.append(acc.mul_qpow(d_new * (j - 1)))
-    return CoefficientFamily(fam.side, fam.params, stage=d_new, entries=tuple(new))
+    prefix = list(accumulate(fam.entries))
+    new = tuple(prefix[r - j].mul_qpow(d_new * (j - 1)) for j in range(1, r + 1))
+    return CoefficientFamily(fam.side, fam.params, stage=d_new, entries=new)
 
 
 def family_at_stage(

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import GordonParams, iter_partitions
+from .partitions import GordonParams, _adjacent_capped_counts, iter_partitions
 from .qseries import TruncatedSeries, series_sum
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
@@ -120,32 +120,10 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hp_counts(r: int, k: int, cap: int | None, N: int) -> tuple[int, ...]:
-    """Graded dimensions 0..N by DP over multiplicity vectors.
-
-    Variables are scanned from index N down to k; the state is the
-    multiplicity at the previously scanned (higher) variable. Adjacent
-    multiplicities must sum to at most r-1, and the lowest variable is
-    additionally capped when the spec is capped.
-    """
-    dp = [[0] * (N + 1) for _ in range(r)]
-    dp[0][0] = 1
-    for a in range(N, k - 1, -1):
-        new = [[0] * (N + 1) for _ in range(r)]
-        at_floor = a == k and cap is not None
-        for above in range(r):
-            row = dp[above]
-            bound = r - 1 - above
-            if at_floor:
-                bound = min(bound, cap - 1)
-            for w in range(N + 1):
-                ways = row[w]
-                if not ways:
-                    continue
-                fmax = min(bound, (N - w) // a)
-                for f in range(fmax + 1):
-                    new[f][w + a * f] += ways
-        dp = new
-    return tuple(sum(dp[f][n] for f in range(r)) for n in range(N + 1))
+    """Graded dimensions 0..N by the multiplicity DP, scanning variables
+    from index N down to k; a cap bounds the exponent of x_k by cap-1."""
+    bound = r - 1 if cap is None else cap - 1
+    return tuple(_adjacent_capped_counts(r, range(N, k - 1, -1), k, bound, N))
 
 
 def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:

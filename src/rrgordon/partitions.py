@@ -125,45 +125,43 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
     return found
 
 
-def _gordon_counts(params: GordonParams, N: int) -> list[int]:
-    """Counts for weights 0..N via the multiplicity DP.
+def _adjacent_capped_counts(r: int, values: range, floor: int, cap: int, N: int) -> list[int]:
+    """Counts for weights 0..N of multiplicity vectors (f_a) over ``values``.
 
-    Part values a = J+1, J+2, ... are scanned in ascending order; the state
-    is (multiplicity chosen for the previous value, weight so far). The
-    multiplicity of value a is capped by r-1 minus the previous multiplicity,
-    and additionally by i-1 at the first value J+1.
+    Values are scanned in the given order; the state is (multiplicity chosen
+    for the previously scanned value, weight so far). Adjacent multiplicities
+    sum to at most r-1, and the multiplicity of ``floor`` is at most ``cap``.
     """
-    r, i, J = params.r, params.i, params.J
-    # dp[prev_mult][w]
     dp = [[0] * (N + 1) for _ in range(r)]
     dp[0][0] = 1
-    for a in range(J + 1, N + 1):
+    for a in values:
         new = [[0] * (N + 1) for _ in range(r)]
-        first = a == J + 1
-        for pf in range(r):
-            row = dp[pf]
-            bound = (i - 1) if first else (r - 1 - pf)
-            for w in range(N + 1):
-                ways = row[w]
-                if not ways:
-                    continue
-                fmax = min(bound, (N - w) // a)
-                for f in range(fmax + 1):
-                    new[f][w + a * f] += ways
+        for prev, row in enumerate(dp):
+            bound = min(r - 1 - prev, cap) if a == floor else r - 1 - prev
+            for w, ways in enumerate(row):
+                if ways:
+                    for f in range(min(bound, (N - w) // a) + 1):
+                        new[f][w + a * f] += ways
         dp = new
-    return [sum(dp[pf][n] for pf in range(len(dp))) for n in range(N + 1)]
+    return [sum(column) for column in zip(*dp)]
 
 
 def count_gordon(params: GordonParams, n: int) -> int:
     """Number of partitions of n satisfying the Gordon conditions."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _gordon_counts(params, n)[n]
+    return gordon_series(params, n).coeffs[n]
 
 
 def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:
-    """Generating function of the Gordon-condition counts, to order N."""
-    return TruncatedSeries.from_coeffs(_gordon_counts(params, N))
+    """Generating function of the Gordon-condition counts, to order N.
+
+    Part values J+1, J+2, ... are scanned in ascending order; at most i-1
+    parts equal J+1.
+    """
+    floor = params.J + 1
+    counts = _adjacent_capped_counts(params.r, range(floor, N + 1), floor, params.i - 1, N)
+    return TruncatedSeries.from_coeffs(counts)
 
 
 def allowed_residues(r: int, i: int) -> set[int]:

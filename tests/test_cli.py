@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rrgordon.cli import SERIES_ROUTES, build_report, main
+from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.partitions import GordonParams
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries
 
@@ -85,6 +85,36 @@ def test_verify_route_error_fails(capsys, monkeypatch):
     assert "ERROR" in out
 
 
+def test_route_crash_stays_in_report(capsys, monkeypatch):
+    def crashing(params, N):
+        raise RuntimeError("entry 1 failed to stabilize")
+
+    monkeypatch.setitem(SERIES_ROUTES, "family", crashing)
+    code, out, _ = run(
+        capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "10", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["routes"]["family"]["error"] == "RuntimeError: entry 1 failed to stabilize"
+    code, out, _ = run(capsys, "scan", "--r", "2", "--J", "0..1", "--order", "10")
+    assert code == 1
+    assert "0/4 cells passed" in out
+
+
+def test_suite_crash_counts_as_fail(capsys, monkeypatch):
+    def crashing(params, N, d_max):
+        raise RuntimeError("suite blew up")
+
+    monkeypatch.setitem(SUITE_CHECKS, "valuation", crashing)
+    code, out, _ = run(
+        capsys, "scan", "--r", "2", "--i", "1", "--J", "0", "--order", "10",
+        "--suites", "valuation,hp-recursion",
+    )
+    assert code == 1
+    assert "hp-recursion=pass valuation=fail" in out
+
+
 def test_build_report_detects_divergence():
     report = build_report(GordonParams(2, 2, 0), 15)
     assert report.verdict
@@ -131,6 +161,22 @@ def test_scan_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "scan", "--r", "2", "--suites", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--r", "5..2"),
+        ("scan", "--J", "3..1"),
+        ("scan", "--r", "2", "--i", "7..9"),
+        ("scan", "--r", "2", "--d-max", "-1"),
+    ],
+)
+def test_scan_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_scan_fails_nonzero(capsys, monkeypatch):

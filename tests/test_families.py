@@ -52,13 +52,13 @@ def test_step_boundary_entries():
     params = GordonParams(4, 3, 1)
     fam = family_at_stage(Side.HILBERT, params, 4, 20)
     nxt = family_step(fam)
-    # last entry: only the first current entry survives, shifted
-    assert nxt.entries[-1].coeffs == fam.entries[0].mul_qpow(5 * 3).coeffs
-    # first entry: plain sum of all current entries
-    total = fam.entries[0]
-    for e in fam.entries[1:]:
-        total = total + e
-    assert nxt.entries[0].coeffs == total.coeffs
+    # entry j is q^(5(j-1)) times the sum of current entries 1..r-j+1; the
+    # last entry keeps only the first current entry, the first sums them all
+    for j in range(1, params.r + 1):
+        total = fam.entries[0]
+        for e in fam.entries[1 : params.r - j + 1]:
+            total = total + e
+        assert nxt.entries[j - 1].coeffs == total.mul_qpow(5 * (j - 1)).coeffs
 
 
 def test_family_at_stage_validates():
