@@ -88,19 +88,19 @@ def build_report(params: GordonParams, order: int) -> VerificationReport:
         head = [str(c) for c in s.coeffs[: min(8, order + 1)]]
         report.routes[name] = RouteResult(s.fingerprint(), head, time.perf_counter() - start)
 
-    names = [n for n in SERIES_ROUTES if n in series]
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            n = first_mismatch(series[a], series[b])
-            if n is not None:
-                report.mismatch = {
-                    "exponent": n,
-                    "routes": [a, b],
-                    "coefficients": [str(series[a].coeffs[n]), str(series[b].coeffs[n])],
-                }
-                report.verdict = False
-                return report
+    # every route returns order N and equality is transitive, so comparing
+    # each route with the first one that computed finds any disagreement
+    names = list(series)
+    for b in names[1:]:
+        a = names[0]
+        n = first_mismatch(series[a], series[b])
+        if n is not None:
+            report.mismatch = {
+                "exponent": n,
+                "routes": [a, b],
+                "coefficients": [str(series[a].coeffs[n]), str(series[b].coeffs[n])],
+            }
+            return report
     report.verdict = len(series) == len(SERIES_ROUTES)
     return report
 
@@ -196,10 +196,6 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
-def _run_suites(params: GordonParams, order: int, suites: tuple[str, ...], d_max: int) -> dict[str, bool]:
-    return {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
-
-
 def _valuation_suite(params: GordonParams, order: int) -> bool:
     # uncapped quotient one floor up is 1 + O(q^(J+2))
     tail = hp_series(QuotientSpec(params.r, params.J + 2), order) - TruncatedSeries.one(order)
@@ -221,7 +217,7 @@ def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
     r, i, J, order, suites, d_max = cell
     params = GordonParams(r, i, J)
     report = build_report(params, order)
-    suite_results = _run_suites(params, order, suites, d_max)
+    suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
     passed = report.verdict and all(suite_results.values())
     return {
         "r": r,
@@ -235,24 +231,21 @@ def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
 
 
 def cmd_scan(args) -> int:
-    try:
-        r_lo, r_hi = _parse_range(args.r, "--r")
-        j_lo, j_hi = _parse_range(args.J, "--J")
-        order = _order_from(args)
-        if r_lo < 2:
-            raise UsageError("r must be at least 2")
-        if j_lo < 0:
-            raise UsageError("J must be non-negative")
-        if args.d_max < 0:
-            raise UsageError("--d-max must be non-negative")
-        if args.jobs < 1:
-            raise UsageError("jobs must be at least 1")
-        suites = tuple(s for s in args.suites.split(",") if s) if args.suites else ()
-        for s in suites:
-            if s not in SUITES:
-                raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    r_lo, r_hi = _parse_range(args.r, "--r")
+    j_lo, j_hi = _parse_range(args.J, "--J")
+    order = _order_from(args)
+    if r_lo < 2:
+        raise UsageError("r must be at least 2")
+    if j_lo < 0:
+        raise UsageError("J must be non-negative")
+    if args.d_max < 0:
+        raise UsageError("--d-max must be non-negative")
+    if args.jobs < 1:
+        raise UsageError("jobs must be at least 1")
+    suites = tuple(s for s in args.suites.split(",") if s) if args.suites else ()
+    for s in suites:
+        if s not in SUITES:
+            raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
 
     i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
     cells = [
@@ -264,8 +257,10 @@ def cmd_scan(args) -> int:
     if not cells:
         raise UsageError("the requested grid has no cells")
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts every worker up front, so never ask for idle ones
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_cell, cells))
     else:
         results = [_scan_cell(c) for c in cells]
@@ -291,17 +286,12 @@ def cmd_scan(args) -> int:
     return 1 if failed else 0
 
 
-TABLE_KINDS = ("counts", "product", "hilbert")
+TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"}
 
 
 def cmd_table(args) -> int:
     params, order = _cell_from(args)
-    if args.kind == "counts":
-        series = gordon_series(params, order)
-    elif args.kind == "product":
-        series = product_series(ProductIndex(params.r, params.product_index), order)
-    else:
-        series = hp_series(gordon_quotient(params), order)
+    series = SERIES_ROUTES[TABLE_KINDS[args.kind]](params, order)
 
     if args.format == "json":
         text = json.dumps(series.as_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -310,8 +300,11 @@ def cmd_table(args) -> int:
         text = "n,value\n" + "\n".join(rows) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -5,6 +5,10 @@ new entry j is q^((d+1)(j-1)) times the sum of the previous entries
 1..r-j+1. The two sides differ only in how the initial nonzero prefix is
 derived from the parameters; that the prefixes coincide is exactly why the
 two families (and hence the product side and the Hilbert side) agree.
+The prefixes r - ell + 1 and i are equal by the definition ell = r - i + 1,
+so ``verify_family_match`` only shows that ``family_step`` is deterministic;
+the product recursion is checked by the product route and by the product
+half of ``verify_expansion``.
 
 Entry j at stage d has q-adic valuation at least d*(j-1), so for j >= 2 the
 entries vanish to any fixed order once d is large, and entry 1 stabilizes.
@@ -20,7 +24,7 @@ from itertools import accumulate
 from .hilbert import QuotientSpec, gordon_quotient, hp_series
 from .partitions import GordonParams
 from .products import ProductIndex, product_series
-from .qseries import TruncatedSeries, series_sum
+from .qseries import TruncatedSeries
 
 
 class Side(enum.Enum):
@@ -135,23 +139,23 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     r = params.r
     hilb = family_at_stage(Side.HILBERT, params, d, N)
     lhs_hp = hp_series(gordon_quotient(params), N)
-    rhs_hp = series_sum(
-        [
+    rhs_hp = sum(
+        (
             hilb.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
             for j in range(1, r + 1)
-        ],
-        N,
+        ),
+        TruncatedSeries.zero(N),
     )
     if not lhs_hp.eq(rhs_hp):
         return False
 
     prod = family_at_stage(Side.PRODUCT, params, d, N)
     lhs_pr = product_series(ProductIndex(r, params.product_index), N)
-    rhs_pr = series_sum(
-        [
+    rhs_pr = sum(
+        (
             prod.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
             for j in range(1, r + 1)
-        ],
-        N,
+        ),
+        TruncatedSeries.zero(N),
     )
     return lhs_pr.eq(rhs_pr)

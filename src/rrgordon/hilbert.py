@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import GordonParams, _adjacent_capped_counts, iter_partitions
-from .qseries import TruncatedSeries, series_sum
+from .qseries import TruncatedSeries
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -119,18 +119,18 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hp_counts(r: int, k: int, cap: int | None, N: int) -> tuple[int, ...]:
-    """Graded dimensions 0..N by the multiplicity DP, scanning variables
-    from index N down to k; a cap bounds the exponent of x_k by cap-1."""
-    bound = r - 1 if cap is None else cap - 1
-    return tuple(_adjacent_capped_counts(r, range(N, k - 1, -1), k, bound, N))
-
-
 def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
-    """Hilbert-Poincare series of the quotient, to order N."""
+    """Hilbert-Poincare series of the quotient, to order N.
+
+    Graded dimensions come from the multiplicity DP, scanning variables from
+    index N down to k; a cap bounds the exponent of x_k by cap-1.
+    """
     if N < 0:
         raise ValueError("order must be non-negative")
-    return TruncatedSeries(_hp_counts(spec.r, spec.k, spec.cap, N))
+    bound = spec.r - 1 if spec.cap is None else spec.cap - 1
+    return TruncatedSeries(
+        tuple(_adjacent_capped_counts(spec.r, range(N, spec.k - 1, -1), spec.k, bound, N))
+    )
 
 
 def verify_hp_identities(r: int, k: int, N: int) -> bool:
@@ -146,6 +146,7 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
         return False
     if not hp_series(QuotientSpec(r, k, cap=r), N).eq(hp_series(QuotientSpec(r, k), N)):
         return False
+    tail = set(expand_generators(QuotientSpec(r, k + 1), N).generators)
     for i in range(1, r + 1):
         capped = set(expand_generators(QuotientSpec(r, k, cap=i), N).generators)
         block: set[Generator] = set()
@@ -155,7 +156,6 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
             gen = ((k, i - s), (k + 1, r - i + s))
             if _generator_weight(gen) <= N:
                 block.add(gen)
-        tail = set(expand_generators(QuotientSpec(r, k + 1), N).generators)
         if capped != block | tail:
             return False
     return True
@@ -167,11 +167,11 @@ def verify_hp_recursion(r: int, k: int, ell: int, N: int) -> bool:
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
     lhs = hp_series(QuotientSpec(r, k, cap=ell), N)
-    rhs = series_sum(
-        [
+    rhs = sum(
+        (
             hp_series(QuotientSpec(r, k + 1, cap=r - j + 1), N).mul_qpow(k * (j - 1))
             for j in range(1, ell + 1)
-        ],
-        N,
+        ),
+        TruncatedSeries.zero(N),
     )
     return lhs.eq(rhs)

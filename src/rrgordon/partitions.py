@@ -173,10 +173,7 @@ def allowed_residues(r: int, i: int) -> set[int]:
 
 def count_modular(r: int, i: int, n: int) -> int:
     """Partitions of n into parts not congruent to 0 or +-i mod 2r+1."""
-    if r < 2:
-        raise ValueError(f"r must be at least 2, got {r}")
-    if not 1 <= i <= r:
-        raise ValueError(f"i must lie in 1..{r}, got {i}")
+    GordonParams(r, i, 0)  # validates r and i
     if n < 0:
         raise ValueError("n must be non-negative")
     allowed = allowed_residues(r, i)

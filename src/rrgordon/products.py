@@ -68,40 +68,25 @@ def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(c)
 
 
-def _padded_orders(r: int, top_level: int, N: int) -> list[int]:
-    """Order each level must be computed at so the top level is exact to N."""
-    orders = [N] * (top_level + 1)
-    for g in range(top_level, 0, -1):
-        orders[g - 1] = orders[g] + g * (r - 1)
-    return orders
-
-
-def _climb(r: int, top_level: int, N: int):
-    """Yield (level, entries) for levels 0..top_level.
-
-    Each ``entries`` list holds the r series of that level, at that level's
-    padded order (always >= N). Raises NonDivisibleError if a division is
-    ever inexact, which would mean the construction itself is broken.
-    """
-    orders = _padded_orders(r, top_level, N)
-    entries = [base_product(r, ell, orders[0]) for ell in range(1, r + 1)]
-    yield 0, entries
-    for g in range(1, top_level + 1):
-        target = orders[g]
-        new = [entries[r - 1].truncate(target)]
-        for s in range(2, r + 1):
-            numerator = entries[r - s] - entries[r - s + 1]
-            new.append(numerator.shift_div(g * (s - 1)).truncate(target))
-        entries = new
-        yield g, entries
-
-
 @lru_cache(maxsize=None)
 def _family_at_level(r: int, level: int, N: int) -> tuple[TruncatedSeries, ...]:
-    for g, entries in _climb(r, level, N):
-        if g == level:
-            return tuple(entries)
-    raise AssertionError("unreachable")
+    """The r entries of one level, each exact to order N.
+
+    Climbing to level g divides by up to q^(g(r-1)), so the base level is
+    computed at order N + (r-1)*level*(level+1)/2 and each climb drops
+    g*(r-1) of it. Raises NonDivisibleError if a division is ever inexact,
+    which would mean the construction itself is broken.
+    """
+    order = N + (r - 1) * level * (level + 1) // 2
+    entries = [base_product(r, ell, order) for ell in range(1, r + 1)]
+    for g in range(1, level + 1):
+        order -= g * (r - 1)
+        new = [entries[r - 1].truncate(order)]
+        for s in range(2, r + 1):
+            numerator = entries[r - s] - entries[r - s + 1]
+            new.append(numerator.shift_div(g * (s - 1)).truncate(order))
+        entries = new
+    return tuple(entries)
 
 
 def product_series(idx: ProductIndex, N: int) -> TruncatedSeries:
@@ -121,11 +106,8 @@ def tail_valuation_profile(r: int, d_max: int, N: int) -> list[int | float]:
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     one = TruncatedSeries.one(N)
-    profile = []
-    for g, entries in _climb(r, d_max, N):
-        if g == 0:
-            continue
-        # index (r-1)(g+1)+1 normalizes to level g, slot r
-        tail = entries[r - 1].truncate(N)
-        profile.append((tail - one).valuation())
-    return profile
+    # index (r-1)(d+1)+1 normalizes to level d, slot r
+    return [
+        (product_series(ProductIndex(r, (r - 1) * (d + 1) + 1), N) - one).valuation()
+        for d in range(1, d_max + 1)
+    ]

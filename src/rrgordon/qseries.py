@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: q-adic valuation of the zero series. Compares above every integer.
 INFINITE = math.inf
@@ -187,10 +187,3 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
         if a.coeffs[t] != b.coeffs[t]:
             return t
     return None
-
-
-def series_sum(terms: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
-    acc = TruncatedSeries.zero(order)
-    for t in terms:
-        acc = acc + t
-    return acc

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from rrgordon import cli
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.partitions import GordonParams
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries
@@ -83,6 +85,38 @@ def test_verify_route_error_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "10")
     assert code == 1
     assert "ERROR" in out
+
+
+def test_mismatch_and_errors_with_two_bumped_routes_and_a_crash(capsys, monkeypatch):
+    originals = dict(SERIES_ROUTES)
+
+    def bumped(route, exponent):
+        def series(params, N):
+            coeffs = list(originals[route](params, N).coeffs)
+            coeffs[exponent] += 1
+            return TruncatedSeries(tuple(coeffs))
+        return series
+
+    def crashing(params, N):
+        raise RuntimeError("tower fell over")
+
+    monkeypatch.setitem(SERIES_ROUTES, "product", crashing)
+    monkeypatch.setitem(SERIES_ROUTES, "hilbert", bumped("hilbert", 9))
+    monkeypatch.setitem(SERIES_ROUTES, "family", bumped("family", 4))
+    code, out, _ = run(
+        capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "20", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    # the first route that computed is compared with each later one in turn
+    assert payload["mismatch"] == {
+        "routes": ["partition", "hilbert"], "exponent": 9, "coefficients": ["5", "6"],
+    }
+    errors = {name: route["error"] for name, route in payload["routes"].items()}
+    assert errors == {
+        "product": "RuntimeError: tower fell over", "partition": None, "hilbert": None, "family": None,
+    }
 
 
 def test_route_crash_stays_in_report(capsys, monkeypatch):
@@ -227,6 +261,56 @@ def test_table_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "n,value\n0,1\n1,1\n2,1\n3,1\n"
+
+
+def test_table_out_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(
+        capsys, "table", "--kind", "counts", "--r", "2", "--i", "2", "--J", "0",
+        "--order", "3", "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    opened: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,grid,cpus,opened",
+    [
+        ("64", ("--r", "2", "--J", "0"), 8, [2]),  # 2 cells
+        ("3", ("--r", "2..3", "--J", "0..1"), 8, [3]),  # 10 cells
+        ("4", ("--r", "2..3", "--J", "0..1"), 2, [2]),
+        ("4", ("--r", "2..3", "--J", "0..1"), 1, []),
+        ("4", ("--r", "2", "--i", "1", "--J", "0"), 8, []),  # 1 cell
+    ],
+)
+def test_scan_jobs_clamped(capsys, monkeypatch, jobs, grid, cpus, opened):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "opened", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "scan", *grid, "--order", "8", "--jobs", jobs)
+    assert code == 0
+    assert "cells passed" in out
+    assert RecordingExecutor.opened == opened
 
 
 def test_order_env_var_default(capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrgordon.partitions import GordonParams, count_modular, gordon_series
 from rrgordon.products import (
@@ -121,3 +123,15 @@ def test_deep_towers_divide_exactly():
     for r in (2, 3, 4):
         for index in range(1, 4 * r):
             product_series(ProductIndex(r, index), 15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_padded_order_is_enough(data):
+    # an entry computed at order N is the truncation of the same entry at a
+    # higher order, so the tower's padding loses no low-order information
+    r = data.draw(st.integers(2, 5))
+    idx = ProductIndex(r, data.draw(st.integers(1, 6 * r)))
+    N = data.draw(st.integers(0, 30))
+    extra = data.draw(st.integers(1, 10))
+    assert product_series(idx, N) == product_series(idx, N + extra).truncate(N)
