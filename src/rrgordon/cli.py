@@ -36,6 +36,11 @@ from .qseries import INFINITE, TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
+#: Largest truncation order any command accepts, from --order or the
+#: environment. The product tower costs about r*N^2 Python int operations
+#: at its padded order, and the packed DPs about r*N big-int steps of
+#: N*sqrt(N) bits; README.md gives the measured cost at this limit.
+MAX_ORDER = 2000
 
 # the four independent routes to the same series; tests may patch entries
 SERIES_ROUTES = {
@@ -166,6 +171,8 @@ def _order_from(args) -> int:
             raise UsageError(f"{ORDER_ENV_VAR} must be an integer, got {env!r}")
     if order < 0:
         raise UsageError("order must be non-negative")
+    if order > MAX_ORDER:
+        raise UsageError(f"order must be at most {MAX_ORDER}, got {order}")
     return order
 
 

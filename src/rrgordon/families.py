@@ -6,7 +6,7 @@ new entry j is q^((d+1)(j-1)) times the sum of the previous entries
 derived from the parameters; that the prefixes coincide is exactly why the
 two families (and hence the product side and the Hilbert side) agree.
 The prefixes r - ell + 1 and i are equal by the definition ell = r - i + 1,
-so ``verify_family_match`` only shows that ``family_step`` is deterministic;
+so ``verify_family_match`` only shows that the packed step is deterministic;
 the product recursion is checked by the product route and by the product
 half of ``verify_expansion``.
 
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .hilbert import QuotientSpec, gordon_quotient, hp_series
 from .partitions import GordonParams
 from .products import ProductIndex, product_series
-from .qseries import TruncatedSeries
+from .qseries import TruncatedSeries, _PackedLayout
 
 
 class Side(enum.Enum):
@@ -70,14 +69,30 @@ def family_init(side: Side, params: GordonParams, N: int) -> CoefficientFamily:
     return CoefficientFamily(side, params, stage=J + 1, entries=entries)
 
 
+def _packed(fam: CoefficientFamily) -> tuple[_PackedLayout, list[int]]:
+    """The layout for the family's order and its entries as packed series.
+
+    Entry j at stage d counts the multiplicity vectors on J+1..d whose
+    multiplicity of d is j-1, a subset of the partitions of each weight.
+    """
+    layout = _PackedLayout.for_counts(fam.order, fam.params.r)
+    return layout, [layout.pack(e.coeffs) for e in fam.entries]
+
+
+def _unpacked(
+    fam: CoefficientFamily, layout: _PackedLayout, stage: int, state: list[int]
+) -> CoefficientFamily:
+    state = state + [0] * (fam.params.r - len(state))
+    entries = tuple(TruncatedSeries(layout.unpack(x)) for x in state)
+    return CoefficientFamily(fam.side, fam.params, stage=stage, entries=entries)
+
+
 def family_step(fam: CoefficientFamily) -> CoefficientFamily:
     """Advance one stage: entry j becomes q^((d+1)(j-1)) times the running
-    prefix sums of the current entries."""
-    r = fam.params.r
+    prefix sums of the current entries. Entries must be non-negative."""
+    layout, state = _packed(fam)
     d_new = fam.stage + 1
-    prefix = list(accumulate(fam.entries))
-    new = tuple(prefix[r - j].mul_qpow(d_new * (j - 1)) for j in range(1, r + 1))
-    return CoefficientFamily(fam.side, fam.params, stage=d_new, entries=new)
+    return _unpacked(fam, layout, d_new, layout.step(state, d_new, fam.params.r))
 
 
 def family_at_stage(
@@ -86,9 +101,10 @@ def family_at_stage(
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
     fam = family_init(side, params, N)
-    while fam.stage < d:
-        fam = family_step(fam)
-    return fam
+    layout, state = _packed(fam)
+    for stage in range(fam.stage + 1, d + 1):
+        state = layout.step(state, stage, params.r)
+    return _unpacked(fam, layout, d, state)
 
 
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
@@ -100,32 +116,35 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
     """
     bound = params.J + N + 2
     fam = family_init(side, params, N)
+    layout, state = _packed(fam)
+    stage = fam.stage
     while True:
-        nxt = family_step(fam)
-        tail_gone = all(not any(e.coeffs) for e in nxt.entries[1:])
-        if tail_gone and nxt.entries[0].eq(fam.entries[0]):
-            return nxt.entries[0]
-        if nxt.stage > bound:
+        stage += 1
+        nxt = layout.step(state, stage, params.r)
+        if nxt[0] == state[0] and not any(nxt[1:]):
+            return TruncatedSeries(layout.unpack(nxt[0]))
+        if stage > bound:
             raise RuntimeError(
                 f"entry 1 failed to stabilize by stage {bound}; "
                 "the valuation ladder must be broken"
             )
-        fam = nxt
+        state = nxt
 
 
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
     """Both sides' families agree entrywise at every stage J+1..d_max."""
     if d_max < params.J + 1:
         raise ValueError(f"d_max must be at least J+1 = {params.J + 1}")
-    prod = family_init(Side.PRODUCT, params, N)
-    hilb = family_init(Side.HILBERT, params, N)
-    while True:
-        if not all(a.eq(b) for a, b in zip(prod.entries, hilb.entries)):
-            return False
-        if prod.stage >= d_max:
+    layout, prod = _packed(family_init(Side.PRODUCT, params, N))
+    _, hilb = _packed(family_init(Side.HILBERT, params, N))
+    stage = params.J + 1
+    while prod == hilb:
+        if stage >= d_max:
             return True
-        prod = family_step(prod)
-        hilb = family_step(hilb)
+        stage += 1
+        prod = layout.step(prod, stage, params.r)
+        hilb = layout.step(hilb, stage, params.r)
+    return False
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:

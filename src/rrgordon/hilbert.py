@@ -128,9 +128,8 @@ def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     if N < 0:
         raise ValueError("order must be non-negative")
     bound = spec.r - 1 if spec.cap is None else spec.cap - 1
-    return TruncatedSeries(
-        tuple(_adjacent_capped_counts(spec.r, range(N, spec.k - 1, -1), spec.k, bound, N))
-    )
+    values = range(N, spec.k - 1, -1)
+    return TruncatedSeries(_adjacent_capped_counts(spec.r, values, spec.k, bound, N))
 
 
 def verify_hp_identities(r: int, k: int, N: int) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .qseries import TruncatedSeries
+from .qseries import TruncatedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -125,25 +125,20 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
     return found
 
 
-def _adjacent_capped_counts(r: int, values: range, floor: int, cap: int, N: int) -> list[int]:
+def _adjacent_capped_counts(r: int, values: range, floor: int, cap: int, N: int) -> tuple[int, ...]:
     """Counts for weights 0..N of multiplicity vectors (f_a) over ``values``.
 
-    Values are scanned in the given order; the state is (multiplicity chosen
-    for the previously scanned value, weight so far). Adjacent multiplicities
-    sum to at most r-1, and the multiplicity of ``floor`` is at most ``cap``.
+    Values are scanned in the given order; state j holds the vectors whose
+    last scanned multiplicity is j-1. Adjacent multiplicities sum to at most
+    r-1, so scanning a sets f_a = j-1 on the vectors of states 1..r-j+1, and
+    the multiplicity of ``floor`` is at most ``cap``. The states are packed
+    series (see ``qseries._PackedLayout``), one step per value.
     """
-    dp = [[0] * (N + 1) for _ in range(r)]
-    dp[0][0] = 1
+    layout = _PackedLayout.for_counts(N, r)
+    state = [1]
     for a in values:
-        new = [[0] * (N + 1) for _ in range(r)]
-        for prev, row in enumerate(dp):
-            bound = min(r - 1 - prev, cap) if a == floor else r - 1 - prev
-            for w, ways in enumerate(row):
-                if ways:
-                    for f in range(min(bound, (N - w) // a) + 1):
-                        new[f][w + a * f] += ways
-        dp = new
-    return [sum(column) for column in zip(*dp)]
+        state = layout.step(state, a, cap + 1 if a == floor else r)
+    return layout.unpack(sum(state))
 
 
 def count_gordon(params: GordonParams, n: int) -> int:
@@ -160,8 +155,8 @@ def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:
     parts equal J+1.
     """
     floor = params.J + 1
-    counts = _adjacent_capped_counts(params.r, range(floor, N + 1), floor, params.i - 1, N)
-    return TruncatedSeries.from_coeffs(counts)
+    values = range(floor, N + 1)
+    return TruncatedSeries(_adjacent_capped_counts(params.r, values, floor, params.i - 1, N))
 
 
 def allowed_residues(r: int, i: int) -> set[int]:

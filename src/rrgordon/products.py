@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .partitions import allowed_residues
 from .qseries import TruncatedSeries
@@ -68,24 +69,33 @@ def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(c)
 
 
-@lru_cache(maxsize=None)
-def _family_at_level(r: int, level: int, N: int) -> tuple[TruncatedSeries, ...]:
-    """The r entries of one level, each exact to order N.
+def _levels(r: int, top: int, N: int) -> Iterator[list[TruncatedSeries]]:
+    """The r entries of each level 0..top in turn, each exact to order N or more.
 
     Climbing to level g divides by up to q^(g(r-1)), so the base level is
-    computed at order N + (r-1)*level*(level+1)/2 and each climb drops
-    g*(r-1) of it. Raises NonDivisibleError if a division is ever inexact,
-    which would mean the construction itself is broken.
+    computed at order N + (r-1)*top*(top+1)/2 and each climb drops
+    g*(r-1) of it; level g is exact to every order it carries. Raises
+    NonDivisibleError if a division is ever inexact, which would mean the
+    construction itself is broken.
     """
-    order = N + (r - 1) * level * (level + 1) // 2
+    order = N + (r - 1) * top * (top + 1) // 2
     entries = [base_product(r, ell, order) for ell in range(1, r + 1)]
-    for g in range(1, level + 1):
+    yield entries
+    for g in range(1, top + 1):
         order -= g * (r - 1)
         new = [entries[r - 1].truncate(order)]
         for s in range(2, r + 1):
             numerator = entries[r - s] - entries[r - s + 1]
             new.append(numerator.shift_div(g * (s - 1)).truncate(order))
         entries = new
+        yield entries
+
+
+@lru_cache(maxsize=None)
+def _family_at_level(r: int, level: int, N: int) -> tuple[TruncatedSeries, ...]:
+    """The r entries of one level, each at order exactly N."""
+    for entries in _levels(r, level, N):
+        pass
     return tuple(entries)
 
 
@@ -105,9 +115,11 @@ def tail_valuation_profile(r: int, d_max: int, N: int) -> list[int | float]:
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
+    if N < 0:
+        raise ValueError("order must be non-negative")
     one = TruncatedSeries.one(N)
-    # index (r-1)(d+1)+1 normalizes to level d, slot r
-    return [
-        (product_series(ProductIndex(r, (r - 1) * (d + 1) + 1), N) - one).valuation()
-        for d in range(1, d_max + 1)
-    ]
+    # index (r-1)(d+1)+1 normalizes to level d, slot r; one climb to level
+    # d_max passes every level at an order of at least N
+    levels = _levels(r, d_max, N)
+    next(levels)
+    return [(entries[r - 1] - one).valuation() for entries in levels]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 #: q-adic valuation of the zero series. Compares above every integer.
@@ -187,3 +188,91 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
         if a.coeffs[t] != b.coeffs[t]:
             return t
     return None
+
+
+# -- packed non-negative series (private step kernel) -------------------------
+
+
+class _PackedLayout:
+    """One non-negative series of order N packed into one int.
+
+    Slot w, ``bits`` = B bits wide, holds the q^w coefficient, so a whole
+    series is added, shifted by whole slots (multiplication by a power of q)
+    or compared in one C operation: Kronecker substitution. ``pack`` and
+    ``unpack`` convert through ``to_bytes``/``from_bytes``, so B is a whole
+    number of bytes.
+
+    The top g = ceil(log2 r) bits of every slot are guard bits. While every
+    slot of every state stays below 2^(B-g), a sum of at most r states stays
+    below 2^B in every slot and never carries into the next one. ``step``
+    checks the guard bits of the total of its input. Every state it returns
+    is a partial sum of the same states shifted by whole slots, so none of
+    its slots exceeds a slot of that total: the check covers them all, and
+    by induction a result returned without ArithmeticError is exact whatever
+    B is. ``for_counts`` chooses B so that the check never fires on counts
+    of partitions.
+    """
+
+    def __init__(self, order: int, r: int, bits: int):
+        guard_bits = (r - 1).bit_length()
+        if bits % 8 or bits <= guard_bits:
+            raise ValueError(f"slots need whole bytes above {guard_bits} guard bits, got {bits}")
+        self.order, self.r, self.bits = order, r, bits
+        self._width = bits // 8
+        self._mask = (1 << (order + 1) * bits) - 1
+        slot_guard = ((1 << guard_bits) - 1) << (bits - guard_bits)
+        slot_bytes = slot_guard.to_bytes(self._width, "little")
+        self._guard = int.from_bytes(slot_bytes * (order + 1), "little")
+
+    @classmethod
+    def for_counts(cls, order: int, r: int) -> _PackedLayout:
+        """Slots for series whose q^w coefficient counts a subset of the
+        partitions of w, plus the guard bits of sums of r such series.
+
+        p(w) < e^(pi sqrt(2w/3)) for w >= 1 (and p(0) = 1), so every count
+        up to the order fits in b = floor(pi sqrt(2N/3) / ln 2) + 1 bits;
+        B is b + ceil(log2 r) rounded up to a whole byte.
+        """
+        value_bits = int(math.pi * math.sqrt(2 * order / 3) / math.log(2)) + 1
+        guard_bits = (r - 1).bit_length()
+        return cls(order, r, -(-(value_bits + guard_bits) // 8) * 8)
+
+    def _check(self, x: int) -> int:
+        if x & self._guard:
+            raise ArithmeticError(f"a {self.bits}-bit slot reached its guard bits")
+        return x
+
+    def pack(self, coeffs: tuple[int, ...]) -> int:
+        """Packs N+1 coefficients. Raises ArithmeticError (OverflowError
+        from ``to_bytes``) on a negative coefficient or one that does not
+        fit below the guard bits."""
+        if len(coeffs) != self.order + 1:
+            raise ValueError(f"expected {self.order + 1} coefficients, got {len(coeffs)}")
+        w = self._width
+        data = b"".join(c.to_bytes(w, "little") for c in coeffs)
+        return self._check(int.from_bytes(data, "little"))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The N+1 coefficients of a packed series (a state or a sum of at
+        most r of them)."""
+        w = self._width
+        data = self._check(x).to_bytes((self.order + 1) * w, "little")
+        return tuple(int.from_bytes(data[k : k + w], "little") for k in range(0, len(data), w))
+
+    def step(self, state: list[int], u: int, kept: int) -> list[int]:
+        """Advance states e_1, e_2, ... (missing trailing states are zero).
+
+        With prefix sums P_k = e_1 + ... + e_k, new state j is
+        q^(u(j-1)) P_(r-j+1), for j = 1..``kept`` (at most r). States
+        shifted past the order are dropped, so the result may be shorter.
+        """
+        prefix = list(accumulate(state))
+        total = self._check(prefix[-1])
+        new = [total]
+        last = len(prefix) - 1
+        for j in range(2, kept + 1):
+            s = u * (j - 1)
+            if s > self.order:
+                break
+            new.append((prefix[min(self.r - j, last)] << s * self.bits) & self._mask)
+        return new

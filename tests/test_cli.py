@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -330,3 +331,28 @@ def test_order_env_var_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--r", "2", "--i", "2", "--J", "0")
     assert code == 2
     assert "RRGORDON_ORDER" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--r", "2", "--i", "2", "--J", "0"),
+        ("scan", "--r", "2", "--J", "0"),
+        ("table", "--kind", "counts", "--r", "2", "--i", "2", "--J", "0"),
+    ],
+)
+def test_order_above_max_is_usage_error(capsys, monkeypatch, argv):
+    above = str(cli.MAX_ORDER + 1)
+    code, out, err = run(capsys, *argv, "--order", above)
+    assert (code, out) == (2, "")
+    assert f"at most {cli.MAX_ORDER}" in err
+    monkeypatch.setenv("RRGORDON_ORDER", above)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"at most {cli.MAX_ORDER}" in err
+
+
+def test_max_order_is_accepted():
+    # the order-2000 baselines must stay runnable
+    assert cli.MAX_ORDER >= 2000
+    assert cli._order_from(argparse.Namespace(order=cli.MAX_ORDER)) == cli.MAX_ORDER

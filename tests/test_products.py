@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrgordon import products
 from rrgordon.partitions import GordonParams, count_modular, gordon_series
 from rrgordon.products import (
     ProductIndex,
@@ -104,6 +105,21 @@ def test_tail_valuation_profile_reports_infinite_past_order():
     profile = tail_valuation_profile(2, 8, 5)
     assert profile[:3] == [3, 4, 5]
     assert all(v == INFINITE for v in profile[4:])
+
+
+def test_tail_profile_climbs_one_tower(monkeypatch):
+    # one climb to level d_max reads every level; a climb per level would
+    # compute the r base products d_max times
+    calls = []
+
+    def counting(r, ell, N):
+        calls.append(ell)
+        return base_product(r, ell, N)
+
+    monkeypatch.setattr(products, "base_product", counting)
+    products._family_at_level.cache_clear()
+    tail_valuation_profile(3, 6, 10)
+    assert sorted(calls) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("r,N", [(2, 30), (3, 24), (4, 18), (5, 14)])
