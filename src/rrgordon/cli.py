@@ -37,10 +37,15 @@ from .qseries import INFINITE, TruncatedSeries, first_mismatch
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: Largest truncation order any command accepts, from --order or the
-#: environment. The product tower costs about r*N^2 Python int operations
-#: at its padded order, and the packed DPs about r*N big-int steps of
-#: N*sqrt(N) bits; README.md gives the measured cost at this limit.
+#: environment. The packed DPs cost about r*N big-int steps of N*sqrt(N)
+#: bits, the product tower's base products about 3N such steps at its
+#: padded order, and its climb about r*J*N Python int operations; README.md
+#: gives the measured cost at this limit.
 MAX_ORDER = 2000
+#: Largest padded order of a cell's product tower, N + (r-1)*J*(J+1)/2,
+#: that any command accepts. The order alone does not bound the tower: its
+#: padding grows as (r-1)*J^2/2, and its cost with the padded order.
+MAX_PADDED_ORDER = 2 * MAX_ORDER
 
 # the four independent routes to the same series; tests may patch entries
 SERIES_ROUTES = {
@@ -176,13 +181,24 @@ def _order_from(args) -> int:
     return order
 
 
+def _check_padded_order(r: int, J: int, order: int) -> None:
+    padded = order + (r - 1) * J * (J + 1) // 2
+    if padded > MAX_PADDED_ORDER:
+        raise UsageError(
+            f"r={r}, J={J} at order {order} pads the product tower to order {padded}, "
+            f"above {MAX_PADDED_ORDER}"
+        )
+
+
 def _cell_from(args) -> tuple[GordonParams, int]:
     """The (r, i, J) cell and order a verify or table request names."""
     try:
         params = GordonParams(args.r, args.i, args.J)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return params, _order_from(args)
+    order = _order_from(args)
+    _check_padded_order(params.r, params.J, order)
+    return params, order
 
 
 def cmd_verify(args) -> int:
@@ -263,6 +279,8 @@ def cmd_scan(args) -> int:
     ]
     if not cells:
         raise UsageError("the requested grid has no cells")
+    for r, _, J, *_ in cells:
+        _check_padded_order(r, J, order)
 
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)

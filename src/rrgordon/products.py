@@ -1,9 +1,11 @@
 """The product-side series family.
 
 The base entries (index 1..r) are infinite products 1/prod(1 - q^m) over the
-part values m allowed mod 2r+1; entries beyond r are defined level by level,
-where climbing one level subtracts two entries of the previous level and
-divides exactly by a power of q. Because that division destroys low-order
+part values m allowed mod 2r+1. They share one packed product Q over every
+m not divisible by 2r+1, and each entry peels its two banned classes off Q.
+Entries beyond r are defined level by level, on lists of Python ints, where
+climbing one level subtracts two entries of the previous level and divides
+exactly by a power of q. Because that division destroys low-order
 information, every level is computed at a padded order chosen upfront so the
 requested entry is exact to the requested order.
 """
@@ -12,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
-from .partitions import allowed_residues
-from .qseries import TruncatedSeries
+from .qseries import TruncatedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,40 @@ class ProductIndex:
         return self.index - (self.r - 1) * self.level
 
 
+@lru_cache(maxsize=1)
+def _shared_product(r: int, N: int) -> tuple[_PackedLayout, int]:
+    """Q = prod 1/(1 - q^m) over m <= N not divisible by 2r+1, packed.
+
+    ``_levels`` asks for the r base products of one tower in a row at one
+    order, so one cached Q serves all of them.
+    """
+    layout = _PackedLayout.for_counts(N, 2)  # each step adds two states
+    q = 1  # the series 1: slot 0 holds 1
+    for m in range(1, N + 1):
+        if m % (2 * r + 1):
+            q = layout.over_one_minus(q, m)
+    return layout, q
+
+
 def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     """Base entry ell in 1..r: product of 1/(1-q^m) over allowed m up to N.
 
     A part value m is allowed unless m is congruent to 0 or +-(r-ell+1)
-    mod 2r+1. Each geometric factor is folded in as an O(N) running sum
-    (c[n] += c[n-m]), which is exactly multiplication by 1/(1-q^m).
+    mod 2r+1. The entry is the shared product Q of ``_shared_product``
+    times (1 - q^m) for each m <= N in the two classes +-(r-ell+1), one
+    packed shift-subtract each. Every intermediate counts partitions of w
+    into a subset of the parts, so it fits the slots ``for_counts`` sizes;
+    each step is checked, and an overflow or a negative slot raises
+    ArithmeticError.
     """
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
-    allowed = allowed_residues(r, r - ell + 1)
+    layout, x = _shared_product(r, N)
     mod = 2 * r + 1
-    c = [0] * (N + 1)
-    c[0] = 1
-    for m in range(1, N + 1):
-        if m % mod not in allowed:
-            continue
-        for n in range(m, N + 1):
-            c[n] += c[n - m]
-    return TruncatedSeries.from_coeffs(c)
+    i = r - ell + 1
+    for m in chain(range(i, N + 1, mod), range(mod - i, N + 1, mod)):
+        x = layout.times_one_minus(x, m)
+    return TruncatedSeries(layout.unpack(x))
 
 
 def _levels(r: int, top: int, N: int) -> Iterator[list[TruncatedSeries]]:

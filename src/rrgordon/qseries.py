@@ -210,7 +210,8 @@ class _PackedLayout:
     its slots exceeds a slot of that total: the check covers them all, and
     by induction a result returned without ArithmeticError is exact whatever
     B is. ``for_counts`` chooses B so that the check never fires on counts
-    of partitions.
+    of partitions. ``over_one_minus`` and ``times_one_minus`` multiply one
+    state by 1/(1 - q^m) and by (1 - q^m) under the same check.
     """
 
     def __init__(self, order: int, r: int, bits: int):
@@ -259,6 +260,31 @@ class _PackedLayout:
         data = self._check(x).to_bytes((self.order + 1) * w, "little")
         return tuple(int.from_bytes(data[k : k + w], "little") for k in range(0, len(data), w))
 
+    def _times_q(self, x: int, s: int) -> int:
+        return (x << s * self.bits) & self._mask
+
+    def over_one_minus(self, x: int, m: int) -> int:
+        """x / (1 - q^m), by doubling: 1/(1 - q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)...
+
+        Each factor is one shift-add of two checked operands, so with at
+        least one guard bit (r >= 2) the sum cannot carry into the next slot
+        unseen, and it is checked in turn.
+        """
+        s = m
+        while s <= self.order:
+            x = self._check(x + self._times_q(x, s))
+            s *= 2
+        return x
+
+    def times_one_minus(self, x: int, m: int) -> int:
+        """x * (1 - q^m). Raises ArithmeticError if a slot would go negative.
+
+        Such a slot borrows from the slot above and is left at 2^B minus at
+        most 2^(B-g), so its g >= 1 guard bits are all set and the check
+        fires instead of returning wrapped slots.
+        """
+        return self._check(x - self._times_q(x, m))
+
     def step(self, state: list[int], u: int, kept: int) -> list[int]:
         """Advance states e_1, e_2, ... (missing trailing states are zero).
 
@@ -274,5 +300,5 @@ class _PackedLayout:
             s = u * (j - 1)
             if s > self.order:
                 break
-            new.append((prefix[min(self.r - j, last)] << s * self.bits) & self._mask)
+            new.append(self._times_q(prefix[min(self.r - j, last)], s))
         return new

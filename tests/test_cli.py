@@ -356,3 +356,39 @@ def test_max_order_is_accepted():
     # the order-2000 baselines must stay runnable
     assert cli.MAX_ORDER >= 2000
     assert cli._order_from(argparse.Namespace(order=cli.MAX_ORDER)) == cli.MAX_ORDER
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--r", "2", "--i", "1", "--J", "160", "--order", "50"),
+        ("table", "--kind", "counts", "--r", "2", "--i", "1", "--J", "160", "--order", "50"),
+        ("scan", "--r", "2..3", "--J", "0..160", "--order", "50"),
+    ],
+)
+def test_padded_order_above_max_is_usage_error(capsys, monkeypatch, argv):
+    # J = 160 pads the r = 2 tower to order 50 + 160*161/2 = 12930
+    ran = []
+    for name in SERIES_ROUTES:
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and f"above {cli.MAX_PADDED_ORDER}" in err
+
+
+def test_cell_at_max_padded_order_is_accepted(capsys):
+    # the deepest r = 2 tower at the limit, read through the cheap partition route
+    J = max(j for j in range(200) if j * (j + 1) // 2 <= cli.MAX_PADDED_ORDER)
+    order = cli.MAX_PADDED_ORDER - J * (J + 1) // 2
+    argv = ("table", "--kind", "counts", "--r", "2", "--i", "1", "--J", str(J))
+    code, _, _ = run(capsys, *argv, "--order", str(order))
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--order", str(order + 1))
+    assert (code, out) == (2, "")
+
+
+def test_max_padded_order_admits_the_baselines():
+    # verify at r=5, J=30, order 200 pads to 2060; the 56-cell grid
+    # (r <= 5, J <= 3) at MAX_ORDER pads to 2024
+    cli._check_padded_order(5, 30, 200)
+    cli._check_padded_order(5, 3, cli.MAX_ORDER)

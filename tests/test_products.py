@@ -1,16 +1,33 @@
+"""The product tower. ``reference_base_product`` is the list coin DP the
+package used before the base products were packed; it stays here as the
+reference the packed product must reproduce exactly."""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrgordon import products
-from rrgordon.partitions import GordonParams, count_modular, gordon_series
+from rrgordon.partitions import GordonParams, allowed_residues, count_modular, gordon_series
 from rrgordon.products import (
     ProductIndex,
     base_product,
     product_series,
     tail_valuation_profile,
 )
-from rrgordon.qseries import INFINITE, TruncatedSeries
+from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
+
+
+def reference_base_product(r, ell, N):
+    """Each allowed factor 1/(1-q^m) folded in as the running sum c[n] += c[n-m]."""
+    allowed = allowed_residues(r, r - ell + 1)
+    c = [0] * (N + 1)
+    c[0] = 1
+    for m in range(1, N + 1):
+        if m % (2 * r + 1) not in allowed:
+            continue
+        for n in range(m, N + 1):
+            c[n] += c[n - m]
+    return tuple(c)
 
 
 def test_index_decomposition():
@@ -49,8 +66,6 @@ def test_base_product_frozen_values():
 
 def test_base_product_matches_naive_factor_product():
     # same series, assembled by generic truncated multiplication
-    from rrgordon.partitions import allowed_residues
-
     for r, ell, N in [(2, 1, 12), (3, 2, 12), (4, 4, 10)]:
         allowed = allowed_residues(r, r - ell + 1)
         naive = TruncatedSeries.one(N)
@@ -66,6 +81,41 @@ def test_base_product_matches_modular_counts():
             coeffs = base_product(r, ell, 20).coeffs
             for n in range(21):
                 assert coeffs[n] == count_modular(r, r - ell + 1, n), (r, ell, n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.integers(0, 300))
+def test_packed_base_product_equals_list_dp(r, N):
+    # every ell of the tower peels the same cached shared product
+    products._shared_product.cache_clear()
+    for ell in range(1, r + 1):
+        got = base_product(r, ell, N).coeffs
+        assert got == reference_base_product(r, ell, N), ell
+        if N <= 25:
+            assert got == tuple(count_modular(r, r - ell + 1, n) for n in range(N + 1)), ell
+
+
+def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
+    # 8-bit slots with one guard bit hold up to 127; the q^40 coefficient is 2154
+    narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
+    monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
+    products._shared_product.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            base_product(3, 2, 40)
+    finally:
+        products._shared_product.cache_clear()
+
+
+def test_peel_raises_on_a_negative_slot():
+    # peeling (1 - q) twice from 1/(1 - q) leaves 1 - q, negative at q^1
+    layout = _PackedLayout.for_counts(6, 2)
+    geometric = layout.over_one_minus(1, 1)
+    assert layout.unpack(geometric) == (1,) * 7
+    one = layout.times_one_minus(geometric, 1)
+    assert layout.unpack(one) == (1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ArithmeticError):
+        layout.times_one_minus(one, 1)
 
 
 def test_first_extended_entry():
