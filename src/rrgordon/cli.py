@@ -38,9 +38,10 @@ DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: Largest truncation order any command accepts, from --order or the
 #: environment. The packed DPs cost about r*N big-int steps of N*sqrt(N)
-#: bits, the product tower's base products about 3N such steps at its
-#: padded order, and its climb about r*J*N Python int operations; README.md
-#: gives the measured cost at this limit.
+#: bits; the product tower costs N*sqrt(N) int additions for the partition
+#: numbers at its padded order, and about r*sqrt(N/r) + r*J big-int shifts
+#: and subtractions of that size; README.md gives the measured cost at this
+#: limit.
 MAX_ORDER = 2000
 #: Largest padded order of a cell's product tower, N + (r-1)*J*(J+1)/2,
 #: that any command accepts. The order alone does not bound the tower: its
@@ -181,11 +182,14 @@ def _order_from(args) -> int:
     return order
 
 
-def _check_padded_order(r: int, J: int, order: int) -> None:
-    padded = order + (r - 1) * J * (J + 1) // 2
+def _check_padded_order(r: int, J: int, order: int, suites: tuple[str, ...] = ()) -> None:
+    # the expansion suite reads product entries up to level J+3
+    top = J + 3 if "expansion" in suites else J
+    padded = order + (r - 1) * top * (top + 1) // 2
     if padded > MAX_PADDED_ORDER:
+        why = " for the expansion suite" if top > J else ""
         raise UsageError(
-            f"r={r}, J={J} at order {order} pads the product tower to order {padded}, "
+            f"r={r}, J={J} at order {order} pads the product tower to order {padded}{why}, "
             f"above {MAX_PADDED_ORDER}"
         )
 
@@ -280,7 +284,7 @@ def cmd_scan(args) -> int:
     if not cells:
         raise UsageError("the requested grid has no cells")
     for r, _, J, *_ in cells:
-        _check_padded_order(r, J, order)
+        _check_padded_order(r, J, order, suites)
 
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)

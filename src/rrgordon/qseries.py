@@ -210,8 +210,13 @@ class _PackedLayout:
     its slots exceeds a slot of that total: the check covers them all, and
     by induction a result returned without ArithmeticError is exact whatever
     B is. ``for_counts`` chooses B so that the check never fires on counts
-    of partitions. ``over_one_minus`` and ``times_one_minus`` multiply one
-    state by 1/(1 - q^m) and by (1 - q^m) under the same check.
+    of partitions.
+
+    A difference of two checked series needs no more room: a slot that
+    would go negative borrows from the slot above and is left at 2^B minus
+    less than 2^(B-g), so with g >= 1 its guard bits are set and the check
+    fires instead of returning wrapped slots. ``shift_div`` divides such a
+    difference by a power of q under the same check.
     """
 
     def __init__(self, order: int, r: int, bits: int):
@@ -239,18 +244,20 @@ class _PackedLayout:
         return cls(order, r, -(-(value_bits + guard_bits) // 8) * 8)
 
     def _check(self, x: int) -> int:
-        if x & self._guard:
+        if x < 0 or x & self._guard:
             raise ArithmeticError(f"a {self.bits}-bit slot reached its guard bits")
         return x
 
     def pack(self, coeffs: tuple[int, ...]) -> int:
-        """Packs N+1 coefficients. Raises ArithmeticError (OverflowError
-        from ``to_bytes``) on a negative coefficient or one that does not
-        fit below the guard bits."""
+        """Packs N+1 coefficients. Raises ArithmeticError on a negative
+        coefficient or one that does not fit below the guard bits."""
         if len(coeffs) != self.order + 1:
             raise ValueError(f"expected {self.order + 1} coefficients, got {len(coeffs)}")
         w = self._width
-        data = b"".join(c.to_bytes(w, "little") for c in coeffs)
+        try:
+            data = b"".join(c.to_bytes(w, "little") for c in coeffs)
+        except OverflowError:
+            raise ArithmeticError(f"a coefficient does not fit a {self.bits}-bit slot") from None
         return self._check(int.from_bytes(data, "little"))
 
     def unpack(self, x: int) -> tuple[int, ...]:
@@ -263,27 +270,24 @@ class _PackedLayout:
     def _times_q(self, x: int, s: int) -> int:
         return (x << s * self.bits) & self._mask
 
-    def over_one_minus(self, x: int, m: int) -> int:
-        """x / (1 - q^m), by doubling: 1/(1 - q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)...
+    def shift_div(self, x: int, k: int) -> int:
+        """x / q^k, kept to this layout's order, for a packed difference x
+        of two checked series of this slot width and any order.
 
-        Each factor is one shift-add of two checked operands, so with at
-        least one guard bit (r >= 2) the sum cannot carry into the next slot
-        unseen, and it is checked in turn.
+        Raises NonDivisibleError if a slot below q^k is nonzero, and
+        ArithmeticError if a kept slot reached its guard bits, which is
+        where a negative kept slot ends up.
         """
-        s = m
-        while s <= self.order:
-            x = self._check(x + self._times_q(x, s))
-            s *= 2
-        return x
-
-    def times_one_minus(self, x: int, m: int) -> int:
-        """x * (1 - q^m). Raises ArithmeticError if a slot would go negative.
-
-        Such a slot borrows from the slot above and is left at 2^B minus at
-        most 2^(B-g), so its g >= 1 guard bits are all set and the check
-        fires instead of returning wrapped slots.
-        """
-        return self._check(x - self._times_q(x, m))
+        bits = self.bits
+        low = x & ((1 << k * bits) - 1)
+        if low:
+            # the lowest nonzero slot takes no borrow; read it as signed
+            n = ((low & -low).bit_length() - 1) // bits
+            c = (x >> n * bits) & ((1 << bits) - 1)
+            if c >> (bits - 1):
+                c -= 1 << bits
+            raise NonDivisibleError(f"coefficient {c} at exponent {n} blocks division by q^{k}")
+        return self._check((x >> k * bits) & self._mask)
 
     def step(self, state: list[int], u: int, kept: int) -> list[int]:
         """Advance states e_1, e_2, ... (missing trailing states are zero).

@@ -392,3 +392,23 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024
     cli._check_padded_order(5, 30, 200)
     cli._check_padded_order(5, 3, cli.MAX_ORDER)
+
+
+def test_expansion_suite_is_checked_at_its_deepest_level(capsys, monkeypatch):
+    # J = 42 at order 388 pads the r = 5 tower to exactly 4000; the
+    # expansion suite reads level J+3, which pads to 388 + 4*45*46/2 = 4528
+    ran = []
+    for name in SERIES_ROUTES:
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
+    monkeypatch.setitem(SUITE_CHECKS, "expansion", lambda p, N, d_max: ran.append("expansion"))
+    argv = ("scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
+    code, out, err = run(capsys, *argv, "--suites", "expansion")
+    assert (code, out, ran) == (2, "", [])
+    assert "order 4528" in err and f"above {cli.MAX_PADDED_ORDER}" in err
+
+
+def test_cell_at_max_padded_order_without_expansion_passes(capsys):
+    others = ",".join(s for s in cli.SUITES if s != "expansion")
+    cli._check_padded_order(5, 42, 388, tuple(others.split(",")))
+    code, out, _ = run(capsys, "scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
+    assert (code, out.splitlines()[-1]) == (0, "1/1 cells passed at order 388")

@@ -113,11 +113,11 @@ def test_step_raises_when_a_slot_reaches_its_guard_bits():
 
 
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
-    # every route packs its series, the product route its base products;
+    # every route packs its series, the product route its whole tower;
     # cached results from wider slots would hide the narrowed ones
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    caches = (hp_series, products._family_at_level, products._shared_product)
+    caches = (hp_series, products._family_at_level)
     for cache in caches:
         cache.cache_clear()
     try:

@@ -1,6 +1,11 @@
-"""The product tower. ``reference_base_product`` is the list coin DP the
-package used before the base products were packed; it stays here as the
-reference the packed product must reproduce exactly."""
+"""The product tower against the list and packed code it replaced.
+
+``reference_base_product`` is the list coin DP, ``doubling_base_products``
+the packed product the package built by doubling before the base entries
+came from theta series, and ``reference_levels`` the climb on lists of
+Python ints. They stay here as references the packed tower must reproduce
+exactly.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +19,7 @@ from rrgordon.products import (
     product_series,
     tail_valuation_profile,
 )
-from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
+from rrgordon.qseries import INFINITE, NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
 def reference_base_product(r, ell, N):
@@ -28,6 +33,55 @@ def reference_base_product(r, ell, N):
         for n in range(m, N + 1):
             c[n] += c[n - m]
     return tuple(c)
+
+
+def over_one_minus(layout, x, m):
+    """x / (1 - q^m), by doubling: 1/(1 - q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)..."""
+    s = m
+    while s <= layout.order:
+        x = layout._check(x + layout._times_q(x, s))
+        s *= 2
+    return x
+
+
+def times_one_minus(layout, x, m):
+    """x * (1 - q^m); a slot that would go negative sets its guard bits."""
+    return layout._check(x - layout._times_q(x, m))
+
+
+def doubling_base_products(r, N):
+    """All r base entries: one shared product Q over every m not divisible
+    by 2r+1, with the two banned classes of each ell peeled off it."""
+    layout = _PackedLayout.for_counts(N, 2)
+    mod = 2 * r + 1
+    q = 1
+    for m in range(1, N + 1):
+        if m % mod:
+            q = over_one_minus(layout, q, m)
+    entries = []
+    for ell in range(1, r + 1):
+        x, i = q, r - ell + 1
+        for m in [*range(i, N + 1, mod), *range(mod - i, N + 1, mod)]:
+            x = times_one_minus(layout, x, m)
+        entries.append(layout.unpack(x))
+    return entries
+
+
+def reference_levels(r, top, N):
+    """The r entries of each level 0..top as lists, climbed with
+    ``truncate``, ``-`` and ``shift_div`` from the doubling base entries."""
+    order = N + (r - 1) * top * (top + 1) // 2
+    entries = [TruncatedSeries(c) for c in doubling_base_products(r, order)]
+    levels = [entries]
+    for g in range(1, top + 1):
+        order -= g * (r - 1)
+        new = [entries[r - 1].truncate(order)]
+        for s in range(2, r + 1):
+            numerator = entries[r - s] - entries[r - s + 1]
+            new.append(numerator.shift_div(g * (s - 1)).truncate(order))
+        entries = new
+        levels.append(entries)
+    return levels
 
 
 def test_index_decomposition():
@@ -86,36 +140,113 @@ def test_base_product_matches_modular_counts():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 7), st.integers(0, 300))
 def test_packed_base_product_equals_list_dp(r, N):
-    # every ell of the tower peels the same cached shared product
-    products._shared_product.cache_clear()
+    doubled = doubling_base_products(r, N)
     for ell in range(1, r + 1):
         got = base_product(r, ell, N).coeffs
         assert got == reference_base_product(r, ell, N), ell
+        assert got == doubled[ell - 1], ell
         if N <= 25:
             assert got == tuple(count_modular(r, r - ell + 1, n) for n in range(N + 1)), ell
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 200))
+def test_packed_tower_equals_list_climb(r, top, N):
+    expected = reference_levels(r, top, N)
+    got = list(products._levels(r, top, N))
+    assert len(got) == len(expected) == top + 1
+    for g, ((layout, entries), want) in enumerate(zip(got, expected)):
+        assert len(entries) == r, g
+        for s, (x, series) in enumerate(zip(entries, want), start=1):
+            assert layout.unpack(x) == series.coeffs, (g, s)
+
+
+def coin_partition_numbers(N):
+    p = [1] + [0] * N
+    for m in range(1, N + 1):
+        for n in range(m, N + 1):
+            p[n] += p[n - m]
+    return p
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 300))
+def test_partition_numbers_equal_coin_dp(N):
+    assert products._partition_numbers(N) == coin_partition_numbers(N)
+
+
+def test_partition_numbers_known_values():
+    p = products._partition_numbers(1000)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert p[100] == 190569292
+    assert p[1000] == 24061467864032622473692149727991
+
+
 def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
-    # 8-bit slots with one guard bit hold up to 127; the q^40 coefficient is 2154
+    # 8-bit slots hold at most 127 below one guard bit, fewer below more;
+    # p(40) = 37338, so neither base_product nor the product route fits
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    products._shared_product.cache_clear()
+    products._family_at_level.cache_clear()
     try:
         with pytest.raises(ArithmeticError):
             base_product(3, 2, 40)
+        with pytest.raises(ArithmeticError):
+            product_series(ProductIndex(3, 5), 40)
     finally:
-        products._shared_product.cache_clear()
+        products._family_at_level.cache_clear()
 
 
 def test_peel_raises_on_a_negative_slot():
     # peeling (1 - q) twice from 1/(1 - q) leaves 1 - q, negative at q^1
     layout = _PackedLayout.for_counts(6, 2)
-    geometric = layout.over_one_minus(1, 1)
+    geometric = over_one_minus(layout, 1, 1)
     assert layout.unpack(geometric) == (1,) * 7
-    one = layout.times_one_minus(geometric, 1)
+    one = times_one_minus(layout, geometric, 1)
     assert layout.unpack(one) == (1, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ArithmeticError):
-        layout.times_one_minus(one, 1)
+        times_one_minus(layout, one, 1)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((0, 3, 1, 0, 2, 0), (0, 0, 0, 0, 0, 0)), ((0, 0, 5, 1, 2, 0), (0, 2, 1, 0, 0, 0))],
+)
+def test_climb_step_raises_on_a_nonzero_low_slot(a, b):
+    # the message is the one TruncatedSeries.shift_div gives for the same
+    # difference, a negative coefficient included
+    layout = _PackedLayout.for_counts(5, 2)
+    diff = layout.pack(a) - layout.pack(b)
+    with pytest.raises(NonDivisibleError) as listed:
+        (TruncatedSeries(a) - TruncatedSeries(b)).shift_div(2)
+    with pytest.raises(NonDivisibleError) as packed:
+        _PackedLayout(3, 2, layout.bits).shift_div(diff, 2)
+    assert str(packed.value) == str(listed.value)
+
+
+def test_climb_step_divides_exactly():
+    layout = _PackedLayout.for_counts(5, 2)
+    diff = layout.pack((0, 0, 4, 1, 3, 2)) - layout.pack((0, 0, 1, 1, 0, 0))
+    assert layout.unpack(layout.shift_div(diff, 2)) == (3, 0, 3, 2, 0, 0)
+    level = _PackedLayout(1, 2, layout.bits)
+    assert level.unpack(level.shift_div(diff, 2)) == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ((1, 0, 1, 0), (0, 1, 0, 0)),  # one negative slot, positive total
+        ((0, 0, 0, 0), (0, 0, 0, 1)),  # negative total
+        ((5, 0, 0, 0), (0, 0, 0, 7)),  # negative top slot only
+    ],
+)
+def test_negative_difference_raises(a, b):
+    layout = _PackedLayout.for_counts(3, 2)
+    diff = layout.pack(a) - layout.pack(b)
+    with pytest.raises(ArithmeticError):
+        layout._check(diff)
+    with pytest.raises(ArithmeticError):
+        layout.shift_div(diff, 0)
 
 
 def test_first_extended_entry():
@@ -159,17 +290,24 @@ def test_tail_valuation_profile_reports_infinite_past_order():
 
 def test_tail_profile_climbs_one_tower(monkeypatch):
     # one climb to level d_max reads every level; a climb per level would
-    # compute the r base products d_max times
-    calls = []
+    # build the base level, P and the r base entries, d_max times
+    layouts, entries = [], []
+    base_layout, base_entry = products._base_layout, products._base_entry
 
-    def counting(r, ell, N):
-        calls.append(ell)
-        return base_product(r, ell, N)
+    def counting_layout(r, N):
+        layouts.append(N)
+        return base_layout(r, N)
 
-    monkeypatch.setattr(products, "base_product", counting)
+    def counting_entry(layout, P, r, ell):
+        entries.append(ell)
+        return base_entry(layout, P, r, ell)
+
+    monkeypatch.setattr(products, "_base_layout", counting_layout)
+    monkeypatch.setattr(products, "_base_entry", counting_entry)
     products._family_at_level.cache_clear()
     tail_valuation_profile(3, 6, 10)
-    assert sorted(calls) == [1, 2, 3]
+    assert layouts == [10 + 2 * 6 * 7 // 2]
+    assert sorted(entries) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("r,N", [(2, 30), (3, 24), (4, 18), (5, 14)])
