@@ -25,13 +25,12 @@ from .families import (
     Side,
     family_at_stage,
     family_limit,
-    family_step,
     verify_expansion,
     verify_family_match,
 )
 from .hilbert import QuotientSpec, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
-from .products import ProductIndex, product_series
+from .products import ProductIndex, _padded_order, product_series
 from .qseries import INFINITE, TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 50
@@ -56,12 +55,15 @@ SERIES_ROUTES = {
     "family": lambda p, N: family_limit(Side.HILBERT, p, N),
 }
 
+# the expansion suite checks stages J+1..J+_EXPANSION_DEPTH; stage d reads product level d
+_EXPANSION_DEPTH = 3
+
 # each extra property suite, called as check(params, order, d_max) -> bool
 SUITE_CHECKS = {
     "hp-identities": lambda p, N, d_max: verify_hp_identities(p.r, p.J + 1, N),
     "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
     "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
-    "expansion": lambda p, N, d_max: all(verify_expansion(p, d, N) for d in range(p.J + 1, p.J + 4)),
+    "expansion": lambda p, N, d_max: all(verify_expansion(p, d, N) for d in range(p.J + 1, p.J + _EXPANSION_DEPTH + 1)),
     "valuation": lambda p, N, d_max: _valuation_suite(p, N),
 }
 SUITES = tuple(SUITE_CHECKS)
@@ -183,9 +185,8 @@ def _order_from(args) -> int:
 
 
 def _check_padded_order(r: int, J: int, order: int, suites: tuple[str, ...] = ()) -> None:
-    # the expansion suite reads product entries up to level J+3
-    top = J + 3 if "expansion" in suites else J
-    padded = order + (r - 1) * top * (top + 1) // 2
+    top = J + _EXPANSION_DEPTH if "expansion" in suites else J
+    padded = _padded_order(r, top, order)
     if padded > MAX_PADDED_ORDER:
         why = " for the expansion suite" if top > J else ""
         raise UsageError(
@@ -230,13 +231,12 @@ def _valuation_suite(params: GordonParams, order: int) -> bool:
     if not (val == INFINITE or val >= params.J + 2):
         return False
     # family entries keep valuation >= stage * (position - 1)
-    fam = family_at_stage(Side.HILBERT, params, params.J + 1, order)
-    for _ in range(5):
+    for d in range(params.J + 1, params.J + 6):
+        fam = family_at_stage(Side.HILBERT, params, d, order)
         for j, entry in enumerate(fam.entries, start=1):
             val = entry.valuation()
-            if not (val == INFINITE or val >= fam.stage * (j - 1)):
+            if not (val == INFINITE or val >= d * (j - 1)):
                 return False
-        fam = family_step(fam)
     return True
 
 

@@ -2,13 +2,14 @@
 
 Each family is a vector of r series evolving by one shared step rule: the
 new entry j is q^((d+1)(j-1)) times the sum of the previous entries
-1..r-j+1. The two sides differ only in how the initial nonzero prefix is
-derived from the parameters; that the prefixes coincide is exactly why the
-two families (and hence the product side and the Hilbert side) agree.
-The prefixes r - ell + 1 and i are equal by the definition ell = r - i + 1,
-so ``verify_family_match`` only shows that the packed step is deterministic;
-the product recursion is checked by the product route and by the product
-half of ``verify_expansion``.
+1..r-j+1. The stages are the partition DP's ascending scan over the part
+values J+1, J+2, ... (``partitions._capped_walk``): stage d's entry j counts
+the multiplicity vectors on J+1..d whose multiplicity of d is j-1, and the
+first step, from [1] at J+1, keeps the side's prefix of r - ell + 1 or i
+entries. Only the stopping rule differs from ``gordon_series``. The prefixes
+are equal by the definition ell = r - i + 1, so ``verify_family_match`` only
+shows that the walk is deterministic; the product recursion is checked by
+the product route and by the product half of ``verify_expansion``.
 
 Entry j at stage d has q-adic valuation at least d*(j-1), so for j >= 2 the
 entries vanish to any fixed order once d is large, and entry 1 stabilizes.
@@ -18,10 +19,12 @@ entries vanish to any fixed order once d is large, and entry 1 stabilizes.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .hilbert import QuotientSpec, gordon_quotient, hp_series
-from .partitions import GordonParams
+from .partitions import GordonParams, _capped_walk
 from .products import ProductIndex, product_series
 from .qseries import TruncatedSeries, _PackedLayout
 
@@ -55,56 +58,41 @@ class CoefficientFamily:
         }
 
 
+def _walk(side: Side, params: GordonParams, N: int) -> Iterator[tuple[int, _PackedLayout, list[int]]]:
+    """(stage, layout, packed entries) for the stages d = J+1, J+2, ..."""
+    prefix = params.r - params.ell + 1 if side is Side.PRODUCT else params.i
+    return _capped_walk(params.r, itertools.count(params.J + 1), params.J + 1, prefix - 1, N)
+
+
+def _family(
+    side: Side, params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]
+) -> CoefficientFamily:
+    state = state + [0] * (params.r - len(state))
+    entries = tuple(TruncatedSeries(layout.unpack(x)) for x in state)
+    return CoefficientFamily(side, params, stage, entries)
+
+
 def family_init(side: Side, params: GordonParams, N: int) -> CoefficientFamily:
     """Stage J+1 family: entry j is q^((J+1)(j-1)) up to the side's prefix
     length, zero beyond it."""
-    r, J = params.r, params.J
-    prefix = r - params.ell + 1 if side is Side.PRODUCT else params.i
-    entries = tuple(
-        TruncatedSeries.monomial((J + 1) * (j - 1), N)
-        if j <= prefix
-        else TruncatedSeries.zero(N)
-        for j in range(1, r + 1)
-    )
-    return CoefficientFamily(side, params, stage=J + 1, entries=entries)
-
-
-def _packed(fam: CoefficientFamily) -> tuple[_PackedLayout, list[int]]:
-    """The layout for the family's order and its entries as packed series.
-
-    Entry j at stage d counts the multiplicity vectors on J+1..d whose
-    multiplicity of d is j-1, a subset of the partitions of each weight.
-    """
-    layout = _PackedLayout.for_counts(fam.order, fam.params.r)
-    return layout, [layout.pack(e.coeffs) for e in fam.entries]
-
-
-def _unpacked(
-    fam: CoefficientFamily, layout: _PackedLayout, stage: int, state: list[int]
-) -> CoefficientFamily:
-    state = state + [0] * (fam.params.r - len(state))
-    entries = tuple(TruncatedSeries(layout.unpack(x)) for x in state)
-    return CoefficientFamily(fam.side, fam.params, stage=stage, entries=entries)
+    return family_at_stage(side, params, params.J + 1, N)
 
 
 def family_step(fam: CoefficientFamily) -> CoefficientFamily:
     """Advance one stage: entry j becomes q^((d+1)(j-1)) times the running
     prefix sums of the current entries. Entries must be non-negative."""
-    layout, state = _packed(fam)
-    d_new = fam.stage + 1
-    return _unpacked(fam, layout, d_new, layout.step(state, d_new, fam.params.r))
+    r, d_new = fam.params.r, fam.stage + 1
+    layout = _PackedLayout.for_counts(fam.order, r)
+    state = layout.step([layout.pack(e.coeffs) for e in fam.entries], d_new, r)
+    return _family(fam.side, fam.params, d_new, layout, state)
 
 
-def family_at_stage(
-    side: Side, params: GordonParams, d: int, N: int
-) -> CoefficientFamily:
+def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> CoefficientFamily:
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
-    fam = family_init(side, params, N)
-    layout, state = _packed(fam)
-    for stage in range(fam.stage + 1, d + 1):
-        state = layout.step(state, stage, params.r)
-    return _unpacked(fam, layout, d, state)
+    for stage, layout, state in _walk(side, params, N):
+        if stage == d:
+            return _family(side, params, d, layout, state)
 
 
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
@@ -115,36 +103,30 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
     q^(N+1). Stabilization is guaranteed by stage J + N + 2.
     """
     bound = params.J + N + 2
-    fam = family_init(side, params, N)
-    layout, state = _packed(fam)
-    stage = fam.stage
-    while True:
-        stage += 1
-        nxt = layout.step(state, stage, params.r)
+    for (_, _, state), (stage, layout, nxt) in itertools.pairwise(_walk(side, params, N)):
         if nxt[0] == state[0] and not any(nxt[1:]):
             return TruncatedSeries(layout.unpack(nxt[0]))
         if stage > bound:
             raise RuntimeError(
-                f"entry 1 failed to stabilize by stage {bound}; "
-                "the valuation ladder must be broken"
+                f"entry 1 failed to stabilize by stage {bound}; the valuation ladder must be broken"
             )
-        state = nxt
 
 
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
-    """Both sides' families agree entrywise at every stage J+1..d_max."""
+    """Both sides' families agree entrywise at every stage J+1..d_max.
+
+    From stage J+N+2 on, every entry j >= 2 lies past order N and entry 1
+    is the total, so the walks are constant and are compared no further.
+    """
     if d_max < params.J + 1:
         raise ValueError(f"d_max must be at least J+1 = {params.J + 1}")
-    layout, prod = _packed(family_init(Side.PRODUCT, params, N))
-    _, hilb = _packed(family_init(Side.HILBERT, params, N))
-    stage = params.J + 1
-    while prod == hilb:
-        if stage >= d_max:
+    last = min(d_max, params.J + N + 2)
+    walks = zip(_walk(Side.PRODUCT, params, N), _walk(Side.HILBERT, params, N))
+    for (stage, _, prod), (_, _, hilb) in walks:
+        if prod != hilb:
+            return False
+        if stage >= last:
             return True
-        stage += 1
-        prod = layout.step(prod, stage, params.r)
-        hilb = layout.step(hilb, stage, params.r)
-    return False
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:

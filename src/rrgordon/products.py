@@ -123,6 +123,11 @@ def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     return TruncatedSeries(layout.unpack(_base_entry(layout, P, r, ell)))
 
 
+def _padded_order(r: int, top: int, N: int) -> int:
+    """Order of the base level that leaves level ``top`` exact to order N."""
+    return N + (r - 1) * top * (top + 1) // 2
+
+
 def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]]]:
     """The r entries of each level 0..top in turn, packed, each exact to
     the order of the layout it comes with, which is N or more.
@@ -134,7 +139,7 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     ever inexact, and ArithmeticError if a slot reaches its guard bits;
     either would mean the construction itself is broken.
     """
-    order = N + (r - 1) * top * (top + 1) // 2
+    order = _padded_order(r, top, N)
     layout, P = _base_layout(r, order)
     entries = [_base_entry(layout, P, r, ell) for ell in range(1, r + 1)]
     yield layout, entries

@@ -1,5 +1,7 @@
 import pytest
 
+from rrgordon.qseries import _PackedLayout
+
 # (number, label, passed) tuples recorded by the acceptance tests
 _ACCEPTANCE: list[tuple[int, str, bool]] = []
 
@@ -12,6 +14,25 @@ def criterion():
         _ACCEPTANCE.append((number, label, passed))
 
     return record
+
+
+@pytest.fixture
+def step_values(monkeypatch):
+    """The value u of every ``_PackedLayout.step`` call, in call order.
+
+    Past 10 000 calls a step raises, so a walk that ignores its stopping
+    stage fails its test instead of hanging it."""
+    values = []
+    step = _PackedLayout.step
+
+    def counted(self, state, u, kept):
+        values.append(u)
+        if len(values) > 10_000:
+            raise RuntimeError("the walk ignored its stopping stage")
+        return step(self, state, u, kept)
+
+    monkeypatch.setattr(_PackedLayout, "step", counted)
+    return values
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

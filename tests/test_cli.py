@@ -394,6 +394,15 @@ def test_max_padded_order_admits_the_baselines():
     cli._check_padded_order(5, 3, cli.MAX_ORDER)
 
 
+def test_huge_d_max_gives_the_same_bytes(capsys, step_values):
+    # family-match stops at stage J+N+2, where the walks turn constant; a
+    # walk past its step cap fails the suite instead of hanging it
+    argv = ("scan", "--r", "2", "--i", "1", "--J", "0", "--order", "10", "--suites", "family-match")
+    small = run(capsys, *argv, "--format", "json", "--d-max", "10")
+    huge = run(capsys, *argv, "--format", "json", "--d-max", str(10**12))
+    assert small[0] == 0 and huge == small
+
+
 def test_expansion_suite_is_checked_at_its_deepest_level(capsys, monkeypatch):
     # J = 42 at order 388 pads the r = 5 tower to exactly 4000; the
     # expansion suite reads level J+3, which pads to 388 + 4*45*46/2 = 4528

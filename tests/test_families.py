@@ -99,6 +99,15 @@ def test_match_between_sides():
         verify_family_match(GordonParams(2, 1, 3), 1, 10)
 
 
+def test_match_stops_where_the_walks_are_constant(step_values):
+    # from stage J+N+2 on every entry j >= 2 lies past order N, so both
+    # walks stop there whatever d_max is
+    params, N = GordonParams(3, 2, 1), 10
+    assert verify_family_match(params, 10**12, N)
+    # stages J+1..J+N+2 on each side
+    assert sorted(step_values) == sorted(2 * list(range(params.J + 1, params.J + N + 3)))
+
+
 def test_expansion_identities():
     assert verify_expansion(GordonParams(2, 2, 0), 3, 30)
     assert verify_expansion(GordonParams(3, 1, 1), 2, 30)

@@ -2,7 +2,9 @@
 
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
-the packed DP must reproduce exactly.
+the packed DP must reproduce exactly. ``reference_family_init`` builds the
+initial family from list monomials, as the package did before the family
+walk became the DP's scan, so the literal walk starts from code not under test.
 """
 
 import json
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrgordon import cli, products
-from rrgordon.families import Side, family_init, family_limit
+from rrgordon.families import CoefficientFamily, Side, family_init, family_limit
 from rrgordon.hilbert import (
     QuotientSpec,
     expand_generators,
@@ -72,11 +74,33 @@ def test_packed_routes_equal_oracles(r, data, J, N):
     )
 
 
+def reference_family_init(side, params, N):
+    """Stage J+1 family: entry j is the monomial q^((J+1)(j-1)) up to the
+    side's prefix length, zero beyond it."""
+    r, J = params.r, params.J
+    prefix = r - params.ell + 1 if side is Side.PRODUCT else params.i
+    entries = tuple(
+        TruncatedSeries.monomial((J + 1) * (j - 1), N)
+        if j <= prefix
+        else TruncatedSeries.zero(N)
+        for j in range(1, r + 1)
+    )
+    return CoefficientFamily(side, params, stage=J + 1, entries=entries)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.data(), st.integers(0, 5), st.integers(0, 40))
+def test_family_init_equals_list_monomials(r, data, J, N):
+    params = GordonParams(r, data.draw(st.integers(1, r)), J)
+    for side in Side:
+        assert family_init(side, params, N) == reference_family_init(side, params, N)
+
+
 def literal_family_limit(side, params, N):
     """Entry 1 at the stabilization bound J + N + 2, stepping by the
     definition: entry j becomes (e_1 + ... + e_(r-j+1)) * q^(d(j-1))."""
     r = params.r
-    entries = family_init(side, params, N).entries
+    entries = reference_family_init(side, params, N).entries
     for d in range(params.J + 2, params.J + N + 3):
         sums = [entries[0]]
         for e in entries[1:]:
