@@ -21,17 +21,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .families import (
-    Side,
-    family_at_stage,
-    family_limit,
-    verify_expansion,
-    verify_family_match,
-)
-from .hilbert import QuotientSpec, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
+from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
+from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, _padded_order, product_series
-from .qseries import INFINITE, TruncatedSeries, first_mismatch
+from .qseries import TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -64,7 +58,7 @@ SUITE_CHECKS = {
     "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
     "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
     "expansion": lambda p, N, d_max: all(verify_expansion(p, d, N) for d in range(p.J + 1, p.J + _EXPANSION_DEPTH + 1)),
-    "valuation": lambda p, N, d_max: _valuation_suite(p, N),
+    "valuation": lambda p, N, d_max: verify_valuations(p, N),
 }
 SUITES = tuple(SUITE_CHECKS)
 
@@ -224,22 +218,6 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
-def _valuation_suite(params: GordonParams, order: int) -> bool:
-    # uncapped quotient one floor up is 1 + O(q^(J+2))
-    tail = hp_series(QuotientSpec(params.r, params.J + 2), order) - TruncatedSeries.one(order)
-    val = tail.valuation()
-    if not (val == INFINITE or val >= params.J + 2):
-        return False
-    # family entries keep valuation >= stage * (position - 1)
-    for d in range(params.J + 1, params.J + 6):
-        fam = family_at_stage(Side.HILBERT, params, d, order)
-        for j, entry in enumerate(fam.entries, start=1):
-            val = entry.valuation()
-            if not (val == INFINITE or val >= d * (j - 1)):
-                return False
-    return True
-
-
 def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
     r, i, J, order, suites, d_max = cell
     params = GordonParams(r, i, J)
@@ -270,9 +248,11 @@ def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise UsageError("jobs must be at least 1")
     suites = tuple(s for s in args.suites.split(",") if s) if args.suites else ()
-    for s in suites:
+    for k, s in enumerate(suites):
         if s not in SUITES:
             raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
+        if s in suites[:k]:
+            raise UsageError(f"suite {s!r} is named twice")
 
     i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
     cells = [

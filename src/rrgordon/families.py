@@ -11,9 +11,10 @@ are equal by the definition ell = r - i + 1, so ``verify_family_match`` only
 shows that the walk is deterministic; the product recursion is checked by
 the product route and by the product half of ``verify_expansion``.
 
-Entry j at stage d has q-adic valuation at least d*(j-1), so for j >= 2 the
-entries vanish to any fixed order once d is large, and entry 1 stabilizes.
-``family_limit`` realizes the q-adic limit as truncated stabilization.
+Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
+``verify_valuations``), so to order N the walk turns constant and ends there
+(``_walk``); every stage reader stops with it. ``family_limit`` realizes the
+q-adic limit as truncated stabilization.
 """
 
 from __future__ import annotations
@@ -58,10 +59,17 @@ class CoefficientFamily:
         }
 
 
-def _walk(side: Side, params: GordonParams, N: int) -> Iterator[tuple[int, _PackedLayout, list[int]]]:
-    """(stage, layout, packed entries) for the stages d = J+1, J+2, ..."""
+def _walk(side: Side, params: GordonParams, N: int) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
+    """The layout, and (stage, packed entries) for the stages J+1..J+N+2.
+
+    At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
+    zero, and the next stage's entry 1 is this stage's total: entry 1 again.
+    So to order N the walk is constant from stage J+N+2 > N on.
+    """
+    layout = _PackedLayout.for_counts(N, params.r)
     prefix = params.r - params.ell + 1 if side is Side.PRODUCT else params.i
-    return _capped_walk(params.r, itertools.count(params.J + 1), params.J + 1, prefix - 1, N)
+    stages = range(params.J + 1, params.J + N + 3)
+    return layout, _capped_walk(layout, stages, params.J + 1, prefix - 1)
 
 
 def _family(
@@ -88,11 +96,14 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 
 
 def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> CoefficientFamily:
+    """Stage d family; past the walk's end, its last stage relabelled d."""
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
-    for stage, layout, state in _walk(side, params, N):
+    layout, walk = _walk(side, params, N)
+    for stage, state in walk:
         if stage == d:
-            return _family(side, params, d, layout, state)
+            break
+    return _family(side, params, d, layout, state)
 
 
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
@@ -100,33 +111,43 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
 
     Steps until entry 1 stops changing and every later entry is zero to
     order N; from that point no future stage can alter entry 1 below
-    q^(N+1). Stabilization is guaranteed by stage J + N + 2.
+    q^(N+1). The walk's last two stages are equal (``_walk``).
     """
-    bound = params.J + N + 2
-    for (_, _, state), (stage, layout, nxt) in itertools.pairwise(_walk(side, params, N)):
+    layout, walk = _walk(side, params, N)
+    for (_, state), (_, nxt) in itertools.pairwise(walk):
         if nxt[0] == state[0] and not any(nxt[1:]):
             return TruncatedSeries(layout.unpack(nxt[0]))
-        if stage > bound:
-            raise RuntimeError(
-                f"entry 1 failed to stabilize by stage {bound}; the valuation ladder must be broken"
-            )
+    raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
 
 
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
-    """Both sides' families agree entrywise at every stage J+1..d_max.
-
-    From stage J+N+2 on, every entry j >= 2 lies past order N and entry 1
-    is the total, so the walks are constant and are compared no further.
-    """
+    """Both sides' families agree entrywise at every stage J+1..d_max; the
+    walks are constant past their end, so they are compared no further."""
     if d_max < params.J + 1:
         raise ValueError(f"d_max must be at least J+1 = {params.J + 1}")
-    last = min(d_max, params.J + N + 2)
-    walks = zip(_walk(Side.PRODUCT, params, N), _walk(Side.HILBERT, params, N))
-    for (stage, _, prod), (_, _, hilb) in walks:
+    walks = zip(_walk(Side.PRODUCT, params, N)[1], _walk(Side.HILBERT, params, N)[1])
+    for (stage, prod), (_, hilb) in walks:
         if prod != hilb:
             return False
-        if stage >= last:
-            return True
+        if stage == d_max:
+            break
+    return True
+
+
+def _on_ladder(layout: _PackedLayout, stage: int, state: list[int]) -> bool:
+    """Entry j has valuation at least stage*(j-1): its low stage*(j-1) slots are zero."""
+    return not any(x & ((1 << stage * j * layout.bits) - 1) for j, x in enumerate(state))
+
+
+def verify_valuations(params: GordonParams, N: int) -> bool:
+    """The valuation bounds behind the q-adic limit, to order N: the uncapped
+    quotient one floor up is 1 + O(q^(J+2)), and entry j at Hilbert-side
+    stage d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's
+    end repeat its last one, so they hold it too."""
+    tail = hp_series(QuotientSpec(params.r, params.J + 2), N) - TruncatedSeries.one(N)
+    layout, walk = _walk(Side.HILBERT, params, N)
+    stages = itertools.islice(walk, 5)
+    return tail.valuation() >= params.J + 2 and all(_on_ladder(layout, d, state) for d, state in stages)
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:

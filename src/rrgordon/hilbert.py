@@ -125,8 +125,6 @@ def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     Graded dimensions come from the multiplicity DP, scanning variables from
     index N down to k; a cap bounds the exponent of x_k by cap-1.
     """
-    if N < 0:
-        raise ValueError("order must be non-negative")
     bound = spec.r - 1 if spec.cap is None else spec.cap - 1
     values = range(N, spec.k - 1, -1)
     return TruncatedSeries(_adjacent_capped_counts(spec.r, values, spec.k, bound, N))

@@ -126,28 +126,27 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
 
 
 def _capped_walk(
-    r: int, values: Iterable[int], floor: int, cap: int, N: int
-) -> Iterator[tuple[int, _PackedLayout, list[int]]]:
-    """Scans multiplicity vectors (f_a) over ``values`` to order N, and
-    yields (a, layout, states) after each value a.
+    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Scans multiplicity vectors (f_a) over ``values`` to the layout's
+    order, and yields (a, states) after each value a.
 
     Values are scanned in the given order; state j holds the vectors whose
     last scanned multiplicity is j-1. Adjacent multiplicities sum to at most
-    r-1, so scanning a sets f_a = j-1 on the vectors of states 1..r-j+1, and
-    the multiplicity of ``floor`` is at most ``cap``. The states are packed
-    series (see ``qseries._PackedLayout``), one step per value from [1].
+    r-1 (r = ``layout.r``), so scanning a sets f_a = j-1 on the vectors of
+    states 1..r-j+1, and the multiplicity of ``floor`` is at most ``cap``.
+    The states are packed series, one step per value from [1].
     """
-    layout = _PackedLayout.for_counts(N, r)
     state = [1]
     for a in values:
-        state = layout.step(state, a, cap + 1 if a == floor else r)
-        yield a, layout, state
+        state = layout.step(state, a, cap + 1 if a == floor else layout.r)
+        yield a, state
 
 
 def _adjacent_capped_counts(r: int, values: range, floor: int, cap: int, N: int) -> tuple[int, ...]:
     """Counts for weights 0..N of the vectors ``_capped_walk`` scans."""
     layout, state = _PackedLayout.for_counts(N, r), [1]
-    for _, layout, state in _capped_walk(r, values, floor, cap, N):
+    for _, state in _capped_walk(layout, values, floor, cap):
         pass
     return layout.unpack(sum(state))
 

@@ -239,6 +239,8 @@ class _PackedLayout:
         up to the order fits in b = floor(pi sqrt(2N/3) / ln 2) + 1 bits;
         B is b + ceil(log2 r) rounded up to a whole byte.
         """
+        if order < 0:
+            raise ValueError("order must be non-negative")
         value_bits = int(math.pi * math.sqrt(2 * order / 3) / math.log(2)) + 1
         guard_bits = (r - 1).bit_length()
         return cls(order, r, -(-(value_bits + guard_bits) // 8) * 8)

@@ -1,13 +1,15 @@
 import argparse
+import hashlib
 import json
 import os
 
 import pytest
 
-from rrgordon import cli
+from rrgordon import cli, products
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
+from rrgordon.hilbert import QuotientSpec, hp_series
 from rrgordon.partitions import GordonParams
-from rrgordon.qseries import NonDivisibleError, TruncatedSeries
+from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
 def run(capsys, *argv):
@@ -205,6 +207,7 @@ def test_scan_rejects_unknown_suite(capsys):
         ("scan", "--J", "3..1"),
         ("scan", "--r", "2", "--i", "7..9"),
         ("scan", "--r", "2", "--d-max", "-1"),
+        ("scan", "--r", "2", "--suites", "valuation,valuation"),
     ],
 )
 def test_scan_usage_errors(capsys, argv):
@@ -421,3 +424,46 @@ def test_cell_at_max_padded_order_without_expansion_passes(capsys):
     cli._check_padded_order(5, 42, 388, tuple(others.split(",")))
     code, out, _ = run(capsys, "scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
     assert (code, out.splitlines()[-1]) == (0, "1/1 cells passed at order 388")
+
+
+def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
+    step = _PackedLayout.step
+
+    def short(self, state, u, kept):
+        new = step(self, state, u, kept)
+        return new[:1] + [x >> self.bits for x in new[1:]]
+
+    # the suite's hp tail is read from the cache, filled by the correct step,
+    # so only the family ladder can fail it; the mutant's results must not
+    # reach later tests
+    caches = (hp_series, products._family_at_level)
+    for cache in caches:
+        cache.cache_clear()
+    hp_series(QuotientSpec(3, 3), 20)
+    monkeypatch.setattr(_PackedLayout, "step", short)
+    try:
+        argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1
+    assert json.loads(out)["cells"][0]["suites"] == {"valuation": "fail"}
+
+
+@pytest.mark.parametrize(
+    "order,want",
+    [
+        (0, "4f631e467c334f04402fc544769b32c3fbba079e0b9fe42775c6455596c39112"),
+        (1, "e741ed51bf31f20f26bba789dde36803e17e32e4949ea77d078e1edfa4d238fd"),
+        (2, "7c8451f98764996c02495f94ed12d711f462427683fef1a27399fae6453ad6a7"),
+        (3, "c9954e78599875138e81e7cbec793b5d328ccaf215890c9db05f679e544bde44"),
+    ],
+)
+def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
+    # the family walk ends at stage J+N+2 <= J+5, no later than the valuation
+    # suite's fifth stage; sha256 of the exit code and stdout, as in test_golden.py
+    argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", str(order),
+            "--suites", "hp-identities,hp-recursion,family-match,expansion,valuation", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want

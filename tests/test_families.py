@@ -108,6 +108,16 @@ def test_match_stops_where_the_walks_are_constant(step_values):
     assert sorted(step_values) == sorted(2 * list(range(params.J + 1, params.J + N + 3)))
 
 
+def test_stage_past_the_walk_is_its_last_stage(step_values):
+    params, N = GordonParams(2, 1, 0), 10
+    far = family_at_stage(Side.HILBERT, params, 10**6, N)
+    # stages J+1..J+N+2, after which the walk is constant to order N
+    assert len(step_values) <= params.J + N + 2
+    last = family_at_stage(Side.HILBERT, params, params.J + N + 2, N)
+    assert far.stage == 10**6
+    assert far.entries == last.entries
+
+
 def test_expansion_identities():
     assert verify_expansion(GordonParams(2, 2, 0), 3, 30)
     assert verify_expansion(GordonParams(3, 1, 1), 2, 30)

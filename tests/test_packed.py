@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, products
-from rrgordon.families import CoefficientFamily, Side, family_init, family_limit
+from rrgordon import cli, families, products
+from rrgordon.families import (
+    CoefficientFamily,
+    Side,
+    family_at_stage,
+    family_init,
+    family_limit,
+    verify_expansion,
+    verify_family_match,
+)
 from rrgordon.hilbert import (
     QuotientSpec,
     expand_generators,
@@ -27,6 +35,7 @@ from rrgordon.partitions import (
     enumerate_gordon,
     gordon_series,
 )
+from rrgordon.products import base_product
 from rrgordon.qseries import TruncatedSeries, _PackedLayout
 
 
@@ -115,6 +124,39 @@ def test_family_limit_equals_literal_walk(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
     side = data.draw(st.sampled_from(list(Side)))
     assert family_limit(side, params, N) == literal_family_limit(side, params, N)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
+def test_packed_ladder_agrees_with_valuation(r, data, J, N):
+    params = GordonParams(r, data.draw(st.integers(1, r)), J)
+    layout, walk = families._walk(Side.HILBERT, params, N)
+    for stage, state in walk:
+        # each entry also one slot short, as a broken step would leave it
+        for entries in (state, [x >> layout.bits for x in state]):
+            fam = families._family(Side.HILBERT, params, stage, layout, entries)
+            want = all(e.valuation() >= stage * (j - 1) for j, e in enumerate(fam.entries, start=1))
+            assert families._on_ladder(layout, stage, entries) == want, (stage, entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gordon_series(GordonParams(3, 2, 1), -1),
+        lambda: hp_series(QuotientSpec(3, 2, cap=2), -1),
+        lambda: family_limit(Side.HILBERT, GordonParams(3, 2, 1), -1),
+        lambda: family_at_stage(Side.PRODUCT, GordonParams(3, 2, 1), 3, -1),
+        lambda: verify_family_match(GordonParams(3, 2, 1), 10, -1),
+        lambda: verify_expansion(GordonParams(3, 2, 1), 3, -1),
+        lambda: base_product(3, 2, -1),
+    ],
+    ids=["gordon_series", "hp_series", "family_limit", "family_at_stage",
+         "verify_family_match", "verify_expansion", "base_product"],
+)
+def test_negative_order_is_rejected(call):
+    # every packed layout is built by for_counts, which rejects it
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        call()
 
 
 def test_slot_width_covers_partition_counts():
