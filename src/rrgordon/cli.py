@@ -270,7 +270,13 @@ def cmd_scan(args) -> int:
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, cells))
+            futures = [pool.submit(_scan_cell, c) for c in cells]
+        # a cell whose worker died fails every check; one error line says why
+        errors = [f.exception() for f in futures]
+        unfinished = {"verdict": "fail", "identity": "fail", "suites": dict.fromkeys(sorted(suites), "fail"), "mismatch": None}
+        results = [f.result() if e is None else {"r": c[0], "i": c[1], "J": c[2], **unfinished} for c, f, e in zip(cells, futures, errors)]
+        if lost := [e for e in errors if e]:
+            print(f"error: {len(lost)} cells did not finish: {lost[0]!r}", file=sys.stderr)
     else:
         results = [_scan_cell(c) for c in cells]
     results.sort(key=lambda c: (c["r"], c["i"], c["J"]))

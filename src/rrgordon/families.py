@@ -15,6 +15,12 @@ Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk turns constant and ends there
 (``_walk``); every stage reader stops with it. ``family_limit`` realizes the
 q-adic limit as truncated stabilization.
+
+``verify_expansion`` unpacks no stage: it walks in the wide slots of
+``_PackedLayout.for_products``, multiplies each entry by its packed factor
+as one int masked to order N, and compares the sum with the packed left
+side. Every operand is first checked below the slots' value bits, so no slot
+carries and the check is exact whether or not the identity holds.
 """
 
 from __future__ import annotations
@@ -59,22 +65,29 @@ class CoefficientFamily:
         }
 
 
-def _walk(side: Side, params: GordonParams, N: int) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
-    """The layout, and (stage, packed entries) for the stages J+1..J+N+2.
+def _walk(side: Side, params: GordonParams, layout: _PackedLayout) -> Iterator[tuple[int, list[int]]]:
+    """(stage, packed entries) for the stages J+1..J+N+2, N the layout's order.
 
     At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
     zero, and the next stage's entry 1 is this stage's total: entry 1 again.
     So to order N the walk is constant from stage J+N+2 > N on.
     """
-    layout = _PackedLayout.for_counts(N, params.r)
     prefix = params.r - params.ell + 1 if side is Side.PRODUCT else params.i
-    stages = range(params.J + 1, params.J + N + 3)
-    return layout, _capped_walk(layout, stages, params.J + 1, prefix - 1)
+    stages = range(params.J + 1, params.J + layout.order + 3)
+    return _capped_walk(layout, stages, params.J + 1, prefix - 1)
 
 
-def _family(
-    side: Side, params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]
-) -> CoefficientFamily:
+def _stage(side: Side, params: GordonParams, d: int, layout: _PackedLayout) -> list[int]:
+    """Stage d's packed entries, trailing zeros dropped; past the walk's end, its last stage's."""
+    if d < params.J + 1:
+        raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
+    for stage, state in _walk(side, params, layout):
+        if stage == d:
+            break
+    return state
+
+
+def _family(side: Side, params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
     state = state + [0] * (params.r - len(state))
     entries = tuple(TruncatedSeries(layout.unpack(x)) for x in state)
     return CoefficientFamily(side, params, stage, entries)
@@ -97,13 +110,8 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 
 def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> CoefficientFamily:
     """Stage d family; past the walk's end, its last stage relabelled d."""
-    if d < params.J + 1:
-        raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
-    layout, walk = _walk(side, params, N)
-    for stage, state in walk:
-        if stage == d:
-            break
-    return _family(side, params, d, layout, state)
+    layout = _PackedLayout.for_counts(N, params.r)
+    return _family(side, params, d, layout, _stage(side, params, d, layout))
 
 
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
@@ -113,8 +121,8 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
     order N; from that point no future stage can alter entry 1 below
     q^(N+1). The walk's last two stages are equal (``_walk``).
     """
-    layout, walk = _walk(side, params, N)
-    for (_, state), (_, nxt) in itertools.pairwise(walk):
+    layout = _PackedLayout.for_counts(N, params.r)
+    for (_, state), (_, nxt) in itertools.pairwise(_walk(side, params, layout)):
         if nxt[0] == state[0] and not any(nxt[1:]):
             return TruncatedSeries(layout.unpack(nxt[0]))
     raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
@@ -125,8 +133,8 @@ def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
     walks are constant past their end, so they are compared no further."""
     if d_max < params.J + 1:
         raise ValueError(f"d_max must be at least J+1 = {params.J + 1}")
-    walks = zip(_walk(Side.PRODUCT, params, N)[1], _walk(Side.HILBERT, params, N)[1])
-    for (stage, prod), (_, hilb) in walks:
+    layout = _PackedLayout.for_counts(N, params.r)
+    for (stage, prod), (_, hilb) in zip(_walk(Side.PRODUCT, params, layout), _walk(Side.HILBERT, params, layout)):
         if prod != hilb:
             return False
         if stage == d_max:
@@ -145,8 +153,8 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
     stage d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's
     end repeat its last one, so they hold it too."""
     tail = hp_series(QuotientSpec(params.r, params.J + 2), N) - TruncatedSeries.one(N)
-    layout, walk = _walk(Side.HILBERT, params, N)
-    stages = itertools.islice(walk, 5)
+    layout = _PackedLayout.for_counts(N, params.r)
+    stages = itertools.islice(_walk(Side.HILBERT, params, layout), 5)
     return tail.valuation() >= params.J + 2 and all(_on_ladder(layout, d, state) for d, state in stages)
 
 
@@ -156,28 +164,17 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     The Hilbert series of the target quotient must equal the sum of the
     stage-d Hilbert-side entries times the capped series one floor above
     stage d, and likewise the target product series must expand over the
-    stage-d product-side entries times the deeper product entries.
+    stage-d product-side entries times the deeper product entries. Raises
+    ArithmeticError if an operand is too large for its slots.
     """
     r = params.r
-    hilb = family_at_stage(Side.HILBERT, params, d, N)
-    lhs_hp = hp_series(gordon_quotient(params), N)
-    rhs_hp = sum(
-        (
-            hilb.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
-            for j in range(1, r + 1)
-        ),
-        TruncatedSeries.zero(N),
-    )
-    if not lhs_hp.eq(rhs_hp):
-        return False
+    layout = _PackedLayout.for_products(N, r)
 
-    prod = family_at_stage(Side.PRODUCT, params, d, N)
-    lhs_pr = product_series(ProductIndex(r, params.product_index), N)
-    rhs_pr = sum(
-        (
-            prod.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
-            for j in range(1, r + 1)
-        ),
-        TruncatedSeries.zero(N),
-    )
-    return lhs_pr.eq(rhs_pr)
+    def expands(side: Side, lhs: TruncatedSeries, factors: Iterator[TruncatedSeries]) -> bool:
+        terms = (layout._check(x) * layout.pack(f.coeffs) & layout._mask for x, f in zip(_stage(side, params, d, layout), factors))
+        return layout.pack(lhs.coeffs) == sum(terms)
+
+    hp_factors = (hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N) for j in range(1, r + 1))
+    pr_factors = (product_series(ProductIndex(r, (r - 1) * d + j), N) for j in range(1, r + 1))
+    hp_ok = expands(Side.HILBERT, hp_series(gordon_quotient(params), N), hp_factors)
+    return hp_ok and expands(Side.PRODUCT, product_series(ProductIndex(r, params.product_index), N), pr_factors)

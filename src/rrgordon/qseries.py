@@ -219,15 +219,14 @@ class _PackedLayout:
     difference by a power of q under the same check.
     """
 
-    def __init__(self, order: int, r: int, bits: int):
-        guard_bits = (r - 1).bit_length()
-        if bits % 8 or bits <= guard_bits:
-            raise ValueError(f"slots need whole bytes above {guard_bits} guard bits, got {bits}")
+    def __init__(self, order: int, r: int, bits: int, value_bits: int | None = None):
+        value_bits = bits - (r - 1).bit_length() if value_bits is None else value_bits
+        if bits % 8 or not 0 < value_bits < bits:
+            raise ValueError(f"slots need whole bytes above {value_bits} value bits, got {bits}")
         self.order, self.r, self.bits = order, r, bits
         self._width = bits // 8
         self._mask = (1 << (order + 1) * bits) - 1
-        slot_guard = ((1 << guard_bits) - 1) << (bits - guard_bits)
-        slot_bytes = slot_guard.to_bytes(self._width, "little")
+        slot_bytes = ((1 << bits) - (1 << value_bits)).to_bytes(self._width, "little")
         self._guard = int.from_bytes(slot_bytes * (order + 1), "little")
 
     @classmethod
@@ -244,6 +243,19 @@ class _PackedLayout:
         value_bits = int(math.pi * math.sqrt(2 * order / 3) / math.log(2)) + 1
         guard_bits = (r - 1).bit_length()
         return cls(order, r, -(-(value_bits + guard_bits) // 8) * 8)
+
+    @classmethod
+    def for_products(cls, order: int, r: int) -> _PackedLayout:
+        """Slots for sums of r products of two series of partition counts.
+
+        Every bit at or above v = ``for_counts(order, r).bits - ceil(log2 r)``
+        is a guard bit, so each operand that passes the check is below 2^v.
+        A slot of the sum adds at most r(N+1) products below 2^(2v), so B =
+        2v + bitlen(N+1) + ceil(log2 r), rounded up to whole bytes, never carries.
+        """
+        g = (r - 1).bit_length()
+        v = cls.for_counts(order, r).bits - g
+        return cls(order, r, -(-(2 * v + (order + 1).bit_length() + g) // 8) * 8, v)
 
     def _check(self, x: int) -> int:
         if x < 0 or x & self._guard:

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -280,7 +282,7 @@ def test_table_out_unwritable_is_usage_error(tmp_path, capsys):
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
     opened: list[int] = []
 
@@ -293,8 +295,10 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
 
 
 @pytest.mark.parametrize(
@@ -467,3 +471,33 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
             "--suites", "hp-identities,hp-recursion,family-match,expansion,valuation", "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want
+
+
+_SCAN_CELL = cli._scan_cell
+
+
+def _scan_cell_dying_at_3_2_0(cell):
+    # module level, so the pool can pickle it by name
+    if cell[:3] == (3, 2, 0):
+        os._exit(3)
+    return _SCAN_CELL(cell)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched cell reaches workers by fork")
+def test_dead_scan_worker_fails_its_cells(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_scan_cell", _scan_cell_dying_at_3_2_0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("scan", "--r", "2..4", "--J", "0", "--order", "8", "--suites", "valuation", "--format", "json")
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    report = json.loads(out)
+    cells = {(c["r"], c["i"], c["J"]): c for c in report["cells"]}
+    assert code == 1
+    # one error line, which counts the cells that did not finish
+    assert err.startswith("error: ") and err.count("\n") == 1 and "BrokenProcessPool" in err
+    assert report["failed"] == int(err.split()[1])
+    # every cell is reported with the usual keys, and the results that arrived are kept
+    assert sorted(cells) == [(r, i, 0) for r in range(2, 5) for i in range(1, r + 1)]
+    assert cells[3, 2, 0] == {
+        "r": 3, "i": 2, "J": 0, "verdict": "fail", "identity": "fail", "suites": {"valuation": "fail"}, "mismatch": None,
+    }
+    assert report["passed"] == sum(c["verdict"] == "pass" for c in report["cells"]) == 9 - report["failed"]

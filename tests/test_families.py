@@ -1,5 +1,18 @@
-import pytest
+"""Tests of the coefficient families.
 
+``reference_verify_expansion`` is the list version of the expansion check:
+it unpacks each stage entry into a ``TruncatedSeries`` and sums list Cauchy
+products. The packed ``verify_expansion`` must return what it returns.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrgordon import families
+from rrgordon.cli import main
 from rrgordon.families import (
     Side,
     family_at_stage,
@@ -9,10 +22,10 @@ from rrgordon.families import (
     verify_expansion,
     verify_family_match,
 )
-from rrgordon.hilbert import gordon_quotient, hp_series
+from rrgordon.hilbert import QuotientSpec, gordon_quotient, hp_series
 from rrgordon.partitions import GordonParams
 from rrgordon.products import ProductIndex, product_series
-from rrgordon.qseries import INFINITE
+from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
 
 
 def coeff_lists(fam):
@@ -118,10 +131,124 @@ def test_stage_past_the_walk_is_its_last_stage(step_values):
     assert far.entries == last.entries
 
 
+def reference_verify_expansion(params, d, N):
+    r = params.r
+    hilb = family_at_stage(Side.HILBERT, params, d, N)
+    lhs_hp = hp_series(gordon_quotient(params), N)
+    rhs_hp = sum(
+        (
+            hilb.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
+            for j in range(1, r + 1)
+        ),
+        TruncatedSeries.zero(N),
+    )
+    if not lhs_hp.eq(rhs_hp):
+        return False
+
+    prod = family_at_stage(Side.PRODUCT, params, d, N)
+    lhs_pr = product_series(ProductIndex(r, params.product_index), N)
+    rhs_pr = sum(
+        (
+            prod.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
+            for j in range(1, r + 1)
+        ),
+        TruncatedSeries.zero(N),
+    )
+    return lhs_pr.eq(rhs_pr)
+
+
 def test_expansion_identities():
     assert verify_expansion(GordonParams(2, 2, 0), 3, 30)
     assert verify_expansion(GordonParams(3, 1, 1), 2, 30)
     assert verify_expansion(GordonParams(3, 1, 1), 2, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.data(), st.integers(0, 4), st.integers(0, 80))
+def test_packed_expansion_agrees_with_reference(r, data, J, N):
+    params = GordonParams(r, data.draw(st.integers(1, r)), J)
+    d = data.draw(st.integers(J + 1, J + 5))
+    assert verify_expansion(params, d, N) == reference_verify_expansion(params, d, N)
+
+
+def test_expansion_rejects_a_stage_below_j_plus_1():
+    with pytest.raises(ValueError):
+        verify_expansion(GordonParams(3, 2, 2), 2, 10)
+
+
+# params (3, 2, 1) at stage 3: factor 1 of each side lies one floor above the
+# stage, and its stage entry is 1 + O(q), so a change of its q^5 coefficient
+# moves the sum at q^5
+EXPANSION_CASE = (GordonParams(3, 2, 1), 3, 30)
+FACTOR_ONE = {
+    "hp_series": QuotientSpec(3, 4, cap=3),
+    "product_series": ProductIndex(3, 2 * 3 + 1),
+}
+
+
+def set_factor_coeff(monkeypatch, name, n, value):
+    """Patch the factor ``families.<name>`` reads for FACTOR_ONE[name] so
+    that its q^n coefficient is value; every other call is unchanged."""
+    original, target = getattr(families, name), FACTOR_ONE[name]
+
+    def patched(key, order):
+        got = original(key, order)
+        if key != target:
+            return got
+        return TruncatedSeries(got.coeffs[:n] + (value,) + got.coeffs[n + 1 :])
+
+    monkeypatch.setattr(families, name, patched)
+
+
+def value_bits(N, r):
+    """v of ``_PackedLayout.for_products``: operands must stay below 2^v."""
+    return _PackedLayout.for_counts(N, r).bits - (r - 1).bit_length()
+
+
+@pytest.mark.parametrize("name", FACTOR_ONE)
+def test_expansion_fails_on_a_bumped_deeper_factor(monkeypatch, name):
+    params, d, N = EXPANSION_CASE
+    assert verify_expansion(params, d, N)
+    c = getattr(families, name)(FACTOR_ONE[name], N).coeffs[5]
+    set_factor_coeff(monkeypatch, name, 5, c + 1)
+    assert not verify_expansion(params, d, N)
+
+
+@pytest.mark.parametrize("name", FACTOR_ONE)
+def test_expansion_factor_at_its_value_bits_raises(monkeypatch, name):
+    params, d, N = EXPANSION_CASE
+    v = value_bits(N, params.r)
+    # the largest coefficient the check admits enters the sum, which is then wrong
+    set_factor_coeff(monkeypatch, name, 5, (1 << v) - 1)
+    assert not verify_expansion(params, d, N)
+    set_factor_coeff(monkeypatch, name, 5, 1 << v)
+    with pytest.raises(ArithmeticError):
+        verify_expansion(params, d, N)
+
+
+def test_expansion_stage_entry_at_its_value_bits_raises(monkeypatch):
+    params, d, N = EXPANSION_CASE
+    v = value_bits(N, params.r)
+    walk = families._capped_walk
+
+    def inflated(layout, values, floor, cap):
+        # the walk goes on from its own states; only the yielded ones grow
+        for a, state in walk(layout, values, floor, cap):
+            yield a, [state[0] | 1 << v] + state[1:]
+
+    monkeypatch.setattr(families, "_capped_walk", inflated)
+    with pytest.raises(ArithmeticError):
+        verify_expansion(params, d, N)
+
+
+def test_scan_reports_an_operand_out_of_range_as_a_failed_suite(capsys, monkeypatch):
+    params, _, N = EXPANSION_CASE
+    set_factor_coeff(monkeypatch, "hp_series", 5, 1 << value_bits(N, params.r))
+    argv = ["scan", "--r", "3", "--i", "2", "--J", "1", "--order", str(N), "--suites", "expansion", "--format", "json"]
+    code = main(argv)
+    cell = json.loads(capsys.readouterr().out)["cells"][0]
+    assert code == 1
+    assert (cell["identity"], cell["suites"]) == ("pass", {"expansion": "fail"})
 
 
 def test_valuation_ladder():

@@ -130,8 +130,8 @@ def test_family_limit_equals_literal_walk(r, data, J, N):
 @given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
 def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    layout, walk = families._walk(Side.HILBERT, params, N)
-    for stage, state in walk:
+    layout = _PackedLayout.for_counts(N, r)
+    for stage, state in families._walk(Side.HILBERT, params, layout):
         # each entry also one slot short, as a broken step would leave it
         for entries in (state, [x >> layout.bits for x in state]):
             fam = families._family(Side.HILBERT, params, stage, layout, entries)
@@ -176,6 +176,22 @@ def test_step_raises_when_a_slot_reaches_its_guard_bits():
     for bad in ((64, 0, 0, 0), (0, -1, 0, 0)):
         with pytest.raises(ArithmeticError):
             layout.pack(bad)
+
+
+# with r and N+1 powers of two, as at (63, 4) and (127, 2), the rounded-up
+# slot width has the least room to spare; N = 2000 is MAX_ORDER
+@pytest.mark.parametrize("N,r", [(0, 2), (1, 7), (7, 8), (63, 4), (127, 2), (255, 16), (2000, 5)])
+def test_sum_of_r_largest_products_never_carries(N, r):
+    layout = _PackedLayout.for_products(N, r)
+    v = _PackedLayout.for_counts(N, r).bits - (r - 1).bit_length()
+    top = (1 << v) - 1
+    x = layout.pack((top,) * (N + 1))
+    with pytest.raises(ArithmeticError):
+        layout.pack((top + 1,) + (0,) * N)
+    # all 2N+1 slots of the unmasked sum are exact, so none carried
+    total, slot = r * (x * x), (1 << layout.bits) - 1
+    got = [(total >> k * layout.bits) & slot for k in range(2 * N + 2)]
+    assert got == [r * top * top * min(k + 1, 2 * N + 1 - k) for k in range(2 * N + 1)] + [0]
 
 
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
