@@ -16,9 +16,10 @@ Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 (``_walk``); every stage reader stops with it. ``family_limit`` realizes the
 q-adic limit as truncated stabilization.
 
-``verify_expansion`` unpacks no stage: it walks in the wide slots of
-``_PackedLayout.for_products``, multiplies each entry by its packed factor
-as one int masked to order N, and compares the sum with the packed left
+``verify_expansion`` unpacks nothing: it walks each side once in the wide
+slots of ``_PackedLayout.for_products``, moves each cached factor and left
+side into those slots (``_PackedLayout.reslot``), multiplies each entry by
+its factor as one int masked to order N, and compares the sum with the left
 side. Every operand is first checked below the slots' value bits, so no slot
 carries and the check is exact whether or not the identity holds.
 """
@@ -28,11 +29,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .hilbert import QuotientSpec, gordon_quotient, hp_series
+from .hilbert import _caps
 from .partitions import GordonParams, _capped_walk
-from .products import ProductIndex, product_series
+from .products import ProductIndex, _family_at_level
 from .qseries import TruncatedSeries, _PackedLayout
 
 
@@ -77,14 +78,17 @@ def _walk(side: Side, params: GordonParams, layout: _PackedLayout) -> Iterator[t
     return _capped_walk(layout, stages, params.J + 1, prefix - 1)
 
 
-def _stage(side: Side, params: GordonParams, d: int, layout: _PackedLayout) -> list[int]:
-    """Stage d's packed entries, trailing zeros dropped; past the walk's end, its last stage's."""
+def _stages(side: Side, params: GordonParams, d: int, layout: _PackedLayout) -> Iterator[tuple[int, list[int]]]:
+    """(stage, packed entries, trailing zeros dropped) for the stages J+1..d
+    off one walk; past the walk's end, its last stage's."""
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
     for stage, state in _walk(side, params, layout):
+        yield stage, state
         if stage == d:
-            break
-    return state
+            return
+    for stage in range(stage + 1, d + 1):
+        yield stage, state
 
 
 def _family(side: Side, params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
@@ -111,7 +115,9 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> CoefficientFamily:
     """Stage d family; past the walk's end, its last stage relabelled d."""
     layout = _PackedLayout.for_counts(N, params.r)
-    return _family(side, params, d, layout, _stage(side, params, d, layout))
+    for _, state in _stages(side, params, d, layout):
+        pass
+    return _family(side, params, d, layout, state)
 
 
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
@@ -151,30 +157,47 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
     """The valuation bounds behind the q-adic limit, to order N: the uncapped
     quotient one floor up is 1 + O(q^(J+2)), and entry j at Hilbert-side
     stage d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's
-    end repeat its last one, so they hold it too."""
-    tail = hp_series(QuotientSpec(params.r, params.J + 2), N) - TruncatedSeries.one(N)
-    layout = _PackedLayout.for_counts(N, params.r)
+    end repeat its last one, so they hold it too. Both are checked packed."""
+    layout, caps = _caps(params.r, params.J + 2, N)
+    # the low J+2 slots of the uncapped series minus 1 are zero
+    tail_ok = not (caps[-1] - 1) & ((1 << (params.J + 2) * layout.bits) - 1)
     stages = itertools.islice(_walk(Side.HILBERT, params, layout), 5)
-    return tail.valuation() >= params.J + 2 and all(_on_ladder(layout, d, state) for d, state in stages)
+    return tail_ok and all(_on_ladder(layout, d, state) for d, state in stages)
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
-    """Both stage-d expansion identities, to order N.
+    """Both expansion identities at every stage J+1..d, to order N.
 
-    The Hilbert series of the target quotient must equal the sum of the
-    stage-d Hilbert-side entries times the capped series one floor above
-    stage d, and likewise the target product series must expand over the
-    stage-d product-side entries times the deeper product entries. Raises
+    At stage s, the Hilbert series of the target quotient must equal the
+    sum of the stage-s Hilbert-side entries times the capped series one
+    floor above stage s, and likewise the target product series must expand
+    over the stage-s product-side entries times the deeper product entries.
+    Each side is walked once, and every operand is moved from its cached
+    slots into the walk's with ``_PackedLayout.reslot``. Raises
     ArithmeticError if an operand is too large for its slots.
     """
     r = params.r
     layout = _PackedLayout.for_products(N, r)
 
-    def expands(side: Side, lhs: TruncatedSeries, factors: Iterator[TruncatedSeries]) -> bool:
-        terms = (layout._check(x) * layout.pack(f.coeffs) & layout._mask for x, f in zip(_stage(side, params, d, layout), factors))
-        return layout.pack(lhs.coeffs) == sum(terms)
+    def hp_factors(s: int) -> Iterator[int]:
+        src, caps = _caps(r, s + 1, N)
+        return (layout.reslot(x, src) for x in reversed(caps))
 
-    hp_factors = (hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N) for j in range(1, r + 1))
-    pr_factors = (product_series(ProductIndex(r, (r - 1) * d + j), N) for j in range(1, r + 1))
-    hp_ok = expands(Side.HILBERT, hp_series(gordon_quotient(params), N), hp_factors)
-    return hp_ok and expands(Side.PRODUCT, product_series(ProductIndex(r, params.product_index), N), pr_factors)
+    def product(index: int) -> int:
+        idx = ProductIndex(r, index)
+        src, entries = _family_at_level(r, idx.level, N)
+        return layout.reslot(entries[idx.slot - 1], src)
+
+    def pr_factors(s: int) -> Iterator[int]:
+        return (product((r - 1) * s + j) for j in range(1, r + 1))
+
+    def expands(side: Side, lhs: int, factors: Callable[[int], Iterator[int]]) -> bool:
+        for s, state in _stages(side, params, d, layout):
+            terms = (layout._check(x) * f & layout._mask for x, f in zip(state, factors(s)))
+            if sum(terms) != lhs:
+                return False
+        return True
+
+    src, caps = _caps(r, params.J + 1, N)
+    hp_ok = expands(Side.HILBERT, layout.reslot(caps[params.i - 1], src), hp_factors)
+    return hp_ok and expands(Side.PRODUCT, product(params.product_index), pr_factors)

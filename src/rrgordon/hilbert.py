@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
-from .partitions import GordonParams, _adjacent_capped_counts, iter_partitions
-from .qseries import TruncatedSeries
+from .partitions import GordonParams, _capped_walk, iter_partitions
+from .qseries import TruncatedSeries, _PackedLayout
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -119,15 +120,43 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
+    """The layout and the packed states of the uncapped scan of variables
+    N down to k, one ``step`` per variable (``partitions._capped_walk``).
+
+    State j holds the multiplicity vectors with f_k = j-1, and the states
+    past the returned ones are zero. So the quotient capped at c in x_k
+    (f_k <= c-1) is the sum of states 1..c, and the uncapped one the sum of
+    all r: one scan serves every cap at floor k.
+    """
+    layout, state = _PackedLayout.for_counts(N, r), [1]
+    for _, state in _capped_walk(layout, range(N, k - 1, -1), k, r - 1):
+        pass
+    return layout, tuple(state)
+
+
+def _caps(r: int, k: int, N: int) -> tuple[_PackedLayout, list[int]]:
+    """The layout and the packed series of the quotients at floor k with
+    caps 1..r (cap r is uncapped): prefix sums of the floor's states, each
+    checked. A cap past the nonzero states repeats the total, unsummed."""
+    layout, states = _floor(r, k, N)
+    caps = [layout._check(x) for x in accumulate(states)]
+    return layout, caps + caps[-1:] * (r - len(caps))
+
+
+def _packed(spec: QuotientSpec, N: int) -> int:
+    return _caps(spec.r, spec.k, N)[1][(spec.cap or spec.r) - 1]
+
+
 def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
     Graded dimensions come from the multiplicity DP, scanning variables from
-    index N down to k; a cap bounds the exponent of x_k by cap-1.
+    index N down to k (``_floor``, one cached scan per floor); a cap c keeps
+    the vectors with f_k <= c-1, the first c states of that scan.
     """
-    bound = spec.r - 1 if spec.cap is None else spec.cap - 1
-    values = range(N, spec.k - 1, -1)
-    return TruncatedSeries(_adjacent_capped_counts(spec.r, values, spec.k, bound, N))
+    layout, caps = _caps(spec.r, spec.k, N)
+    return TruncatedSeries(layout.unpack(caps[(spec.cap or spec.r) - 1]))
 
 
 def verify_hp_identities(r: int, k: int, N: int) -> bool:
@@ -135,13 +164,12 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
 
     cap 1 at k equals uncapped at k+1; cap r at k equals uncapped at k;
     and for every i, the capped expansion at k equals the leading block
-    joined with the uncapped expansion at k+1.
+    joined with the uncapped expansion at k+1. The series are compared
+    packed.
     """
-    if not hp_series(QuotientSpec(r, k, cap=1), N).eq(
-        hp_series(QuotientSpec(r, k + 1), N)
-    ):
+    if _packed(QuotientSpec(r, k, cap=1), N) != _packed(QuotientSpec(r, k + 1), N):
         return False
-    if not hp_series(QuotientSpec(r, k, cap=r), N).eq(hp_series(QuotientSpec(r, k), N)):
+    if _packed(QuotientSpec(r, k, cap=r), N) != _packed(QuotientSpec(r, k), N):
         return False
     tail = set(expand_generators(QuotientSpec(r, k + 1), N).generators)
     for i in range(1, r + 1):
@@ -160,15 +188,9 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
 
 def verify_hp_recursion(r: int, k: int, ell: int, N: int) -> bool:
     """Peel the lowest variable: capped series at k as a q-power combination
-    of capped series at k+1."""
+    of capped series at k+1, compared packed."""
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
-    lhs = hp_series(QuotientSpec(r, k, cap=ell), N)
-    rhs = sum(
-        (
-            hp_series(QuotientSpec(r, k + 1, cap=r - j + 1), N).mul_qpow(k * (j - 1))
-            for j in range(1, ell + 1)
-        ),
-        TruncatedSeries.zero(N),
-    )
-    return lhs.eq(rhs)
+    layout, above = _caps(r, k + 1, N)
+    rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, ell + 1))
+    return _packed(QuotientSpec(r, k, cap=ell), N) == layout._check(rhs)

@@ -154,18 +154,19 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
 
 
 @lru_cache(maxsize=None)
-def _family_at_level(r: int, level: int, N: int) -> tuple[TruncatedSeries, ...]:
-    """The r entries of one level, each at order exactly N."""
+def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
+    """The r entries of one level, packed at order exactly N, with their layout."""
     for layout, entries in _levels(r, level, N):
         pass
-    return tuple(TruncatedSeries(layout.unpack(x)) for x in entries)
+    return layout, tuple(entries)
 
 
 def product_series(idx: ProductIndex, N: int) -> TruncatedSeries:
     """The product-side series for the given index, exact to order N."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    return _family_at_level(idx.r, idx.level, N)[idx.slot - 1]
+    layout, entries = _family_at_level(idx.r, idx.level, N)
+    return TruncatedSeries(layout.unpack(entries[idx.slot - 1]))
 
 
 def tail_valuation_profile(r: int, d_max: int, N: int) -> list[int | float]:

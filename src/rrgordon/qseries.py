@@ -281,6 +281,28 @@ class _PackedLayout:
         data = self._check(x).to_bytes((self.order + 1) * w, "little")
         return tuple(int.from_bytes(data[k : k + w], "little") for k in range(0, len(data), w))
 
+    def reslot(self, x: int, src: _PackedLayout) -> int:
+        """x, packed in ``src``'s slots at this order, moved into this
+        layout's slots: one strided byte-slice copy per byte of a slot.
+
+        Raises ArithmeticError if x does not fit ``src``'s slots, if a byte
+        that narrower slots drop is nonzero, or if a slot reaches this
+        layout's guard bits.
+        """
+        if src.order != self.order:
+            raise ValueError(f"cannot reslot order {src.order} into order {self.order}")
+        n, w, sw = self.order + 1, self._width, src._width
+        try:
+            data = x.to_bytes(n * sw, "little")
+        except OverflowError:
+            raise ArithmeticError(f"a value does not fit {n} slots of {src.bits} bits") from None
+        out = bytearray(n * w)
+        for b in range(min(w, sw)):
+            out[b::w] = data[b::sw]
+        if any(data[b::sw].count(0) != n for b in range(w, sw)):
+            raise ArithmeticError(f"a {src.bits}-bit slot does not fit a {self.bits}-bit slot")
+        return self._check(int.from_bytes(out, "little"))
+
     def _times_q(self, x: int, s: int) -> int:
         return (x << s * self.bits) & self._mask
 

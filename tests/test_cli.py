@@ -7,7 +7,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from rrgordon import cli, products
+from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.hilbert import QuotientSpec, hp_series
 from rrgordon.partitions import GordonParams
@@ -383,6 +383,29 @@ def test_padded_order_above_max_is_usage_error(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and f"above {cli.MAX_PADDED_ORDER}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--i", "1", "--J", "0", "--order", "10", "--r", "{}"),
+        ("table", "--kind", "counts", "--i", "1", "--J", "0", "--order", "10", "--r", "{}"),
+        ("scan", "--J", "0", "--order", "10", "--r", "{}"),
+        ("scan", "--J", "0", "--order", "10", "--r", "2..{}"),
+    ],
+)
+def test_r_above_max_is_usage_error(capsys, monkeypatch, argv):
+    ran = []
+    for name in SERIES_ROUTES:
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
+    code, out, err = run(capsys, *(a.format(cli.MAX_R + 1) for a in argv))
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and f"at most {cli.MAX_R}" in err
+
+
+def test_max_r_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--r", str(cli.MAX_R), "--i", "1", "--J", "0", "--order", "10")
+    assert code == 0 and "verdict: PASS" in out
+
+
 def test_cell_at_max_padded_order_is_accepted(capsys):
     # the deepest r = 2 tower at the limit, read through the cheap partition route
     J = max(j for j in range(200) if j * (j + 1) // 2 <= cli.MAX_PADDED_ORDER)
@@ -440,7 +463,7 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
     # the suite's hp tail is read from the cache, filled by the correct step,
     # so only the family ladder can fail it; the mutant's results must not
     # reach later tests
-    caches = (hp_series, products._family_at_level)
+    caches = (hilbert._floor, products._family_at_level)
     for cache in caches:
         cache.cache_clear()
     hp_series(QuotientSpec(3, 3), 20)
@@ -471,6 +494,30 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
             "--suites", "hp-identities,hp-recursion,family-match,expansion,valuation", "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want
+
+
+def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
+    # every cap at floor k is a prefix sum of one descending scan N..k, and
+    # the grid reads floors J+1..J+4 for J = 0..3: 7 floors for each r, 28
+    # scans where one DP per quotient and order ran 118
+    walk, scans = partitions._capped_walk, []
+
+    def counted(layout, values, floor, cap):
+        if values.step < 0:
+            scans.append((layout.r, floor))
+        return walk(layout, values, floor, cap)
+
+    for module in (partitions, hilbert, families):
+        if getattr(module, "_capped_walk", None) is walk:
+            monkeypatch.setattr(module, "_capped_walk", counted)
+    caches = [f for m in (hilbert, products) for f in vars(m).values() if hasattr(f, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
+            "--suites", ",".join(cli.SUITES))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
 
 
 _SCAN_CELL = cli._scan_cell

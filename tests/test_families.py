@@ -1,8 +1,9 @@
 """Tests of the coefficient families.
 
-``reference_verify_expansion`` is the list version of the expansion check:
-it unpacks each stage entry into a ``TruncatedSeries`` and sums list Cauchy
-products. The packed ``verify_expansion`` must return what it returns.
+``reference_verify_expansion`` is the list version of the expansion check
+at one stage: it unpacks each stage entry into a ``TruncatedSeries`` and
+sums list Cauchy products. The packed ``verify_expansion`` checks every
+stage up to d and must return what it returns on all of them.
 """
 
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrgordon import families
-from rrgordon.cli import main
+from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
     Side,
     family_at_stage,
@@ -168,7 +169,8 @@ def test_expansion_identities():
 def test_packed_expansion_agrees_with_reference(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
     d = data.draw(st.integers(J + 1, J + 5))
-    assert verify_expansion(params, d, N) == reference_verify_expansion(params, d, N)
+    want = all(reference_verify_expansion(params, s, N) for s in range(J + 1, d + 1))
+    assert verify_expansion(params, d, N) == want
 
 
 def test_expansion_rejects_a_stage_below_j_plus_1():
@@ -184,20 +186,36 @@ FACTOR_ONE = {
     "hp_series": QuotientSpec(3, 4, cap=3),
     "product_series": ProductIndex(3, 2 * 3 + 1),
 }
+SERIES = {"hp_series": hp_series, "product_series": product_series}
+
+
+def with_coeff(layout, x, n, value):
+    """Packed x with its q^n slot set to value."""
+    shift, slot = n * layout.bits, (1 << layout.bits) - 1
+    return x + ((value - (x >> shift & slot)) << shift)
 
 
 def set_factor_coeff(monkeypatch, name, n, value):
-    """Patch the factor ``families.<name>`` reads for FACTOR_ONE[name] so
-    that its q^n coefficient is value; every other call is unchanged."""
-    original, target = getattr(families, name), FACTOR_ONE[name]
+    """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
+    that the factor's q^n coefficient is value; every other factor is
+    unchanged. Hilbert factors are the caps of ``_caps``, product factors the
+    entries of ``_family_at_level``."""
+    target = FACTOR_ONE[name]
+    if name == "hp_series":
+        attr, key, at = "_caps", (target.r, target.k), target.cap - 1
+    else:
+        attr, key, at = "_family_at_level", (target.r, target.level), target.slot - 1
+    original = getattr(families, attr)
 
-    def patched(key, order):
-        got = original(key, order)
-        if key != target:
-            return got
-        return TruncatedSeries(got.coeffs[:n] + (value,) + got.coeffs[n + 1 :])
+    def patched(r, floor_or_level, order):
+        layout, packed = original(r, floor_or_level, order)
+        if (r, floor_or_level) != key:
+            return layout, packed
+        packed = list(packed)
+        packed[at] = with_coeff(layout, packed[at], n, value)
+        return layout, packed
 
-    monkeypatch.setattr(families, name, patched)
+    monkeypatch.setattr(families, attr, patched)
 
 
 def value_bits(N, r):
@@ -209,7 +227,7 @@ def value_bits(N, r):
 def test_expansion_fails_on_a_bumped_deeper_factor(monkeypatch, name):
     params, d, N = EXPANSION_CASE
     assert verify_expansion(params, d, N)
-    c = getattr(families, name)(FACTOR_ONE[name], N).coeffs[5]
+    c = SERIES[name](FACTOR_ONE[name], N).coeffs[5]
     set_factor_coeff(monkeypatch, name, 5, c + 1)
     assert not verify_expansion(params, d, N)
 
@@ -249,6 +267,20 @@ def test_scan_reports_an_operand_out_of_range_as_a_failed_suite(capsys, monkeypa
     cell = json.loads(capsys.readouterr().out)["cells"][0]
     assert code == 1
     assert (cell["identity"], cell["suites"]) == ("pass", {"expansion": "fail"})
+
+
+def test_expansion_walks_each_side_once(step_values):
+    # with the factors cached, the suite steps only the two stage walks,
+    # each once through stages J+1..J+3
+    check = SUITE_CHECKS["expansion"]
+    for r in range(2, 6):
+        for i in range(1, r + 1):
+            for J in range(4):
+                params = GordonParams(r, i, J)
+                assert check(params, 12, 10)
+                step_values.clear()
+                assert check(params, 12, 10)
+                assert step_values == 2 * [J + 1, J + 2, J + 3], params
 
 
 def test_valuation_ladder():

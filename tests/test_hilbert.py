@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrgordon import hilbert
 from rrgordon.hilbert import (
     MonomialIdealSpec,
     QuotientSpec,
@@ -123,3 +126,15 @@ def test_uncapped_tail_valuation():
     for d in range(0, 9):
         val = (hp_series(QuotientSpec(3, d + 2), 12) - one).valuation()
         assert val == INFINITE or val >= d + 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 18))
+def test_every_cap_read_off_one_floor_is_the_monomial_count(r, k, N):
+    # the quotient capped at c is the sum of the first c states of the
+    # floor's one scan, and the uncapped one the sum of all of them
+    layout, states = hilbert._floor(r, k, N)
+    for cap in (*range(1, r + 1), None):
+        ideal = expand_generators(QuotientSpec(r, k, cap=cap), N)
+        want = tuple(standard_monomial_count(ideal, n) for n in range(N + 1))
+        assert layout.unpack(sum(states[: cap or r])) == want, cap

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, products
+from rrgordon import cli, families, hilbert, products
 from rrgordon.families import (
     CoefficientFamily,
     Side,
@@ -199,7 +199,7 @@ def test_guard_error_stays_in_route_report(capsys, monkeypatch):
     # cached results from wider slots would hide the narrowed ones
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    caches = (hp_series, products._family_at_level)
+    caches = (hilbert._floor, products._family_at_level)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -219,3 +219,43 @@ def test_unpack_round_trips():
     coeffs = (1, 0, 3, 255, 0, 7)
     assert layout.unpack(layout.pack(coeffs)) == coeffs
     assert TruncatedSeries(layout.unpack(1)) == TruncatedSeries.one(5)
+
+
+def raw(layout, coeffs):
+    """Coefficients laid in the layout's slots with no check at all."""
+    return int.from_bytes(b"".join(c.to_bytes(layout.bits // 8, "little") for c in coeffs), "little")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_reslot_round_trips_and_checks_what_it_drops(data):
+    N, r = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 12))
+    narrow, wide = _PackedLayout.for_counts(N, r), _PackedLayout.for_products(N, r)
+    v = narrow.bits - (r - 1).bit_length()
+    coeffs = tuple(data.draw(st.lists(st.integers(0, (1 << v) - 1), min_size=N + 1, max_size=N + 1)))
+    x = narrow.pack(coeffs)
+    # widening, then narrowing back
+    y = wide.reslot(x, narrow)
+    assert wide.unpack(y) == coeffs
+    assert narrow.reslot(y, wide) == x
+    # a nonzero byte that the narrower slots drop
+    n = data.draw(st.integers(0, N))
+    byte = data.draw(st.integers(narrow.bits // 8, wide.bits // 8 - 1))
+    with pytest.raises(ArithmeticError):
+        narrow.reslot(y | 1 << (n * wide.bits + 8 * byte), wide)
+    # a kept slot at the target's guard bits, from either side
+    big = coeffs[:n] + (data.draw(st.integers(1 << v, (1 << narrow.bits) - 1)),) + coeffs[n + 1 :]
+    with pytest.raises(ArithmeticError):
+        wide.reslot(raw(narrow, big), narrow)
+    with pytest.raises(ArithmeticError):
+        narrow.reslot(raw(wide, big), wide)
+
+
+def test_reslot_narrows_the_widest_tower_slots():
+    # at r = 10, J = 26, order 85 the tower's slots are wider than the
+    # expansion suite's, so the suite narrows its product factors
+    layout = _PackedLayout.for_products(85, 10)
+    src, entries = products._family_at_level(10, 29, 85)
+    assert src.bits > layout.bits
+    for x in entries:
+        assert layout.unpack(layout.reslot(x, src)) == src.unpack(x)
