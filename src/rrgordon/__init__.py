@@ -13,7 +13,6 @@ from .families import (
     CoefficientFamily,
     Side,
     family_at_stage,
-    family_init,
     family_limit,
     family_step,
     verify_expansion,
@@ -40,7 +39,7 @@ from .partitions import (
     iter_partitions,
     satisfies_gordon,
 )
-from .products import ProductIndex, base_product, product_series, tail_valuation_profile
+from .products import ProductIndex, base_product, product_series
 from .qseries import INFINITE, NonDivisibleError, TruncatedSeries, first_mismatch
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "enumerate_gordon",
     "expand_generators",
     "family_at_stage",
-    "family_init",
     "family_limit",
     "family_step",
     "first_mismatch",
@@ -72,7 +70,6 @@ __all__ = [
     "product_series",
     "satisfies_gordon",
     "standard_monomial_count",
-    "tail_valuation_profile",
     "verify_expansion",
     "verify_family_match",
     "verify_hp_identities",

@@ -264,16 +264,18 @@ def cmd_scan(args) -> int:
             raise UsageError(f"suite {s!r} is named twice")
 
     i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
+    # i is clipped to 1..r, so r = r_hi admits the most i; the padded order
+    # grows with r and J, so the cell (r_hi, J_hi), which every non-empty
+    # grid holds, is the deepest: both are checked before any cell is built
+    if r_lo > r_hi or j_lo > j_hi or max(1, i_lo) > min(r_hi, i_hi):
+        raise UsageError("the requested grid has no cells")
+    _check_padded_order(r_hi, j_hi, order, suites)
     cells = [
         (r, i, J, order, suites, args.d_max)
         for r in range(r_lo, r_hi + 1)
         for i in range(max(1, i_lo), min(r, i_hi) + 1)
         for J in range(j_lo, j_hi + 1)
     ]
-    if not cells:
-        raise UsageError("the requested grid has no cells")
-    for r, _, J, *_ in cells:
-        _check_padded_order(r, J, order, suites)
 
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)

@@ -6,15 +6,17 @@ new entry j is q^((d+1)(j-1)) times the sum of the previous entries
 values J+1, J+2, ... (``partitions._capped_walk``): stage d's entry j counts
 the multiplicity vectors on J+1..d whose multiplicity of d is j-1, and the
 first step, from [1] at J+1, keeps the side's prefix of r - ell + 1 or i
-entries. Only the stopping rule differs from ``gordon_series``. The prefixes
-are equal by the definition ell = r - i + 1, so ``verify_family_match`` only
-shows that the walk is deterministic; the product recursion is checked by
-the product route and by the product half of ``verify_expansion``.
+entries. The prefixes are equal by the definition ell = r - i + 1, so
+``verify_family_match`` only shows that the walk is deterministic; the
+product recursion is checked by the product route and by the product half
+of ``verify_expansion``.
 
 Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk turns constant and ends there
 (``_walk``); every stage reader stops with it. ``family_limit`` realizes the
-q-adic limit as truncated stabilization.
+q-adic limit as truncated stabilization, and it does not scan again: it goes
+on from the partition route's cached scan (``partitions._ascending_scan``)
+to its stop, so only the stopping rule differs from ``gordon_series``.
 
 ``verify_expansion`` unpacks nothing: it walks each side once in the wide
 slots of ``_PackedLayout.for_products``, moves each cached factor and left
@@ -29,10 +31,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .hilbert import _caps
-from .partitions import GordonParams, _capped_walk
+from .partitions import GordonParams, _ascending_scan, _capped_walk
 from .products import ProductIndex, _family_at_level
 from .qseries import TruncatedSeries, _PackedLayout
 
@@ -66,16 +68,21 @@ class CoefficientFamily:
         }
 
 
-def _walk(side: Side, params: GordonParams, layout: _PackedLayout) -> Iterator[tuple[int, list[int]]]:
-    """(stage, packed entries) for the stages J+1..J+N+2, N the layout's order.
+def _walk(
+    side: Side, params: GordonParams, layout: _PackedLayout, stage: int | None = None, state: Sequence[int] = (1,)
+) -> Iterator[tuple[int, list[int]]]:
+    """(stage, packed entries) for the stages after ``stage`` up to J+N+2,
+    N the layout's order, going on from ``state``; by default from J, where
+    the empty scan leaves [1], so from stage J+1 on.
 
     At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
     zero, and the next stage's entry 1 is this stage's total: entry 1 again.
     So to order N the walk is constant from stage J+N+2 > N on.
     """
     prefix = params.r - params.ell + 1 if side is Side.PRODUCT else params.i
-    stages = range(params.J + 1, params.J + layout.order + 3)
-    return _capped_walk(layout, stages, params.J + 1, prefix - 1)
+    start = params.J if stage is None else stage
+    stages = range(start + 1, params.J + layout.order + 3)
+    return _capped_walk(layout, stages, params.J + 1, prefix - 1, state)
 
 
 def _stages(side: Side, params: GordonParams, d: int, layout: _PackedLayout) -> Iterator[tuple[int, list[int]]]:
@@ -95,12 +102,6 @@ def _family(side: Side, params: GordonParams, stage: int, layout: _PackedLayout,
     state = state + [0] * (params.r - len(state))
     entries = tuple(TruncatedSeries(layout.unpack(x)) for x in state)
     return CoefficientFamily(side, params, stage, entries)
-
-
-def family_init(side: Side, params: GordonParams, N: int) -> CoefficientFamily:
-    """Stage J+1 family: entry j is q^((J+1)(j-1)) up to the side's prefix
-    length, zero beyond it."""
-    return family_at_stage(side, params, params.J + 1, N)
 
 
 def family_step(fam: CoefficientFamily) -> CoefficientFamily:
@@ -123,12 +124,16 @@ def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> Coeffic
 def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
     """q-adic limit of entry 1, exact to order N.
 
-    Steps until entry 1 stops changing and every later entry is zero to
-    order N; from that point no future stage can alter entry 1 below
-    q^(N+1). The walk's last two stages are equal (``_walk``).
+    Goes on from the states of the partition route's scan
+    (``partitions._ascending_scan``), which are this walk's stages J+1..D,
+    D = max(N, J+1), since both sides' prefixes are i. Steps until entry 1
+    stops changing and every later entry is zero to order N; from that
+    point no future stage can alter entry 1 below q^(N+1). The walk's last
+    two stages are equal (``_walk``).
     """
-    layout = _PackedLayout.for_counts(N, params.r)
-    for (_, state), (_, nxt) in itertools.pairwise(_walk(side, params, layout)):
+    layout, stage, state = _ascending_scan(params, N)
+    walk = itertools.chain([(stage, state)], _walk(side, params, layout, stage, state))
+    for (_, state), (_, nxt) in itertools.pairwise(walk):
         if nxt[0] == state[0] and not any(nxt[1:]):
             return TruncatedSeries(layout.unpack(nxt[0]))
     raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")

@@ -7,12 +7,18 @@ literally (the permanent correctness oracle, exponential in n), while
 The DP rests on the equivalence: a partition whose parts all exceed J
 satisfies "parts r-1 apart differ by at least 2" exactly when every two
 adjacent part values a, a+1 together occur at most r-1 times.
+
+The DP is one ascending scan of the part values (``_ascending_scan``), kept
+packed and cached for one cell: the family route
+(``families.family_limit``) goes on from its states to its q-adic stop
+instead of scanning again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .qseries import TruncatedSeries, _PackedLayout
 
@@ -126,7 +132,7 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
 
 
 def _capped_walk(
-    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int
+    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int, state: Sequence[int] = (1,)
 ) -> Iterator[tuple[int, list[int]]]:
     """Scans multiplicity vectors (f_a) over ``values`` to the layout's
     order, and yields (a, states) after each value a.
@@ -135,20 +141,29 @@ def _capped_walk(
     last scanned multiplicity is j-1. Adjacent multiplicities sum to at most
     r-1 (r = ``layout.r``), so scanning a sets f_a = j-1 on the vectors of
     states 1..r-j+1, and the multiplicity of ``floor`` is at most ``cap``.
-    The states are packed series, one step per value from [1].
+    The states are packed series, one step per value from ``state``: by
+    default [1], the empty scan.
     """
-    state = [1]
     for a in values:
         state = layout.step(state, a, cap + 1 if a == floor else layout.r)
         yield a, state
 
 
-def _adjacent_capped_counts(r: int, values: range, floor: int, cap: int, N: int) -> tuple[int, ...]:
-    """Counts for weights 0..N of the vectors ``_capped_walk`` scans."""
-    layout, state = _PackedLayout.for_counts(N, r), [1]
-    for _, state in _capped_walk(layout, values, floor, cap):
+@lru_cache(maxsize=1)
+def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, tuple[int, ...]]:
+    """The ascending scan of the part values J+1..D, D = max(N, J+1): its
+    layout at order N, D, and the packed states after D.
+
+    At most i-1 parts equal J+1. Scanning J+1 even when N < J+1 applies
+    that cap to the states, which the family route goes on from. The one
+    cached entry serves the partition route and then the family route of
+    the same cell.
+    """
+    floor, layout = params.J + 1, _PackedLayout.for_counts(N, params.r)
+    # the range is never empty, so the loop binds stage and state
+    for stage, state in _capped_walk(layout, range(floor, max(N, floor) + 1), floor, params.i - 1):
         pass
-    return layout.unpack(sum(state))
+    return layout, stage, tuple(state)
 
 
 def count_gordon(params: GordonParams, n: int) -> int:
@@ -159,14 +174,10 @@ def count_gordon(params: GordonParams, n: int) -> int:
 
 
 def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:
-    """Generating function of the Gordon-condition counts, to order N.
-
-    Part values J+1, J+2, ... are scanned in ascending order; at most i-1
-    parts equal J+1.
-    """
-    floor = params.J + 1
-    values = range(floor, N + 1)
-    return TruncatedSeries(_adjacent_capped_counts(params.r, values, floor, params.i - 1, N))
+    """Generating function of the Gordon-condition counts, to order N: the
+    sum of the states of ``_ascending_scan``."""
+    layout, _, state = _ascending_scan(params, N)
+    return TruncatedSeries(layout.unpack(sum(state)))
 
 
 def allowed_residues(r: int, i: int) -> set[int]:

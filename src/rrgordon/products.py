@@ -168,24 +168,3 @@ def product_series(idx: ProductIndex, N: int) -> TruncatedSeries:
     layout, entries = _family_at_level(idx.r, idx.level, N)
     return TruncatedSeries(layout.unpack(entries[idx.slot - 1]))
 
-
-def tail_valuation_profile(r: int, d_max: int, N: int) -> list[int | float]:
-    """Valuations of (entry at index (r-1)(d+1)+1) - 1 for d = 1..d_max.
-
-    Exhibits the q-adic convergence of the deep family tail to 1: entries
-    are truncated to order N, so a valuation of INFINITE means the series
-    is indistinguishable from 1 at that order. The profile is non-decreasing.
-    """
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    if N < 0:
-        raise ValueError("order must be non-negative")
-    one = TruncatedSeries.one(N)
-    # index (r-1)(d+1)+1 normalizes to level d, slot r; one climb to level
-    # d_max passes every level at an order of at least N
-    levels = _levels(r, d_max, N)
-    next(levels)
-    return [
-        (TruncatedSeries(layout.unpack(entries[r - 1])) - one).valuation()
-        for layout, entries in levels
-    ]

@@ -56,24 +56,6 @@ class TruncatedSeries:
         """The multiplicative identity, 1, at the given order."""
         return cls((1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
-        """c * q^exponent, truncated to ``order`` (zero if exponent > order)."""
-        c = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            c[exponent] = coeff
-        return cls(tuple(c))
-
-    @classmethod
-    def geometric_series(cls, m: int, order: int) -> TruncatedSeries:
-        """Expansion of 1/(1 - q^m): coefficient 1 at every multiple of m."""
-        if m < 1:
-            raise ValueError("m must be a positive integer")
-        c = [0] * (order + 1)
-        for n in range(0, order + 1, m):
-            c[n] = 1
-        return cls(tuple(c))
-
     # -- arithmetic (result order = min of operand orders) ---------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:

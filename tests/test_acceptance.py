@@ -6,7 +6,7 @@ The main grid is 2 <= r <= 5, 1 <= i <= r, 0 <= J <= 3 (56 cells).
 
 from rrgordon.families import (
     Side,
-    family_init,
+    family_at_stage,
     family_limit,
     family_step,
     verify_expansion,
@@ -103,7 +103,7 @@ def test_family_limits_and_stabilization(criterion):
             if not limit.eq(target):
                 failures.append((params, side, "limit != target"))
             # independent walk to the stage bound must land on the same entry
-            fam = family_init(side, params, N)
+            fam = family_at_stage(side, params, params.J + 1, N)
             prev = None
             while fam.stage < bound:
                 prev = fam.entries[0]
@@ -189,7 +189,7 @@ def test_valuation_properties(criterion):
             failures.append(("divisibility", params, str(exc)))
     # valuation ladder at every inspected stage
     for params in GRID:
-        fam = family_init(Side.HILBERT, params, 40)
+        fam = family_at_stage(Side.HILBERT, params, params.J + 1, 40)
         for _ in range(12):
             for j, entry in enumerate(fam.entries, start=1):
                 val = entry.valuation()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -463,7 +464,7 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
     # the suite's hp tail is read from the cache, filled by the correct step,
     # so only the family ladder can fail it; the mutant's results must not
     # reach later tests
-    caches = (hilbert._floor, products._family_at_level)
+    caches = (hilbert._floor, products._family_at_level, partitions._ascending_scan)
     for cache in caches:
         cache.cache_clear()
     hp_series(QuotientSpec(3, 3), 20)
@@ -502,10 +503,10 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     # scans where one DP per quotient and order ran 118
     walk, scans = partitions._capped_walk, []
 
-    def counted(layout, values, floor, cap):
+    def counted(layout, values, floor, cap, state=(1,)):
         if values.step < 0:
             scans.append((layout.r, floor))
-        return walk(layout, values, floor, cap)
+        return walk(layout, values, floor, cap, state)
 
     for module in (partitions, hilbert, families):
         if getattr(module, "_capped_walk", None) is walk:
@@ -518,6 +519,45 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
+
+
+def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
+    # the family route goes on from the partition route's cached states at
+    # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2
+    walk, starts = partitions._capped_walk, []
+
+    def counted(layout, values, *args):
+        if values.step > 0:
+            starts.append(values.start)
+        return walk(layout, values, *args)
+
+    for module in (partitions, hilbert, families):
+        if getattr(module, "_capped_walk", None) is walk:
+            monkeypatch.setattr(module, "_capped_walk", counted)
+    caches = [f for m in (partitions, hilbert, products) for f in vars(m).values() if hasattr(f, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
+    assert code == 0
+    assert starts == [2, 21]
+
+
+def test_huge_grid_is_refused_before_its_cells_are_built(capsys):
+    # emptiness is decided arithmetically and only the deepest cell's padded
+    # order is checked, so neither error builds the 300 001-cell list
+    for argv, message in [
+        (("--i", "1", "--J", "0..300000"), f"above {cli.MAX_PADDED_ORDER}"),
+        (("--i", "3..4", "--J", "0..300000"), "no cells"),
+    ]:
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "scan", "--r", "2", *argv, "--order", "0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert message in err
+        assert peak < 2 * 2**20
 
 
 _SCAN_CELL = cli._scan_cell

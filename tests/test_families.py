@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import families
+from rrgordon import families, partitions
 from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
     Side,
     family_at_stage,
-    family_init,
     family_limit,
     family_step,
     verify_expansion,
@@ -34,7 +33,7 @@ def coeff_lists(fam):
 
 
 def test_init_values():
-    fam = family_init(Side.HILBERT, GordonParams(3, 2, 0), 4)
+    fam = family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 4)
     assert fam.stage == 1
     assert coeff_lists(fam) == [
         [1, 0, 0, 0, 0],
@@ -42,18 +41,18 @@ def test_init_values():
         [0, 0, 0, 0, 0],
     ]
     # the product side derives the same prefix from ell
-    fam2 = family_init(Side.PRODUCT, GordonParams(3, 2, 0), 4)
+    fam2 = family_at_stage(Side.PRODUCT, GordonParams(3, 2, 0), 1, 4)
     assert coeff_lists(fam2) == coeff_lists(fam)
 
 
 def test_init_full_prefix_when_cap_is_r():
-    fam = family_init(Side.HILBERT, GordonParams(3, 3, 1), 8)
+    fam = family_at_stage(Side.HILBERT, GordonParams(3, 3, 1), 2, 8)
     assert all(any(e.coeffs) for e in fam.entries)
     assert [e.valuation() for e in fam.entries] == [0, 2, 4]
 
 
 def test_step_hand_checked():
-    fam = family_step(family_init(Side.HILBERT, GordonParams(3, 2, 0), 6))
+    fam = family_step(family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 6))
     assert fam.stage == 2
     assert coeff_lists(fam) == [
         [1, 1, 0, 0, 0, 0, 0],  # 1 + q
@@ -102,6 +101,27 @@ def test_limit_matches_both_sides(r, i, J, N):
     assert family_limit(Side.PRODUCT, params, N).eq(
         product_series(ProductIndex(r, params.product_index), N)
     )
+
+
+def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
+    # a step that adds 1 to entry 1's constant term never lets the walk
+    # settle, past stage N up to its end at J+N+2; the partition scan the
+    # limit goes on from is cleared, so it is stepped by the mutant too,
+    # and the mutant's states must not reach later tests
+    step = _PackedLayout.step
+
+    def drifting(self, state, u, kept):
+        new = step(self, state, u, kept)
+        return [new[0] + 1] + new[1:]
+
+    partitions._ascending_scan.cache_clear()
+    monkeypatch.setattr(_PackedLayout, "step", drifting)
+    try:
+        for side in Side:
+            with pytest.raises(RuntimeError, match="failed to stabilize"):
+                family_limit(side, GordonParams(3, 2, 1), 10)
+    finally:
+        partitions._ascending_scan.cache_clear()
 
 
 def test_match_between_sides():
@@ -249,9 +269,9 @@ def test_expansion_stage_entry_at_its_value_bits_raises(monkeypatch):
     v = value_bits(N, params.r)
     walk = families._capped_walk
 
-    def inflated(layout, values, floor, cap):
+    def inflated(layout, values, floor, cap, state=(1,)):
         # the walk goes on from its own states; only the yielded ones grow
-        for a, state in walk(layout, values, floor, cap):
+        for a, state in walk(layout, values, floor, cap, state):
             yield a, [state[0] | 1 << v] + state[1:]
 
     monkeypatch.setattr(families, "_capped_walk", inflated)
@@ -285,7 +305,7 @@ def test_expansion_walks_each_side_once(step_values):
 
 def test_valuation_ladder():
     for params in (GordonParams(2, 2, 0), GordonParams(3, 1, 1), GordonParams(4, 3, 0)):
-        fam = family_init(Side.HILBERT, params, 30)
+        fam = family_at_stage(Side.HILBERT, params, params.J + 1, 30)
         for _ in range(8):
             for j, entry in enumerate(fam.entries, start=1):
                 val = entry.valuation()
@@ -294,7 +314,7 @@ def test_valuation_ladder():
 
 
 def test_entries_stay_non_negative():
-    fam = family_init(Side.PRODUCT, GordonParams(3, 2, 1), 25)
+    fam = family_at_stage(Side.PRODUCT, GordonParams(3, 2, 1), 2, 25)
     for _ in range(10):
         assert all(c >= 0 for e in fam.entries for c in e.coeffs)
         fam = family_step(fam)
@@ -303,14 +323,14 @@ def test_entries_stay_non_negative():
 def test_limit_agrees_with_walk_to_bound():
     params = GordonParams(3, 2, 1)
     N = 12
-    fam = family_init(Side.HILBERT, params, N)
+    fam = family_at_stage(Side.HILBERT, params, params.J + 1, N)
     while fam.stage < params.J + N + 2:
         fam = family_step(fam)
     assert family_limit(Side.HILBERT, params, N).coeffs == fam.entries[0].coeffs
 
 
 def test_family_json_dump():
-    fam = family_init(Side.HILBERT, GordonParams(3, 2, 0), 2)
+    fam = family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 2)
     obj = fam.as_json_dict()
     assert obj["flavor"] == "hilbert"
     assert (obj["r"], obj["i"], obj["J"], obj["stage"]) == (3, 2, 0, 1)

@@ -2,9 +2,10 @@
 
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
-the packed DP must reproduce exactly. ``reference_family_init`` builds the
-initial family from list monomials, as the package did before the family
-walk became the DP's scan, so the literal walk starts from code not under test.
+the packed scan ``_capped_walk`` must reproduce exactly, in both directions.
+``reference_family_init`` builds the initial family from monomials written
+out as coefficient tuples, as the package did before the family walk became
+the DP's scan, so the literal walk starts from code not under test.
 """
 
 import json
@@ -13,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, hilbert, products
+from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.families import (
     CoefficientFamily,
     Side,
     family_at_stage,
-    family_init,
     family_limit,
     verify_expansion,
     verify_family_match,
@@ -31,7 +31,7 @@ from rrgordon.hilbert import (
 )
 from rrgordon.partitions import (
     GordonParams,
-    _adjacent_capped_counts,
+    _capped_walk,
     enumerate_gordon,
     gordon_series,
 )
@@ -65,7 +65,10 @@ def test_packed_dp_equals_list_dp(data):
     ascending = data.draw(st.booleans())
     values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
     want = reference_adjacent_capped_counts(r, values, floor, cap, N)
-    assert list(_adjacent_capped_counts(r, values, floor, cap, N)) == want
+    layout, state = _PackedLayout.for_counts(N, r), (1,)
+    for _, state in _capped_walk(layout, values, floor, cap):
+        pass
+    assert list(layout.unpack(sum(state))) == want
 
 
 @settings(deadline=None, max_examples=40)
@@ -83,15 +86,18 @@ def test_packed_routes_equal_oracles(r, data, J, N):
     )
 
 
+def monomial(exponent, N):
+    """q^exponent to order N (zero if exponent > N)."""
+    return TruncatedSeries(tuple(int(n == exponent) for n in range(N + 1)))
+
+
 def reference_family_init(side, params, N):
     """Stage J+1 family: entry j is the monomial q^((J+1)(j-1)) up to the
     side's prefix length, zero beyond it."""
     r, J = params.r, params.J
     prefix = r - params.ell + 1 if side is Side.PRODUCT else params.i
     entries = tuple(
-        TruncatedSeries.monomial((J + 1) * (j - 1), N)
-        if j <= prefix
-        else TruncatedSeries.zero(N)
+        monomial((J + 1) * (j - 1), N) if j <= prefix else TruncatedSeries.zero(N)
         for j in range(1, r + 1)
     )
     return CoefficientFamily(side, params, stage=J + 1, entries=entries)
@@ -102,7 +108,7 @@ def reference_family_init(side, params, N):
 def test_family_init_equals_list_monomials(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
     for side in Side:
-        assert family_init(side, params, N) == reference_family_init(side, params, N)
+        assert family_at_stage(side, params, params.J + 1, N) == reference_family_init(side, params, N)
 
 
 def literal_family_limit(side, params, N):
@@ -199,7 +205,7 @@ def test_guard_error_stays_in_route_report(capsys, monkeypatch):
     # cached results from wider slots would hide the narrowed ones
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    caches = (hilbert._floor, products._family_at_level)
+    caches = (hilbert._floor, products._family_at_level, partitions._ascending_scan)
     for cache in caches:
         cache.cache_clear()
     try:

