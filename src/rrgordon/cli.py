@@ -256,7 +256,8 @@ def cmd_scan(args) -> int:
         raise UsageError("--d-max must be non-negative")
     if args.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    suites = tuple(s for s in args.suites.split(",") if s) if args.suites else ()
+    # an empty name, as in "a,,b" or a trailing comma, is an unknown suite
+    suites = tuple(args.suites.split(",")) if args.suites else ()
     for k, s in enumerate(suites):
         if s not in SUITES:
             raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
@@ -317,7 +318,12 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 def cmd_table(args) -> int:
     params, order = _cell_from(args)
-    series = SERIES_ROUTES[TABLE_KINDS[args.kind]](params, order)
+    try:
+        series = SERIES_ROUTES[TABLE_KINDS[args.kind]](params, order)
+    except Exception as exc:
+        # a crashing route fails the table as it fails a verify cell, without a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     if args.format == "json":
         text = json.dumps(series.as_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .hilbert import _caps
+from .hilbert import _floor
 from .partitions import GordonParams, _ascending_scan, _capped_walk
 from .products import ProductIndex, _family_at_level
 from .qseries import TruncatedSeries, _PackedLayout
@@ -56,16 +56,6 @@ class CoefficientFamily:
     @property
     def order(self) -> int:
         return self.entries[0].order
-
-    def as_json_dict(self) -> dict:
-        return {
-            "flavor": self.side.value,
-            "r": self.params.r,
-            "i": self.params.i,
-            "J": self.params.J,
-            "stage": self.stage,
-            "entries": [e.as_json_dict() for e in self.entries],
-        }
 
 
 def _walk(
@@ -163,7 +153,7 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
     quotient one floor up is 1 + O(q^(J+2)), and entry j at Hilbert-side
     stage d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's
     end repeat its last one, so they hold it too. Both are checked packed."""
-    layout, caps = _caps(params.r, params.J + 2, N)
+    layout, caps = _floor(params.r, params.J + 2, N)
     # the low J+2 slots of the uncapped series minus 1 are zero
     tail_ok = not (caps[-1] - 1) & ((1 << (params.J + 2) * layout.bits) - 1)
     stages = itertools.islice(_walk(Side.HILBERT, params, layout), 5)
@@ -185,7 +175,7 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     layout = _PackedLayout.for_products(N, r)
 
     def hp_factors(s: int) -> Iterator[int]:
-        src, caps = _caps(r, s + 1, N)
+        src, caps = _floor(r, s + 1, N)
         return (layout.reslot(x, src) for x in reversed(caps))
 
     def product(index: int) -> int:
@@ -203,6 +193,6 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
                 return False
         return True
 
-    src, caps = _caps(r, params.J + 1, N)
+    src, caps = _floor(r, params.J + 1, N)
     hp_ok = expands(Side.HILBERT, layout.reslot(caps[params.i - 1], src), hp_factors)
     return hp_ok and expands(Side.PRODUCT, product(params.product_index), pr_factors)

@@ -11,6 +11,11 @@ monomials and tests divisibility literally (the oracle), while ``hp_series``
 counts multiplicity vectors with bounded adjacent sums, which is the same
 set by the divisor-avoidance characterization (f_a + f_(a+1) <= r-1 for all
 a >= k, and f_k <= cap-1 when capped).
+
+One descending scan serves every cap at a floor: ``_floor`` caches the
+checked series of caps 1..r, the prefix sums of the scan's states, so
+``hp_series``, the hp suites here and the valuation and expansion suites in
+``families`` only index them.
 """
 
 from __future__ import annotations
@@ -57,9 +62,6 @@ class MonomialIdealSpec:
     generators: tuple[Generator, ...]
     first_var: int
     weight_bound: int
-
-    def as_json_list(self) -> list[list[list[int]]]:
-        return [[[v, e] for v, e in gen] for gen in self.generators]
 
 
 def gordon_quotient(params: GordonParams) -> QuotientSpec:
@@ -121,41 +123,36 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The layout and the packed states of the uncapped scan of variables
-    N down to k, one ``step`` per variable (``partitions._capped_walk``).
+    """The layout and the packed series of the quotients at floor k with
+    caps 1..r (cap r is uncapped), from one scan of variables N down to k,
+    one ``step`` per variable (``partitions._capped_walk``).
 
-    State j holds the multiplicity vectors with f_k = j-1, and the states
-    past the returned ones are zero. So the quotient capped at c in x_k
-    (f_k <= c-1) is the sum of states 1..c, and the uncapped one the sum of
-    all r: one scan serves every cap at floor k.
+    State j of the scan holds the multiplicity vectors with f_k = j-1, and
+    the states past the returned ones are zero. So the quotient capped at c
+    in x_k (f_k <= c-1) is the sum of states 1..c: the caps are the prefix
+    sums of the states, each checked once here, and a cap past the nonzero
+    states repeats the total.
     """
     layout, state = _PackedLayout.for_counts(N, r), [1]
     for _, state in _capped_walk(layout, range(N, k - 1, -1), k, r - 1):
         pass
-    return layout, tuple(state)
-
-
-def _caps(r: int, k: int, N: int) -> tuple[_PackedLayout, list[int]]:
-    """The layout and the packed series of the quotients at floor k with
-    caps 1..r (cap r is uncapped): prefix sums of the floor's states, each
-    checked. A cap past the nonzero states repeats the total, unsummed."""
-    layout, states = _floor(r, k, N)
-    caps = [layout._check(x) for x in accumulate(states)]
+    caps = tuple(layout._check(x) for x in accumulate(state))
     return layout, caps + caps[-1:] * (r - len(caps))
 
 
 def _packed(spec: QuotientSpec, N: int) -> int:
-    return _caps(spec.r, spec.k, N)[1][(spec.cap or spec.r) - 1]
+    return _floor(spec.r, spec.k, N)[1][(spec.cap or spec.r) - 1]
 
 
 def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
     Graded dimensions come from the multiplicity DP, scanning variables from
-    index N down to k (``_floor``, one cached scan per floor); a cap c keeps
-    the vectors with f_k <= c-1, the first c states of that scan.
+    index N down to k (``_floor``, one cached scan per floor, which keeps the
+    checked series of every cap); a cap c keeps the vectors with f_k <= c-1,
+    the first c states of that scan.
     """
-    layout, caps = _caps(spec.r, spec.k, N)
+    layout, caps = _floor(spec.r, spec.k, N)
     return TruncatedSeries(layout.unpack(caps[(spec.cap or spec.r) - 1]))
 
 
@@ -191,6 +188,6 @@ def verify_hp_recursion(r: int, k: int, ell: int, N: int) -> bool:
     of capped series at k+1, compared packed."""
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
-    layout, above = _caps(r, k + 1, N)
+    layout, above = _floor(r, k + 1, N)
     rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, ell + 1))
     return _packed(QuotientSpec(r, k, cap=ell), N) == layout._check(rhs)

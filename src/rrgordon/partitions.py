@@ -71,9 +71,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def as_json_list(self) -> list[int]:
-        return list(self.parts)
-
 
 def iter_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
     """All partitions of n with parts >= min_part, as non-increasing tuples."""

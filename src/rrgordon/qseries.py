@@ -148,20 +148,6 @@ class TruncatedSeries:
             raise ValueError("coeffs length does not match order")
         return cls(coeffs)
 
-    def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"q^{n}" if n > 1 else "q")
-            else:
-                terms.append(f"{c}*q^{n}" if n > 1 else f"{c}*q")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(q^{self.order + 1})"
-
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
     """Smallest exponent where the two series differ, None if they agree."""

@@ -211,6 +211,9 @@ def test_scan_rejects_unknown_suite(capsys):
         ("scan", "--r", "2", "--i", "7..9"),
         ("scan", "--r", "2", "--d-max", "-1"),
         ("scan", "--r", "2", "--suites", "valuation,valuation"),
+        ("scan", "--r", "2", "--suites", ","),
+        ("scan", "--r", "2", "--suites", "expansion,"),
+        ("scan", "--r", "2", "--suites", "valuation,,expansion"),
     ],
 )
 def test_scan_usage_errors(capsys, argv):
@@ -279,6 +282,21 @@ def test_table_out_unwritable_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_table_route_crash_is_one_error_line(tmp_path, capsys, monkeypatch, out):
+    def crashing(params, N):
+        raise ArithmeticError("a 8-bit slot reached its guard bits")
+
+    monkeypatch.setitem(SERIES_ROUTES, "partition", crashing)
+    target = tmp_path / "counts.csv"
+    argv = ["table", "--kind", "counts", "--r", "2", "--i", "2", "--J", "0", "--order", "3"]
+    code, stdout, err = run(capsys, *argv, *(["--out", str(target)] if out else []))
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: ArithmeticError: a 8-bit slot reached its guard bits\n"
     assert not target.exists()
 
 

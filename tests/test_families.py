@@ -218,11 +218,11 @@ def with_coeff(layout, x, n, value):
 def set_factor_coeff(monkeypatch, name, n, value):
     """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
     that the factor's q^n coefficient is value; every other factor is
-    unchanged. Hilbert factors are the caps of ``_caps``, product factors the
-    entries of ``_family_at_level``."""
+    unchanged. Hilbert factors are the caps ``_floor`` keeps, product factors
+    the entries of ``_family_at_level``."""
     target = FACTOR_ONE[name]
     if name == "hp_series":
-        attr, key, at = "_caps", (target.r, target.k), target.cap - 1
+        attr, key, at = "_floor", (target.r, target.k), target.cap - 1
     else:
         attr, key, at = "_family_at_level", (target.r, target.level), target.slot - 1
     original = getattr(families, attr)
@@ -233,7 +233,7 @@ def set_factor_coeff(monkeypatch, name, n, value):
             return layout, packed
         packed = list(packed)
         packed[at] = with_coeff(layout, packed[at], n, value)
-        return layout, packed
+        return layout, tuple(packed)
 
     monkeypatch.setattr(families, attr, patched)
 
@@ -327,12 +327,3 @@ def test_limit_agrees_with_walk_to_bound():
     while fam.stage < params.J + N + 2:
         fam = family_step(fam)
     assert family_limit(Side.HILBERT, params, N).coeffs == fam.entries[0].coeffs
-
-
-def test_family_json_dump():
-    fam = family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 2)
-    obj = fam.as_json_dict()
-    assert obj["flavor"] == "hilbert"
-    assert (obj["r"], obj["i"], obj["J"], obj["stage"]) == (3, 2, 0, 1)
-    assert obj["entries"][0] == {"order": 2, "coeffs": ["1", "0", "0"]}
-    assert len(obj["entries"]) == 3

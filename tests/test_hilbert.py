@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from rrgordon import hilbert
 from rrgordon.hilbert import (
-    MonomialIdealSpec,
     QuotientSpec,
     expand_generators,
     gordon_quotient,
@@ -14,7 +13,7 @@ from rrgordon.hilbert import (
     verify_hp_recursion,
 )
 from rrgordon.partitions import GordonParams, count_gordon, gordon_series
-from rrgordon.qseries import INFINITE, TruncatedSeries
+from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
 
 
 def test_spec_validation():
@@ -60,11 +59,6 @@ def test_standard_monomial_count_examples():
     assert standard_monomial_count(bare, 2) == 0
     with pytest.raises(ValueError):
         standard_monomial_count(ideal, 9)
-
-
-def test_ideal_json_dump():
-    ideal = MonomialIdealSpec((((1, 2),), ((1, 1), (2, 1))), first_var=1, weight_bound=3)
-    assert ideal.as_json_list() == [[[1, 2]], [[1, 1], [2, 1]]]
 
 
 def test_hp_series_frozen_values():
@@ -131,10 +125,28 @@ def test_uncapped_tail_valuation():
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 18))
 def test_every_cap_read_off_one_floor_is_the_monomial_count(r, k, N):
-    # the quotient capped at c is the sum of the first c states of the
-    # floor's one scan, and the uncapped one the sum of all of them
-    layout, states = hilbert._floor(r, k, N)
+    # the floor's one scan keeps the quotient capped at c at c-1, and the
+    # uncapped one at r-1
+    layout, caps = hilbert._floor(r, k, N)
+    assert len(caps) == r
     for cap in (*range(1, r + 1), None):
         ideal = expand_generators(QuotientSpec(r, k, cap=cap), N)
         want = tuple(standard_monomial_count(ideal, n) for n in range(N + 1))
-        assert layout.unpack(sum(states[: cap or r])) == want, cap
+        assert layout.unpack(caps[(cap or r) - 1]) == want, cap
+
+
+def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
+    # each floor checks its caps once, when it fills the cache, so reading
+    # them checks nothing
+    r, k, N = 4, 2, 20
+    hilbert._floor(r, k, N)
+    hilbert._floor(r, k + 1, N)
+    check, calls = _PackedLayout._check, []
+
+    def counted(self, x):
+        calls.append(x)
+        return check(self, x)
+
+    monkeypatch.setattr(_PackedLayout, "_check", counted)
+    assert verify_hp_identities(r, k, N)
+    assert calls == []

@@ -220,6 +220,22 @@ def test_guard_error_stays_in_route_report(capsys, monkeypatch):
         assert routes[name]["error"].startswith("ArithmeticError: "), name
 
 
+def test_floor_checks_the_caps_it_keeps(monkeypatch):
+    # in 8-bit slots at r=3, N=17 every step's input total clears the guard
+    # bits, but the floor's uncapped series does not: only the check the
+    # floor makes before it caches its caps can see that
+    narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
+    monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
+    hilbert._floor.cache_clear()
+    try:
+        hilbert._floor(3, 1, 16)
+        with pytest.raises(ArithmeticError):
+            hilbert._floor(3, 1, 17)
+    finally:
+        # the narrow-slot entries must not reach later tests
+        hilbert._floor.cache_clear()
+
+
 def test_unpack_round_trips():
     layout = _PackedLayout.for_counts(5, 2)
     coeffs = (1, 0, 3, 255, 0, 7)

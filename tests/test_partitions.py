@@ -37,7 +37,6 @@ def test_params_validation_and_derived():
 def test_partition_validation():
     assert P((3, 1)).weight == 4
     assert P(()).weight == 0
-    assert P((2, 2, 1)).as_json_list() == [2, 2, 1]
     with pytest.raises(ValueError):
         P((1, 2))
     with pytest.raises(ValueError):

@@ -96,11 +96,6 @@ def test_fingerprint_distinguishes():
     assert S([1, 2]).fingerprint() != S([1, 3]).fingerprint()
 
 
-def test_str_form():
-    assert str(S([1, 0, 2])) == "1 + 2*q^2 + O(q^3)"
-    assert str(S([0, 0])) == "0 + O(q^2)"
-
-
 # -- algebraic properties ------------------------------------------------
 
 series = st.builds(
