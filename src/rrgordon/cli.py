@@ -8,7 +8,7 @@ processes. ``table`` dumps one series as CSV or JSON.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
-only.
+only. The worker-pool stack is imported only when ``scan`` opens workers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
@@ -281,6 +280,9 @@ def cmd_scan(args) -> int:
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # the pool stack (multiprocessing, pickle, socket, ...) loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan_cell, c) for c in cells]
         # a cell whose worker died fails every check; one error line says why

@@ -1,10 +1,13 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
-from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -315,7 +318,7 @@ class RecordingExecutor:
         return False
 
     def submit(self, fn, item):
-        future = Future()
+        future = concurrent.futures.Future()
         future.set_result(fn(item))
         return future
 
@@ -331,13 +334,49 @@ class RecordingExecutor:
     ],
 )
 def test_scan_jobs_clamped(capsys, monkeypatch, jobs, grid, cpus, opened):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    # cmd_scan imports the executor when it opens workers, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code, out, _ = run(capsys, "scan", *grid, "--order", "8", "--jobs", jobs)
     assert code == 0
     assert "cells passed" in out
     assert RecordingExecutor.opened == opened
+
+
+_COLD_START = """
+import contextlib, io, json, os, sys
+from rrgordon.cli import main
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+scan = ("scan", "--r", "2..3", "--J", "0", "--order", "10", "--format", "json")
+verify = run("verify", "--r", "3", "--i", "2", "--J", "1", "--order", "30", "--format", "json")
+serial = run(*scan, "--jobs", "1")
+pool_before = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+os.cpu_count = lambda: 2
+parallel = run(*scan, "--jobs", "2")
+opened = "concurrent.futures.process" in sys.modules
+print(json.dumps([verify[0], serial, parallel, pool_before, opened]))
+"""
+
+
+def test_cold_start_loads_no_worker_pool():
+    # a fresh interpreter, so nothing this test process imported counts
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verify_code, serial, parallel, pool_before, opened = json.loads(proc.stdout)
+    assert verify_code == 0 and serial[0] == 0
+    # verify and a one-worker scan leave concurrent.futures and multiprocessing unloaded
+    assert pool_before == []
+    # two workers load the pool and print the same bytes
+    assert opened
+    assert parallel == serial
 
 
 def test_order_env_var_default(capsys, monkeypatch):
