@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
@@ -30,10 +31,11 @@ DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: Largest truncation order any command accepts, from --order or the
 #: environment. The packed DPs cost about r*N big-int steps of N*sqrt(N)
-#: bits; the product tower costs N*sqrt(N) int additions for the partition
-#: numbers at its padded order, and about r*sqrt(N/r) + r*J big-int shifts
-#: and subtractions of that size; README.md gives the measured cost at this
-#: limit.
+#: bits; a product tower padded by at most N costs N*sqrt(N) int additions
+#: for the partition numbers at its padded order, and about r*sqrt(N/r) +
+#: r*J big-int shifts and subtractions of that size, and a deeper one r*J
+#: of them in narrow slots and N*sqrt(N) additions of r-lane ints;
+#: README.md gives the measured cost at this limit.
 MAX_ORDER = 2000
 #: Largest r any command accepts. A cell holds up to r packed series per
 #: walk and per tower level, and the expansion suite multiplies r factors
@@ -56,9 +58,18 @@ SERIES_ROUTES = {
 # the expansion suite checks stages J+1..J+_EXPANSION_DEPTH; stage d reads product level d
 _EXPANSION_DEPTH = 3
 
+
+@lru_cache(maxsize=None)
+def _hp_identities(r: int, k: int, N: int) -> bool:
+    """``verify_hp_identities`` once per (r, k, N) in a process: it does not
+    depend on i, so the cells of one (r, J) share its result. One bool is
+    kept per key."""
+    return verify_hp_identities(r, k, N)
+
+
 # each extra property suite, called as check(params, order, d_max) -> bool
 SUITE_CHECKS = {
-    "hp-identities": lambda p, N, d_max: verify_hp_identities(p.r, p.J + 1, N),
+    "hp-identities": lambda p, N, d_max: _hp_identities(p.r, p.J + 1, N),
     "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
     "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
     "expansion": lambda p, N, d_max: verify_expansion(p, p.J + _EXPANSION_DEPTH, N),

@@ -7,10 +7,32 @@ the theta series sum over all integers n of (-1)^n q^(M n(n-1)/2 + a n), so
 each entry is P(q) times that sum, where P = 1/(q;q)_inf counts all
 partitions and comes from Euler's pentagonal recurrence. Entries beyond r are
 defined level by level: climbing one level subtracts two entries of the
-previous level and divides exactly by a power of q. The whole tower stays
-packed (``qseries._PackedLayout``). Because the division destroys low-order
-information, every level is computed at a padded order chosen upfront so the
-requested entry is exact to the requested order.
+previous level and divides exactly by a power of q. Because the division
+destroys low-order information, a tower to level L is computed at the
+padded order N + (r-1)L(L+1)/2, chosen upfront so the requested entry is
+exact to order N.
+
+The climb is Z[q]-linear and P is a unit, so every entry is P times the
+same climb applied to the theta series alone. ``_family_at_level`` picks
+one of two packed kernels from (r, L, N) alone:
+
+- padding (r-1)L(L+1)/2 at most N (``_levels``): the base level is P times
+  each theta series at the padded order, and the climb runs on those
+  entries. Their slots (``_PackedLayout.for_counts``) hold sums of t + 1
+  partition counts, t the most terms of either theta sum, and every result
+  is checked below its guard bits.
+- padding above N (``_theta_family``): the climb runs on the theta series,
+  in balanced signed slots of top + bitlen(t) + 2 bits rounded up to whole
+  bytes, since a level-g coefficient is at most 2^g t in size. Level L is
+  then divided by (q;q)_inf once, at order N, with the r entries as lanes
+  of one int per exponent (entry j in bits jW..jW+W-1 for a lane width W),
+  and leaves in ``for_counts(N, r)`` slots. The pass adds one row per
+  pentagonal number per exponent, where the other kernel's base level
+  shifts P over about 2 sqrt(2N/(2r+1)) theta terms, so it pays only when
+  the padding is large.
+
+Either way a division that is not exact raises NonDivisibleError, and a
+coefficient that reaches its guard bits raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -19,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .qseries import TruncatedSeries, _PackedLayout
+from .qseries import TruncatedSeries, _PackedLayout, _shift_div
 
 
 @dataclass(frozen=True)
@@ -52,21 +74,50 @@ class ProductIndex:
         return self.index - (self.r - 1) * self.level
 
 
-def _partition_numbers(N: int) -> list[int]:
-    """p(0..N) by Euler's pentagonal recurrence:
-    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    p = [1] + [0] * N
-    for n in range(1, N + 1):
-        total, k = 0, 1
-        while True:
-            g = k * (3 * k - 1) // 2
+def _pentagonal(N: int) -> tuple[list[int], list[int]]:
+    """The generalized pentagonal numbers k(3k-1)/2, k != 0, up to N, in
+    increasing order: those with k odd, whose terms of (q;q)_inf are -1, and
+    those with k even, whose terms are +1."""
+    odd: list[int] = []
+    even: list[int] = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= N:
+        side = odd if k % 2 else even
+        side.append(g)
+        if g + k <= N:
+            side.append(g + k)
+        k += 1
+    return odd, even
+
+
+def _over_euler(terms: list[int], guard: int = 0) -> list[int]:
+    """terms / (q;q)_inf to order len(terms) - 1, by Euler's pentagonal
+    recurrence y(n) = t(n) + sum over k != 0 of (-1)^(k+1) y(n - k(3k-1)/2).
+
+    The terms may be ints holding several lanes each (module docstring);
+    each result y(n) is checked to be non-negative with no bit of ``guard``
+    set, and ArithmeticError is raised if it is not.
+    """
+    odd, even = _pentagonal(len(terms) - 1)
+    y: list[int] = []
+    for n, x in enumerate(terms):
+        for g in odd:
             if g > n:
                 break
-            term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
-            total += term if k % 2 else -term
-            k += 1
-        p[n] = total
-    return p
+            x += y[n - g]
+        for g in even:
+            if g > n:
+                break
+            x -= y[n - g]
+        if x < 0 or x & guard:
+            raise ArithmeticError(f"the quotient by (q;q)_inf reached its guard bits at exponent {n}")
+        y.append(x)
+    return y
+
+
+def _partition_numbers(N: int) -> list[int]:
+    """p(0..N): the series 1 divided by (q;q)_inf."""
+    return _over_euler([1] + [0] * N)
 
 
 def _theta_exponents(r: int, ell: int, N: int) -> tuple[list[int], list[int]]:
@@ -153,9 +204,72 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
         yield layout, entries
 
 
+def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
+    """The r entries of level ``top``, packed at order exactly N in
+    ``for_counts(N, r)`` slots, climbed from the theta series alone.
+
+    Level 0 is the r theta series at the padded order, in balanced slots of
+    S = top + bitlen(t) + 2 bits rounded up to whole bytes, t the largest
+    term count of either theta sum: each climb subtracts two slots, so a
+    level-g slot is at most 2^g t in size, and no slot ever overflows,
+    kept or not. Only the divisions are checked (NonDivisibleError), and
+    the slots above order N are dropped once, at the end. The top level's
+    r series are then laid out as lanes of one int per exponent and
+    divided by (q;q)_inf in one pass of ``_over_euler``. Each quotient
+    coefficient is checked below 2^v, the value bits of the result slots,
+    so a sum in the pass stays below 2^(top) t + m 2^v, m the number of
+    pentagonal terms up to N, and the lanes of W = max(top + bitlen(t),
+    v + bitlen(m)) + 2 bits rounded up to whole bytes never carry. A
+    quotient coefficient that fails its check raises ArithmeticError.
+    """
+    order = _padded_order(r, top, N)
+    thetas = [_theta_exponents(r, ell, order) for ell in range(1, r + 1)]
+    t = max(len(terms) for theta in thetas for terms in theta)
+    S = -(-(top + t.bit_length() + 2) // 8) * 8
+    entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
+    for g in range(1, top + 1):
+        new = [entries[r - 1]]
+        for s in range(2, r + 1):
+            new.append(_shift_div(entries[r - s] - entries[r - s + 1], g * (s - 1), S))
+        entries = new
+
+    layout = _PackedLayout.for_counts(N, r)
+    v = layout.bits - (r - 1).bit_length()
+    odd, even = _pentagonal(N)
+    W = -(-(max(top + t.bit_length(), v + (len(odd) + len(even)).bit_length()) + 2) // 8) * 8
+    n, s, w, b = N + 1, S // 8, W // 8, layout.bits // 8
+    # the top level's slots 0..N, each offset by 2^(S-1) into 0..2^S - 1,
+    # are copied byte by byte into lanes, and each row sheds the offsets
+    offset = int.from_bytes((1 << S - 1).to_bytes(s, "little") * n, "little")
+    rows = bytearray(n * r * w)
+    for j, x in enumerate(entries):
+        data = ((x + offset) & ((1 << n * S) - 1)).to_bytes(n * s, "little")
+        for k in range(s):
+            rows[j * w + k :: r * w] = data[k::s]
+    lane_offset = int.from_bytes((1 << S - 1).to_bytes(w, "little") * r, "little")
+    terms = [int.from_bytes(rows[k : k + r * w], "little") - lane_offset for k in range(0, n * r * w, r * w)]
+    guard = int.from_bytes(((1 << W) - (1 << v)).to_bytes(w, "little") * r, "little")
+    data = b"".join(y.to_bytes(r * w, "little") for y in _over_euler(terms, guard))
+    family = []
+    for j in range(r):
+        out = bytearray(n * b)
+        for k in range(min(b, w)):
+            out[k::b] = data[j * w + k :: r * w]
+        family.append(int.from_bytes(out, "little"))
+    return layout, tuple(family)
+
+
 @lru_cache(maxsize=None)
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The r entries of one level, packed at order exactly N, with their layout."""
+    """The r entries of one level, packed at order exactly N, with their layout.
+
+    A tower whose padding (r-1)*level*(level+1)/2 exceeds N climbs the theta
+    series alone (``_theta_family``); any other climbs P times them
+    (``_levels``), because its base level is cheaper than a pass of Euler's
+    recurrence over r lanes at order N.
+    """
+    if (r - 1) * level * (level + 1) // 2 > N:
+        return _theta_family(r, level, N)
     for layout, entries in _levels(r, level, N):
         pass
     return layout, tuple(entries)

@@ -282,16 +282,7 @@ class _PackedLayout:
         ArithmeticError if a kept slot reached its guard bits, which is
         where a negative kept slot ends up.
         """
-        bits = self.bits
-        low = x & ((1 << k * bits) - 1)
-        if low:
-            # the lowest nonzero slot takes no borrow; read it as signed
-            n = ((low & -low).bit_length() - 1) // bits
-            c = (x >> n * bits) & ((1 << bits) - 1)
-            if c >> (bits - 1):
-                c -= 1 << bits
-            raise NonDivisibleError(f"coefficient {c} at exponent {n} blocks division by q^{k}")
-        return self._check((x >> k * bits) & self._mask)
+        return self._check(_shift_div(x, k, self.bits) & self._mask)
 
     def step(self, state: list[int], u: int, kept: int) -> list[int]:
         """Advance states e_1, e_2, ... (missing trailing states are zero).
@@ -310,3 +301,22 @@ class _PackedLayout:
                 break
             new.append(self._times_q(prefix[min(self.r - j, last)], s))
         return new
+
+
+def _shift_div(x: int, k: int, bits: int) -> int:
+    """x / q^k for x packed in ``bits``-bit slots whose lowest nonzero slot
+    lies in (-2^(bits-1), 2^(bits-1)), as in a difference of two checked
+    series or in balanced slots (``products``), kept to every slot of x.
+
+    Raises NonDivisibleError, naming that slot, if a slot below q^k is
+    nonzero.
+    """
+    low = x & ((1 << k * bits) - 1)
+    if low:
+        # the lowest nonzero slot takes no borrow; read it as signed
+        n = ((low & -low).bit_length() - 1) // bits
+        c = (x >> n * bits) & ((1 << bits) - 1)
+        if c >> (bits - 1):
+            c -= 1 << bits
+        raise NonDivisibleError(f"coefficient {c} at exponent {n} blocks division by q^{k}")
+    return x >> k * bits

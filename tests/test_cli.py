@@ -578,6 +578,26 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
 
 
+def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
+    # the suite does not depend on i, so the 56 cells of an --i all scan
+    # share 16 calls, one per (r, J)
+    check, calls = cli.verify_hp_identities, []
+
+    def counted(r, k, N):
+        calls.append((r, k, N))
+        return check(r, k, N)
+
+    monkeypatch.setattr(cli, "verify_hp_identities", counted)
+    cli._hp_identities.cache_clear()
+    try:
+        code, _, _ = run(capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
+                         "--suites", "hp-identities")
+    finally:
+        cli._hp_identities.cache_clear()
+    assert code == 0
+    assert sorted(calls) == [(r, J + 1, 12) for r in range(2, 6) for J in range(4)]
+
+
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
     # the family route goes on from the partition route's cached states at
     # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2

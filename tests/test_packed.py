@@ -274,10 +274,13 @@ def test_reslot_round_trips_and_checks_what_it_drops(data):
 
 
 def test_reslot_narrows_the_widest_tower_slots():
-    # at r = 10, J = 26, order 85 the tower's slots are wider than the
-    # expansion suite's, so the suite narrows its product factors
+    # a source wider than the expansion suite's slots, such as the 240-bit
+    # slots the P-times-theta climb uses at r = 10, level 29, order 85, is
+    # narrowed byte by byte to the same coefficients
     layout = _PackedLayout.for_products(85, 10)
-    src, entries = products._family_at_level(10, 29, 85)
+    fam, entries = products._family_at_level(10, 29, 85)
+    src = _PackedLayout(85, 10, 240)
     assert src.bits > layout.bits
     for x in entries:
-        assert layout.unpack(layout.reslot(x, src)) == src.unpack(x)
+        wide = src.reslot(x, fam)
+        assert layout.unpack(layout.reslot(wide, src)) == src.unpack(wide) == fam.unpack(x)

@@ -7,11 +7,13 @@ Python ints. They stay here as references the packed tower must reproduce
 exactly.
 """
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrgordon import products
+from rrgordon import cli, products
 from rrgordon.partitions import GordonParams, allowed_residues, count_modular, gordon_series
 from rrgordon.products import ProductIndex, base_product, product_series
 from rrgordon.qseries import INFINITE, NonDivisibleError, TruncatedSeries, _PackedLayout
@@ -146,7 +148,10 @@ def test_packed_base_product_equals_list_dp(r, N):
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 200))
+@example(3, 1, 200)  # padding 2 <= N: _family_at_level climbs P times theta
+@example(5, 12, 20)  # padding 312 > N: it climbs the theta series alone
 def test_packed_tower_equals_list_climb(r, top, N):
+    # both kernels, whichever side of _family_at_level's rule (r, top, N) is on
     expected = reference_levels(r, top, N)
     got = list(products._levels(r, top, N))
     assert len(got) == len(expected) == top + 1
@@ -154,6 +159,9 @@ def test_packed_tower_equals_list_climb(r, top, N):
         assert len(entries) == r, g
         for s, (x, series) in enumerate(zip(entries, want), start=1):
             assert layout.unpack(x) == series.coeffs, (g, s)
+    layout, entries = products._theta_family(r, top, N)
+    assert layout.bits == _PackedLayout.for_counts(N, r).bits
+    assert [layout.unpack(x) for x in entries] == [series.coeffs for series in expected[-1]]
 
 
 def coin_partition_numbers(N):
@@ -188,8 +196,38 @@ def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
             base_product(3, 2, 40)
         with pytest.raises(ArithmeticError):
             product_series(ProductIndex(3, 5), 40)
+        # level 6 is padded by 42 > 40 and climbs theta alone; its entries
+        # reach 76 in for_counts(40, 3) slots, and the division by
+        # (q;q)_inf checks them before anything unpacks them
+        with pytest.raises(ArithmeticError):
+            products._family_at_level(3, 6, 40)
     finally:
         products._family_at_level.cache_clear()
+
+
+def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
+    # without its first odd-n term, -q^2, entry 2's theta series leaves a 1
+    # at q^0 after the level-1 climb that level 2 cannot divide by q^2; the
+    # product route of a cell whose tower climbs theta alone (padding
+    # 42 > 40) reports it
+    exponents = products._theta_exponents
+
+    def dropped(r, ell, N):
+        even, odd = exponents(r, ell, N)
+        return (even, odd[1:]) if ell == 2 else (even, odd)
+
+    monkeypatch.setattr(products, "_theta_exponents", dropped)
+    products._family_at_level.cache_clear()
+    try:
+        with pytest.raises(NonDivisibleError):
+            products._theta_family(3, 6, 40)
+        code = cli.main(["verify", "--r", "3", "--i", "2", "--J", "6", "--order", "40", "--format", "json"])
+    finally:
+        products._family_at_level.cache_clear()
+    routes = json.loads(capsys.readouterr().out)["routes"]
+    assert code == 1
+    assert routes["product"]["error"] == "NonDivisibleError: coefficient 1 at exponent 0 blocks division by q^2"
+    assert [routes[name]["error"] for name in ("partition", "hilbert", "family")] == [None] * 3
 
 
 def test_peel_raises_on_a_negative_slot():
