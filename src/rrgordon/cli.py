@@ -98,6 +98,8 @@ class VerificationReport:
 def build_report(params: GordonParams, order: int) -> VerificationReport:
     report = VerificationReport(params=params, order=order)
     series: dict[str, TruncatedSeries] = {}
+    # a digest is a function of the coefficients, so equal routes share one
+    fingerprints: dict[tuple[int, ...], str] = {}
     for name, route in SERIES_ROUTES.items():
         start = time.perf_counter()
         try:
@@ -107,14 +109,18 @@ def build_report(params: GordonParams, order: int) -> VerificationReport:
             report.routes[name] = RouteResult("-", [], time.perf_counter() - start, error)
             continue
         series[name] = s
+        if s.coeffs not in fingerprints:
+            fingerprints[s.coeffs] = s.fingerprint()
         head = [str(c) for c in s.coeffs[: min(8, order + 1)]]
-        report.routes[name] = RouteResult(s.fingerprint(), head, time.perf_counter() - start)
+        report.routes[name] = RouteResult(fingerprints[s.coeffs], head, time.perf_counter() - start)
 
     # every route returns order N and equality is transitive, so comparing
     # each route with the first one that computed finds any disagreement
     names = list(series)
     for b in names[1:]:
         a = names[0]
+        if series[a].coeffs == series[b].coeffs:
+            continue
         n = first_mismatch(series[a], series[b])
         if n is not None:
             report.mismatch = {

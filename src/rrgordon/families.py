@@ -21,9 +21,15 @@ to its stop, so only the stopping rule differs from ``gordon_series``.
 ``verify_expansion`` unpacks nothing: it walks each side once in the wide
 slots of ``_PackedLayout.for_products``, moves each cached factor and left
 side into those slots (``_PackedLayout.reslot``), multiplies each entry by
-its factor as one int masked to order N, and compares the sum with the left
-side. Every operand is first checked below the slots' value bits, so no slot
-carries and the check is exact whether or not the identity holds.
+its factor as one int, and compares the sum with the left side. The slots
+hold q^N up to q^0 from the bottom (``_PackedLayout``), so slot 2N - t of a
+product holds q^t, and shifting off its low N slots truncates it to order
+N. Every operand is first checked below the slots' value bits, so none of
+the product's 2N+1 slots carries, the shifted-off ones included, and the
+check is exact whether or not the identity holds. A stage entry of low
+degree has zero low slots; they are shifted off before it is multiplied
+(``_PackedLayout._mul``), so the product costs what it did in ascending
+slots.
 """
 
 from __future__ import annotations
@@ -59,11 +65,15 @@ class CoefficientFamily:
 
 
 def _walk(
-    side: Side, params: GordonParams, layout: _PackedLayout, stage: int | None = None, state: Sequence[int] = (1,)
+    side: Side,
+    params: GordonParams,
+    layout: _PackedLayout,
+    stage: int | None = None,
+    state: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, list[int]]]:
     """(stage, packed entries) for the stages after ``stage`` up to J+N+2,
     N the layout's order, going on from ``state``; by default from J, where
-    the empty scan leaves [1], so from stage J+1 on.
+    the empty scan leaves [``layout.one``], so from stage J+1 on.
 
     At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
     zero, and the next stage's entry 1 is this stage's total: entry 1 again.
@@ -144,8 +154,8 @@ def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
 
 
 def _on_ladder(layout: _PackedLayout, stage: int, state: list[int]) -> bool:
-    """Entry j has valuation at least stage*(j-1): its low stage*(j-1) slots are zero."""
-    return not any(x & ((1 << stage * j * layout.bits) - 1) for j, x in enumerate(state))
+    """Entry j has valuation at least stage*(j-1)."""
+    return all(layout._has_valuation(x, stage * j) for j, x in enumerate(state))
 
 
 def verify_valuations(params: GordonParams, N: int) -> bool:
@@ -154,8 +164,8 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
     stage d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's
     end repeat its last one, so they hold it too. Both are checked packed."""
     layout, caps = _floor(params.r, params.J + 2, N)
-    # the low J+2 slots of the uncapped series minus 1 are zero
-    tail_ok = not (caps[-1] - 1) & ((1 << (params.J + 2) * layout.bits) - 1)
+    # only the q^0 coefficient of the uncapped series minus 1 can be negative
+    tail_ok = layout._has_valuation(caps[-1] - layout.one, params.J + 2)
     stages = itertools.islice(_walk(Side.HILBERT, params, layout), 5)
     return tail_ok and all(_on_ladder(layout, d, state) for d, state in stages)
 
@@ -188,7 +198,7 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
 
     def expands(side: Side, lhs: int, factors: Callable[[int], Iterator[int]]) -> bool:
         for s, state in _stages(side, params, d, layout):
-            terms = (layout._check(x) * f & layout._mask for x, f in zip(state, factors(s)))
+            terms = (layout._mul(layout._check(x), f) for x, f in zip(state, factors(s)))
             if sum(terms) != lhs:
                 return False
         return True

@@ -133,7 +133,8 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     sums of the states, each checked once here, and a cap past the nonzero
     states repeats the total.
     """
-    layout, state = _PackedLayout.for_counts(N, r), [1]
+    layout = _PackedLayout.for_counts(N, r)
+    state = [layout.one]
     for _, state in _capped_walk(layout, range(N, k - 1, -1), k, r - 1):
         pass
     caps = tuple(layout._check(x) for x in accumulate(state))

@@ -129,7 +129,7 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
 
 
 def _capped_walk(
-    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int, state: Sequence[int] = (1,)
+    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int, state: Sequence[int] | None = None
 ) -> Iterator[tuple[int, list[int]]]:
     """Scans multiplicity vectors (f_a) over ``values`` to the layout's
     order, and yields (a, states) after each value a.
@@ -139,8 +139,10 @@ def _capped_walk(
     r-1 (r = ``layout.r``), so scanning a sets f_a = j-1 on the vectors of
     states 1..r-j+1, and the multiplicity of ``floor`` is at most ``cap``.
     The states are packed series, one step per value from ``state``: by
-    default [1], the empty scan.
+    default [``layout.one``], the empty scan.
     """
+    if state is None:
+        state = [layout.one]
     for a in values:
         state = layout.step(state, a, cap + 1 if a == floor else layout.r)
         yield a, state

@@ -33,6 +33,16 @@ one of two packed kernels from (r, L, N) alone:
 
 Either way a division that is not exact raises NonDivisibleError, and a
 coefficient that reaches its guard bits raises ArithmeticError.
+
+Both kernels hand over ``_PackedLayout`` series, whose slot N-w holds q^w
+(q^0 on top). So in ``_levels`` a shift by q^e is a right shift, which
+drops the exponents past the order for free, and a climb step checks that
+the top k slots of a difference are zero and then shifts it right by the
+order it drops (``_PackedLayout.shift_div``). No dropped slot carries into
+a kept one: every entry is checked below its guard bits, and a difference
+is rounded where it is cut. The theta climb keeps its own balanced slots in
+ascending order (slot w holds q^w, ``_shift_div``) and writes its result
+rows from q^N up, so its result lands in the same reversed slots.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .qseries import TruncatedSeries, _PackedLayout, _shift_div
+from .qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -190,18 +200,35 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     ever inexact, and ArithmeticError if a slot reaches its guard bits;
     either would mean the construction itself is broken.
     """
-    order = _padded_order(r, top, N)
-    layout, P = _base_layout(r, order)
+    layout, P = _base_layout(r, _padded_order(r, top, N))
     entries = [_base_entry(layout, P, r, ell) for ell in range(1, r + 1)]
     yield layout, entries
     for g in range(1, top + 1):
-        order -= g * (r - 1)
-        layout = _PackedLayout(order, layout.r, layout.bits)
-        new = [entries[r - 1] & layout._mask]
+        src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
+        new = [layout.shift_div(entries[r - 1], 0, src)]
         for s in range(2, r + 1):
-            new.append(layout.shift_div(entries[r - s] - entries[r - s + 1], g * (s - 1)))
+            new.append(layout.shift_div(entries[r - s] - entries[r - s + 1], g * (s - 1), src))
         entries = new
         yield layout, entries
+
+
+def _shift_div(x: int, k: int, bits: int) -> int:
+    """x / q^k for x in balanced ``bits``-bit slots in ascending order (slot
+    w holds q^w, as in ``_theta_family``'s climb) whose lowest nonzero slot
+    lies in (-2^(bits-1), 2^(bits-1)), kept to every slot of x.
+
+    Raises NonDivisibleError, naming that slot, if a slot below q^k is
+    nonzero.
+    """
+    low = x & ((1 << k * bits) - 1)
+    if low:
+        # the lowest nonzero slot takes no borrow; read it as signed
+        n = ((low & -low).bit_length() - 1) // bits
+        c = (x >> n * bits) & ((1 << bits) - 1)
+        if c >> (bits - 1):
+            c -= 1 << bits
+        raise NonDivisibleError(f"coefficient {c} at exponent {n} blocks division by q^{k}")
+    return x >> k * bits
 
 
 def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
@@ -220,7 +247,9 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
     so a sum in the pass stays below 2^(top) t + m 2^v, m the number of
     pentagonal terms up to N, and the lanes of W = max(top + bitlen(t),
     v + bitlen(m)) + 2 bits rounded up to whole bytes never carry. A
-    quotient coefficient that fails its check raises ArithmeticError.
+    quotient coefficient that fails its check raises ArithmeticError. The
+    climb's slots and the rows run from q^0 up; the result slots run from
+    q^N up (``_PackedLayout``), so the rows are copied in reverse.
     """
     order = _padded_order(r, top, N)
     thetas = [_theta_exponents(r, ell, order) for ell in range(1, r + 1)]
@@ -249,7 +278,7 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
     lane_offset = int.from_bytes((1 << S - 1).to_bytes(w, "little") * r, "little")
     terms = [int.from_bytes(rows[k : k + r * w], "little") - lane_offset for k in range(0, n * r * w, r * w)]
     guard = int.from_bytes(((1 << W) - (1 << v)).to_bytes(w, "little") * r, "little")
-    data = b"".join(y.to_bytes(r * w, "little") for y in _over_euler(terms, guard))
+    data = b"".join(y.to_bytes(r * w, "little") for y in reversed(_over_euler(terms, guard)))
     family = []
     for j in range(r):
         out = bytearray(n * b)

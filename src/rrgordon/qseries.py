@@ -162,13 +162,18 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
 
 
 class _PackedLayout:
-    """One non-negative series of order N packed into one int.
+    """One non-negative series of order N packed into one int, in reverse.
 
-    Slot w, ``bits`` = B bits wide, holds the q^w coefficient, so a whole
-    series is added, shifted by whole slots (multiplication by a power of q)
-    or compared in one C operation: Kronecker substitution. ``pack`` and
-    ``unpack`` convert through ``to_bytes``/``from_bytes``, so B is a whole
-    number of bytes.
+    Slot i, ``bits`` = B bits wide, holds the q^(N-i) coefficient: q^0 sits
+    in the top slot N and q^N in slot 0 (Kronecker substitution). A whole
+    series is added or compared in one C operation, and multiplying it by
+    q^s is one right shift by s slots: each exponent w moves to w + s, and
+    those past N fall off the bottom, so the shift also truncates, and no
+    mask and no longer temporary are needed. A right shift of a checked
+    series cannot carry a dropped slot into a kept one, since no slot ever
+    carried. ``one`` is the series 1, 2^(N B). ``pack`` and ``unpack``
+    convert through big-endian ``to_bytes``/``from_bytes``, which write the
+    top slot first, so B is a whole number of bytes.
 
     The top g = ceil(log2 r) bits of every slot are guard bits. While every
     slot of every state stays below 2^(B-g), a sum of at most r states stays
@@ -183,8 +188,10 @@ class _PackedLayout:
     A difference of two checked series needs no more room: a slot that
     would go negative borrows from the slot above and is left at 2^B minus
     less than 2^(B-g), so with g >= 1 its guard bits are set and the check
-    fires instead of returning wrapped slots. ``shift_div`` divides such a
-    difference by a power of q under the same check.
+    fires instead of returning wrapped slots. The slot above holds a lower
+    exponent, so ``shift_div``, which divides such a difference by a power
+    of q under the same check, rounds where it cuts instead of letting a
+    borrow from a dropped slot into a kept one.
     """
 
     def __init__(self, order: int, r: int, bits: int, value_bits: int | None = None):
@@ -193,7 +200,7 @@ class _PackedLayout:
             raise ValueError(f"slots need whole bytes above {value_bits} value bits, got {bits}")
         self.order, self.r, self.bits = order, r, bits
         self._width = bits // 8
-        self._mask = (1 << (order + 1) * bits) - 1
+        self.one = 1 << order * bits
         slot_bytes = ((1 << bits) - (1 << value_bits)).to_bytes(self._width, "little")
         self._guard = int.from_bytes(slot_bytes * (order + 1), "little")
 
@@ -219,7 +226,10 @@ class _PackedLayout:
         Every bit at or above v = ``for_counts(order, r).bits - ceil(log2 r)``
         is a guard bit, so each operand that passes the check is below 2^v.
         A slot of the sum adds at most r(N+1) products below 2^(2v), so B =
-        2v + bitlen(N+1) + ceil(log2 r), rounded up to whole bytes, never carries.
+        2v + bitlen(N+1) + ceil(log2 r), rounded up to whole bytes, never
+        carries. That holds at all 2N+1 positions of the full product, the
+        N below q^N included, so shifting those off leaves the q^0..q^N
+        slots exact.
         """
         g = (r - 1).bit_length()
         v = cls.for_counts(order, r).bits - g
@@ -231,58 +241,101 @@ class _PackedLayout:
         return x
 
     def pack(self, coeffs: tuple[int, ...]) -> int:
-        """Packs N+1 coefficients. Raises ArithmeticError on a negative
-        coefficient or one that does not fit below the guard bits."""
+        """Packs N+1 coefficients, q^0 first. Raises ArithmeticError on a
+        negative coefficient or one that does not fit below the guard bits."""
         if len(coeffs) != self.order + 1:
             raise ValueError(f"expected {self.order + 1} coefficients, got {len(coeffs)}")
         w = self._width
         try:
-            data = b"".join(c.to_bytes(w, "little") for c in coeffs)
+            data = b"".join(c.to_bytes(w, "big") for c in coeffs)
         except OverflowError:
             raise ArithmeticError(f"a coefficient does not fit a {self.bits}-bit slot") from None
-        return self._check(int.from_bytes(data, "little"))
+        return self._check(int.from_bytes(data, "big"))
 
     def unpack(self, x: int) -> tuple[int, ...]:
-        """The N+1 coefficients of a packed series (a state or a sum of at
-        most r of them)."""
+        """The N+1 coefficients, q^0 first, of a packed series (a state or a
+        sum of at most r of them)."""
         w = self._width
-        data = self._check(x).to_bytes((self.order + 1) * w, "little")
-        return tuple(int.from_bytes(data[k : k + w], "little") for k in range(0, len(data), w))
+        data = self._check(x).to_bytes((self.order + 1) * w, "big")
+        return tuple(int.from_bytes(data[k : k + w], "big") for k in range(0, len(data), w))
 
     def reslot(self, x: int, src: _PackedLayout) -> int:
         """x, packed in ``src``'s slots at this order, moved into this
-        layout's slots: one strided byte-slice copy per byte of a slot.
+        layout's slots, which are at least as wide: one strided byte-slice
+        copy per byte of a source slot. Slot i holds q^(N-i) in both.
 
-        Raises ArithmeticError if x does not fit ``src``'s slots, if a byte
-        that narrower slots drop is nonzero, or if a slot reaches this
-        layout's guard bits.
+        Raises ValueError if ``src`` has another order or wider slots, and
+        ArithmeticError if x does not fit ``src``'s slots or a slot reaches
+        this layout's guard bits.
         """
-        if src.order != self.order:
-            raise ValueError(f"cannot reslot order {src.order} into order {self.order}")
+        if src.order != self.order or src.bits > self.bits:
+            raise ValueError(
+                f"cannot reslot {src.bits}-bit slots of order {src.order}"
+                f" into {self.bits}-bit slots of order {self.order}"
+            )
         n, w, sw = self.order + 1, self._width, src._width
         try:
             data = x.to_bytes(n * sw, "little")
         except OverflowError:
             raise ArithmeticError(f"a value does not fit {n} slots of {src.bits} bits") from None
         out = bytearray(n * w)
-        for b in range(min(w, sw)):
+        for b in range(sw):
             out[b::w] = data[b::sw]
-        if any(data[b::sw].count(0) != n for b in range(w, sw)):
-            raise ArithmeticError(f"a {src.bits}-bit slot does not fit a {self.bits}-bit slot")
         return self._check(int.from_bytes(out, "little"))
 
     def _times_q(self, x: int, s: int) -> int:
-        return (x << s * self.bits) & self._mask
+        return x >> s * self.bits
 
-    def shift_div(self, x: int, k: int) -> int:
-        """x / q^k, kept to this layout's order, for a packed difference x
-        of two checked series of this slot width and any order.
+    def _mul(self, x: int, f: int) -> int:
+        """x * f to this order, for x and f below the value bits of
+        ``for_products`` slots.
 
-        Raises NonDivisibleError if a slot below q^k is nonzero, and
-        ArithmeticError if a kept slot reached its guard bits, which is
-        where a negative kept slot ends up.
+        Slot 2N - t of the product holds q^t, and none of its 2N+1 slots
+        carries, so shifting off the low N leaves q^0..q^N. An x of low
+        degree is a long int whose z low slots are zero: they are shifted
+        off first, so the multiplication sees only the N+1-z slots above.
         """
-        return self._check(_shift_div(x, k, self.bits) & self._mask)
+        if not x:
+            return 0
+        z = ((x & -x).bit_length() - 1) // self.bits
+        return (x >> z * self.bits) * f >> (self.order - z) * self.bits
+
+    def _has_valuation(self, x: int, v: int) -> bool:
+        """Whether x has valuation at least v: its top v slots, which hold
+        q^0..q^(v-1) (all of its slots if v > N), are zero. No slot below
+        them may be negative, or its borrow would reach them."""
+        return not x >> max(self.order + 1 - v, 0) * self.bits
+
+    def shift_div(self, x: int, k: int, src: _PackedLayout) -> int:
+        """x / q^k at this layout's order, for x a packed difference of two
+        checked series in ``src``'s slots, which are as wide as these and
+        reach at least this order + k.
+
+        The top k slots of x hold q^0..q^(k-1) and must be zero. Below them,
+        x is the quotient at order ``src.order - k``, so a right shift by the
+        order it drops to this one leaves this layout's slots. Raises
+        NonDivisibleError, naming the lowest nonzero coefficient, if a top
+        slot is not zero, and ArithmeticError if a kept slot reached its
+        guard bits, which is where a negative kept slot ends up.
+        """
+        bits = self.bits
+        if src.bits != bits or src.order < self.order + k:
+            raise ValueError(f"cannot divide order {src.order} by q^{k} into order {self.order}")
+        low = (src.order + 1 - k) * bits
+        # a valid difference, zero in its top k slots and not negative below
+        # them, is below 2^(low-1): the top bit of every slot is a guard bit.
+        # Any other x has its top k slots read exactly by rounding off the
+        # slots below, which lie within 2^(B-1) of zero and may have
+        # borrowed from them
+        if x >> low - 1 and (top := (x + (1 << low - 1)) >> low):
+            n = abs(top).bit_length() // bits  # top's slots below its leading one
+            c = (top + (1 << n * bits >> 1)) >> n * bits
+            raise NonDivisibleError(f"coefficient {c} at exponent {k - 1 - n} blocks division by q^{k}")
+        drop = (src.order - k - self.order) * bits
+        if drop:
+            # rounding keeps a borrow from a negative dropped slot out of the kept ones
+            x = (x + (1 << drop - 1)) >> drop
+        return self._check(x)
 
     def step(self, state: list[int], u: int, kept: int) -> list[int]:
         """Advance states e_1, e_2, ... (missing trailing states are zero).
@@ -299,24 +352,5 @@ class _PackedLayout:
             s = u * (j - 1)
             if s > self.order:
                 break
-            new.append(self._times_q(prefix[min(self.r - j, last)], s))
+            new.append(prefix[min(self.r - j, last)] >> s * self.bits)
         return new
-
-
-def _shift_div(x: int, k: int, bits: int) -> int:
-    """x / q^k for x packed in ``bits``-bit slots whose lowest nonzero slot
-    lies in (-2^(bits-1), 2^(bits-1)), as in a difference of two checked
-    series or in balanced slots (``products``), kept to every slot of x.
-
-    Raises NonDivisibleError, naming that slot, if a slot below q^k is
-    nonzero.
-    """
-    low = x & ((1 << k * bits) - 1)
-    if low:
-        # the lowest nonzero slot takes no borrow; read it as signed
-        n = ((low & -low).bit_length() - 1) // bits
-        c = (x >> n * bits) & ((1 << bits) - 1)
-        if c >> (bits - 1):
-            c -= 1 << bits
-        raise NonDivisibleError(f"coefficient {c} at exponent {n} blocks division by q^{k}")
-    return x >> k * bits

@@ -165,6 +165,33 @@ def test_build_report_detects_divergence():
     assert set(report.routes) == {"product", "partition", "hilbert", "family"}
 
 
+def test_build_report_digests_each_distinct_series_once(monkeypatch):
+    digest, digested = TruncatedSeries.fingerprint, []
+
+    def counted(self):
+        digested.append(self.coeffs)
+        return digest(self)
+
+    monkeypatch.setattr(TruncatedSeries, "fingerprint", counted)
+    params = GordonParams(3, 2, 1)
+    report = build_report(params, 30)
+    assert report.verdict and len(digested) == 1
+    assert {rr.fingerprint for rr in report.routes.values()} == {digest(SERIES_ROUTES["partition"](params, 30))}
+
+    # a bumped route gets its own digest, and only the bumped exponent differs
+    def bumped(params, N):
+        coeffs = list(SERIES_ROUTES["partition"](params, N).coeffs)
+        coeffs[11] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setitem(SERIES_ROUTES, "hilbert", bumped)
+    digested.clear()
+    report = build_report(params, 30)
+    assert len(digested) == 2 and report.mismatch["exponent"] == 11
+    assert report.routes["hilbert"].fingerprint == digest(bumped(params, 30))
+    assert report.routes["product"].fingerprint == report.routes["family"].fingerprint
+
+
 def test_scan_counts_cells(capsys):
     code, out, _ = run(capsys, "scan", "--r", "2..4", "--J", "0..2", "--order", "15")
     assert code == 0
@@ -515,8 +542,9 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
     step = _PackedLayout.step
 
     def short(self, state, u, kept):
+        # each entry after the first divided by q, its q^0 coefficient dropped
         new = step(self, state, u, kept)
-        return new[:1] + [x >> self.bits for x in new[1:]]
+        return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
     # the suite's hp tail is read from the cache, filled by the correct step,
     # so only the family ladder can fail it; the mutant's results must not
@@ -560,7 +588,7 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     # scans where one DP per quotient and order ran 118
     walk, scans = partitions._capped_walk, []
 
-    def counted(layout, values, floor, cap, state=(1,)):
+    def counted(layout, values, floor, cap, state=None):
         if values.step < 0:
             scans.append((layout.r, floor))
         return walk(layout, values, floor, cap, state)

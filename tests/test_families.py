@@ -210,9 +210,9 @@ SERIES = {"hp_series": hp_series, "product_series": product_series}
 
 
 def with_coeff(layout, x, n, value):
-    """Packed x with its q^n slot set to value."""
-    shift, slot = n * layout.bits, (1 << layout.bits) - 1
-    return x + ((value - (x >> shift & slot)) << shift)
+    """Packed x with its q^n coefficient set to value, which may reach the
+    guard bits: x plus the constant value - c times q^n."""
+    return x + layout._times_q((value - layout.unpack(x)[n]) * layout.one, n)
 
 
 def set_factor_coeff(monkeypatch, name, n, value):
@@ -252,6 +252,44 @@ def test_expansion_fails_on_a_bumped_deeper_factor(monkeypatch, name):
     assert not verify_expansion(params, d, N)
 
 
+@pytest.mark.parametrize("n", [0, EXPANSION_CASE[2]], ids=["q^0", "q^N"])
+@pytest.mark.parametrize("name", FACTOR_ONE)
+def test_expansion_fails_on_a_factor_bumped_at_either_end(monkeypatch, name, n):
+    # the top and the bottom slot of the truncated product, which a shift
+    # by one slot too many or too few would lose
+    params, d, N = EXPANSION_CASE
+    c = SERIES[name](FACTOR_ONE[name], N).coeffs[n]
+    set_factor_coeff(monkeypatch, name, n, c + 1)
+    assert not verify_expansion(params, d, N)
+
+
+def raw_slots(layout, x):
+    """The N+1 slots of x, q^0 first, read with no check; x must fit them."""
+    w = layout.bits // 8
+    data = x.to_bytes((layout.order + 1) * w, "big")
+    return tuple(int.from_bytes(data[k : k + w], "big") for k in range(0, len(data), w))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_stripped_product_equals_the_list_product(data):
+    # stage entries are often 0, a monomial or of low degree: their low
+    # slots are zero and are shifted off before the multiplication
+    N, r = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 8))
+    layout, v = _PackedLayout.for_products(N, r), value_bits(N, r)
+    coeff = st.integers(0, (1 << v) - 1)
+    f = tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1)))
+    degree = data.draw(st.integers(0, N))
+    kind = data.draw(st.sampled_from(["zero", "monomial", "low degree"]))
+    x = [0] * (N + 1)
+    if kind == "monomial":
+        x[degree] = data.draw(st.integers(1, (1 << v) - 1))
+    elif kind == "low degree":
+        x[: degree + 1] = data.draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    want = TruncatedSeries(tuple(x)) * TruncatedSeries(f)
+    assert raw_slots(layout, layout._mul(layout.pack(tuple(x)), layout.pack(f))) == want.coeffs
+
+
 @pytest.mark.parametrize("name", FACTOR_ONE)
 def test_expansion_factor_at_its_value_bits_raises(monkeypatch, name):
     params, d, N = EXPANSION_CASE
@@ -269,7 +307,7 @@ def test_expansion_stage_entry_at_its_value_bits_raises(monkeypatch):
     v = value_bits(N, params.r)
     walk = families._capped_walk
 
-    def inflated(layout, values, floor, cap, state=(1,)):
+    def inflated(layout, values, floor, cap, state=None):
         # the walk goes on from its own states; only the yielded ones grow
         for a, state in walk(layout, values, floor, cap, state):
             yield a, [state[0] | 1 << v] + state[1:]

@@ -36,7 +36,7 @@ from rrgordon.partitions import (
     gordon_series,
 )
 from rrgordon.products import base_product
-from rrgordon.qseries import TruncatedSeries, _PackedLayout
+from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
 def reference_adjacent_capped_counts(r, values, floor, cap, N):
@@ -65,7 +65,8 @@ def test_packed_dp_equals_list_dp(data):
     ascending = data.draw(st.booleans())
     values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
     want = reference_adjacent_capped_counts(r, values, floor, cap, N)
-    layout, state = _PackedLayout.for_counts(N, r), (1,)
+    layout = _PackedLayout.for_counts(N, r)
+    state = (layout.one,)
     for _, state in _capped_walk(layout, values, floor, cap):
         pass
     assert list(layout.unpack(sum(state))) == want
@@ -138,8 +139,10 @@ def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
     layout = _PackedLayout.for_counts(N, r)
     for stage, state in families._walk(Side.HILBERT, params, layout):
-        # each entry also one slot short, as a broken step would leave it
-        for entries in (state, [x >> layout.bits for x in state]):
+        # each entry also divided by q, one slot short, as a broken step
+        # would leave it
+        short = [layout.pack(layout.unpack(x)[1:] + (0,)) for x in state]
+        for entries in (state, short):
             fam = families._family(Side.HILBERT, params, stage, layout, entries)
             want = all(e.valuation() >= stage * (j - 1) for j, e in enumerate(fam.entries, start=1))
             assert families._on_ladder(layout, stage, entries) == want, (stage, entries)
@@ -176,7 +179,7 @@ def test_step_raises_when_a_slot_reaches_its_guard_bits():
     # 8-bit slots with r = 3 leave 6 value bits: 63 + 63 reaches the guard
     layout = _PackedLayout(3, 3, 8)
     half = layout.pack((63, 0, 0, 0))
-    assert layout.step([half], 1, 3) == [half, half << 8, half << 16]
+    assert layout.step([half], 1, 3) == [half, layout.pack((0, 63, 0, 0)), layout.pack((0, 0, 63, 0))]
     with pytest.raises(ArithmeticError):
         layout.step([half, half], 1, 3)
     for bad in ((64, 0, 0, 0), (0, -1, 0, 0)):
@@ -240,47 +243,135 @@ def test_unpack_round_trips():
     layout = _PackedLayout.for_counts(5, 2)
     coeffs = (1, 0, 3, 255, 0, 7)
     assert layout.unpack(layout.pack(coeffs)) == coeffs
-    assert TruncatedSeries(layout.unpack(1)) == TruncatedSeries.one(5)
+    assert TruncatedSeries(layout.unpack(layout.one)) == TruncatedSeries.one(5)
+
+
+def series_lists(data, count, order, top):
+    """``count`` coefficient tuples of the given order below ``top``, often
+    small, so that sums, zeros and low-degree tails come up."""
+    coeff = st.one_of(st.integers(0, 3), st.integers(0, top - 1))
+    return [tuple(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))) for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_packed_primitives_mean_what_the_list_series_do(data):
+    # the slot order is pinned by meaning only: each primitive against the
+    # TruncatedSeries operation it stands for
+    N, r = data.draw(st.integers(0, 30)), data.draw(st.integers(2, 6))
+    layout = _PackedLayout.for_counts(N, r)
+    v = layout.bits - (r - 1).bit_length()
+    # r states below 2^v / r sum to less than 2^v, so step never trips
+    states = series_lists(data, data.draw(st.integers(1, r)), N, max((1 << v) // r, 1))
+    packed = [layout.pack(c) for c in states]
+    assert [layout.unpack(x) for x in packed] == states
+    assert layout.one == layout.pack(TruncatedSeries.one(N).coeffs)
+    s = data.draw(st.integers(0, N + 2))
+    assert layout.unpack(layout._times_q(packed[0], s)) == TruncatedSeries(states[0]).mul_qpow(s).coeffs
+    # step: new entry j is q^(u(j-1)) times the sum of entries 1..r-j+1
+    u, kept = data.draw(st.integers(1, N + 2)), data.draw(st.integers(1, r))
+    series = [TruncatedSeries(c) for c in states] + [TruncatedSeries.zero(N)] * (r - len(states))
+    want = [sum(series[1 : r - j + 1], series[0]).mul_qpow(u * (j - 1)).coeffs for j in range(1, kept + 1)]
+    got = [layout.unpack(x) for x in layout.step(packed, u, kept)]
+    assert got + [(0,) * (N + 1)] * (kept - len(got)) == want
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_packed_shift_div_means_the_list_shift_div(data):
+    # a difference of two checked series at a source order M >= N + k,
+    # divided by q^k and kept to order N
+    N, r = data.draw(st.integers(0, 20)), data.draw(st.integers(2, 6))
+    k, extra = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 4))
+    layout = _PackedLayout.for_counts(N, r)
+    src = _PackedLayout(N + k + extra, r, layout.bits)
+    a, b = series_lists(data, 2, src.order, 1 << layout.bits - (r - 1).bit_length())
+    # b agrees with a at the positions drawn, so the difference has zeros
+    same = data.draw(st.lists(st.booleans(), min_size=src.order + 1, max_size=src.order + 1))
+    b = tuple(x if eq else y for x, y, eq in zip(a, b, same))
+    diff = TruncatedSeries(a) - TruncatedSeries(b)
+    x = src.pack(a) - src.pack(b)
+    try:
+        want = diff.shift_div(k).truncate(N)
+    except NonDivisibleError as listed:
+        with pytest.raises(NonDivisibleError) as packed:
+            layout.shift_div(x, k, src)
+        assert str(packed.value) == str(listed)
+        return
+    if min(want.coeffs) < 0:
+        with pytest.raises(ArithmeticError) as packed:
+            layout.shift_div(x, k, src)
+        assert not isinstance(packed.value, NonDivisibleError)
+    else:
+        assert layout.unpack(layout.shift_div(x, k, src)) == want.coeffs
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        # q^1 is 1 and q^2 is -1: the negative slot borrows from the q^1
+        # slot, which a test of the raw top bits would read as zero
+        ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), "coefficient 1 at exponent 1 blocks division by q^2"),
+        ((0, 0, 0, 0, 0), (0, 1, 0, 0, 5), "coefficient -1 at exponent 1 blocks division by q^2"),
+        # divisible, but the kept q^0 of the quotient is -1
+        ((0, 0, 0, 0, 0), (0, 0, 1, 0, 0), ArithmeticError),
+        # divisible; only the dropped q^4 is negative, and its borrow must
+        # not reach the kept slots
+        ((0, 0, 3, 2, 0), (0, 0, 0, 0, 1), (3, 2)),
+        ((0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0)),
+    ],
+)
+def test_packed_shift_div_reads_past_borrows(a, b, want):
+    src = _PackedLayout.for_counts(4, 2)
+    layout = _PackedLayout(1, 2, src.bits)
+    x = src.pack(a) - src.pack(b)
+    if isinstance(want, str):
+        with pytest.raises(NonDivisibleError) as raised:
+            layout.shift_div(x, 2, src)
+        assert str(raised.value) == want
+    elif want is ArithmeticError:
+        with pytest.raises(ArithmeticError, match="guard bits"):
+            layout.shift_div(x, 2, src)
+    else:
+        assert layout.unpack(layout.shift_div(x, 2, src)) == want
 
 
 def raw(layout, coeffs):
-    """Coefficients laid in the layout's slots with no check at all."""
-    return int.from_bytes(b"".join(c.to_bytes(layout.bits // 8, "little") for c in coeffs), "little")
+    """Coefficients laid in the layout's slots with no check at all: each
+    q^w in turn, from the top slot down."""
+    return int.from_bytes(b"".join(c.to_bytes(layout.bits // 8, "big") for c in coeffs), "big")
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_reslot_round_trips_and_checks_what_it_drops(data):
+def test_reslot_widens_exactly_and_checks_the_guard_bits(data):
     N, r = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 12))
     narrow, wide = _PackedLayout.for_counts(N, r), _PackedLayout.for_products(N, r)
     v = narrow.bits - (r - 1).bit_length()
     coeffs = tuple(data.draw(st.lists(st.integers(0, (1 << v) - 1), min_size=N + 1, max_size=N + 1)))
     x = narrow.pack(coeffs)
-    # widening, then narrowing back
+    # widening keeps every coefficient; slots of equal width move unchanged
     y = wide.reslot(x, narrow)
     assert wide.unpack(y) == coeffs
-    assert narrow.reslot(y, wide) == x
-    # a nonzero byte that the narrower slots drop
+    assert wide.reslot(y, wide) == y == wide.pack(coeffs)
+    # a kept slot at the target's guard bits
     n = data.draw(st.integers(0, N))
-    byte = data.draw(st.integers(narrow.bits // 8, wide.bits // 8 - 1))
-    with pytest.raises(ArithmeticError):
-        narrow.reslot(y | 1 << (n * wide.bits + 8 * byte), wide)
-    # a kept slot at the target's guard bits, from either side
     big = coeffs[:n] + (data.draw(st.integers(1 << v, (1 << narrow.bits) - 1)),) + coeffs[n + 1 :]
     with pytest.raises(ArithmeticError):
         wide.reslot(raw(narrow, big), narrow)
-    with pytest.raises(ArithmeticError):
-        narrow.reslot(raw(wide, big), wide)
 
 
-def test_reslot_narrows_the_widest_tower_slots():
-    # a source wider than the expansion suite's slots, such as the 240-bit
-    # slots the P-times-theta climb uses at r = 10, level 29, order 85, is
-    # narrowed byte by byte to the same coefficients
+def test_reslot_refuses_a_wider_source():
+    # the widest tower the CLI admits, r = 10 at level 29 and order 85,
+    # leaves in slots no wider than the expansion suite's, so reslot only
+    # widens; a wider source, or one of another order, is refused
     layout = _PackedLayout.for_products(85, 10)
     fam, entries = products._family_at_level(10, 29, 85)
-    src = _PackedLayout(85, 10, 240)
-    assert src.bits > layout.bits
+    assert fam.bits <= layout.bits
     for x in entries:
-        wide = src.reslot(x, fam)
-        assert layout.unpack(layout.reslot(wide, src)) == src.unpack(wide) == fam.unpack(x)
+        assert layout.unpack(layout.reslot(x, fam)) == fam.unpack(x)
+    wide = _PackedLayout(85, 10, layout.bits + 8)
+    with pytest.raises(ValueError, match="cannot reslot"):
+        layout.reslot(wide.reslot(entries[0], fam), wide)
+    with pytest.raises(ValueError, match="cannot reslot"):
+        layout.reslot(_PackedLayout.for_counts(84, 10).one, _PackedLayout.for_counts(84, 10))

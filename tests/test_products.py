@@ -51,7 +51,7 @@ def doubling_base_products(r, N):
     by 2r+1, with the two banned classes of each ell peeled off it."""
     layout = _PackedLayout.for_counts(N, 2)
     mod = 2 * r + 1
-    q = 1
+    q = layout.one
     for m in range(1, N + 1):
         if m % mod:
             q = over_one_minus(layout, q, m)
@@ -233,7 +233,7 @@ def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
 def test_peel_raises_on_a_negative_slot():
     # peeling (1 - q) twice from 1/(1 - q) leaves 1 - q, negative at q^1
     layout = _PackedLayout.for_counts(6, 2)
-    geometric = over_one_minus(layout, 1, 1)
+    geometric = over_one_minus(layout, layout.one, 1)
     assert layout.unpack(geometric) == (1,) * 7
     one = times_one_minus(layout, geometric, 1)
     assert layout.unpack(one) == (1, 0, 0, 0, 0, 0, 0)
@@ -253,16 +253,20 @@ def test_climb_step_raises_on_a_nonzero_low_slot(a, b):
     with pytest.raises(NonDivisibleError) as listed:
         (TruncatedSeries(a) - TruncatedSeries(b)).shift_div(2)
     with pytest.raises(NonDivisibleError) as packed:
-        _PackedLayout(3, 2, layout.bits).shift_div(diff, 2)
+        _PackedLayout(3, 2, layout.bits).shift_div(diff, 2, layout)
     assert str(packed.value) == str(listed.value)
 
 
 def test_climb_step_divides_exactly():
     layout = _PackedLayout.for_counts(5, 2)
     diff = layout.pack((0, 0, 4, 1, 3, 2)) - layout.pack((0, 0, 1, 1, 0, 0))
-    assert layout.unpack(layout.shift_div(diff, 2)) == (3, 0, 3, 2, 0, 0)
+    quotient = _PackedLayout(3, 2, layout.bits)
+    assert quotient.unpack(quotient.shift_div(diff, 2, layout)) == (3, 0, 3, 2)
     level = _PackedLayout(1, 2, layout.bits)
-    assert level.unpack(level.shift_div(diff, 2)) == (3, 0)
+    assert level.unpack(level.shift_div(diff, 2, layout)) == (3, 0)
+    # the quotient has order 3 at most
+    with pytest.raises(ValueError):
+        layout.shift_div(diff, 2, layout)
 
 
 @pytest.mark.parametrize(
@@ -279,7 +283,7 @@ def test_negative_difference_raises(a, b):
     with pytest.raises(ArithmeticError):
         layout._check(diff)
     with pytest.raises(ArithmeticError):
-        layout.shift_div(diff, 0)
+        layout.shift_div(diff, 0, layout)
 
 
 def test_first_extended_entry():
