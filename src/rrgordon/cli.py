@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
@@ -59,17 +58,9 @@ SERIES_ROUTES = {
 _EXPANSION_DEPTH = 3
 
 
-@lru_cache(maxsize=None)
-def _hp_identities(r: int, k: int, N: int) -> bool:
-    """``verify_hp_identities`` once per (r, k, N) in a process: it does not
-    depend on i, so the cells of one (r, J) share its result. One bool is
-    kept per key."""
-    return verify_hp_identities(r, k, N)
-
-
 # each extra property suite, called as check(params, order, d_max) -> bool
 SUITE_CHECKS = {
-    "hp-identities": lambda p, N, d_max: _hp_identities(p.r, p.J + 1, N),
+    "hp-identities": lambda p, N, d_max: verify_hp_identities(p.r, p.J + 1, N),
     "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
     "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
     "expansion": lambda p, N, d_max: verify_expansion(p, p.J + _EXPANSION_DEPTH, N),

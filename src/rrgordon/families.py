@@ -8,8 +8,8 @@ the multiplicity vectors on J+1..d whose multiplicity of d is j-1, and the
 first step, from [1] at J+1, keeps the side's prefix of r - ell + 1 or i
 entries. The prefixes are equal by the definition ell = r - i + 1, so
 ``verify_family_match`` only shows that the walk is deterministic; the
-product recursion is checked by the product route and by the product half
-of ``verify_expansion``.
+product recursion is checked by the product route and by the product
+identity of ``verify_expansion``, which therefore walks once for both sides.
 
 Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk turns constant and ends there
@@ -18,18 +18,18 @@ q-adic limit as truncated stabilization, and it does not scan again: it goes
 on from the partition route's cached scan (``partitions._ascending_scan``)
 to its stop, so only the stopping rule differs from ``gordon_series``.
 
-``verify_expansion`` unpacks nothing: it walks each side once in the wide
-slots of ``_PackedLayout.for_products``, moves each cached factor and left
-side into those slots (``_PackedLayout.reslot``), multiplies each entry by
-its factor as one int, and compares the sum with the left side. The slots
-hold q^N up to q^0 from the bottom (``_PackedLayout``), so slot 2N - t of a
-product holds q^t, and shifting off its low N slots truncates it to order
-N. Every operand is first checked below the slots' value bits, so none of
-the product's 2N+1 slots carries, the shifted-off ones included, and the
-check is exact whether or not the identity holds. A stage entry of low
-degree has zero low slots; they are shifted off before it is multiplied
-(``_PackedLayout._mul``), so the product costs what it did in ascending
-slots.
+``verify_expansion`` unpacks nothing: it walks once in the wide slots of
+``_PackedLayout.for_products``, moves each cached factor and left side into
+those slots (``_PackedLayout.reslot``), multiplies each entry by its factors
+of both sides as one int each, and compares each side's sum with its left
+side. The slots hold q^N up to q^0 from the bottom (``_PackedLayout``), so
+slot 2N - t of a product holds q^t, and shifting off its low N slots
+truncates it to order N. Every operand is first checked below the slots'
+value bits, so none of the product's 2N+1 slots carries, the shifted-off
+ones included, and the check is exact whether or not the identity holds. A
+stage entry of low degree has zero low slots; they are shifted off before it
+is multiplied (``_PackedLayout._mul``), so the product costs what it did in
+ascending slots.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .hilbert import _floor
 from .partitions import GordonParams, _ascending_scan, _capped_walk
@@ -174,35 +174,29 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     """Both expansion identities at every stage J+1..d, to order N.
 
     At stage s, the Hilbert series of the target quotient must equal the
-    sum of the stage-s Hilbert-side entries times the capped series one
-    floor above stage s, and likewise the target product series must expand
-    over the stage-s product-side entries times the deeper product entries.
-    Each side is walked once, and every operand is moved from its cached
-    slots into the walk's with ``_PackedLayout.reslot``. Raises
+    sum of the stage-s entries times the capped series one floor above
+    stage s, and likewise the target product series must expand over the
+    same stage-s entries times the deeper product entries: the sides'
+    prefixes r - ell + 1 and i are equal, so one walk serves both. Each
+    stage's entries are checked once, and every operand is moved from its
+    cached slots into the walk's with ``_PackedLayout.reslot``. Raises
     ArithmeticError if an operand is too large for its slots.
     """
     r = params.r
     layout = _PackedLayout.for_products(N, r)
-
-    def hp_factors(s: int) -> Iterator[int]:
-        src, caps = _floor(r, s + 1, N)
-        return (layout.reslot(x, src) for x in reversed(caps))
 
     def product(index: int) -> int:
         idx = ProductIndex(r, index)
         src, entries = _family_at_level(r, idx.level, N)
         return layout.reslot(entries[idx.slot - 1], src)
 
-    def pr_factors(s: int) -> Iterator[int]:
-        return (product((r - 1) * s + j) for j in range(1, r + 1))
-
-    def expands(side: Side, lhs: int, factors: Callable[[int], Iterator[int]]) -> bool:
-        for s, state in _stages(side, params, d, layout):
-            terms = (layout._mul(layout._check(x), f) for x, f in zip(state, factors(s)))
-            if sum(terms) != lhs:
-                return False
-        return True
-
     src, caps = _floor(r, params.J + 1, N)
-    hp_ok = expands(Side.HILBERT, layout.reslot(caps[params.i - 1], src), hp_factors)
-    return hp_ok and expands(Side.PRODUCT, product(params.product_index), pr_factors)
+    hp_lhs, pr_lhs = layout.reslot(caps[params.i - 1], src), product(params.product_index)
+    for s, state in _stages(Side.HILBERT, params, d, layout):
+        xs = [layout._check(x) for x in state]
+        src, caps = _floor(r, s + 1, N)
+        hp_terms = (layout._mul(x, layout.reslot(f, src)) for x, f in zip(xs, reversed(caps)))
+        pr_terms = (layout._mul(x, product((r - 1) * s + j)) for j, x in enumerate(xs, 1))
+        if sum(hp_terms) != hp_lhs or sum(pr_terms) != pr_lhs:
+            return False
+    return True

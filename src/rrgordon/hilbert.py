@@ -141,10 +141,6 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     return layout, caps + caps[-1:] * (r - len(caps))
 
 
-def _packed(spec: QuotientSpec, N: int) -> int:
-    return _floor(spec.r, spec.k, N)[1][(spec.cap or spec.r) - 1]
-
-
 def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
@@ -157,17 +153,20 @@ def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     return TruncatedSeries(layout.unpack(caps[(spec.cap or spec.r) - 1]))
 
 
+@lru_cache(maxsize=None)
 def verify_hp_identities(r: int, k: int, N: int) -> bool:
     """The three structural identities tying capped and uncapped quotients.
 
-    cap 1 at k equals uncapped at k+1; cap r at k equals uncapped at k;
-    and for every i, the capped expansion at k equals the leading block
-    joined with the uncapped expansion at k+1. The series are compared
-    packed.
+    cap 1 at k equals uncapped at k+1, compared packed; cap r at k equals
+    uncapped at k, compared as generator lists, since ``_floor`` keeps both
+    series in one slot; and for every i, the capped expansion at k equals
+    the leading block joined with the uncapped expansion at k+1. The result
+    does not depend on i, so one bool is cached per (r, k, N) and the cells
+    of one (r, J) share it.
     """
-    if _packed(QuotientSpec(r, k, cap=1), N) != _packed(QuotientSpec(r, k + 1), N):
+    if _floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]:
         return False
-    if _packed(QuotientSpec(r, k, cap=r), N) != _packed(QuotientSpec(r, k), N):
+    if expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N):
         return False
     tail = set(expand_generators(QuotientSpec(r, k + 1), N).generators)
     for i in range(1, r + 1):
@@ -191,4 +190,4 @@ def verify_hp_recursion(r: int, k: int, ell: int, N: int) -> bool:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
     layout, above = _floor(r, k + 1, N)
     rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, ell + 1))
-    return _packed(QuotientSpec(r, k, cap=ell), N) == layout._check(rhs)
+    return _floor(r, k, N)[1][ell - 1] == layout._check(rhs)

@@ -19,8 +19,9 @@ one of two packed kernels from (r, L, N) alone:
 - padding (r-1)L(L+1)/2 at most N (``_levels``): the base level is P times
   each theta series at the padded order, and the climb runs on those
   entries. Their slots (``_PackedLayout.for_counts``) hold sums of t + 1
-  partition counts, t the most terms of either theta sum, and every result
-  is checked below its guard bits.
+  partition counts, t the most terms of any theta sum (``_thetas``), and
+  every result is checked below its guard bits. Level 0 has no padding,
+  so ``base_product`` reads its entries from this kernel's cached tower.
 - padding above N (``_theta_family``): the climb runs on the theta series,
   in balanced signed slots of top + bitlen(t) + 2 bits rounded up to whole
   bytes, since a level-g coefficient is at most 2^g t in size. Level L is
@@ -145,43 +146,24 @@ def _theta_exponents(r: int, ell: int, N: int) -> tuple[list[int], list[int]]:
     return even, odd
 
 
-def _base_layout(r: int, N: int) -> tuple[_PackedLayout, int]:
-    """One layout for all r base entries at order N, and P packed in it.
-
-    Each theta sum adds at most t shifted copies of P, t the largest term
-    count of either sum over every ell, and the slots hold sums of t + 1
-    counts of partitions. So neither sum carries into the next slot, and
-    P's slots stay below 2^(B-g). A result slot that is too large sets a
-    guard bit. The lowest negative slot takes no borrow and keeps more than
-    2^B - t 2^(B-g) >= 2^(B-g), so it sets one too.
-    """
-    t = max(len(terms) for ell in range(1, r + 1) for terms in _theta_exponents(r, ell, N))
-    layout = _PackedLayout.for_counts(N, t + 1)
-    return layout, layout.pack(tuple(_partition_numbers(N)))
-
-
-def _base_entry(layout: _PackedLayout, P: int, r: int, ell: int) -> int:
-    """Base entry ell packed: P times its theta series, one subtraction of
-    the odd-n sum from the even-n sum, checked."""
-    even, odd = _theta_exponents(r, ell, layout.order)
-    plus = sum(layout._times_q(P, e) for e in even)
-    minus = sum(layout._times_q(P, e) for e in odd)
-    return layout._check(plus - minus)
+def _thetas(r: int, N: int) -> tuple[list[tuple[list[int], list[int]]], int]:
+    """The theta exponents of base entries 1..r up to N
+    (``_theta_exponents``), and t, the most terms of any one sum."""
+    thetas = [_theta_exponents(r, ell, N) for ell in range(1, r + 1)]
+    return thetas, max(len(terms) for theta in thetas for terms in theta)
 
 
 def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     """Base entry ell in 1..r: product of 1/(1-q^m) over allowed m up to N.
 
     A part value m is allowed unless m is congruent to 0 or +-(r-ell+1)
-    mod 2r+1. The entry is P = 1/(q;q)_inf times the theta series of its
-    banned classes (module docstring), formed as one packed difference of
-    two sums of shifted copies of P. An overflow or a negative coefficient
-    raises ArithmeticError.
+    mod 2r+1. The entry is level 0 of the product tower (``_levels``), read
+    from the same cache as every other level. An overflow or a negative
+    coefficient raises ArithmeticError.
     """
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
-    layout, P = _base_layout(r, N)
-    return TruncatedSeries(layout.unpack(_base_entry(layout, P, r, ell)))
+    return product_series(ProductIndex(r, ell), N)
 
 
 def _padded_order(r: int, top: int, N: int) -> int:
@@ -193,6 +175,14 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     """The r entries of each level 0..top in turn, packed, each exact to
     the order of the layout it comes with, which is N or more.
 
+    Level 0 is P times each theta series: one packed difference of two sums
+    of shifted copies of P, checked. Each sum adds at most t copies, t the
+    largest term count of any theta sum, and the slots hold sums of t + 1
+    counts of partitions. So neither sum carries into the next slot, and
+    P's slots stay below 2^(B-g). A result slot that is too large sets a
+    guard bit. The lowest negative slot takes no borrow and keeps more than
+    2^B - t 2^(B-g) >= 2^(B-g), so it sets one too.
+
     Climbing to level g divides by up to q^(g(r-1)), so the base level is
     computed at order N + (r-1)*top*(top+1)/2 and each climb drops
     g*(r-1) of it. All levels share the base level's slot width: every
@@ -200,8 +190,12 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     ever inexact, and ArithmeticError if a slot reaches its guard bits;
     either would mean the construction itself is broken.
     """
-    layout, P = _base_layout(r, _padded_order(r, top, N))
-    entries = [_base_entry(layout, P, r, ell) for ell in range(1, r + 1)]
+    order = _padded_order(r, top, N)
+    thetas, t = _thetas(r, order)
+    layout = _PackedLayout.for_counts(order, t + 1)
+    P = layout.pack(tuple(_partition_numbers(order)))
+    sums = ([sum(layout._times_q(P, e) for e in terms) for terms in theta] for theta in thetas)
+    entries = [layout._check(plus - minus) for plus, minus in sums]
     yield layout, entries
     for g in range(1, top + 1):
         src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
@@ -252,8 +246,7 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
     q^N up (``_PackedLayout``), so the rows are copied in reverse.
     """
     order = _padded_order(r, top, N)
-    thetas = [_theta_exponents(r, ell, order) for ell in range(1, r + 1)]
-    t = max(len(terms) for theta in thetas for terms in theta)
+    thetas, t = _thetas(r, order)
     S = -(-(top + t.bit_length() + 2) // 8) * 8
     entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
     for g in range(1, top + 1):

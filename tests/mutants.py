@@ -1,0 +1,114 @@
+"""Mutant gate: the tests must fail on each known fault.
+
+Each entry of ``MUTANTS`` names a fault and gives the file under
+``src/rrgordon``, the exact old text, the new text, and the test files that
+must catch it. The driver copies ``src/`` into a temporary directory, checks
+that the unpatched copy passes every listed test file, then for each mutant
+replaces the old text and runs ``pytest -x`` on its test files against the
+copy. A mutant is killed when a test fails. The old text must occur exactly
+once, so a refactor that moves it updates the mutant instead of dropping it.
+
+Run it from any directory with ``python tests/mutants.py``; it exits 0 when
+every mutant is killed. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (fault, file, old text, new text, test files)
+MUTANTS = [
+    ("step without its guard check", "qseries.py",
+     "total = self._check(prefix[-1])", "total = prefix[-1]",
+     ("tests/test_packed.py",)),
+    ("_mul dropping one slot too many", "qseries.py",
+     "* f >> (self.order - z) * self.bits", "* f >> (self.order - z + 1) * self.bits",
+     ("tests/test_families.py",)),
+    ("a tower that never takes the theta kernel", "products.py",
+     "if (r - 1) * level * (level + 1) // 2 > N:", "if False:",
+     ("tests/test_products.py",)),
+    ("an Euler pass that adds the even pentagonal terms", "products.py",
+     "x -= y[n - g]", "x += y[n - g]",
+     ("tests/test_products.py",)),
+    ("a ladder one slot short", "families.py",
+     "layout._has_valuation(x, stage * j)", "layout._has_valuation(x, stage * j - 1)",
+     ("tests/test_packed.py", "tests/test_families.py")),
+    ("a base level that adds the odd-n theta sum", "products.py",
+     "layout._check(plus - minus)", "layout._check(plus + minus)",
+     ("tests/test_products.py",)),
+    ("base_product reading slot r-ell+1", "products.py",
+     "product_series(ProductIndex(r, ell), N)", "product_series(ProductIndex(r, r - ell + 1), N)",
+     ("tests/test_products.py",)),
+    ("a one-walk expansion that skips the product identity", "families.py",
+     "if sum(hp_terms) != hp_lhs or sum(pr_terms) != pr_lhs:", "if sum(hp_terms) != hp_lhs:",
+     ("tests/test_families.py",)),
+    ("hp-identities without the cap-r generator check", "hilbert.py",
+     "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
+     ("tests/test_hilbert.py",)),
+]
+
+
+def _env(src: Path) -> dict[str, str]:
+    # no bytecode: a mutant of the same length, restored within the second,
+    # would leave a .pyc that the next run takes for the restored source
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return "no failing test named"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        probe = [sys.executable, "-c", "import rrgordon; print(rrgordon.__file__)"]
+        found = subprocess.run(probe, cwd=ROOT, env=_env(src), capture_output=True, text=True).stdout.strip()
+        if not found or not Path(found).resolve().is_relative_to(src.resolve()):
+            print(f"mutants: rrgordon imports from {found or 'nowhere'}, not from the copy")
+            return 1
+        tests = sorted({t for *_, files in MUTANTS for t in files})
+        base = _pytest(src, tests)
+        if base.returncode != 0:
+            print(f"mutants: the unpatched copy fails: {_first_failure(base.stdout)}")
+            return 1
+
+        bad = 0
+        for fault, file, old, new, files in MUTANTS:
+            path = src / "rrgordon" / file
+            text = path.read_text(encoding="utf-8")
+            if (count := text.count(old)) != 1:
+                print(f"STALE     {fault}: old text found {count} times in {file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                result = _pytest(src, files)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            if result.returncode == 1:
+                print(f"killed    {fault}: {_first_failure(result.stdout)}")
+            else:
+                print(f"SURVIVED  {fault}: pytest exited {result.returncode}")
+                bad += 1
+        print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed")
+        return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rrgordon import cli, families, hilbert, partitions, products
+from rrgordon import cli, families, hilbert, partitions
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.hilbert import QuotientSpec, hp_series
 from rrgordon.partitions import GordonParams
@@ -547,19 +547,11 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
         return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
     # the suite's hp tail is read from the cache, filled by the correct step,
-    # so only the family ladder can fail it; the mutant's results must not
-    # reach later tests
-    caches = (hilbert._floor, products._family_at_level, partitions._ascending_scan)
-    for cache in caches:
-        cache.cache_clear()
+    # so only the family ladder can fail it
     hp_series(QuotientSpec(3, 3), 20)
     monkeypatch.setattr(_PackedLayout, "step", short)
-    try:
-        argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
-        code, out, _ = run(capsys, *argv, "--format", "json")
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["cells"][0]["suites"] == {"valuation": "fail"}
 
@@ -596,9 +588,6 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     for module in (partitions, hilbert, families):
         if getattr(module, "_capped_walk", None) is walk:
             monkeypatch.setattr(module, "_capped_walk", counted)
-    caches = [f for m in (hilbert, products) for f in vars(m).values() if hasattr(f, "cache_clear")]
-    for cache in caches:
-        cache.cache_clear()
     argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
             "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
@@ -606,24 +595,14 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
 
 
-def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
+def test_hp_identities_run_once_per_r_and_floor(capsys):
     # the suite does not depend on i, so the 56 cells of an --i all scan
-    # share 16 calls, one per (r, J)
-    check, calls = cli.verify_hp_identities, []
-
-    def counted(r, k, N):
-        calls.append((r, k, N))
-        return check(r, k, N)
-
-    monkeypatch.setattr(cli, "verify_hp_identities", counted)
-    cli._hp_identities.cache_clear()
-    try:
-        code, _, _ = run(capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
-                         "--suites", "hp-identities")
-    finally:
-        cli._hp_identities.cache_clear()
+    # share 16 computations, one per (r, J), behind the cache on the checker
+    code, _, _ = run(capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
+                     "--suites", "hp-identities")
     assert code == 0
-    assert sorted(calls) == [(r, J + 1, 12) for r in range(2, 6) for J in range(4)]
+    info = hilbert.verify_hp_identities.cache_info()
+    assert (info.misses, info.hits) == (16, 56 - 16)
 
 
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
@@ -639,9 +618,6 @@ def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
     for module in (partitions, hilbert, families):
         if getattr(module, "_capped_walk", None) is walk:
             monkeypatch.setattr(module, "_capped_walk", counted)
-    caches = [f for m in (partitions, hilbert, products) for f in vars(m).values() if hasattr(f, "cache_clear")]
-    for cache in caches:
-        cache.cache_clear()
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
     assert code == 0
     assert starts == [2, 21]

@@ -135,6 +135,21 @@ def test_every_cap_read_off_one_floor_is_the_monomial_count(r, k, N):
         assert layout.unpack(caps[(cap or r) - 1]) == want, cap
 
 
+def test_hp_identities_fail_when_the_full_cap_drops_a_generator(monkeypatch):
+    # cap r and the uncapped quotient share one cached series, so the lemma
+    # tying them is checked on the generators their two branches build
+    expand = hilbert.expand_generators
+
+    def dropped(spec, N):
+        ideal = expand(spec, N)
+        if spec.cap is None and spec.k == 2:
+            return hilbert.MonomialIdealSpec(ideal.generators[1:], ideal.first_var, ideal.weight_bound)
+        return ideal
+
+    monkeypatch.setattr(hilbert, "expand_generators", dropped)
+    assert not verify_hp_identities(3, 2, 20)
+
+
 def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
     # each floor checks its caps once, when it fills the cache, so reading
     # them checks nothing

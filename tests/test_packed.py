@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, hilbert, partitions, products
+from rrgordon import cli, families, hilbert, products
 from rrgordon.families import (
     CoefficientFamily,
     Side,
@@ -205,18 +205,11 @@ def test_sum_of_r_largest_products_never_carries(N, r):
 
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
     # every route packs its series, the product route its whole tower;
-    # cached results from wider slots would hide the narrowed ones
+    # the caches start empty, so no result from wider slots hides them
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    caches = (hilbert._floor, products._family_at_level, partitions._ascending_scan)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "40", "--format", "json"]
-        code = cli.main(argv)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "40", "--format", "json"]
+    code = cli.main(argv)
     routes = json.loads(capsys.readouterr().out)["routes"]
     assert code == 1
     for name in ("product", "partition", "hilbert", "family"):
@@ -229,14 +222,9 @@ def test_floor_checks_the_caps_it_keeps(monkeypatch):
     # floor makes before it caches its caps can see that
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    hilbert._floor.cache_clear()
-    try:
-        hilbert._floor(3, 1, 16)
-        with pytest.raises(ArithmeticError):
-            hilbert._floor(3, 1, 17)
-    finally:
-        # the narrow-slot entries must not reach later tests
-        hilbert._floor.cache_clear()
+    hilbert._floor(3, 1, 16)
+    with pytest.raises(ArithmeticError):
+        hilbert._floor(3, 1, 17)
 
 
 def test_unpack_round_trips():

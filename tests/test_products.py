@@ -185,24 +185,35 @@ def test_partition_numbers_known_values():
     assert p[1000] == 24061467864032622473692149727991
 
 
+def test_base_entries_come_from_one_cached_tower(monkeypatch):
+    # every base entry and the routes' level 0 share one P, computed once
+    numbers, orders = products._partition_numbers, []
+
+    def counted(N):
+        orders.append(N)
+        return numbers(N)
+
+    monkeypatch.setattr(products, "_partition_numbers", counted)
+    r, N = 4, 30
+    entries = [base_product(r, ell, N) for ell in range(1, r + 1)]
+    assert product_series(ProductIndex(r, 2), N) == entries[1]
+    assert orders == [N]
+
+
 def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
     # 8-bit slots hold at most 127 below one guard bit, fewer below more;
     # p(40) = 37338, so neither base_product nor the product route fits
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    products._family_at_level.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            base_product(3, 2, 40)
-        with pytest.raises(ArithmeticError):
-            product_series(ProductIndex(3, 5), 40)
-        # level 6 is padded by 42 > 40 and climbs theta alone; its entries
-        # reach 76 in for_counts(40, 3) slots, and the division by
-        # (q;q)_inf checks them before anything unpacks them
-        with pytest.raises(ArithmeticError):
-            products._family_at_level(3, 6, 40)
-    finally:
-        products._family_at_level.cache_clear()
+    with pytest.raises(ArithmeticError):
+        base_product(3, 2, 40)
+    with pytest.raises(ArithmeticError):
+        product_series(ProductIndex(3, 5), 40)
+    # level 6 is padded by 42 > 40 and climbs theta alone; its entries
+    # reach 76 in for_counts(40, 3) slots, and the division by
+    # (q;q)_inf checks them before anything unpacks them
+    with pytest.raises(ArithmeticError):
+        products._family_at_level(3, 6, 40)
 
 
 def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
@@ -217,13 +228,9 @@ def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
         return (even, odd[1:]) if ell == 2 else (even, odd)
 
     monkeypatch.setattr(products, "_theta_exponents", dropped)
-    products._family_at_level.cache_clear()
-    try:
-        with pytest.raises(NonDivisibleError):
-            products._theta_family(3, 6, 40)
-        code = cli.main(["verify", "--r", "3", "--i", "2", "--J", "6", "--order", "40", "--format", "json"])
-    finally:
-        products._family_at_level.cache_clear()
+    with pytest.raises(NonDivisibleError):
+        products._theta_family(3, 6, 40)
+    code = cli.main(["verify", "--r", "3", "--i", "2", "--J", "6", "--order", "40", "--format", "json"])
     routes = json.loads(capsys.readouterr().out)["routes"]
     assert code == 1
     assert routes["product"]["error"] == "NonDivisibleError: coefficient 1 at exponent 0 blocks division by q^2"
