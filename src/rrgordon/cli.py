@@ -29,12 +29,14 @@ from .qseries import TruncatedSeries, first_mismatch
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: Largest truncation order any command accepts, from --order or the
-#: environment. The packed DPs cost about r*N big-int steps of N*sqrt(N)
-#: bits; a product tower padded by at most N costs N*sqrt(N) int additions
-#: for the partition numbers at its padded order, and about r*sqrt(N/r) +
-#: r*J big-int shifts and subtractions of that size, and a deeper one r*J
-#: of them in narrow slots and N*sqrt(N) additions of r-lane ints;
-#: README.md gives the measured cost at this limit.
+#: environment. The packed DPs cost about r*N big-int steps of at most
+#: N*sqrt(N) bits, in slots that grow with the counts, so the descending
+#: Hilbert scans run narrow for most of their steps; a product tower padded
+#: by at most N costs N*sqrt(N) int additions for the partition numbers at
+#: its padded order, and about r*sqrt(N/r) + r*J big-int shifts and
+#: subtractions of that size, and a deeper one r*J of them in narrow slots
+#: and N*sqrt(N) additions of r-lane ints; README.md gives the measured cost
+#: at this limit.
 MAX_ORDER = 2000
 #: Largest r any command accepts. A cell holds up to r packed series per
 #: walk and per tower level, and the expansion suite multiplies r factors

@@ -15,7 +15,9 @@ a >= k, and f_k <= cap-1 when capped).
 One descending scan serves every cap at a floor: ``_floor`` caches the
 checked series of caps 1..r, the prefix sums of the scan's states, so
 ``hp_series``, the hp suites here and the valuation and expansion suites in
-``families`` only index them.
+``families`` only index them. The scan runs in slots that grow with its
+counts (``partitions._growing_scan``); from large variables down, the counts
+stay small for most of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .partitions import GordonParams, _capped_walk, iter_partitions
+from .partitions import GordonParams, _growing_scan, iter_partitions
 from .qseries import TruncatedSeries, _PackedLayout
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
@@ -123,20 +125,19 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The layout and the packed series of the quotients at floor k with
-    caps 1..r (cap r is uncapped), from one scan of variables N down to k,
-    one ``step`` per variable (``partitions._capped_walk``).
+    """The layout, ``for_counts(N, r)``, and the packed series of the
+    quotients at floor k with caps 1..r (cap r is uncapped), from one scan
+    of variables N down to k, one ``step`` per variable, in slots that grow
+    with the counts (``partitions._growing_scan``). A floor above the order
+    scans nothing and keeps the series 1.
 
     State j of the scan holds the multiplicity vectors with f_k = j-1, and
     the states past the returned ones are zero. So the quotient capped at c
     in x_k (f_k <= c-1) is the sum of states 1..c: the caps are the prefix
-    sums of the states, each checked once here, and a cap past the nonzero
-    states repeats the total.
+    sums of the states, each checked once here in the ``for_counts`` slots
+    the scan hands off, and a cap past the nonzero states repeats the total.
     """
-    layout = _PackedLayout.for_counts(N, r)
-    state = [layout.one]
-    for _, state in _capped_walk(layout, range(N, k - 1, -1), k, r - 1):
-        pass
+    layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)
     caps = tuple(layout._check(x) for x in accumulate(state))
     return layout, caps + caps[-1:] * (r - len(caps))
 

@@ -11,7 +11,10 @@ adjacent part values a, a+1 together occur at most r-1 times.
 The DP is one ascending scan of the part values (``_ascending_scan``), kept
 packed and cached for one cell: the family route
 (``families.family_limit``) goes on from its states to its q-adic stop
-instead of scanning again.
+instead of scanning again. That scan and the Hilbert side's descending one
+(``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
+counts so far need, checked at every step, and handed off in the
+``_PackedLayout.for_counts`` slots that the a-priori bound gives.
 """
 
 from __future__ import annotations
@@ -148,20 +151,64 @@ def _capped_walk(
         yield a, state
 
 
+#: A scan whose ``for_counts`` slots are at most this many bits wide (orders
+#: up to about 60) runs in them from its first step: a narrower start would
+#: widen two or three times for almost no gain.
+_FIXED_SLOT_BITS = 32
+
+
+def _growing_scan(r: int, N: int, values: Sequence[int], floor: int, cap: int) -> tuple[_PackedLayout, list[int]]:
+    """The scan of ``_capped_walk`` over ``values`` to order N, in slots that
+    grow with the counts: its layout, ``for_counts(N, r)``, and its states
+    in that layout.
+
+    A scan wider than ``_FIXED_SLOT_BITS`` starts in the narrowest whole
+    bytes above the guard bits of r states, one byte for r <= 128. When a
+    step's guard check fires on its input total, its input states move into
+    slots half as wide again, rounded up to whole bytes, and the same value
+    is stepped again. They may: each is a partial sum of the last checked
+    total, so each slot is below its value bits. The scan never grows past
+    ``for_counts(N, r)``, and a check that fires there propagates. The
+    output of the last step was never checked, so its states are handed off
+    into ``for_counts`` slots and every reader checks their sums there.
+    """
+    top = _PackedLayout.for_counts(N, r)
+    if top.bits <= _FIXED_SLOT_BITS:
+        layout = top
+    else:
+        layout = _PackedLayout(N, r, 8 * ((r - 1).bit_length() // 8 + 1))
+    state = [layout.one]
+    for a in values:
+        kept = cap + 1 if a == floor else r
+        while True:
+            try:
+                state = layout.step(state, a, kept)
+                break
+            except ArithmeticError:
+                if layout is top:
+                    raise
+                bits = layout.bits + -(-layout.bits // 16) * 8
+                wider = top if bits >= top.bits else _PackedLayout(N, r, bits)
+                state = [wider.reslot(x, layout) for x in state]
+                layout = wider
+    if layout is not top:
+        state = [top.reslot(x, layout) for x in state]
+    return top, state
+
+
 @lru_cache(maxsize=1)
 def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, tuple[int, ...]]:
     """The ascending scan of the part values J+1..D, D = max(N, J+1): its
-    layout at order N, D, and the packed states after D.
+    layout, ``for_counts(N, r)``, D, and the packed states after D, scanned
+    in slots that grow with the counts (``_growing_scan``).
 
     At most i-1 parts equal J+1. Scanning J+1 even when N < J+1 applies
     that cap to the states, which the family route goes on from. The one
     cached entry serves the partition route and then the family route of
     the same cell.
     """
-    floor, layout = params.J + 1, _PackedLayout.for_counts(N, params.r)
-    # the range is never empty, so the loop binds stage and state
-    for stage, state in _capped_walk(layout, range(floor, max(N, floor) + 1), floor, params.i - 1):
-        pass
+    floor, stage = params.J + 1, max(N, params.J + 1)
+    layout, state = _growing_scan(params.r, N, range(floor, stage + 1), floor, params.i - 1)
     return layout, stage, tuple(state)
 
 

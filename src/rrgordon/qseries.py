@@ -183,7 +183,11 @@ class _PackedLayout:
     its slots exceeds a slot of that total: the check covers them all, and
     by induction a result returned without ArithmeticError is exact whatever
     B is. ``for_counts`` chooses B so that the check never fires on counts
-    of partitions.
+    of partitions. That B is the ceiling of the long partition and Hilbert
+    scans (``partitions._growing_scan``), not the width they step in: they
+    start narrower and, when the check fires, ``reslot`` the input states of
+    that step into wider slots and step again, then hand their states off in
+    ``for_counts`` slots, the layout every reader sees.
 
     A difference of two checked series needs no more room: a slot that
     would go negative borrows from the slot above and is left at 2^B minus
@@ -211,7 +215,11 @@ class _PackedLayout:
 
         p(w) < e^(pi sqrt(2w/3)) for w >= 1 (and p(0) = 1), so every count
         up to the order fits in b = floor(pi sqrt(2N/3) / ln 2) + 1 bits;
-        B is b + ceil(log2 r) rounded up to a whole byte.
+        B is b + ceil(log2 r) rounded up to a whole byte. The bound is
+        a priori and loose (88 bits at r = 3 and order 500, where no count
+        needs more than 54), so the long scans only grow up to these slots
+        and hand their states off in them; the short walks, the towers and
+        the readers of cached series use them throughout.
         """
         if order < 0:
             raise ValueError("order must be non-negative")

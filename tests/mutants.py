@@ -52,6 +52,19 @@ MUTANTS = [
     ("hp-identities without the cap-r generator check", "hilbert.py",
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
      ("tests/test_hilbert.py",)),
+    ("a widening that relabels the states without reslot", "partitions.py",
+     "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
+     ("tests/test_packed.py",)),
+    ("a widening that skips the retried value", "partitions.py",
+     "layout = wider\n", "layout = wider\n                break\n",
+     ("tests/test_packed.py",)),
+    ("a hand-off left in the grown slots", "partitions.py",
+     "return top, state", "return layout, state",
+     ("tests/test_packed.py",)),
+    ("growth not capped at for_counts", "partitions.py",
+     "wider = top if bits >= top.bits else _PackedLayout(N, r, bits)",
+     "wider = _PackedLayout(N, r, bits)",
+     ("tests/test_packed.py",)),
 ]
 
 

@@ -578,16 +578,16 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     # every cap at floor k is a prefix sum of one descending scan N..k, and
     # the grid reads floors J+1..J+4 for J = 0..3: 7 floors for each r, 28
     # scans where one DP per quotient and order ran 118
-    walk, scans = partitions._capped_walk, []
+    scan, scans = partitions._growing_scan, []
 
-    def counted(layout, values, floor, cap, state=None):
+    def counted(r, N, values, floor, cap):
         if values.step < 0:
-            scans.append((layout.r, floor))
-        return walk(layout, values, floor, cap, state)
+            scans.append((r, floor))
+        return scan(r, N, values, floor, cap)
 
     for module in (partitions, hilbert, families):
-        if getattr(module, "_capped_walk", None) is walk:
-            monkeypatch.setattr(module, "_capped_walk", counted)
+        if getattr(module, "_growing_scan", None) is scan:
+            monkeypatch.setattr(module, "_growing_scan", counted)
     argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
             "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
@@ -607,17 +607,24 @@ def test_hp_identities_run_once_per_r_and_floor(capsys):
 
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
     # the family route goes on from the partition route's cached states at
-    # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2
-    walk, starts = partitions._capped_walk, []
+    # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2; the
+    # partition scan is a growing scan, the family walk a capped walk
+    scan, walk, starts = partitions._growing_scan, partitions._capped_walk, []
 
-    def counted(layout, values, *args):
+    def counted_scan(r, N, values, *args):
+        if values.step > 0:
+            starts.append(values.start)
+        return scan(r, N, values, *args)
+
+    def counted_walk(layout, values, *args):
         if values.step > 0:
             starts.append(values.start)
         return walk(layout, values, *args)
 
-    for module in (partitions, hilbert, families):
-        if getattr(module, "_capped_walk", None) is walk:
-            monkeypatch.setattr(module, "_capped_walk", counted)
+    for name, original, counted in (("_growing_scan", scan, counted_scan), ("_capped_walk", walk, counted_walk)):
+        for module in (partitions, hilbert, families):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
     assert code == 0
     assert starts == [2, 21]

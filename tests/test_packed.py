@@ -2,7 +2,8 @@
 
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
-the packed scan ``_capped_walk`` must reproduce exactly, in both directions.
+the packed scans ``_capped_walk`` and ``_growing_scan`` must reproduce
+exactly, in both directions.
 ``reference_family_init`` builds the initial family from monomials written
 out as coefficient tuples, as the package did before the family walk became
 the DP's scan, so the literal walk starts from code not under test.
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, hilbert, products
+from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.families import (
     CoefficientFamily,
     Side,
@@ -225,6 +226,61 @@ def test_floor_checks_the_caps_it_keeps(monkeypatch):
     hilbert._floor(3, 1, 16)
     with pytest.raises(ArithmeticError):
         hilbert._floor(3, 1, 17)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_growing_scan_equals_list_dp_and_fixed_slots(data):
+    # every scan starts in one-byte slots here; the counts to order 250 need
+    # up to about 40 bits, so a long scan widens three or four times before
+    # it hands its states off in for_counts slots
+    r = data.draw(st.integers(2, 6))
+    N = data.draw(st.one_of(st.integers(0, 40), st.integers(150, 250)))
+    floor = data.draw(st.integers(1, 12))
+    cap = data.draw(st.integers(0, r - 1))
+    ascending = data.draw(st.booleans())
+    values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+        layout, state = partitions._growing_scan(r, N, values, floor, cap)
+    fixed = _PackedLayout.for_counts(N, r)
+    assert layout.bits == fixed.bits
+    want = [fixed.one]
+    for _, want in _capped_walk(fixed, values, floor, cap):
+        pass
+    assert state == want
+    assert list(layout.unpack(sum(state))) == reference_adjacent_capped_counts(r, values, floor, cap, N)
+
+
+def test_packed_routes_equal_oracles_from_narrow_starts(monkeypatch):
+    # the same routes against the same oracles, with every scan starting in
+    # one-byte slots and widening to its 24-bit for_counts slots
+    monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+    test_packed_routes_equal_oracles()
+
+
+def test_floor_above_the_order_is_one(monkeypatch):
+    # no variable of weight at most N lies at or above k, so every cap is 1,
+    # in the for_counts slots a narrow start hands off
+    monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+    layout, caps = hilbert._floor(3, 12, 10)
+    assert layout.bits == _PackedLayout.for_counts(10, 3).bits
+    assert caps == (layout.one,) * 3
+
+
+def test_growing_scans_stop_at_for_counts(capsys, monkeypatch):
+    # in 32-bit for_counts slots at r = 3, 30 value bits, the 32-bit counts
+    # at order 200 outgrow the ceiling: scans that start in one byte widen
+    # up to it and no further, and the guard error reaches the route report
+    narrow = classmethod(lambda cls, order, r: cls(order, r, 32))
+    monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
+    monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+    argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "200", "--format", "json"]
+    code = cli.main(argv)
+    routes = json.loads(capsys.readouterr().out)["routes"]
+    assert code == 1
+    for name in ("partition", "hilbert", "family"):
+        assert routes[name]["error"].startswith("ArithmeticError: "), name
 
 
 def test_unpack_round_trips():
