@@ -114,9 +114,9 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 
 
 def family_at_stage(side: Side, params: GordonParams, d: int, N: int) -> CoefficientFamily:
-    """Stage d family; past the walk's end, its last stage relabelled d."""
+    """Stage d family; past the walk's end, J+N+2, its last stage relabelled d."""
     layout = _PackedLayout.for_counts(N, params.r)
-    for _, state in _stages(side, params, d, layout):
+    for _, state in _stages(side, params, min(d, params.J + N + 2), layout):
         pass
     return _family(side, params, d, layout, state)
 

@@ -52,6 +52,15 @@ MUTANTS = [
     ("hp-identities without the cap-r generator check", "hilbert.py",
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
      ("tests/test_hilbert.py",)),
+    ("hp-identities without the floor check", "hilbert.py",
+     "_floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]", "False",
+     ("tests/test_hilbert.py",)),
+    ("hp-identities without the block check", "hilbert.py",
+     "if capped != block | tail:", "if False:",
+     ("tests/test_hilbert.py",)),
+    ("family-match that never compares", "families.py",
+     "if prod != hilb:", "if False:",
+     ("tests/test_families.py",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
      ("tests/test_packed.py",)),

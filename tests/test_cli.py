@@ -244,13 +244,18 @@ def test_scan_rejects_unknown_suite(capsys):
         ("scan", "--r", "2", "--suites", ","),
         ("scan", "--r", "2", "--suites", "expansion,"),
         ("scan", "--r", "2", "--suites", "valuation,,expansion"),
+        ("scan", "--r", "2..x"),
+        ("scan", "--r", "1..3"),
+        # "-1..2" as a separate word reads as an option, which argparse refuses
+        ("scan", "--J=-1..2"),
+        ("scan", "--r", "2", "--jobs", "0"),
     ],
 )
 def test_scan_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error:" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_scan_fails_nonzero(capsys, monkeypatch):
@@ -404,6 +409,28 @@ def test_cold_start_loads_no_worker_pool():
     # two workers load the pool and print the same bytes
     assert opened
     assert parallel == serial
+
+
+_PACKAGE_ONLY = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("rrgordon."))
+import rrgordon
+package = loaded()
+import rrgordon.cli
+print(json.dumps([package, loaded()]))
+"""
+
+
+def test_importing_the_package_loads_no_module():
+    # a fresh interpreter, so nothing this test process imported counts
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_ONLY], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, cli_modules = json.loads(proc.stdout)
+    assert package == []
+    # the CLI loads its modules itself
+    names = ("cli", "families", "hilbert", "partitions", "products", "qseries")
+    assert cli_modules == [f"rrgordon.{name}" for name in names]
 
 
 def test_order_env_var_default(capsys, monkeypatch):

@@ -139,12 +139,34 @@ def test_match_stops_where_the_walks_are_constant(step_values):
 
 def test_stage_past_the_walk_is_its_last_stage(step_values):
     params, N = GordonParams(2, 1, 0), 10
-    far = family_at_stage(Side.HILBERT, params, 10**6, N)
-    # stages J+1..J+N+2, after which the walk is constant to order N
-    assert len(step_values) <= params.J + N + 2
+    far = family_at_stage(Side.HILBERT, params, 10**12, N)
+    # stages J+1..J+N+2, after which the walk is constant to order N; the
+    # stages in between are relabelled, not looped over
+    assert len(step_values) == N + 2
     last = family_at_stage(Side.HILBERT, params, params.J + N + 2, N)
-    assert far.stage == 10**6
+    assert far.stage == 10**12
     assert far.entries == last.entries
+
+
+def test_match_fails_when_one_side_moves(capsys, monkeypatch):
+    # one more q^N term in every product-side entry 1 after the first
+    # stage; the family route walks the Hilbert side, so only the suite sees it
+    params, N = GordonParams(3, 2, 1), 20
+    walk = families._walk
+
+    def bumped(side, params, layout, stage=None, state=None):
+        for d, state in walk(side, params, layout, stage, state):
+            moved = side is Side.PRODUCT and d > params.J + 1
+            yield d, [state[0] + 1, *state[1:]] if moved else state
+
+    monkeypatch.setattr(families, "_walk", bumped)
+    assert verify_family_match(params, params.J + 1, N)
+    assert not verify_family_match(params, params.J + 2, N)
+    argv = ["scan", "--r", "3", "--i", "2", "--J", "1", "--order", str(N), "--suites", "family-match", "--format", "json"]
+    code = main(argv)
+    cell = json.loads(capsys.readouterr().out)["cells"][0]
+    assert code == 1
+    assert (cell["identity"], cell["suites"]) == ("pass", {"family-match": "fail"})
 
 
 def reference_verify_expansion(params, d, N):

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrgordon import hilbert
+from rrgordon.cli import main
 from rrgordon.hilbert import (
     QuotientSpec,
     expand_generators,
@@ -148,6 +151,51 @@ def test_hp_identities_fail_when_the_full_cap_drops_a_generator(monkeypatch):
 
     monkeypatch.setattr(hilbert, "expand_generators", dropped)
     assert not verify_hp_identities(3, 2, 20)
+
+
+def scan_hp_identities(capsys, r, i, J, N):
+    """Exit code and the one cell of a ``scan --suites hp-identities``."""
+    argv = ["scan", "--r", str(r), "--i", str(i), "--J", str(J), "--order", str(N)]
+    code = main([*argv, "--suites", "hp-identities", "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)["cells"][0]
+
+
+def test_hp_identities_fail_when_the_floor_above_moves(capsys, monkeypatch):
+    # cap 1 at k must equal the uncapped series at k+1; one more monomial
+    # of weight N in the uncapped quotient at floor 3 breaks that lemma at
+    # k = 2, while the cell's own quotient, at floor 2, is unchanged
+    r, i, J, N = 3, 2, 1, 20
+    floor = hilbert._floor
+
+    def bumped(r, k, N):
+        layout, caps = floor(r, k, N)
+        return (layout, caps[:-1] + (caps[-1] + 1,)) if k == J + 2 else (layout, caps)
+
+    monkeypatch.setattr(hilbert, "_floor", bumped)
+    assert not verify_hp_identities(r, J + 1, N)
+    code, cell = scan_hp_identities(capsys, r, i, J, N)
+    assert code == 1
+    assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
+
+
+def test_hp_identities_fail_when_a_middle_cap_drops_a_generator(capsys, monkeypatch):
+    # the capped expansion at k must be its leading block joined with the
+    # uncapped expansion at k+1; cap 2 of r = 3, neither end of the cap
+    # range, loses its first generator at k = 2
+    r, i, J, N = 3, 1, 1, 20
+    expand = hilbert.expand_generators
+
+    def dropped(spec, N):
+        ideal = expand(spec, N)
+        if spec.cap == 2 and spec.k == J + 1:
+            return hilbert.MonomialIdealSpec(ideal.generators[1:], ideal.first_var, ideal.weight_bound)
+        return ideal
+
+    monkeypatch.setattr(hilbert, "expand_generators", dropped)
+    assert not verify_hp_identities(r, J + 1, N)
+    code, cell = scan_hp_identities(capsys, r, i, J, N)
+    assert code == 1
+    assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
 
 
 def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):

@@ -405,6 +405,16 @@ def test_reslot_widens_exactly_and_checks_the_guard_bits(data):
         wide.reslot(raw(narrow, big), narrow)
 
 
+def test_reslot_refuses_a_value_past_the_source_slots():
+    # a value with a bit above the source's top slot, or a negative one, is
+    # no series of that layout
+    narrow = _PackedLayout.for_counts(10, 3)
+    wide = _PackedLayout.for_products(10, 3)
+    for x in (narrow.one << narrow.bits, -narrow.one):
+        with pytest.raises(ArithmeticError, match="does not fit 11 slots of"):
+            wide.reslot(x, narrow)
+
+
 def test_reslot_refuses_a_wider_source():
     # the widest tower the CLI admits, r = 10 at level 29 and order 85,
     # leaves in slots no wider than the expansion suite's, so reslot only

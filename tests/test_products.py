@@ -250,11 +250,16 @@ def test_peel_raises_on_a_negative_slot():
 
 @pytest.mark.parametrize(
     "a,b",
-    [((0, 3, 1, 0, 2, 0), (0, 0, 0, 0, 0, 0)), ((0, 0, 5, 1, 2, 0), (0, 2, 1, 0, 0, 0))],
+    [
+        ((0, 3, 1, 0, 2, 0), (0, 0, 0, 0, 0, 0)),
+        ((0, 0, 5, 1, 2, 0), (0, 2, 1, 0, 0, 0)),
+        ((0, 0, 0, 0, 0, 0), (4, 0, 1, 0, 0, 0)),
+    ],
 )
 def test_climb_step_raises_on_a_nonzero_low_slot(a, b):
     # the message is the one TruncatedSeries.shift_div gives for the same
-    # difference, a negative coefficient included
+    # difference, a negative coefficient included, in the reversed slots of
+    # ``_levels`` and in the balanced ascending slots of the theta climb
     layout = _PackedLayout.for_counts(5, 2)
     diff = layout.pack(a) - layout.pack(b)
     with pytest.raises(NonDivisibleError) as listed:
@@ -262,6 +267,10 @@ def test_climb_step_raises_on_a_nonzero_low_slot(a, b):
     with pytest.raises(NonDivisibleError) as packed:
         _PackedLayout(3, 2, layout.bits).shift_div(diff, 2, layout)
     assert str(packed.value) == str(listed.value)
+    balanced = sum(x - y << w * 8 for w, (x, y) in enumerate(zip(a, b)))
+    with pytest.raises(NonDivisibleError) as theta:
+        products._shift_div(balanced, 2, 8)
+    assert str(theta.value) == str(listed.value)
 
 
 def test_climb_step_divides_exactly():
