@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
@@ -71,94 +70,77 @@ SUITE_CHECKS = {
 SUITES = tuple(SUITE_CHECKS)
 
 
-@dataclass
-class RouteResult:
-    fingerprint: str
-    leading: list[str]
-    seconds: float
-    error: str | None = None
+def _run_route(name: str, params: GordonParams, order: int) -> tuple[TruncatedSeries | None, str | None]:
+    """The route's series, or None and ``"Type: message"`` when it raises or
+    returns anything but a series of order ``order``."""
+    try:
+        series = SERIES_ROUTES[name](params, order)
+        got = getattr(series, "order", None)
+        if got != order:
+            raise ValueError(f"the route returned order {got}, not {order}")
+        return series, None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
-class VerificationReport:
-    params: GordonParams
-    order: int
-    routes: dict[str, RouteResult] = field(default_factory=dict)
-    verdict: bool = False
-    mismatch: dict | None = None
-
-
-def build_report(params: GordonParams, order: int) -> VerificationReport:
-    report = VerificationReport(params=params, order=order)
-    series: dict[str, TruncatedSeries] = {}
+def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, float]]:
+    """The report ``verify --format json`` prints, and each route's seconds."""
+    routes, seconds, series = {}, {}, {}
     # a digest is a function of the coefficients, so equal routes share one
     fingerprints: dict[tuple[int, ...], str] = {}
-    for name, route in SERIES_ROUTES.items():
+    for name in SERIES_ROUTES:
         start = time.perf_counter()
-        try:
-            s = route(params, order)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            report.routes[name] = RouteResult("-", [], time.perf_counter() - start, error)
-            continue
-        series[name] = s
-        if s.coeffs not in fingerprints:
-            fingerprints[s.coeffs] = s.fingerprint()
-        head = [str(c) for c in s.coeffs[: min(8, order + 1)]]
-        report.routes[name] = RouteResult(fingerprints[s.coeffs], head, time.perf_counter() - start)
+        s, error = _run_route(name, params, order)
+        if error:
+            routes[name] = {"fingerprint": "-", "leading": [], "error": error}
+        else:
+            series[name] = s
+            if s.coeffs not in fingerprints:
+                fingerprints[s.coeffs] = s.fingerprint()
+            head = [str(c) for c in s.coeffs[:8]]
+            routes[name] = {"fingerprint": fingerprints[s.coeffs], "leading": head, "error": None}
+        seconds[name] = time.perf_counter() - start
 
-    # every route returns order N and equality is transitive, so comparing
-    # each route with the first one that computed finds any disagreement
+    # every series has order N and equality is transitive, so comparing each
+    # route with the first one that computed finds any disagreement
+    mismatch = None
     names = list(series)
     for b in names[1:]:
         a = names[0]
-        if series[a].coeffs == series[b].coeffs:
-            continue
-        n = first_mismatch(series[a], series[b])
-        if n is not None:
-            report.mismatch = {
+        if series[a].coeffs != series[b].coeffs:
+            n = first_mismatch(series[a], series[b])
+            mismatch = {
                 "exponent": n,
                 "routes": [a, b],
                 "coefficients": [str(series[a].coeffs[n]), str(series[b].coeffs[n])],
             }
-            return report
-    report.verdict = len(series) == len(SERIES_ROUTES)
-    return report
-
-
-def report_json_dict(report: VerificationReport) -> dict:
-    p = report.params
-    return {
-        "params": {"r": p.r, "i": p.i, "J": p.J, "ell": p.ell, "index": p.product_index},
-        "order": report.order,
-        "routes": {
-            name: {"fingerprint": rr.fingerprint, "leading": rr.leading, "error": rr.error}
-            for name, rr in report.routes.items()
-        },
-        "verdict": "pass" if report.verdict else "fail",
-        "mismatch": report.mismatch,
+            break
+    report = {
+        "params": {"r": params.r, "i": params.i, "J": params.J, "ell": params.ell, "index": params.product_index},
+        "order": order,
+        "routes": routes,
+        "verdict": "pass" if mismatch is None and len(series) == len(SERIES_ROUTES) else "fail",
+        "mismatch": mismatch,
     }
+    return report, seconds
 
 
-def render_report_text(report: VerificationReport) -> str:
-    p = report.params
+def render_report_text(report: dict, seconds: dict[str, float]) -> str:
+    p = report["params"]
     lines = [
-        f"params     r={p.r} i={p.i} J={p.J} (ell={p.ell}, product index {p.product_index}), order {report.order}"
+        f"params     r={p['r']} i={p['i']} J={p['J']} (ell={p['ell']}, product index {p['index']}), order {report['order']}"
     ]
-    for name, rr in report.routes.items():
-        if rr.error:
-            lines.append(f"{name:<10} ERROR {rr.error}")
+    for name, route in report["routes"].items():
+        if route["error"]:
+            lines.append(f"{name:<10} ERROR {route['error']}")
         else:
-            head = ", ".join(rr.leading)
-            lines.append(f"{name:<10} {rr.fingerprint} [{head}, ...] {rr.seconds:.3f}s")
-    if report.mismatch:
-        m = report.mismatch
+            head = ", ".join(route["leading"])
+            lines.append(f"{name:<10} {route['fingerprint']} [{head}, ...] {seconds[name]:.3f}s")
+    if m := report["mismatch"]:
         a, b = m["routes"]
         ca, cb = m["coefficients"]
-        lines.append(
-            f"first mismatch at exponent {m['exponent']}: {a}={ca} {b}={cb}"
-        )
-    lines.append(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
+        lines.append(f"first mismatch at exponent {m['exponent']}: {a}={ca} {b}={cb}")
+    lines.append(f"verdict: {report['verdict'].upper()}")
     return "\n".join(lines)
 
 
@@ -218,12 +200,12 @@ def _cell_from(args) -> tuple[GordonParams, int]:
 
 def cmd_verify(args) -> int:
     params, order = _cell_from(args)
-    report = build_report(params, order)
+    report, seconds = build_report(params, order)
     if args.format == "json":
-        print(json.dumps(report_json_dict(report), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(render_report_text(report))
-    return 0 if report.verdict else 1
+        print(render_report_text(report, seconds))
+    return 0 if report["verdict"] == "pass" else 1
 
 
 def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> bool:
@@ -237,17 +219,17 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
 def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
     r, i, J, order, suites, d_max = cell
     params = GordonParams(r, i, J)
-    report = build_report(params, order)
+    report, _ = build_report(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
-    passed = report.verdict and all(suite_results.values())
+    passed = report["verdict"] == "pass" and all(suite_results.values())
     return {
         "r": r,
         "i": i,
         "J": J,
         "verdict": "pass" if passed else "fail",
-        "identity": "pass" if report.verdict else "fail",
+        "identity": report["verdict"],
         "suites": {k: ("pass" if v else "fail") for k, v in sorted(suite_results.items())},
-        "mismatch": report.mismatch,
+        "mismatch": report["mismatch"],
     }
 
 
@@ -303,7 +285,6 @@ def cmd_scan(args) -> int:
             print(f"error: {len(lost)} cells did not finish: {lost[0]!r}", file=sys.stderr)
     else:
         results = [_scan_cell(c) for c in cells]
-    results.sort(key=lambda c: (c["r"], c["i"], c["J"]))
 
     failed = [c for c in results if c["verdict"] != "pass"]
     if args.format == "json":
@@ -330,11 +311,10 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 def cmd_table(args) -> int:
     params, order = _cell_from(args)
-    try:
-        series = SERIES_ROUTES[TABLE_KINDS[args.kind]](params, order)
-    except Exception as exc:
-        # a crashing route fails the table as it fails a verify cell, without a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    series, error = _run_route(TABLE_KINDS[args.kind], params, order)
+    if error:
+        # a failing route fails the table as it fails a verify cell, without a traceback
+        print(f"error: {error}", file=sys.stderr)
         return 1
 
     if args.format == "json":
@@ -399,8 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a range such as "-1..2" in a word of its own reads as an option, so a
+    # range flag takes the next word as its value, as in "--J=-1..2"
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in ("--r", "--i", "--J"):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.func(args)
     except UsageError as exc:

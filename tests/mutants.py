@@ -1,11 +1,11 @@
 """Mutant gate: the tests must fail on each known fault.
 
 Each entry of ``MUTANTS`` names a fault and gives the file under
-``src/rrgordon``, the exact old text, the new text, and the test files that
-must catch it. The driver copies ``src/`` into a temporary directory, checks
-that the unpatched copy passes every listed test file, then for each mutant
-replaces the old text and runs ``pytest -x`` on its test files against the
-copy. A mutant is killed when a test fails. The old text must occur exactly
+``src/rrgordon``, the exact old text, the new text, and the ids of the tests
+that must catch it. The driver copies ``src/`` into a temporary directory,
+checks that the unpatched copy passes every test file those ids name, then
+for each mutant replaces the old text and runs ``pytest -x`` on its tests
+alone against the copy. A mutant is killed when a test fails. The old text must occur exactly
 once, so a refactor that moves it updates the mutant instead of dropping it.
 
 Run it from any directory with ``python tests/mutants.py``; it exits 0 when
@@ -23,67 +23,72 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (fault, file, old text, new text, test files)
+# (fault, file, old text, new text, ids of the tests that kill it)
 MUTANTS = [
     ("step without its guard check", "qseries.py",
      "total = self._check(prefix[-1])", "total = prefix[-1]",
-     ("tests/test_packed.py",)),
+     ("tests/test_packed.py::test_step_raises_when_a_slot_reaches_its_guard_bits",)),
     ("_mul dropping one slot too many", "qseries.py",
      "* f >> (self.order - z) * self.bits", "* f >> (self.order - z + 1) * self.bits",
-     ("tests/test_families.py",)),
+     ("tests/test_families.py::test_expansion_identities",)),
     ("a tower that never takes the theta kernel", "products.py",
      "if (r - 1) * level * (level + 1) // 2 > N:", "if False:",
-     ("tests/test_products.py",)),
+     ("tests/test_products.py::test_dropped_theta_term_blocks_a_division",)),
     ("an Euler pass that adds the even pentagonal terms", "products.py",
      "x -= y[n - g]", "x += y[n - g]",
-     ("tests/test_products.py",)),
+     ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a ladder one slot short", "families.py",
      "layout._has_valuation(x, stage * j)", "layout._has_valuation(x, stage * j - 1)",
-     ("tests/test_packed.py", "tests/test_families.py")),
+     ("tests/test_packed.py::test_packed_ladder_agrees_with_valuation",)),
     ("a base level that adds the odd-n theta sum", "products.py",
      "layout._check(plus - minus)", "layout._check(plus + minus)",
-     ("tests/test_products.py",)),
+     ("tests/test_products.py::test_base_product_frozen_values",)),
     ("base_product reading slot r-ell+1", "products.py",
      "product_series(ProductIndex(r, ell), N)", "product_series(ProductIndex(r, r - ell + 1), N)",
-     ("tests/test_products.py",)),
+     ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a one-walk expansion that skips the product identity", "families.py",
      "if sum(hp_terms) != hp_lhs or sum(pr_terms) != pr_lhs:", "if sum(hp_terms) != hp_lhs:",
-     ("tests/test_families.py",)),
+     ("tests/test_families.py::test_expansion_fails_on_a_bumped_deeper_factor",)),
     ("hp-identities without the cap-r generator check", "hilbert.py",
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
-     ("tests/test_hilbert.py",)),
+     ("tests/test_hilbert.py::test_hp_identities_fail_when_the_full_cap_drops_a_generator",)),
     ("hp-identities without the floor check", "hilbert.py",
      "_floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]", "False",
-     ("tests/test_hilbert.py",)),
+     ("tests/test_hilbert.py::test_hp_identities_fail_when_the_floor_above_moves",)),
     ("hp-identities without the block check", "hilbert.py",
      "if capped != block | tail:", "if False:",
-     ("tests/test_hilbert.py",)),
+     ("tests/test_hilbert.py::test_hp_identities_fail_when_a_middle_cap_drops_a_generator",)),
     ("family-match that never compares", "families.py",
      "if prod != hilb:", "if False:",
-     ("tests/test_families.py",)),
+     ("tests/test_families.py::test_match_fails_when_one_side_moves",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
-     ("tests/test_packed.py",)),
+     ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),
     ("a widening that skips the retried value", "partitions.py",
      "layout = wider\n", "layout = wider\n                break\n",
-     ("tests/test_packed.py",)),
+     ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),
     ("a hand-off left in the grown slots", "partitions.py",
      "return top, state", "return layout, state",
-     ("tests/test_packed.py",)),
+     ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),
     ("growth not capped at for_counts", "partitions.py",
      "wider = top if bits >= top.bits else _PackedLayout(N, r, bits)",
      "wider = _PackedLayout(N, r, bits)",
-     ("tests/test_packed.py",)),
+     ("tests/test_packed.py::test_growing_scans_stop_at_for_counts",)),
+    ("a route of another order passes", "cli.py",
+     "if got != order:", "if False:",
+     ("tests/test_cli.py::test_a_series_one_order_short_fails_closed",)),
 ]
 
 
 def _env(src: Path) -> dict[str, str]:
-    # no bytecode: a mutant of the same length, restored within the second,
-    # would leave a .pyc that the next run takes for the restored source
-    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    # the copy's bytecode goes before each run: a mutant of the same length,
+    # written within the second, would leave a .pyc that the next run takes
+    # for its source; the tests keep theirs, so pytest need not rewrite them
+    shutil.rmtree(src / "rrgordon" / "__pycache__", ignore_errors=True)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True)
 
@@ -104,14 +109,14 @@ def main() -> int:
         if not found or not Path(found).resolve().is_relative_to(src.resolve()):
             print(f"mutants: rrgordon imports from {found or 'nowhere'}, not from the copy")
             return 1
-        tests = sorted({t for *_, files in MUTANTS for t in files})
-        base = _pytest(src, tests)
+        files = sorted({t.split("::")[0] for *_, tests in MUTANTS for t in tests})
+        base = _pytest(src, files)
         if base.returncode != 0:
             print(f"mutants: the unpatched copy fails: {_first_failure(base.stdout)}")
             return 1
 
         bad = 0
-        for fault, file, old, new, files in MUTANTS:
+        for fault, file, old, new, tests in MUTANTS:
             path = src / "rrgordon" / file
             text = path.read_text(encoding="utf-8")
             if (count := text.count(old)) != 1:
@@ -120,7 +125,7 @@ def main() -> int:
                 continue
             path.write_text(text.replace(old, new), encoding="utf-8")
             try:
-                result = _pytest(src, files)
+                result = _pytest(src, tests)
             finally:
                 path.write_text(text, encoding="utf-8")
             if result.returncode == 1:

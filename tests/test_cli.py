@@ -159,10 +159,10 @@ def test_suite_crash_counts_as_fail(capsys, monkeypatch):
 
 
 def test_build_report_detects_divergence():
-    report = build_report(GordonParams(2, 2, 0), 15)
-    assert report.verdict
-    assert report.mismatch is None
-    assert set(report.routes) == {"product", "partition", "hilbert", "family"}
+    report, _ = build_report(GordonParams(2, 2, 0), 15)
+    assert report["verdict"] == "pass"
+    assert report["mismatch"] is None
+    assert set(report["routes"]) == {"product", "partition", "hilbert", "family"}
 
 
 def test_build_report_digests_each_distinct_series_once(monkeypatch):
@@ -174,9 +174,10 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "fingerprint", counted)
     params = GordonParams(3, 2, 1)
-    report = build_report(params, 30)
-    assert report.verdict and len(digested) == 1
-    assert {rr.fingerprint for rr in report.routes.values()} == {digest(SERIES_ROUTES["partition"](params, 30))}
+    report, _ = build_report(params, 30)
+    assert report["verdict"] == "pass" and len(digested) == 1
+    fingerprints = {route["fingerprint"] for route in report["routes"].values()}
+    assert fingerprints == {digest(SERIES_ROUTES["partition"](params, 30))}
 
     # a bumped route gets its own digest, and only the bumped exponent differs
     def bumped(params, N):
@@ -186,10 +187,39 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
 
     monkeypatch.setitem(SERIES_ROUTES, "hilbert", bumped)
     digested.clear()
-    report = build_report(params, 30)
-    assert len(digested) == 2 and report.mismatch["exponent"] == 11
-    assert report.routes["hilbert"].fingerprint == digest(bumped(params, 30))
-    assert report.routes["product"].fingerprint == report.routes["family"].fingerprint
+    report, _ = build_report(params, 30)
+    assert len(digested) == 2 and report["mismatch"]["exponent"] == 11
+    assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(params, 30))
+    assert report["routes"]["product"]["fingerprint"] == report["routes"]["family"]["fingerprint"]
+
+
+@pytest.mark.parametrize("route,kind", [("product", "product"), ("partition", "counts"), ("hilbert", "hilbert")])
+def test_a_series_one_order_short_fails_closed(capsys, monkeypatch, route, kind):
+    # the short series is a true prefix, so no exponent they share differs
+    original = SERIES_ROUTES[route]
+    monkeypatch.setitem(SERIES_ROUTES, route, lambda p, N: original(p, N - 1))
+    cell = ["--r", "3", "--i", "2", "--J", "1", "--order", "20"]
+    code, out, _ = run(capsys, "verify", *cell, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail" and payload["mismatch"] is None
+    assert payload["routes"][route]["error"] == "ValueError: the route returned order 19, not 20"
+    code, out, err = run(capsys, "table", "--kind", kind, *cell)
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValueError: the route returned order 19, not 20\n"
+
+
+@pytest.mark.parametrize("route", ["product", "partition", "hilbert", "family"])
+def test_a_route_that_returns_no_series_fails_its_cell(capsys, monkeypatch, route):
+    monkeypatch.setitem(SERIES_ROUTES, route, lambda p, N: None)
+    code, out, _ = run(capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "10")
+    assert code == 1
+    assert f"{route:<10} ERROR ValueError: the route returned order None, not 10" in out
+    assert out.endswith("verdict: FAIL\n")
+    code, out, _ = run(capsys, "scan", "--r", "2", "--J", "0", "--order", "10")
+    assert code == 1
+    assert "0/2 cells passed" in out
 
 
 def test_scan_counts_cells(capsys):
@@ -246,9 +276,11 @@ def test_scan_rejects_unknown_suite(capsys):
         ("scan", "--r", "2", "--suites", "valuation,,expansion"),
         ("scan", "--r", "2..x"),
         ("scan", "--r", "1..3"),
-        # "-1..2" as a separate word reads as an option, which argparse refuses
         ("scan", "--J=-1..2"),
         ("scan", "--r", "2", "--jobs", "0"),
+        # a range flag takes the next word even when it starts with "-"
+        ("scan", "--J", "-1..2"),
+        ("scan", "--r", "-1..3"),
     ],
 )
 def test_scan_usage_errors(capsys, argv):
