@@ -193,13 +193,12 @@ def _cell_from(args) -> tuple[GordonParams, int]:
         raise UsageError(str(exc))
     if params.r > MAX_R:
         raise UsageError(f"r must be at most {MAX_R}, got {params.r}")
-    order = _order_from(args)
-    _check_padded_order(params.r, params.J, order)
-    return params, order
+    return params, _order_from(args)
 
 
 def cmd_verify(args) -> int:
     params, order = _cell_from(args)
+    _check_padded_order(params.r, params.J, order)
     report, seconds = build_report(params, order)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -256,16 +255,18 @@ def cmd_scan(args) -> int:
             raise UsageError(f"suite {s!r} is named twice")
 
     i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
-    # i is clipped to 1..r, so r = r_hi admits the most i; the padded order
+    if i_lo < 1:
+        raise UsageError("i must be at least 1")
+    # i is clipped to r, so r = r_hi admits the most i; the padded order
     # grows with r and J, so the cell (r_hi, J_hi), which every non-empty
     # grid holds, is the deepest: both are checked before any cell is built
-    if r_lo > r_hi or j_lo > j_hi or max(1, i_lo) > min(r_hi, i_hi):
+    if r_lo > r_hi or j_lo > j_hi or i_lo > min(r_hi, i_hi):
         raise UsageError("the requested grid has no cells")
     _check_padded_order(r_hi, j_hi, order, suites)
     cells = [
         (r, i, J, order, suites, args.d_max)
         for r in range(r_lo, r_hi + 1)
-        for i in range(max(1, i_lo), min(r, i_hi) + 1)
+        for i in range(i_lo, min(r, i_hi) + 1)
         for J in range(j_lo, j_hi + 1)
     ]
 
@@ -311,6 +312,9 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 def cmd_table(args) -> int:
     params, order = _cell_from(args)
+    if args.kind == "product":
+        # only the product route builds a tower
+        _check_padded_order(params.r, params.J, order)
     series, error = _run_route(TABLE_KINDS[args.kind], params, order)
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="verify a grid of cells, optionally with property suites")
     p_scan.add_argument("--r", default="2..4", help="r range, e.g. 3 or 2..5")
-    p_scan.add_argument("--i", default="all", help="i range, e.g. 1..2, or 'all' (clipped to 1..r)")
+    p_scan.add_argument("--i", default="all", help="i range, e.g. 1..2, or 'all' (clipped to r)")
     p_scan.add_argument("--J", default="0..2", help="J range, e.g. 0 or 0..3")
     p_scan.add_argument("--order", type=int, default=None)
     p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")

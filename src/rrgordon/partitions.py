@@ -3,7 +3,7 @@
 Two independent routes to the same counts are kept side by side on purpose:
 ``enumerate_gordon`` lists partitions and checks the difference conditions
 literally (the permanent correctness oracle, exponential in n), while
-``count_gordon`` runs a polynomial dynamic program over part multiplicities.
+``gordon_series`` runs a polynomial dynamic program over part multiplicities.
 The DP rests on the equivalence: a partition whose parts all exceed J
 satisfies "parts r-1 apart differ by at least 2" exactly when every two
 adjacent part values a, a+1 together occur at most r-1 times.
@@ -69,10 +69,6 @@ class Partition:
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts must be non-increasing")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
 
 def iter_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
@@ -212,13 +208,6 @@ def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, t
     floor, stage = params.J + 1, max(N, params.J + 1)
     layout, state = _growing_scan(params.r, N, range(floor, stage + 1), floor, params.i - 1)
     return layout, stage, tuple(state)
-
-
-def count_gordon(params: GordonParams, n: int) -> int:
-    """Number of partitions of n satisfying the Gordon conditions."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return gordon_series(params, n).coeffs[n]
 
 
 def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:

@@ -49,8 +49,8 @@ rows from q^N up, so its result lands in the same reversed slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from .qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
 
@@ -88,17 +88,13 @@ class ProductIndex:
 def _pentagonal(N: int) -> tuple[list[int], list[int]]:
     """The generalized pentagonal numbers k(3k-1)/2, k != 0, up to N, in
     increasing order: those with k odd, whose terms of (q;q)_inf are -1, and
-    those with k even, whose terms are +1."""
-    odd: list[int] = []
-    even: list[int] = []
-    k = 1
-    while (g := k * (3 * k - 1) // 2) <= N:
-        side = odd if k % 2 else even
-        side.append(g)
-        if g + k <= N:
-            side.append(g + k)
-        k += 1
-    return odd, even
+    those with k even, whose terms are +1.
+
+    By Euler's pentagonal theorem, (q;q)_inf is the theta series of M = 3
+    and a = 1 (``_theta_exponents(1, 1, N)``), whose even-n terms also hold
+    the exponent 0 of its leading term 1."""
+    even, odd = _theta_exponents(1, 1, N)
+    return sorted(odd), sorted(even)[1:]
 
 
 def _over_euler(terms: list[int], guard: int = 0) -> list[int]:
@@ -166,6 +162,17 @@ def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     return product_series(ProductIndex(r, ell), N)
 
 
+def _climb(entries: list[int], g: int, divide: Callable[[int, int], int]) -> list[int]:
+    """The r entries of level g from those of level g - 1: entry 1 is the
+    last entry below, and entry s in 2..r is the difference of entries
+    r-s+1 and r-s+2 below divided by q^(g(s-1)), each through
+    ``divide(x, k)``, which divides x by q^k."""
+    r = len(entries)
+    return [divide(entries[r - 1], 0)] + [
+        divide(entries[r - s] - entries[r - s + 1], g * (s - 1)) for s in range(2, r + 1)
+    ]
+
+
 def _padded_order(r: int, top: int, N: int) -> int:
     """Order of the base level that leaves level ``top`` exact to order N."""
     return N + (r - 1) * top * (top + 1) // 2
@@ -199,10 +206,7 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     yield layout, entries
     for g in range(1, top + 1):
         src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
-        new = [layout.shift_div(entries[r - 1], 0, src)]
-        for s in range(2, r + 1):
-            new.append(layout.shift_div(entries[r - s] - entries[r - s + 1], g * (s - 1), src))
-        entries = new
+        entries = _climb(entries, g, partial(layout.shift_div, src=src))
         yield layout, entries
 
 
@@ -214,6 +218,9 @@ def _shift_div(x: int, k: int, bits: int) -> int:
     Raises NonDivisibleError, naming that slot, if a slot below q^k is
     nonzero.
     """
+    if not k:
+        # each climb divides one entry by q^0; x & 0 and x >> 0 would copy x
+        return x
     low = x & ((1 << k * bits) - 1)
     if low:
         # the lowest nonzero slot takes no borrow; read it as signed
@@ -250,10 +257,7 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
     S = -(-(top + t.bit_length() + 2) // 8) * 8
     entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
     for g in range(1, top + 1):
-        new = [entries[r - 1]]
-        for s in range(2, r + 1):
-            new.append(_shift_div(entries[r - s] - entries[r - s + 1], g * (s - 1), S))
-        entries = new
+        entries = _climb(entries, g, partial(_shift_div, bits=S))
 
     layout = _PackedLayout.for_counts(N, r)
     v = layout.bits - (r - 1).bit_length()

@@ -15,10 +15,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable
-
-#: q-adic valuation of the zero series. Compares above every integer.
-INFINITE = math.inf
 
 
 class NonDivisibleError(ArithmeticError):
@@ -40,21 +36,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> TruncatedSeries:
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        """The multiplicative identity, 1, at the given order."""
-        return cls((1,) + (0,) * order)
 
     # -- arithmetic (result order = min of operand orders) ---------------
 
@@ -110,25 +91,7 @@ class TruncatedSeries:
             )
         return TruncatedSeries(self.coeffs[k:])
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        """Restrict to a smaller (or equal) order."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     # -- queries ----------------------------------------------------------
-
-    def valuation(self) -> int | float:
-        """Smallest exponent with a nonzero coefficient, INFINITE if none retained."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return INFINITE
-
-    def eq(self, other: TruncatedSeries) -> bool:
-        """Coefficientwise equality up to the smaller of the two orders."""
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     def fingerprint(self) -> str:
         """Short stable digest of the exact coefficient vector."""
@@ -140,13 +103,6 @@ class TruncatedSeries:
     def as_json_dict(self) -> dict:
         """JSON form: coefficients as decimal strings (they may exceed 64 bits)."""
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> TruncatedSeries:
-        coeffs = tuple(int(c) for c in obj["coeffs"])
-        if len(coeffs) != obj["order"] + 1:
-            raise ValueError("coeffs length does not match order")
-        return cls(coeffs)
 
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:

@@ -77,6 +77,15 @@ MUTANTS = [
     ("a route of another order passes", "cli.py",
      "if got != order:", "if False:",
      ("tests/test_cli.py::test_a_series_one_order_short_fails_closed",)),
+    ("a padded-order check on every table kind", "cli.py",
+     'if args.kind == "product":', "if True:",
+     ("tests/test_cli.py::test_table_of_a_towerless_kind_ignores_the_padded_order[counts]",)),
+    ("a scan that admits i below 1", "cli.py",
+     "if i_lo < 1:", "if False:",
+     ("tests/test_cli.py::test_scan_usage_errors[argv14]",)),
+    ("pentagonal numbers that keep the exponent 0", "products.py",
+     "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
+     ("tests/test_products.py::test_base_product_frozen_values",)),
 ]
 
 

@@ -29,7 +29,7 @@ from rrgordon.partitions import (
     iter_partitions,
 )
 from rrgordon.products import ProductIndex, product_series
-from rrgordon.qseries import INFINITE, NonDivisibleError, TruncatedSeries, first_mismatch
+from rrgordon.qseries import NonDivisibleError, TruncatedSeries, first_mismatch
 
 GRID = [
     GordonParams(r, i, J)
@@ -100,7 +100,7 @@ def test_family_limits_and_stabilization(criterion):
         }
         for side, target in targets.items():
             limit = family_limit(side, params, N)
-            if not limit.eq(target):
+            if first_mismatch(limit, target) is not None:
                 failures.append((params, side, "limit != target"))
             # independent walk to the stage bound must land on the same entry
             fam = family_at_stage(side, params, params.J + 1, N)
@@ -108,9 +108,9 @@ def test_family_limits_and_stabilization(criterion):
             while fam.stage < bound:
                 prev = fam.entries[0]
                 fam = family_step(fam)
-            if prev is None or not fam.entries[0].eq(prev):
+            if prev is None or first_mismatch(fam.entries[0], prev) is not None:
                 failures.append((params, side, "not stabilized by bound"))
-            if not fam.entries[0].eq(limit):
+            if first_mismatch(fam.entries[0], limit) is not None:
                 failures.append((params, side, "walk disagrees with limit"))
     ok = not failures
     criterion(4, "family limits match both sides, stable by J+N+2 (N=40)", ok)
@@ -175,11 +175,13 @@ def test_oracle_equivalence(criterion):
 def test_valuation_properties(criterion):
     """[9] tail valuations, exact divisibility, and the family ladder."""
     failures = []
-    one = TruncatedSeries.one(22)
+    # a first mismatch with 1 (or 0) is the valuation of the difference; None
+    # means the series agree
+    one = TruncatedSeries((1,) + (0,) * 22)
     for r in range(2, 6):
         for d in range(0, 21):
-            val = (hp_series(QuotientSpec(r, d + 2), 22) - one).valuation()
-            if not (val == INFINITE or val >= d + 2):
+            val = first_mismatch(hp_series(QuotientSpec(r, d + 2), 22), one)
+            if not (val is None or val >= d + 2):
                 failures.append(("hp tail", r, d, val))
     # every tower behind the order-50 grid divides exactly or raises
     for params in GRID:
@@ -188,12 +190,13 @@ def test_valuation_properties(criterion):
         except NonDivisibleError as exc:
             failures.append(("divisibility", params, str(exc)))
     # valuation ladder at every inspected stage
+    zero = TruncatedSeries((0,) * 41)
     for params in GRID:
         fam = family_at_stage(Side.HILBERT, params, params.J + 1, 40)
         for _ in range(12):
             for j, entry in enumerate(fam.entries, start=1):
-                val = entry.valuation()
-                if not (val == INFINITE or val >= fam.stage * (j - 1)):
+                val = first_mismatch(entry, zero)
+                if not (val is None or val >= fam.stage * (j - 1)):
                     failures.append(("ladder", params, fam.stage, j, val))
             fam = family_step(fam)
     ok = not failures

@@ -14,7 +14,7 @@ import pytest
 from rrgordon import cli, families, hilbert, partitions
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.hilbert import QuotientSpec, hp_series
-from rrgordon.partitions import GordonParams
+from rrgordon.partitions import GordonParams, gordon_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
 
 
@@ -281,6 +281,8 @@ def test_scan_rejects_unknown_suite(capsys):
         # a range flag takes the next word even when it starts with "-"
         ("scan", "--J", "-1..2"),
         ("scan", "--r", "-1..3"),
+        ("scan", "--i", "0..1"),
+        ("scan", "--i", "-1..2"),
     ],
 )
 def test_scan_usage_errors(capsys, argv):
@@ -292,7 +294,7 @@ def test_scan_usage_errors(capsys, argv):
 
 def test_scan_fails_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(
-        SERIES_ROUTES, "family", lambda p, N: TruncatedSeries.one(N)
+        SERIES_ROUTES, "family", lambda p, N: TruncatedSeries((1,) + (0,) * N)
     )
     code, out, _ = run(capsys, "scan", "--r", "2", "--J", "0..1", "--order", "10")
     assert code == 1
@@ -326,7 +328,6 @@ def test_table_json_is_series_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"order": 4, "coeffs": ["1", "0", "1", "1", "1"]}
-    assert TruncatedSeries.from_json_dict(payload).coeffs == (1, 0, 1, 1, 1)
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -513,7 +514,7 @@ def test_max_order_is_accepted():
     "argv",
     [
         ("verify", "--r", "2", "--i", "1", "--J", "160", "--order", "50"),
-        ("table", "--kind", "counts", "--r", "2", "--i", "1", "--J", "160", "--order", "50"),
+        ("table", "--kind", "product", "--r", "2", "--i", "1", "--J", "160", "--order", "50"),
         ("scan", "--r", "2..3", "--J", "0..160", "--order", "50"),
     ],
 )
@@ -525,6 +526,15 @@ def test_padded_order_above_max_is_usage_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, ran) == (2, "", [])
     assert err.startswith("error: ") and f"above {cli.MAX_PADDED_ORDER}" in err
+
+
+@pytest.mark.parametrize("kind", ["counts", "hilbert"])
+def test_table_of_a_towerless_kind_ignores_the_padded_order(capsys, kind):
+    # r = 5, J = 60 would pad a product tower to order 200 + 4*60*61/2 = 7520
+    code, out, err = run(capsys, "table", "--kind", kind, "--r", "5", "--i", "1", "--J", "60", "--order", "200")
+    want = gordon_series(GordonParams(5, 1, 60), 200).coeffs
+    assert (code, err) == (0, "")
+    assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want))
 
 
 @pytest.mark.parametrize(
@@ -551,10 +561,10 @@ def test_max_r_is_accepted(capsys):
 
 
 def test_cell_at_max_padded_order_is_accepted(capsys):
-    # the deepest r = 2 tower at the limit, read through the cheap partition route
+    # the deepest r = 2 tower at the limit; only the product kind builds one
     J = max(j for j in range(200) if j * (j + 1) // 2 <= cli.MAX_PADDED_ORDER)
     order = cli.MAX_PADDED_ORDER - J * (J + 1) // 2
-    argv = ("table", "--kind", "counts", "--r", "2", "--i", "1", "--J", str(J))
+    argv = ("table", "--kind", "product", "--r", "2", "--i", "1", "--J", str(J))
     code, _, _ = run(capsys, *argv, "--order", str(order))
     assert code == 0
     code, out, _ = run(capsys, *argv, "--order", str(order + 1))

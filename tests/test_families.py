@@ -25,7 +25,7 @@ from rrgordon.families import (
 from rrgordon.hilbert import QuotientSpec, gordon_quotient, hp_series
 from rrgordon.partitions import GordonParams
 from rrgordon.products import ProductIndex, product_series
-from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
+from rrgordon.qseries import TruncatedSeries, _PackedLayout, first_mismatch
 
 
 def coeff_lists(fam):
@@ -48,7 +48,9 @@ def test_init_values():
 def test_init_full_prefix_when_cap_is_r():
     fam = family_at_stage(Side.HILBERT, GordonParams(3, 3, 1), 2, 8)
     assert all(any(e.coeffs) for e in fam.entries)
-    assert [e.valuation() for e in fam.entries] == [0, 2, 4]
+    # the first mismatch with the zero series is the valuation
+    zero = TruncatedSeries((0,) * 9)
+    assert [first_mismatch(e, zero) for e in fam.entries] == [0, 2, 4]
 
 
 def test_step_hand_checked():
@@ -95,12 +97,10 @@ def test_limit_handles_singleton_prefix():
 @pytest.mark.parametrize("r,i,J,N", [(3, 2, 1, 25), (2, 1, 0, 30), (4, 4, 2, 20)])
 def test_limit_matches_both_sides(r, i, J, N):
     params = GordonParams(r, i, J)
-    assert family_limit(Side.HILBERT, params, N).eq(
-        hp_series(gordon_quotient(params), N)
-    )
-    assert family_limit(Side.PRODUCT, params, N).eq(
-        product_series(ProductIndex(r, params.product_index), N)
-    )
+    hilb = hp_series(gordon_quotient(params), N)
+    prod = product_series(ProductIndex(r, params.product_index), N)
+    assert first_mismatch(family_limit(Side.HILBERT, params, N), hilb) is None
+    assert first_mismatch(family_limit(Side.PRODUCT, params, N), prod) is None
 
 
 def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
@@ -171,6 +171,7 @@ def test_match_fails_when_one_side_moves(capsys, monkeypatch):
 
 def reference_verify_expansion(params, d, N):
     r = params.r
+    zero = TruncatedSeries((0,) * (N + 1))
     hilb = family_at_stage(Side.HILBERT, params, d, N)
     lhs_hp = hp_series(gordon_quotient(params), N)
     rhs_hp = sum(
@@ -178,9 +179,9 @@ def reference_verify_expansion(params, d, N):
             hilb.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
             for j in range(1, r + 1)
         ),
-        TruncatedSeries.zero(N),
+        zero,
     )
-    if not lhs_hp.eq(rhs_hp):
+    if first_mismatch(lhs_hp, rhs_hp) is not None:
         return False
 
     prod = family_at_stage(Side.PRODUCT, params, d, N)
@@ -190,9 +191,9 @@ def reference_verify_expansion(params, d, N):
             prod.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
             for j in range(1, r + 1)
         ),
-        TruncatedSeries.zero(N),
+        zero,
     )
-    return lhs_pr.eq(rhs_pr)
+    return first_mismatch(lhs_pr, rhs_pr) is None
 
 
 def test_expansion_identities():
@@ -363,8 +364,9 @@ def test_valuation_ladder():
         fam = family_at_stage(Side.HILBERT, params, params.J + 1, 30)
         for _ in range(8):
             for j, entry in enumerate(fam.entries, start=1):
-                val = entry.valuation()
-                assert val == INFINITE or val >= fam.stage * (j - 1), (params, fam.stage, j)
+                # the first mismatch with zero is the valuation; None is zero
+                val = first_mismatch(entry, TruncatedSeries((0,) * 31))
+                assert val is None or val >= fam.stage * (j - 1), (params, fam.stage, j)
             fam = family_step(fam)
 
 

@@ -15,8 +15,8 @@ from rrgordon.hilbert import (
     verify_hp_identities,
     verify_hp_recursion,
 )
-from rrgordon.partitions import GordonParams, count_gordon, gordon_series
-from rrgordon.qseries import INFINITE, TruncatedSeries, _PackedLayout
+from rrgordon.partitions import GordonParams, gordon_series
+from rrgordon.qseries import TruncatedSeries, _PackedLayout, first_mismatch
 
 
 def test_spec_validation():
@@ -73,9 +73,8 @@ def test_hp_series_frozen_values():
 
 def test_cap_r_equals_uncapped():
     for r, k in [(2, 1), (3, 2), (4, 3)]:
-        assert hp_series(QuotientSpec(r, k, cap=r), 25).eq(
-            hp_series(QuotientSpec(r, k), 25)
-        )
+        capped = hp_series(QuotientSpec(r, k, cap=r), 25)
+        assert first_mismatch(capped, hp_series(QuotientSpec(r, k), 25)) is None
 
 
 def test_hp_matches_monomial_oracle():
@@ -98,8 +97,8 @@ def test_hp_matches_gordon_counts():
             for J in (0, 1, 2):
                 params = GordonParams(r, i, J)
                 series = hp_series(gordon_quotient(params), 20)
-                assert series.eq(gordon_series(params, 20)), params
-                assert series.coeffs[13] == count_gordon(params, 13)
+                assert first_mismatch(series, gordon_series(params, 20)) is None, params
+                assert series.coeffs[:14] == gordon_series(params, 13).coeffs
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -119,10 +118,11 @@ def test_hp_recursion():
 
 
 def test_uncapped_tail_valuation():
-    one = TruncatedSeries.one(12)
+    one = TruncatedSeries((1,) + (0,) * 12)
     for d in range(0, 9):
-        val = (hp_series(QuotientSpec(3, d + 2), 12) - one).valuation()
-        assert val == INFINITE or val >= d + 2
+        # the first mismatch with 1 is the valuation of the tail; None is 0
+        val = first_mismatch(hp_series(QuotientSpec(3, d + 2), 12), one)
+        assert val is None or val >= d + 2
 
 
 @settings(deadline=None, max_examples=40)
