@@ -45,6 +45,10 @@ def test_mul_qpow():
     assert T((1, 2, 3)).mul_qpow(1).coeffs == (0, 1, 2)
     assert T((1, 2, 3)).mul_qpow(0).coeffs == (1, 2, 3)
     assert T((1, 2, 3)).mul_qpow(5).coeffs == (0, 0, 0)
+
+
+def test_monomial_and_truncate():
+    # shifting q^0 past the order truncates to the zero series of that order
     assert monomial(0, 4).mul_qpow(2) == monomial(2, 4)
     assert monomial(0, 4).mul_qpow(9) == monomial(9, 4)
 
