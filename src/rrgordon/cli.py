@@ -1,10 +1,10 @@
 """Command line front end: verify, scan, table.
 
-``verify`` computes one identity cell four independent ways (product
-recursion, partition DP, standard-monomial count, coefficient-family limit)
-and certifies that all four series agree to the chosen order. ``scan`` runs
-that over a parameter grid, optionally with extra property suites and worker
-processes. ``table`` dumps one series as CSV or JSON.
+``verify`` computes one identity cell four ways (product recursion,
+partition DP, standard-monomial count, and the family limit that continues
+the partition DP) and certifies that the four series agree to the order.
+``scan`` runs that over a parameter grid, optionally with extra property
+suites and worker processes. ``table`` dumps one series as CSV or JSON.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -23,7 +23,7 @@ from .families import Side, family_limit, verify_expansion, verify_family_match,
 from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, _padded_order, product_series
-from .qseries import TruncatedSeries, first_mismatch
+from .qseries import TruncatedSeries, first_mismatch, forget
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -217,6 +217,7 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
 
 def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
     r, i, J, order, suites, d_max = cell
+    forget(r)  # cells come r first, so no later cell reads another r's entries
     params = GordonParams(r, i, J)
     report, _ = build_report(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
@@ -392,6 +393,7 @@ def main(argv=None) -> int:
         else:
             words.append(word)
     args = build_parser().parse_args(words)
+    forget()  # every command starts cold
     try:
         return args.func(args)
     except UsageError as exc:

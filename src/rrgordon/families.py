@@ -15,11 +15,11 @@ Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk turns constant and ends there
 (``_walk``); every stage reader stops with it. ``family_limit`` realizes the
 q-adic limit as truncated stabilization, and it does not scan again: it goes
-on from the partition route's cached scan (``partitions._ascending_scan``)
-to its stop, so only the stopping rule differs from ``gordon_series``.
+on from the partition route's scan (``partitions._ascending_scan``, in the
+memo) to its stop, so only the stopping rule differs from ``gordon_series``.
 
 ``verify_expansion`` unpacks nothing: it walks once in the wide slots of
-``_PackedLayout.for_products``, moves each cached factor and left side into
+``_PackedLayout.for_products``, moves each memoized factor and left side into
 those slots (``_PackedLayout.reslot``), multiplies each entry by its factors
 of both sides as one int each, and compares each side's sum with its left
 side. The slots hold q^N up to q^0 from the bottom (``_PackedLayout``), so
@@ -179,7 +179,7 @@ def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     same stage-s entries times the deeper product entries: the sides'
     prefixes r - ell + 1 and i are equal, so one walk serves both. Each
     stage's entries are checked once, and every operand is moved from its
-    cached slots into the walk's with ``_PackedLayout.reslot``. Raises
+    memoized slots into the walk's with ``_PackedLayout.reslot``. Raises
     ArithmeticError if an operand is too large for its slots.
     """
     r = params.r

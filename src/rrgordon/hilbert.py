@@ -12,23 +12,22 @@ counts multiplicity vectors with bounded adjacent sums, which is the same
 set by the divisor-avoidance characterization (f_a + f_(a+1) <= r-1 for all
 a >= k, and f_k <= cap-1 when capped).
 
-One descending scan serves every cap at a floor: ``_floor`` caches the
-checked series of caps 1..r, the prefix sums of the scan's states, so
-``hp_series``, the hp suites here and the valuation and expansion suites in
-``families`` only index them. The scan runs in slots that grow with its
-counts (``partitions._growing_scan``); from large variables down, the counts
-stay small for most of it.
+One descending scan serves every cap at a floor: ``_floor`` keeps the
+checked series of caps 1..r, the prefix sums of the scan's states, in the
+memo (``qseries.memo``), so ``hp_series``, the hp suites here and the
+valuation and expansion suites in ``families`` only index them. The scan
+runs in slots that grow with its counts (``partitions._growing_scan``); from
+large variables down, the counts stay small for most of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import TruncatedSeries, _PackedLayout
+from .qseries import TruncatedSeries, _PackedLayout, memo
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -123,7 +122,7 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@memo
 def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The layout, ``for_counts(N, r)``, and the packed series of the
     quotients at floor k with caps 1..r (cap r is uncapped), from one scan
@@ -146,15 +145,14 @@ def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
     Graded dimensions come from the multiplicity DP, scanning variables from
-    index N down to k (``_floor``, one cached scan per floor, which keeps the
-    checked series of every cap); a cap c keeps the vectors with f_k <= c-1,
+    index N down to k (``_floor``); a cap c keeps the vectors with f_k <= c-1,
     the first c states of that scan.
     """
     layout, caps = _floor(spec.r, spec.k, N)
     return TruncatedSeries(layout.unpack(caps[(spec.cap or spec.r) - 1]))
 
 
-@lru_cache(maxsize=None)
+@memo
 def verify_hp_identities(r: int, k: int, N: int) -> bool:
     """The three structural identities tying capped and uncapped quotients.
 
@@ -162,8 +160,8 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
     uncapped at k, compared as generator lists, since ``_floor`` keeps both
     series in one slot; and for every i, the capped expansion at k equals
     the leading block joined with the uncapped expansion at k+1. The result
-    does not depend on i, so one bool is cached per (r, k, N) and the cells
-    of one (r, J) share it.
+    does not depend on i, so the memo keeps one bool per (r, k, N), and the
+    cells of one (r, J) share it.
     """
     if _floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]:
         return False

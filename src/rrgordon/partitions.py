@@ -9,8 +9,8 @@ satisfies "parts r-1 apart differ by at least 2" exactly when every two
 adjacent part values a, a+1 together occur at most r-1 times.
 
 The DP is one ascending scan of the part values (``_ascending_scan``), kept
-packed and cached for one cell: the family route
-(``families.family_limit``) goes on from its states to its q-adic stop
+packed; the memo (``qseries.memo``) keeps the latest cell's, and the family
+route (``families.family_limit``) goes on from its states to its q-adic stop
 instead of scanning again. That scan and the Hilbert side's descending one
 (``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
 counts so far need, checked at every step, and handed off in the
@@ -20,10 +20,10 @@ counts so far need, checked at every step, and handed off in the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .qseries import TruncatedSeries, _PackedLayout
+from .qseries import TruncatedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -194,16 +194,15 @@ def _growing_scan(r: int, N: int, values: Sequence[int], floor: int, cap: int) -
     return top, state
 
 
-@lru_cache(maxsize=1)
+@partial(memo, latest=True)
 def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, tuple[int, ...]]:
     """The ascending scan of the part values J+1..D, D = max(N, J+1): its
     layout, ``for_counts(N, r)``, D, and the packed states after D, scanned
     in slots that grow with the counts (``_growing_scan``).
 
     At most i-1 parts equal J+1. Scanning J+1 even when N < J+1 applies
-    that cap to the states, which the family route goes on from. The one
-    cached entry serves the partition route and then the family route of
-    the same cell.
+    that cap to the states, which the family route goes on from. The memo
+    keeps the latest cell's scan only, for its partition and family routes.
     """
     floor, stage = params.J + 1, max(N, params.J + 1)
     layout, state = _growing_scan(params.r, N, range(floor, stage + 1), floor, params.i - 1)

@@ -21,7 +21,7 @@ one of two packed kernels from (r, L, N) alone:
   entries. Their slots (``_PackedLayout.for_counts``) hold sums of t + 1
   partition counts, t the most terms of any theta sum (``_thetas``), and
   every result is checked below its guard bits. Level 0 has no padding,
-  so ``base_product`` reads its entries from this kernel's cached tower.
+  so ``base_product`` reads its entries from this kernel's memoized tower.
 - padding above N (``_theta_family``): the climb runs on the theta series,
   in balanced signed slots of top + bitlen(t) + 2 bits rounded up to whole
   bytes, since a level-g coefficient is at most 2^g t in size. Level L is
@@ -49,10 +49,10 @@ rows from q^N up, so its result lands in the same reversed slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator
 
-from .qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
+from .qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
     """Base entry ell in 1..r: product of 1/(1-q^m) over allowed m up to N.
 
     A part value m is allowed unless m is congruent to 0 or +-(r-ell+1)
-    mod 2r+1. The entry is level 0 of the product tower (``_levels``), read
-    from the same cache as every other level. An overflow or a negative
-    coefficient raises ArithmeticError.
+    mod 2r+1. The entry is level 0 of the product tower (``_levels``), kept
+    in the memo (``qseries.memo``) like every other level. An overflow or a
+    negative coefficient raises ArithmeticError.
     """
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
@@ -221,7 +221,8 @@ def _shift_div(x: int, k: int, bits: int) -> int:
     if not k:
         # each climb divides one entry by q^0; x & 0 and x >> 0 would copy x
         return x
-    low = x & ((1 << k * bits) - 1)
+    # abs(x) has x's low zero bits, without the two's complement x & mask builds
+    low = abs(x) & ((1 << k * bits) - 1)
     if low:
         # the lowest nonzero slot takes no borrow; read it as signed
         n = ((low & -low).bit_length() - 1) // bits
@@ -285,7 +286,7 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
     return layout, tuple(family)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The r entries of one level, packed at order exactly N, with their layout.
 

@@ -11,6 +11,7 @@ high-order intermediates and compare at the target order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -43,12 +44,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries(
             tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
         )
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -114,6 +109,31 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
     return None
 
 
+# -- the memo: (args, result) of each call of a ``memo`` function, under
+# (function, args), or under the function alone if it keeps its latest call
+_MEMO: dict = {}
+_SCOPE = [None]  # the scope ``forget`` was last given
+
+
+def memo(fn, latest=False):
+    """Decorator that keeps ``fn``'s results in ``_MEMO`` until ``forget``:
+    every call's, or with ``latest`` only the latest call's."""
+    @functools.wraps(fn)
+    def memoized(*args):
+        key = fn if latest else (fn, args)
+        if _MEMO.get(key, (None,))[0] != args:
+            _MEMO[key] = args, fn(*args)
+        return _MEMO[key][1]
+    return memoized
+
+
+def forget(scope=None) -> None:
+    """Empties the memo, unless ``scope`` is not None and was the last one given."""
+    if scope is None or scope != _SCOPE[0]:
+        _MEMO.clear()
+    _SCOPE[0] = scope
+
+
 # -- packed non-negative series (private step kernel) -------------------------
 
 
@@ -175,7 +195,7 @@ class _PackedLayout:
         a priori and loose (88 bits at r = 3 and order 500, where no count
         needs more than 54), so the long scans only grow up to these slots
         and hand their states off in them; the short walks, the towers and
-        the readers of cached series use them throughout.
+        the readers of memoized series use them throughout.
         """
         if order < 0:
             raise ValueError("order must be non-negative")

@@ -1,42 +1,19 @@
-import sys
-
 import pytest
 
-from rrgordon.qseries import _PackedLayout
+from rrgordon.qseries import _PackedLayout, forget
 
 # (number, label, passed) tuples recorded by the acceptance tests
 _ACCEPTANCE: list[tuple[int, str, bool]] = []
 
 
-def _cache_clearers() -> list:
-    """Every object with a ``cache_clear`` in the loaded rrgordon modules,
-    class attributes included, as perfbench finds them."""
-    found = {}
-    for name, mod in list(sys.modules.items()):
-        if name != "rrgordon" and not name.startswith("rrgordon."):
-            continue
-        for value in list(vars(mod).values()):
-            candidates = [value]
-            if isinstance(value, type) and value.__module__.startswith("rrgordon"):
-                candidates += list(vars(value).values())
-            for obj in candidates:
-                if callable(getattr(obj, "cache_clear", None)):
-                    found[id(obj)] = obj
-    return list(found.values())
-
-
 @pytest.fixture(autouse=True)
-def cold_caches():
-    """Every test starts and ends with the rrgordon caches empty, so no test
+def cold_memo():
+    """Every test starts and ends with the rrgordon memo empty, so no test
     reads a result another test left, and none computed by a patched kernel
-    outlives its test. The clearers are found before the test patches any
-    module attribute."""
-    clearers = _cache_clearers()
-    for cache in clearers:
-        cache.cache_clear()
+    outlives its test."""
+    forget()
     yield
-    for cache in clearers:
-        cache.cache_clear()
+    forget()
 
 
 @pytest.fixture

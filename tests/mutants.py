@@ -86,6 +86,21 @@ MUTANTS = [
     ("pentagonal numbers that keep the exponent 0", "products.py",
      "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
+    ("a scan that keeps memo entries across r", "cli.py",
+     "forget(r)", "None",
+     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
+    ("a main() that does not start cold", "cli.py",
+     "forget()", "None",
+     ("tests/test_cli.py::test_each_command_starts_cold",)),
+    ("a memo key that drops r", "qseries.py",
+     "(fn, args)", "(fn, args[1:])",
+     ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
+    ("a memo entry read for other arguments", "qseries.py",
+     "if _MEMO.get(key, (None,))[0] != args:", "if key not in _MEMO:",
+     ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
+    ("a partition scan kept for every cell", "partitions.py",
+     "@partial(memo, latest=True)", "@memo",
+     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
 ]
 
 

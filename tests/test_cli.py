@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from rrgordon import cli, families, hilbert, partitions
+from rrgordon import cli, families, hilbert, partitions, qseries
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
+from rrgordon.families import verify_valuations
 from rrgordon.hilbert import QuotientSpec, hp_series
 from rrgordon.partitions import GordonParams, gordon_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
@@ -615,10 +616,12 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
         new = step(self, state, u, kept)
         return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
-    # the suite's hp tail is read from the cache, filled by the correct step,
+    # the suite's hp tail is read from the memo, filled by the correct step,
     # so only the family ladder can fail it
     hp_series(QuotientSpec(3, 3), 20)
     monkeypatch.setattr(_PackedLayout, "step", short)
+    assert not verify_valuations(GordonParams(3, 2, 1), 20)
+    # a command starts cold, so there the short step fills the hp tail too
     argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
@@ -643,10 +646,9 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want
 
 
-def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
-    # every cap at floor k is a prefix sum of one descending scan N..k, and
-    # the grid reads floors J+1..J+4 for J = 0..3: 7 floors for each r, 28
-    # scans where one DP per quotient and order ran 118
+def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
+    """(r, floor) of every descending scan from here on: one per floor the
+    memo did not hold."""
     scan, scans = partitions._growing_scan, []
 
     def counted(r, N, values, floor, cap):
@@ -654,9 +656,15 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
             scans.append((r, floor))
         return scan(r, N, values, floor, cap)
 
-    for module in (partitions, hilbert, families):
-        if getattr(module, "_growing_scan", None) is scan:
-            monkeypatch.setattr(module, "_growing_scan", counted)
+    monkeypatch.setattr(hilbert, "_growing_scan", counted)
+    return scans
+
+
+def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
+    # every cap at floor k is a prefix sum of one descending scan N..k, and
+    # the grid reads floors J+1..J+4 for J = 0..3: 7 floors for each r, 28
+    # scans where one DP per quotient and order ran 118
+    scans = count_descending_scans(monkeypatch)
     argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
             "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
@@ -664,14 +672,66 @@ def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
     assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
 
 
-def test_hp_identities_run_once_per_r_and_floor(capsys):
+def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
     # the suite does not depend on i, so the 56 cells of an --i all scan
-    # share 16 computations, one per (r, J), behind the cache on the checker
-    code, _, _ = run(capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
-                     "--suites", "hp-identities")
+    # share 16 computations, one per (r, J), through the memo; each
+    # computation expands the cap-1 ideal at its floor once, and nothing
+    # else in the scan expands a capped ideal
+    expand, computed = hilbert.expand_generators, []
+
+    def counted(spec, N):
+        if spec.cap == 1:
+            computed.append((spec.r, spec.k))
+        return expand(spec, N)
+
+    monkeypatch.setattr(hilbert, "expand_generators", counted)
+    code, out, _ = run(capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
+                       "--suites", "hp-identities")
+    assert (code, out.splitlines()[-1]) == (0, "56/56 cells passed at order 12")
+    assert computed == [(r, J + 1) for r in range(2, 6) for J in range(4)]
+
+
+def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
+    # a cell of a new r empties the memo, since no later cell reads an older
+    # r's floors and levels; of the partition scans only the latest cell's stays
+    argv = ("scan", "--r", "2..4", "--i", "all", "--J", "0..1", "--order", "12", "--suites", ",".join(cli.SUITES))
+    code, _, _ = run(capsys, *argv)
     assert code == 0
-    info = hilbert.verify_hp_identities.cache_info()
-    assert (info.misses, info.hits) == (16, 56 - 16)
+    rs = [args[0] if isinstance(args[0], int) else args[0].r for args, _ in qseries._MEMO.values()]
+    assert rs and set(rs) == {4}
+    scans = [args for args, _ in qseries._MEMO.values() if isinstance(args[0], GordonParams)]
+    assert scans == [(GordonParams(4, 4, 1), 12)]
+
+
+def test_each_command_starts_cold(capsys, monkeypatch):
+    # main empties the memo before every command, so a second identical
+    # command in the same process runs its own descending scans
+    scans = count_descending_scans(monkeypatch)
+    argv = ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "12", "--suites", "hp-identities")
+    assert run(capsys, *argv)[0] == 0
+    first = list(scans)
+    assert first and run(capsys, *argv)[0] == 0
+    assert scans == first + first
+
+
+def test_library_calls_across_r_return_cold_series(monkeypatch):
+    # with no command to empty it, the memo keeps every r's entries apart:
+    # r = 3, then 5, then 3 again give the cold series, and the second
+    # r = 3 reads its floors from the memo
+    def routes(r):
+        params, N = GordonParams(r, 2, 1), 15
+        return [SERIES_ROUTES[name](params, N) for name in SERIES_ROUTES]
+
+    cold = {}
+    for r in (3, 5):
+        qseries.forget()
+        cold[r] = routes(r)
+    qseries.forget()
+    scans = count_descending_scans(monkeypatch)
+    assert [routes(r) for r in (3, 5)] == [cold[3], cold[5]]
+    before = len(scans)
+    assert routes(3) == cold[3]
+    assert len(scans) == before
 
 
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):

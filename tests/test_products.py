@@ -65,8 +65,8 @@ def doubling_base_products(r, N):
 
 
 def reference_levels(r, top, N):
-    """The r entries of each level 0..top as lists, climbed with ``-``,
-    ``shift_div`` and a cut to each level's order from the doubling base
+    """The r entries of each level 0..top as lists, climbed with a
+    coefficientwise difference, ``shift_div`` and a cut to each level's order from the doubling base
     entries."""
     order = N + (r - 1) * top * (top + 1) // 2
     entries = [TruncatedSeries(c) for c in doubling_base_products(r, order)]
@@ -75,7 +75,8 @@ def reference_levels(r, top, N):
         order -= g * (r - 1)
         new = [TruncatedSeries(entries[r - 1].coeffs[: order + 1])]
         for s in range(2, r + 1):
-            numerator = entries[r - s] - entries[r - s + 1]
+            lo, hi = entries[r - s].coeffs, entries[r - s + 1].coeffs
+            numerator = TruncatedSeries(tuple(x - y for x, y in zip(lo, hi)))
             new.append(TruncatedSeries(numerator.shift_div(g * (s - 1)).coeffs[: order + 1]))
         entries = new
         levels.append(entries)
@@ -255,16 +256,19 @@ def test_peel_raises_on_a_negative_slot():
         ((0, 3, 1, 0, 2, 0), (0, 0, 0, 0, 0, 0)),
         ((0, 0, 5, 1, 2, 0), (0, 2, 1, 0, 0, 0)),
         ((0, 0, 0, 0, 0, 0), (4, 0, 1, 0, 0, 0)),
+        ((0, 3, 0, 0, 0, 0), (0, 0, 0, 5, 0, 0)),
     ],
 )
 def test_climb_step_raises_on_a_nonzero_low_slot(a, b):
     # the message is the one TruncatedSeries.shift_div gives for the same
     # difference, a negative coefficient included, in the reversed slots of
-    # ``_levels`` and in the balanced ascending slots of the theta climb
+    # ``_levels`` and in the balanced ascending slots of the theta climb,
+    # where the last two differences are negative ints: one with a negative
+    # lowest slot, one with a positive lowest slot below a negative one
     layout = _PackedLayout.for_counts(5, 2)
     diff = layout.pack(a) - layout.pack(b)
     with pytest.raises(NonDivisibleError) as listed:
-        (TruncatedSeries(a) - TruncatedSeries(b)).shift_div(2)
+        TruncatedSeries(tuple(x - y for x, y in zip(a, b))).shift_div(2)
     with pytest.raises(NonDivisibleError) as packed:
         _PackedLayout(3, 2, layout.bits).shift_div(diff, 2, layout)
     assert str(packed.value) == str(listed.value)

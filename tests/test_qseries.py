@@ -12,9 +12,8 @@ def monomial(exponent, order):
     return T(tuple(int(n == exponent) for n in range(order + 1)))
 
 
-def test_add_sub():
+def test_add():
     assert (T((1, 1)) + T((1, 0))).coeffs == (2, 1)
-    assert (T((1, 1, 1)) - T((1, 1, 1))).coeffs == (0, 0, 0)
     # mixed orders truncate to the minimum
     assert (T((1, 2, 3)) + T((0, 0))).coeffs == (1, 2)
 
@@ -109,7 +108,7 @@ def test_one_is_identity(a):
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=24))
 def test_geometric_series_inverts_binomial(m, N):
     inv = T(tuple(int(n % m == 0) for n in range(N + 1)))
-    binom = monomial(0, N) - monomial(m, N)
+    binom = T(tuple(int(n == 0) - int(n == m) for n in range(N + 1)))
     assert (inv * binom).coeffs == monomial(0, N).coeffs
 
 
