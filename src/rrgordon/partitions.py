@@ -1,4 +1,4 @@
-"""Partition counting under Gordon difference conditions, plus the modular side.
+"""Partition counting under Gordon difference conditions.
 
 Two independent routes to the same counts are kept side by side on purpose:
 ``enumerate_gordon`` lists partitions and checks the difference conditions
@@ -215,25 +215,3 @@ def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:
     layout, _, state = _ascending_scan(params, N)
     return TruncatedSeries(layout.unpack(sum(state)))
 
-
-def allowed_residues(r: int, i: int) -> set[int]:
-    """Residues mod 2r+1 a part may take: everything but 0 and +-i."""
-    mod = 2 * r + 1
-    banned = {0, i % mod, (mod - i) % mod}
-    return {c for c in range(mod) if c not in banned}
-
-
-def count_modular(r: int, i: int, n: int) -> int:
-    """Partitions of n into parts not congruent to 0 or +-i mod 2r+1."""
-    GordonParams(r, i, 0)  # validates r and i
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    allowed = allowed_residues(r, i)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for v in range(1, n + 1):
-        if v % (2 * r + 1) not in allowed:
-            continue
-        for w in range(v, n + 1):
-            dp[w] += dp[w - v]
-    return dp[n]

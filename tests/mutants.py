@@ -58,9 +58,15 @@ MUTANTS = [
     ("hp-identities without the block check", "hilbert.py",
      "if capped != block | tail:", "if False:",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_a_middle_cap_drops_a_generator",)),
-    ("family-match that never compares", "families.py",
-     "if prod != hilb:", "if False:",
-     ("tests/test_families.py::test_match_fails_when_one_side_moves",)),
+    ("family-match that skips the one walk", "families.py",
+     "for _ in _walk(params, layout, min(d_max, params.J + N + 2)):", "for _ in ():",
+     ("tests/test_families.py::test_match_fails_when_the_walk_trips_its_guard_bits",)),
+    ("expansion reads stage s's product factors from level s-1", "families.py",
+     "_family_at_level(r, s, N)", "_family_at_level(r, s - 1, N)",
+     ("tests/test_families.py::test_expansion_identities",)),
+    ("left sides read at slot i instead of ell", "families.py",
+     "factor(params.J, params.ell)", "factor(params.J, params.i)",
+     ("tests/test_families.py::test_expansion_identities",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
      ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),

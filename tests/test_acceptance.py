@@ -4,6 +4,7 @@ exact (zero-tolerance) coefficient comparison, and reports one summary line.
 The main grid is 2 <= r <= 5, 1 <= i <= r, 0 <= J <= 3 (56 cells).
 """
 
+from modular import allowed_residues, count_modular
 from rrgordon.families import (
     Side,
     family_at_stage,
@@ -22,8 +23,6 @@ from rrgordon.hilbert import (
 )
 from rrgordon.partitions import (
     GordonParams,
-    allowed_residues,
-    count_modular,
     enumerate_gordon,
     gordon_series,
     iter_partitions,
@@ -95,23 +94,23 @@ def test_family_limits_and_stabilization(criterion):
     for params in GRID:
         bound = params.J + N + 2
         targets = {
-            Side.HILBERT: hp_series(gordon_quotient(params), N),
-            Side.PRODUCT: product_series(ProductIndex(params.r, params.product_index), N),
+            "hilbert": hp_series(gordon_quotient(params), N),
+            "product": product_series(ProductIndex(params.r, params.product_index), N),
         }
+        limit = family_limit(Side.HILBERT, params, N)
         for side, target in targets.items():
-            limit = family_limit(side, params, N)
             if first_mismatch(limit, target) is not None:
                 failures.append((params, side, "limit != target"))
-            # independent walk to the stage bound must land on the same entry
-            fam = family_at_stage(side, params, params.J + 1, N)
-            prev = None
-            while fam.stage < bound:
-                prev = fam.entries[0]
-                fam = family_step(fam)
-            if prev is None or first_mismatch(fam.entries[0], prev) is not None:
-                failures.append((params, side, "not stabilized by bound"))
-            if first_mismatch(fam.entries[0], limit) is not None:
-                failures.append((params, side, "walk disagrees with limit"))
+        # independent walk to the stage bound must land on the same entry
+        fam = family_at_stage(params, params.J + 1, N)
+        prev = None
+        while fam.stage < bound:
+            prev = fam.entries[0]
+            fam = family_step(fam)
+        if prev is None or first_mismatch(fam.entries[0], prev) is not None:
+            failures.append((params, "not stabilized by bound"))
+        if first_mismatch(fam.entries[0], limit) is not None:
+            failures.append((params, "walk disagrees with limit"))
     ok = not failures
     criterion(4, "family limits match both sides, stable by J+N+2 (N=40)", ok)
     assert ok, failures
@@ -192,7 +191,7 @@ def test_valuation_properties(criterion):
     # valuation ladder at every inspected stage
     zero = TruncatedSeries((0,) * 41)
     for params in GRID:
-        fam = family_at_stage(Side.HILBERT, params, params.J + 1, 40)
+        fam = family_at_stage(params, params.J + 1, 40)
         for _ in range(12):
             for j, entry in enumerate(fam.entries, start=1):
                 val = first_mismatch(entry, zero)

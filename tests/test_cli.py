@@ -233,6 +233,13 @@ def test_scan_order_zero_trivially_passes(capsys):
     code, out, _ = run(capsys, "scan", "--r", "2..3", "--J", "0..1", "--order", "0")
     assert code == 0
     assert "10/10 cells passed" in out
+    # at orders 0 and 1 the family walk ends at stage J+2 or J+3, before the
+    # expansion suite's J+3 and the valuation suite's J+5; both walk on
+    suites = "hp-identities,hp-recursion,family-match,expansion,valuation"
+    for order in ("0", "1"):
+        code, out, _ = run(capsys, "scan", "--r", "2..3", "--J", "0..1", "--order", order, "--suites", suites)
+        assert code == 0
+        assert "10/10 cells passed" in out, order
 
 
 def test_scan_i_range_clipped(capsys):

@@ -9,7 +9,7 @@ stage up to d and must return what it returns on all of them.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrgordon import families
@@ -33,20 +33,17 @@ def coeff_lists(fam):
 
 
 def test_init_values():
-    fam = family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 4)
+    fam = family_at_stage(GordonParams(3, 2, 0), 1, 4)
     assert fam.stage == 1
     assert coeff_lists(fam) == [
         [1, 0, 0, 0, 0],
         [0, 1, 0, 0, 0],
         [0, 0, 0, 0, 0],
     ]
-    # the product side derives the same prefix from ell
-    fam2 = family_at_stage(Side.PRODUCT, GordonParams(3, 2, 0), 1, 4)
-    assert coeff_lists(fam2) == coeff_lists(fam)
 
 
 def test_init_full_prefix_when_cap_is_r():
-    fam = family_at_stage(Side.HILBERT, GordonParams(3, 3, 1), 2, 8)
+    fam = family_at_stage(GordonParams(3, 3, 1), 2, 8)
     assert all(any(e.coeffs) for e in fam.entries)
     # the first mismatch with the zero series is the valuation
     zero = TruncatedSeries((0,) * 9)
@@ -54,7 +51,7 @@ def test_init_full_prefix_when_cap_is_r():
 
 
 def test_step_hand_checked():
-    fam = family_step(family_at_stage(Side.HILBERT, GordonParams(3, 2, 0), 1, 6))
+    fam = family_step(family_at_stage(GordonParams(3, 2, 0), 1, 6))
     assert fam.stage == 2
     assert coeff_lists(fam) == [
         [1, 1, 0, 0, 0, 0, 0],  # 1 + q
@@ -65,7 +62,7 @@ def test_step_hand_checked():
 
 def test_step_boundary_entries():
     params = GordonParams(4, 3, 1)
-    fam = family_at_stage(Side.HILBERT, params, 4, 20)
+    fam = family_at_stage(params, 4, 20)
     nxt = family_step(fam)
     # entry j is q^(5(j-1)) times the sum of current entries 1..r-j+1; the
     # last entry keeps only the first current entry, the first sums them all
@@ -78,13 +75,12 @@ def test_step_boundary_entries():
 
 def test_family_at_stage_validates():
     with pytest.raises(ValueError):
-        family_at_stage(Side.HILBERT, GordonParams(2, 1, 2), 2, 10)
+        family_at_stage(GordonParams(2, 1, 2), 2, 10)
 
 
 def test_limit_frozen_value():
     got = family_limit(Side.HILBERT, GordonParams(2, 2, 0), 5)
     assert got.coeffs == (1, 1, 1, 1, 2, 2)
-    assert family_limit(Side.PRODUCT, GordonParams(2, 2, 0), 5).coeffs == got.coeffs
     assert family_limit(Side.HILBERT, GordonParams(4, 2, 1), 0).coeffs == (1,)
 
 
@@ -99,8 +95,9 @@ def test_limit_matches_both_sides(r, i, J, N):
     params = GordonParams(r, i, J)
     hilb = hp_series(gordon_quotient(params), N)
     prod = product_series(ProductIndex(r, params.product_index), N)
-    assert first_mismatch(family_limit(Side.HILBERT, params, N), hilb) is None
-    assert first_mismatch(family_limit(Side.PRODUCT, params, N), prod) is None
+    limit = family_limit(Side.HILBERT, params, N)
+    assert first_mismatch(limit, hilb) is None
+    assert first_mismatch(limit, prod) is None
 
 
 def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
@@ -114,9 +111,8 @@ def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
         return [new[0] + 1] + new[1:]
 
     monkeypatch.setattr(_PackedLayout, "step", drifting)
-    for side in Side:
-        with pytest.raises(RuntimeError, match="failed to stabilize"):
-            family_limit(side, GordonParams(3, 2, 1), 10)
+    with pytest.raises(RuntimeError, match="failed to stabilize"):
+        family_limit(Side.HILBERT, GordonParams(3, 2, 1), 10)
 
 
 def test_match_between_sides():
@@ -129,39 +125,39 @@ def test_match_between_sides():
 
 
 def test_match_stops_where_the_walks_are_constant(step_values):
-    # from stage J+N+2 on every entry j >= 2 lies past order N, so both
-    # walks stop there whatever d_max is
+    # from stage J+N+2 on every entry j >= 2 lies past order N, so the one
+    # walk stops there whatever d_max is
     params, N = GordonParams(3, 2, 1), 10
     assert verify_family_match(params, 10**12, N)
-    # stages J+1..J+N+2 on each side
-    assert sorted(step_values) == sorted(2 * list(range(params.J + 1, params.J + N + 3)))
+    # stages J+1..J+N+2, once
+    assert step_values == list(range(params.J + 1, params.J + N + 3))
 
 
 def test_stage_past_the_walk_is_its_last_stage(step_values):
     params, N = GordonParams(2, 1, 0), 10
-    far = family_at_stage(Side.HILBERT, params, 10**12, N)
+    far = family_at_stage(params, 10**12, N)
     # stages J+1..J+N+2, after which the walk is constant to order N; the
     # stages in between are relabelled, not looped over
     assert len(step_values) == N + 2
-    last = family_at_stage(Side.HILBERT, params, params.J + N + 2, N)
+    last = family_at_stage(params, params.J + N + 2, N)
     assert far.stage == 10**12
     assert far.entries == last.entries
 
 
-def test_match_fails_when_one_side_moves(capsys, monkeypatch):
-    # one more q^N term in every product-side entry 1 after the first
-    # stage; the family route walks the Hilbert side, so only the suite sees it
+def test_match_fails_when_the_walk_trips_its_guard_bits(capsys, monkeypatch):
+    # a walk that would start from [1] starts from 2^v at q^0 instead, so
+    # its first step's guard check fires; the family route goes on from the
+    # partition scan's states, so only the suite sees it
     params, N = GordonParams(3, 2, 1), 20
-    walk = families._walk
+    v = value_bits(N, params.r)
+    walk = families._capped_walk
 
-    def bumped(side, params, layout, stage=None, state=None):
-        for d, state in walk(side, params, layout, stage, state):
-            moved = side is Side.PRODUCT and d > params.J + 1
-            yield d, [state[0] + 1, *state[1:]] if moved else state
+    def inflated(layout, values, floor, cap, state=None):
+        return walk(layout, values, floor, cap, [layout.one << v] if state is None else state)
 
-    monkeypatch.setattr(families, "_walk", bumped)
-    assert verify_family_match(params, params.J + 1, N)
-    assert not verify_family_match(params, params.J + 2, N)
+    monkeypatch.setattr(families, "_capped_walk", inflated)
+    with pytest.raises(ArithmeticError):
+        verify_family_match(params, params.J + 1, N)
     argv = ["scan", "--r", "3", "--i", "2", "--J", "1", "--order", str(N), "--suites", "family-match", "--format", "json"]
     code = main(argv)
     cell = json.loads(capsys.readouterr().out)["cells"][0]
@@ -172,11 +168,11 @@ def test_match_fails_when_one_side_moves(capsys, monkeypatch):
 def reference_verify_expansion(params, d, N):
     r = params.r
     zero = TruncatedSeries((0,) * (N + 1))
-    hilb = family_at_stage(Side.HILBERT, params, d, N)
+    fam = family_at_stage(params, d, N)
     lhs_hp = hp_series(gordon_quotient(params), N)
     rhs_hp = sum(
         (
-            hilb.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
+            fam.entries[j - 1] * hp_series(QuotientSpec(r, d + 1, cap=r - j + 1), N)
             for j in range(1, r + 1)
         ),
         zero,
@@ -184,11 +180,10 @@ def reference_verify_expansion(params, d, N):
     if first_mismatch(lhs_hp, rhs_hp) is not None:
         return False
 
-    prod = family_at_stage(Side.PRODUCT, params, d, N)
     lhs_pr = product_series(ProductIndex(r, params.product_index), N)
     rhs_pr = sum(
         (
-            prod.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
+            fam.entries[j - 1] * product_series(ProductIndex(r, (r - 1) * d + j), N)
             for j in range(1, r + 1)
         ),
         zero,
@@ -202,11 +197,20 @@ def test_expansion_identities():
     assert verify_expansion(GordonParams(3, 1, 1), 2, 0)
 
 
+@st.composite
+def cells(draw):
+    r = draw(st.integers(2, 7))
+    return GordonParams(r, draw(st.integers(1, r)), draw(st.integers(0, 4)))
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(2, 7), st.data(), st.integers(0, 4), st.integers(0, 80))
-def test_packed_expansion_agrees_with_reference(r, data, J, N):
-    params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    d = data.draw(st.integers(J + 1, J + 5))
+@given(cells(), st.integers(1, 5), st.integers(0, 80))
+# the walk ends at stage J+N+2, before d = J+5; ell = 1 reads its left
+# product side as entry 1 of level J
+@example(GordonParams(3, 3, 1), 5, 0)
+@example(GordonParams(4, 1, 2), 5, 1)
+def test_packed_expansion_agrees_with_reference(params, depth, N):
+    J, d = params.J, params.J + depth
     want = all(reference_verify_expansion(params, s, N) for s in range(J + 1, d + 1))
     assert verify_expansion(params, d, N) == want
 
@@ -218,7 +222,8 @@ def test_expansion_rejects_a_stage_below_j_plus_1():
 
 # params (3, 2, 1) at stage 3: factor 1 of each side lies one floor above the
 # stage, and its stage entry is 1 + O(q), so a change of its q^5 coefficient
-# moves the sum at q^5
+# moves the sum at q^5; the suite reads the product factor, index (r-1)*3 + 1,
+# as entry 1 of level 3, not as entry r of level 2
 EXPANSION_CASE = (GordonParams(3, 2, 1), 3, 30)
 FACTOR_ONE = {
     "hp_series": QuotientSpec(3, 4, cap=3),
@@ -237,12 +242,13 @@ def set_factor_coeff(monkeypatch, name, n, value):
     """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
     that the factor's q^n coefficient is value; every other factor is
     unchanged. Hilbert factors are the caps ``_floor`` keeps, product factors
-    the entries of ``_family_at_level``."""
+    the entries of ``_family_at_level``: factor j at stage s is entry j of
+    level s."""
     target = FACTOR_ONE[name]
     if name == "hp_series":
         attr, key, at = "_floor", (target.r, target.k), target.cap - 1
     else:
-        attr, key, at = "_family_at_level", (target.r, target.level), target.slot - 1
+        attr, key, at = "_family_at_level", (target.r, EXPANSION_CASE[1]), 0
     original = getattr(families, attr)
 
     def patched(r, floor_or_level, order):
@@ -361,7 +367,7 @@ def test_expansion_walks_once(step_values):
 
 def test_valuation_ladder():
     for params in (GordonParams(2, 2, 0), GordonParams(3, 1, 1), GordonParams(4, 3, 0)):
-        fam = family_at_stage(Side.HILBERT, params, params.J + 1, 30)
+        fam = family_at_stage(params, params.J + 1, 30)
         for _ in range(8):
             for j, entry in enumerate(fam.entries, start=1):
                 # the first mismatch with zero is the valuation; None is zero
@@ -371,7 +377,7 @@ def test_valuation_ladder():
 
 
 def test_entries_stay_non_negative():
-    fam = family_at_stage(Side.PRODUCT, GordonParams(3, 2, 1), 2, 25)
+    fam = family_at_stage(GordonParams(3, 2, 1), 2, 25)
     for _ in range(10):
         assert all(c >= 0 for e in fam.entries for c in e.coeffs)
         fam = family_step(fam)
@@ -380,7 +386,7 @@ def test_entries_stay_non_negative():
 def test_limit_agrees_with_walk_to_bound():
     params = GordonParams(3, 2, 1)
     N = 12
-    fam = family_at_stage(Side.HILBERT, params, params.J + 1, N)
+    fam = family_at_stage(params, params.J + 1, N)
     while fam.stage < params.J + N + 2:
         fam = family_step(fam)
     assert family_limit(Side.HILBERT, params, N).coeffs == fam.entries[0].coeffs

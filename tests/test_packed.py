@@ -93,31 +93,31 @@ def monomial(exponent, N):
     return TruncatedSeries(tuple(int(n == exponent) for n in range(N + 1)))
 
 
-def reference_family_init(side, params, N):
+def reference_family_init(params, N):
     """Stage J+1 family: entry j is the monomial q^((J+1)(j-1)) up to the
-    side's prefix length, zero beyond it."""
+    product side's prefix length r - ell + 1, zero beyond it; the walk keeps
+    a prefix of i entries."""
     r, J = params.r, params.J
-    prefix = r - params.ell + 1 if side is Side.PRODUCT else params.i
+    prefix = r - params.ell + 1
     entries = tuple(
         monomial((J + 1) * (j - 1), N) if j <= prefix else TruncatedSeries((0,) * (N + 1))
         for j in range(1, r + 1)
     )
-    return CoefficientFamily(side, params, stage=J + 1, entries=entries)
+    return CoefficientFamily(params, stage=J + 1, entries=entries)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 7), st.data(), st.integers(0, 5), st.integers(0, 40))
 def test_family_init_equals_list_monomials(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    for side in Side:
-        assert family_at_stage(side, params, params.J + 1, N) == reference_family_init(side, params, N)
+    assert family_at_stage(params, params.J + 1, N) == reference_family_init(params, N)
 
 
-def literal_family_limit(side, params, N):
+def literal_family_limit(params, N):
     """Entry 1 at the stabilization bound J + N + 2, stepping by the
     definition: entry j becomes (e_1 + ... + e_(r-j+1)) * q^(d(j-1))."""
     r = params.r
-    entries = reference_family_init(side, params, N).entries
+    entries = reference_family_init(params, N).entries
     for d in range(params.J + 2, params.J + N + 3):
         sums = [entries[0]]
         for e in entries[1:]:
@@ -130,8 +130,7 @@ def literal_family_limit(side, params, N):
 @given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
 def test_family_limit_equals_literal_walk(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    side = data.draw(st.sampled_from(list(Side)))
-    assert family_limit(side, params, N) == literal_family_limit(side, params, N)
+    assert family_limit(Side.HILBERT, params, N) == literal_family_limit(params, N)
 
 
 @settings(deadline=None, max_examples=40)
@@ -140,12 +139,12 @@ def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
     layout = _PackedLayout.for_counts(N, r)
     zero = TruncatedSeries((0,) * (N + 1))
-    for stage, state in families._walk(Side.HILBERT, params, layout):
+    for stage, state in families._walk(params, layout, params.J + N + 2):
         # each entry also divided by q, one slot short, as a broken step
         # would leave it
         short = [layout.pack(layout.unpack(x)[1:] + (0,)) for x in state]
         for entries in (state, short):
-            fam = families._family(Side.HILBERT, params, stage, layout, entries)
+            fam = families._family(params, stage, layout, entries)
             # the first mismatch with zero is the valuation; None is zero
             vals = [first_mismatch(e, zero) for e in fam.entries]
             want = all(v is None or v >= stage * (j - 1) for j, v in enumerate(vals, start=1))
@@ -158,7 +157,7 @@ def test_packed_ladder_agrees_with_valuation(r, data, J, N):
         lambda: gordon_series(GordonParams(3, 2, 1), -1),
         lambda: hp_series(QuotientSpec(3, 2, cap=2), -1),
         lambda: family_limit(Side.HILBERT, GordonParams(3, 2, 1), -1),
-        lambda: family_at_stage(Side.PRODUCT, GordonParams(3, 2, 1), 3, -1),
+        lambda: family_at_stage(GordonParams(3, 2, 1), 3, -1),
         lambda: verify_family_match(GordonParams(3, 2, 1), 10, -1),
         lambda: verify_expansion(GordonParams(3, 2, 1), 3, -1),
         lambda: base_product(3, 2, -1),

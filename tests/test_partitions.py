@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modular import allowed_residues, count_modular
 from rrgordon.partitions import (
     GordonParams,
     Partition,
-    allowed_residues,
-    count_modular,
     enumerate_gordon,
     gordon_series,
     iter_partitions,

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modular import allowed_residues, count_modular
 from rrgordon import cli, products
-from rrgordon.partitions import GordonParams, allowed_residues, count_modular, gordon_series
+from rrgordon.partitions import GordonParams, gordon_series
 from rrgordon.products import ProductIndex, base_product, product_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, first_mismatch
 
@@ -164,6 +165,32 @@ def test_packed_tower_equals_list_climb(r, top, N):
     layout, entries = products._theta_family(r, top, N)
     assert layout.bits == _PackedLayout.for_counts(N, r).bits
     assert [layout.unpack(x) for x in entries] == [series.coeffs for series in expected[-1]]
+
+
+def test_level_entries_are_the_indexed_product_series(monkeypatch):
+    # the expansion suite reads index (r-1)s + j as entry j of level s; for
+    # j = 1 and s >= 1, ProductIndex reads it as entry r of level s-1
+    theta = products._theta_family
+    theta_levels = set()
+
+    def recorded(r, level, N):
+        theta_levels.add((r, level, N))
+        return theta(r, level, N)
+
+    monkeypatch.setattr(products, "_theta_family", recorded)
+    for N in (0, 1, 40, 200):
+        for r in range(2, 8):
+            for s in range(6):
+                assert N + (r - 1) * s * (s + 1) // 2 <= cli.MAX_PADDED_ORDER
+                layout, entries = products._family_at_level(r, s, N)
+                got = [layout.unpack(x) for x in entries]
+                want = [product_series(ProductIndex(r, (r - 1) * s + j), N).coeffs for j in range(1, r + 1)]
+                assert got == want, (r, s, N)
+    # a level on the theta kernel whose entry 1 ProductIndex reads from a
+    # level below on the other kernel; at N = 200 no level up to 5 pads by
+    # more than 90, so every one climbs P times theta
+    switches = {N for r, s, N in theta_levels if (r, s - 1, N) not in theta_levels}
+    assert switches == {0, 1, 40}
 
 
 def coin_partition_numbers(N):
