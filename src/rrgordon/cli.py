@@ -5,6 +5,10 @@ partition DP, standard-monomial count, and the family limit that continues
 the partition DP) and certifies that the four series agree to the order.
 ``scan`` runs that over a parameter grid, optionally with extra property
 suites and worker processes. ``table`` dumps one series as CSV or JSON.
+Each command first builds one plan (``_plan``), which checks the request,
+a one-cell grid for ``verify`` and ``table``, and lists its cells and the
+Hilbert floors each r reads. ``main`` empties the memo before a command,
+and a scan cell of a new r empties it and fills that r's floors top down.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -20,10 +24,10 @@ import sys
 import time
 
 from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
-from .hilbert import gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
+from .hilbert import _floor, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, _padded_order, product_series
-from .qseries import TruncatedSeries, first_mismatch, forget
+from .qseries import TruncatedSeries, first_mismatch, forget, held
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -68,6 +72,8 @@ SUITE_CHECKS = {
     "valuation": lambda p, N, d_max: verify_valuations(p, N),
 }
 SUITES = tuple(SUITE_CHECKS)
+# the top floor above J each suite reads (hilbert._floor); the hilbert route reads J+1
+_SUITE_FLOORS = {"hp-identities": 2, "hp-recursion": 2, "valuation": 2, "expansion": _EXPANSION_DEPTH + 1}
 
 
 def _run_route(name: str, params: GordonParams, order: int) -> tuple[TruncatedSeries | None, str | None]:
@@ -146,11 +152,8 @@ def render_report_text(report: dict, seconds: dict[str, float]) -> str:
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        v = int(text)
-        return v, v
+        lo, sep, hi = text.partition("..")
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(f"bad {what} range {text!r}; use an integer or lo..hi")
 
@@ -174,32 +177,37 @@ def _order_from(args) -> int:
     return order
 
 
-def _check_padded_order(r: int, J: int, order: int, suites: tuple[str, ...] = ()) -> None:
-    top = J + _EXPANSION_DEPTH if "expansion" in suites else J
-    padded = _padded_order(r, top, order)
-    if padded > MAX_PADDED_ORDER:
-        why = " for the expansion suite" if top > J else ""
-        raise UsageError(
-            f"r={r}, J={J} at order {order} pads the product tower to order {padded}{why}, "
-            f"above {MAX_PADDED_ORDER}"
-        )
-
-
-def _cell_from(args) -> tuple[GordonParams, int]:
-    """The (r, i, J) cell and order a verify or table request names."""
-    try:
-        params = GordonParams(args.r, args.i, args.J)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if params.r > MAX_R:
-        raise UsageError(f"r must be at most {MAX_R}, got {params.r}")
-    return params, _order_from(args)
+def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range]]]:
+    """A command's order and cells (r, i, J, floors), i clipped to r and
+    ``floors`` the Hilbert floors each r reads, top down. Raises UsageError
+    on an r, i or J out of range, an empty grid, and with ``tower`` a tower
+    padded above MAX_PADDED_ORDER at the deepest level read (J, or J+3 with
+    expansion); r_hi admits the most i, so the ranges' ends decide both."""
+    order = _order_from(args)
+    r_lo, r_hi = _parse_range(str(args.r), "--r")
+    j_lo, j_hi = _parse_range(str(args.J), "--J")
+    i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(str(args.i), "--i")
+    if r_lo < 2:
+        raise UsageError("r must be at least 2")
+    if r_hi > MAX_R:
+        raise UsageError(f"r must be at most {MAX_R}, got {r_hi}")
+    if i_lo < 1:
+        raise UsageError("i must be at least 1")
+    if j_lo < 0:
+        raise UsageError("J must be non-negative")
+    if r_lo > r_hi or j_lo > j_hi or i_lo > min(r_hi, i_hi):
+        raise UsageError(f"the requested grid has no cells: r={r_lo}..{r_hi}, i={i_lo}..{i_hi} up to r, J={j_lo}..{j_hi}")
+    level = j_hi + _EXPANSION_DEPTH * ("expansion" in suites)
+    if tower and (padded := _padded_order(r_hi, level, order)) > MAX_PADDED_ORDER:
+        raise UsageError(f"r={r_hi}, J={j_hi} at order {order} pads the product tower's level {level} to order {padded}, above {MAX_PADDED_ORDER}")
+    floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
+    rows = ((r, i) for r in range(r_lo, r_hi + 1) for i in range(i_lo, min(r, i_hi) + 1))
+    return order, [(r, i, J, floors) for r, i in rows for J in range(j_lo, j_hi + 1)]
 
 
 def cmd_verify(args) -> int:
-    params, order = _cell_from(args)
-    _check_padded_order(params.r, params.J, order)
-    report, seconds = build_report(params, order)
+    order, [(r, i, J, _)] = _plan(args)
+    report, seconds = build_report(GordonParams(r, i, J), order)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -215,9 +223,15 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
-def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
-    r, i, J, order, suites, d_max = cell
-    forget(r)  # cells come r first, so no later cell reads another r's entries
+def _scan_cell(cell: tuple[int, int, int, range, int, tuple[str, ...], int]) -> dict:
+    r, i, J, floors, order, suites, d_max = cell
+    if held(_floor, r, floors[0], order) is None:
+        forget()  # cells come r first, so no later cell reads an older r's entries
+        try:  # top down, so each floor is one step from the one above
+            for k in floors:
+                _floor(r, k, order)
+        except Exception:  # it raises again in each route or suite that reads it
+            pass
     params = GordonParams(r, i, J)
     report, _ = build_report(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
@@ -234,15 +248,6 @@ def _scan_cell(cell: tuple[int, int, int, int, tuple[str, ...], int]) -> dict:
 
 
 def cmd_scan(args) -> int:
-    r_lo, r_hi = _parse_range(args.r, "--r")
-    j_lo, j_hi = _parse_range(args.J, "--J")
-    order = _order_from(args)
-    if r_lo < 2:
-        raise UsageError("r must be at least 2")
-    if r_hi > MAX_R:
-        raise UsageError(f"r must be at most {MAX_R}, got {r_hi}")
-    if j_lo < 0:
-        raise UsageError("J must be non-negative")
     if args.d_max < 0:
         raise UsageError("--d-max must be non-negative")
     if args.jobs < 1:
@@ -254,22 +259,8 @@ def cmd_scan(args) -> int:
             raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
         if s in suites[:k]:
             raise UsageError(f"suite {s!r} is named twice")
-
-    i_lo, i_hi = (1, r_hi) if args.i == "all" else _parse_range(args.i, "--i")
-    if i_lo < 1:
-        raise UsageError("i must be at least 1")
-    # i is clipped to r, so r = r_hi admits the most i; the padded order
-    # grows with r and J, so the cell (r_hi, J_hi), which every non-empty
-    # grid holds, is the deepest: both are checked before any cell is built
-    if r_lo > r_hi or j_lo > j_hi or i_lo > min(r_hi, i_hi):
-        raise UsageError("the requested grid has no cells")
-    _check_padded_order(r_hi, j_hi, order, suites)
-    cells = [
-        (r, i, J, order, suites, args.d_max)
-        for r in range(r_lo, r_hi + 1)
-        for i in range(i_lo, min(r, i_hi) + 1)
-        for J in range(j_lo, j_hi + 1)
-    ]
+    order, cells = _plan(args, suites)
+    cells = [(*cell, order, suites, args.d_max) for cell in cells]
 
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
@@ -312,11 +303,8 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 
 def cmd_table(args) -> int:
-    params, order = _cell_from(args)
-    if args.kind == "product":
-        # only the product route builds a tower
-        _check_padded_order(params.r, params.J, order)
-    series, error = _run_route(TABLE_KINDS[args.kind], params, order)
+    order, [(r, i, J, _)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
+    series, error = _run_route(TABLE_KINDS[args.kind], GordonParams(r, i, J), order)
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback
         print(f"error: {error}", file=sys.stderr)

@@ -15,9 +15,10 @@ a >= k, and f_k <= cap-1 when capped).
 One descending scan serves every cap at a floor: ``_floor`` keeps the
 checked series of caps 1..r, the prefix sums of the scan's states, in the
 memo (``qseries.memo``), so ``hp_series``, the hp suites here and the
-valuation and expansion suites in ``families`` only index them. The scan
-runs in slots that grow with its counts (``partitions._growing_scan``); from
-large variables down, the counts stay small for most of it.
+valuation and expansion suites in ``families`` only index them; floors
+filled top down cost one scan. The scan runs in slots that grow with its
+counts (``partitions._growing_scan``); from large variables down, the
+counts stay small for most of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import TruncatedSeries, _PackedLayout, memo
+from .qseries import TruncatedSeries, _PackedLayout, held, memo
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -126,9 +127,10 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The layout, ``for_counts(N, r)``, and the packed series of the
     quotients at floor k with caps 1..r (cap r is uncapped), from one scan
-    of variables N down to k, one ``step`` per variable, in slots that grow
-    with the counts (``partitions._growing_scan``). A floor above the order
-    scans nothing and keeps the series 1.
+    of variables N down to k, one ``step`` per variable: one step at k of
+    floor k+1's states, the differences of its caps, if the memo holds it,
+    else the scan from N in slots that grow with the counts
+    (``partitions._growing_scan``). A floor above N keeps the series 1.
 
     State j of the scan holds the multiplicity vectors with f_k = j-1, and
     the states past the returned ones are zero. So the quotient capped at c
@@ -136,7 +138,11 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     sums of the states, each checked once here in the ``for_counts`` slots
     the scan hands off, and a cap past the nonzero states repeats the total.
     """
-    layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)
+    if above := held(_floor, r, k + 1, N):
+        layout, caps = above
+        state = layout.step([b - a for a, b in zip((0,) + caps, caps)], k, r)
+    else:
+        layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)
     caps = tuple(layout._check(x) for x in accumulate(state))
     return layout, caps + caps[-1:] * (r - len(caps))
 

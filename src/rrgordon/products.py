@@ -293,8 +293,10 @@ def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[i
     A tower whose padding (r-1)*level*(level+1)/2 exceeds N climbs the theta
     series alone (``_theta_family``); any other climbs P times them
     (``_levels``), because its base level is cheaper than a pass of Euler's
-    recurrence over r lanes at order N.
+    recurrence over r lanes at order N. A negative level raises ValueError.
     """
+    if level < 0:
+        raise ValueError(f"level must be non-negative, got {level}")
     if (r - 1) * level * (level + 1) // 2 > N:
         return _theta_family(r, level, N)
     for layout, entries in _levels(r, level, N):

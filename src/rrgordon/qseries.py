@@ -109,10 +109,9 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
     return None
 
 
-# -- the memo: (args, result) of each call of a ``memo`` function, under
-# (function, args), or under the function alone if it keeps its latest call
+# -- the memo: (args, result) of each call of a function ``memo`` wraps, under
+# (wrapper, args), or under the wrapper alone if it keeps its latest call
 _MEMO: dict = {}
-_SCOPE = [None]  # the scope ``forget`` was last given
 
 
 def memo(fn, latest=False):
@@ -120,18 +119,22 @@ def memo(fn, latest=False):
     every call's, or with ``latest`` only the latest call's."""
     @functools.wraps(fn)
     def memoized(*args):
-        key = fn if latest else (fn, args)
+        key = memoized if latest else (memoized, args)
         if _MEMO.get(key, (None,))[0] != args:
             _MEMO[key] = args, fn(*args)
         return _MEMO[key][1]
     return memoized
 
 
-def forget(scope=None) -> None:
-    """Empties the memo, unless ``scope`` is not None and was the last one given."""
-    if scope is None or scope != _SCOPE[0]:
-        _MEMO.clear()
-    _SCOPE[0] = scope
+def held(fn, *args):
+    """The memo's ``fn(*args)``, ``fn`` from ``memo`` without ``latest``, or None."""
+    return _MEMO.get((fn, args), (None, None))[1]
+
+
+def forget() -> None:
+    """Empties the memo. Its lifetime is the caller's: ``cli`` empties it
+    before every command and when a scan cell finds its r missing."""
+    _MEMO.clear()
 
 
 # -- packed non-negative series (private step kernel) -------------------------

@@ -84,7 +84,7 @@ MUTANTS = [
      "if got != order:", "if False:",
      ("tests/test_cli.py::test_a_series_one_order_short_fails_closed",)),
     ("a padded-order check on every table kind", "cli.py",
-     'if args.kind == "product":', "if True:",
+     'tower=args.kind == "product"', "tower=True",
      ("tests/test_cli.py::test_table_of_a_towerless_kind_ignores_the_padded_order[counts]",)),
     ("a scan that admits i below 1", "cli.py",
      "if i_lo < 1:", "if False:",
@@ -93,13 +93,13 @@ MUTANTS = [
      "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a scan that keeps memo entries across r", "cli.py",
-     "forget(r)", "None",
+     "forget()  # cells come r first", "None  # cells come r first",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
     ("a main() that does not start cold", "cli.py",
-     "forget()", "None",
+     "forget()  # every command starts cold", "None",
      ("tests/test_cli.py::test_each_command_starts_cold",)),
     ("a memo key that drops r", "qseries.py",
-     "(fn, args)", "(fn, args[1:])",
+     "(memoized, args)", "(memoized, args[1:])",
      ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
     ("a memo entry read for other arguments", "qseries.py",
      "if _MEMO.get(key, (None,))[0] != args:", "if key not in _MEMO:",
@@ -107,6 +107,18 @@ MUTANTS = [
     ("a partition scan kept for every cell", "partitions.py",
      "@partial(memo, latest=True)", "@memo",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
+    ("a scan that fills its floors from the bottom up", "cli.py",
+     "for k in floors:", "for k in reversed(floors):",
+     ("tests/test_cli.py::test_five_suite_scan_runs_one_hilbert_scan_per_r",)),
+    ("a floor stepped from the one above at value k+1", "hilbert.py",
+     "caps, caps)], k, r)", "caps, caps)], k + 1, r)",
+     ("tests/test_hilbert.py::test_floors_filled_from_the_top_equal_cold_floors",)),
+    ("a floor fill whose error escapes its cell", "cli.py",
+     "except Exception:  # it raises again", "except ZeroDivisionError:  # it raises again",
+     ("tests/test_cli.py::test_a_floor_fill_that_raises_fails_its_cells",)),
+    ("a plan that checks the padded order at (r_lo, J_lo)", "cli.py",
+     "_padded_order(r_hi, level, order)", "_padded_order(r_lo, level - j_hi + j_lo, order)",
+     ("tests/test_cli.py::test_padded_order_above_max_is_usage_error[argv2]",)),
 ]
 
 

@@ -581,9 +581,14 @@ def test_cell_at_max_padded_order_is_accepted(capsys):
 
 def test_max_padded_order_admits_the_baselines():
     # verify at r=5, J=30, order 200 pads to 2060; the 56-cell grid
-    # (r <= 5, J <= 3) at MAX_ORDER pads to 2024
-    cli._check_padded_order(5, 30, 200)
-    cli._check_padded_order(5, 3, cli.MAX_ORDER)
+    # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
+    # with the expansion suite
+    cell = argparse.Namespace(r=5, i=1, J=30, order=200)
+    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1))])
+    grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
+    for suites in ((), cli.SUITES):
+        order, cells = cli._plan(grid, suites)
+        assert order == cli.MAX_ORDER and len(cells) == 56
 
 
 def test_huge_d_max_gives_the_same_bytes(capsys, step_values):
@@ -609,8 +614,8 @@ def test_expansion_suite_is_checked_at_its_deepest_level(capsys, monkeypatch):
 
 
 def test_cell_at_max_padded_order_without_expansion_passes(capsys):
-    others = ",".join(s for s in cli.SUITES if s != "expansion")
-    cli._check_padded_order(5, 42, 388, tuple(others.split(",")))
+    others = tuple(s for s in cli.SUITES if s != "expansion")
+    assert len(cli._plan(argparse.Namespace(r=5, i=1, J=42, order=388), others)[1]) == 1
     code, out, _ = run(capsys, "scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
     assert (code, out.splitlines()[-1]) == (0, "1/1 cells passed at order 388")
 
@@ -654,8 +659,8 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
 
 
 def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
-    """(r, floor) of every descending scan from here on: one per floor the
-    memo did not hold."""
+    """(r, floor) of every descending scan from here on: one per floor whose
+    floor above the memo did not hold."""
     scan, scans = partitions._growing_scan, []
 
     def counted(r, N, values, floor, cap):
@@ -667,16 +672,40 @@ def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
     return scans
 
 
-def test_five_suite_scan_runs_one_hilbert_scan_per_floor(capsys, monkeypatch):
+def test_five_suite_scan_runs_one_hilbert_scan_per_r(capsys, monkeypatch):
     # every cap at floor k is a prefix sum of one descending scan N..k, and
-    # the grid reads floors J+1..J+4 for J = 0..3: 7 floors for each r, 28
-    # scans where one DP per quotient and order ran 118
+    # floor k is floor k+1 after one more step; the grid reads floors
+    # J+1..J+4 for J = 0..3, and the first cell of each r fills floors 7..1
+    # from one scan to 7: 4 scans, where one per floor ran 28 and one DP per
+    # quotient and order 118
     scans = count_descending_scans(monkeypatch)
     argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "12",
             "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert sorted(scans) == [(r, k) for r in range(2, 6) for k in range(1, 8)]
+    assert scans == [(r, 7) for r in range(2, 6)]
+
+
+def test_verify_runs_one_hilbert_scan(capsys, monkeypatch):
+    scans = count_descending_scans(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "500")
+    assert (code, scans) == (0, [(3, 2)])
+
+
+def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
+    # the first cell of an r fills its floors; a fill that raises leaves
+    # each route and suite that reads a floor to raise and fail its cell,
+    # with no traceback
+    def failing(*args):
+        raise ArithmeticError("a 8-bit slot reached its guard bits")
+
+    monkeypatch.setattr(hilbert, "_growing_scan", failing)
+    argv = ("scan", "--r", "2", "--J", "0", "--order", "10", "--suites", "valuation,family-match", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    cells = json.loads(out)["cells"]
+    assert code == 1 and len(cells) == 2
+    for cell in cells:
+        assert (cell["identity"], cell["suites"]) == ("fail", {"family-match": "pass", "valuation": "fail"})
 
 
 def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):

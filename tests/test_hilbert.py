@@ -1,10 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrgordon import hilbert
+from rrgordon import hilbert, partitions, qseries
 from rrgordon.cli import main
 from rrgordon.hilbert import (
     QuotientSpec,
@@ -136,6 +137,33 @@ def test_every_cap_read_off_one_floor_is_the_monomial_count(r, k, N):
         ideal = expand_generators(QuotientSpec(r, k, cap=cap), N)
         want = tuple(standard_monomial_count(ideal, n) for n in range(N + 1))
         assert layout.unpack(caps[(cap or r) - 1]) == want, cap
+
+
+@st.composite
+def floor_runs(draw):
+    """(r, N, hi, lo): floors hi down to lo, hi up to N+2, at order N."""
+    r, N = draw(st.integers(2, 6)), draw(st.integers(0, 120))
+    hi = draw(st.integers(1, N + 2))
+    return r, N, hi, draw(st.integers(1, hi))
+
+
+@settings(deadline=None, max_examples=40)
+@given(floor_runs())
+@example((2, 0, 2, 1))
+@example((3, 1, 3, 1))
+@example((4, 10, 12, 11))
+def test_floors_filled_from_the_top_equal_cold_floors(run):
+    # floor k is floor k+1 after one more step: filled from hi down, the
+    # floors cost one scan, and each equals floor k scanned on its own
+    r, N, hi, lo = run
+    qseries.forget()
+    with mock.patch.object(hilbert, "_growing_scan", wraps=partitions._growing_scan) as scan:
+        filled = {k: hilbert._floor(r, k, N) for k in range(hi, lo - 1, -1)}
+    assert scan.call_count == 1
+    for k, (layout, caps) in filled.items():
+        qseries.forget()
+        cold, cold_caps = hilbert._floor(r, k, N)
+        assert (layout.bits, caps) == (cold.bits, cold_caps), k
 
 
 def test_hp_identities_fail_when_the_full_cap_drops_a_generator(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modular import allowed_residues, count_modular
-from rrgordon import cli, products
+from rrgordon import cli, products, qseries
 from rrgordon.partitions import GordonParams, gordon_series
 from rrgordon.products import ProductIndex, base_product, product_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, first_mismatch
@@ -393,6 +393,13 @@ def test_tail_converges_to_one(r, N):
     # once the tail reaches 1 it stays there
     first_inf = profile.index(None)
     assert all(v is None for v in profile[first_inf:])
+
+
+def test_a_negative_level_raises_before_the_memo_keeps_it():
+    # level -1 once climbed nothing and returned level 0's entries
+    with pytest.raises(ValueError, match="level must be non-negative, got -1"):
+        products._family_at_level(2, -1, 30)
+    assert not qseries._MEMO
 
 
 def test_deep_towers_divide_exactly():
