@@ -42,8 +42,8 @@ ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: at this limit.
 MAX_ORDER = 2000
 #: Largest r any command accepts. A cell holds up to r packed series per
-#: walk and per tower level, and the expansion suite multiplies r factors
-#: per stage, so time and memory grow about linearly in r; README.md gives
+#: walk and per tower level, and the expansion suite compares r entries
+#: per level, so time and memory grow about linearly in r; README.md gives
 #: the measured cost at this limit.
 MAX_R = 100
 #: Largest padded order of a cell's product tower, N + (r-1)*J*(J+1)/2,
@@ -59,7 +59,7 @@ SERIES_ROUTES = {
     "family": lambda p, N: family_limit(Side.HILBERT, p, N),
 }
 
-# the expansion suite checks stages J+1..J+_EXPANSION_DEPTH; stage d reads product level d
+# the expansion suite compares product levels J..J+_EXPANSION_DEPTH with the floors one above
 _EXPANSION_DEPTH = 3
 
 

@@ -16,20 +16,17 @@ stabilization, and it does not scan again: it goes on from the partition
 route's scan (``partitions._ascending_scan``, in the memo) to its stop, so
 only the stopping rule differs from ``gordon_series``.
 
-``verify_expansion`` unpacks nothing: it walks once in the wide slots of
-``_PackedLayout.for_products``, moves each memoized factor and left side into
-those slots (``_PackedLayout.reslot``), multiplies each entry by its factors
-of both sides as one int each, and compares each side's sum with its left
-side. Stage s's factor j is cap r-j+1 one floor above s and entry j of tower
-level s, whose entry 1 is entry r of level s-1 (``products._climb``); the
-left sides are factor ell at stage J. The slots hold q^N up to q^0 from the
-bottom (``_PackedLayout``), so slot 2N - t of a product holds q^t, and
-shifting off its low N slots truncates it to order N. Every operand is first
-checked below the slots' value bits, so none of the product's 2N+1 slots
-carries, the shifted-off ones included, and the check is exact whether or
-not the identity holds. A stage entry of low degree has zero low slots; they
-are shifted off before it is multiplied (``_PackedLayout._mul``), so the
-product costs what it did in ascending slots.
+``verify_expansion`` checks that tower level s equals Hilbert floor s+1
+entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
+the memoized packed series as they are: both live in ``for_counts(N, r)``
+slots. The paper's stage-s expansion identities sum the stage-s entries
+times these factors, one side each. Where every level equals its floor the
+two sums are one sum, which telescopes through the floors' ``step`` to the
+cell's Hilbert side, and that is its product side, since level J equals
+floor J+1; so the check fails whenever an identity does. The sums alone
+would check only our own recursions: the Hilbert sum telescopes through
+``_floor``'s one-step floors whatever the top floor is, and the product
+sum through ``products._climb`` for any tower whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -152,30 +149,12 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
-    """Both expansion identities at every stage J+1..d, to order N.
-
-    At stage s, the Hilbert series of the target quotient must equal the
-    sum of the stage-s entries times the capped series one floor above
-    stage s, and likewise the target product series must expand over the
-    same stage-s entries times the entries of tower level s. Each stage's
-    entries are checked once, and every operand is moved from its memoized
-    slots into the walk's with ``_PackedLayout.reslot``. Raises
-    ArithmeticError if an operand is too large for its slots.
-    """
+    """Whether tower level s equals Hilbert floor s+1 to order N, entry j
+    against cap r-j+1, at every s = J..d: the agreement both expansion
+    identities at stages J+1..d reduce to. Compared packed, unchecked, from
+    the top down, so each floor the memo lacks is one step from the one
+    above; a stage d below J+1 raises ValueError."""
+    if d < params.J + 1:
+        raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
     r = params.r
-    layout = _PackedLayout.for_products(N, r)
-
-    def factor(s: int, j: int) -> tuple[int, int]:
-        src, caps = _floor(r, s + 1, N)
-        hp = layout.reslot(caps[r - j], src)
-        src, entries = _family_at_level(r, s, N)
-        return hp, layout.reslot(entries[j - 1], src)
-
-    hp_lhs, pr_lhs = factor(params.J, params.ell)
-    for s, state in _walk(params, layout, d):
-        xs = [layout._check(x) for x in state]
-        hp, pr = zip(*(factor(s, j) for j in range(1, len(xs) + 1)))
-        hp_terms, pr_terms = map(layout._mul, xs, hp), map(layout._mul, xs, pr)
-        if sum(hp_terms) != hp_lhs or sum(pr_terms) != pr_lhs:
-            return False
-    return True
+    return all(_family_at_level(r, s, N)[1] == _floor(r, s + 1, N)[1][::-1] for s in range(d, params.J - 1, -1))

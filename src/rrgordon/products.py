@@ -20,8 +20,9 @@ one of two packed kernels from (r, L, N) alone:
   each theta series at the padded order, and the climb runs on those
   entries. Their slots (``_PackedLayout.for_counts``) hold sums of t + 1
   partition counts, t the most terms of any theta sum (``_thetas``), and
-  every result is checked below its guard bits. Level 0 has no padding,
-  so ``base_product`` reads its entries from this kernel's memoized tower.
+  every result is checked below its guard bits. The top level is then
+  moved into ``for_counts(N, r)`` slots. Level 0 has no padding, so
+  ``base_product`` reads its entries from this kernel's memoized tower.
 - padding above N (``_theta_family``): the climb runs on the theta series,
   in balanced signed slots of top + bitlen(t) + 2 bits rounded up to whole
   bytes, since a level-g coefficient is at most 2^g t in size. Level L is
@@ -35,8 +36,9 @@ one of two packed kernels from (r, L, N) alone:
 Either way a division that is not exact raises NonDivisibleError, and a
 coefficient that reaches its guard bits raises ArithmeticError.
 
-Both kernels hand over ``_PackedLayout`` series, whose slot N-w holds q^w
-(q^0 on top). So in ``_levels`` a shift by q^e is a right shift, which
+Both kernels hand over ``_PackedLayout`` series in ``for_counts(N, r)``
+slots, whose slot N-w holds q^w (q^0 on top), and ``_levels`` climbs in
+slots laid out the same way. So there a shift by q^e is a right shift, which
 drops the exponents past the order for free, and a climb step checks that
 the top k slots of a difference are zero and then shifts it right by the
 order it drops (``_PackedLayout.shift_div``). No dropped slot carries into
@@ -288,20 +290,24 @@ def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, .
 
 @memo
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The r entries of one level, packed at order exactly N, with their layout.
+    """The r entries of one level, packed at order exactly N in
+    ``for_counts(N, r)`` slots, with that layout.
 
     A tower whose padding (r-1)*level*(level+1)/2 exceeds N climbs the theta
     series alone (``_theta_family``); any other climbs P times them
     (``_levels``), because its base level is cheaper than a pass of Euler's
-    recurrence over r lanes at order N. A negative level raises ValueError.
+    recurrence over r lanes at order N, and its top level is moved out of
+    the climb's slots (``_PackedLayout.reslot``). A negative level raises
+    ValueError.
     """
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
     if (r - 1) * level * (level + 1) // 2 > N:
         return _theta_family(r, level, N)
-    for layout, entries in _levels(r, level, N):
+    for src, entries in _levels(r, level, N):
         pass
-    return layout, tuple(entries)
+    layout = _PackedLayout.for_counts(N, r)
+    return layout, tuple(layout.reslot(x, src) for x in entries)
 
 
 def product_series(idx: ProductIndex, N: int) -> TruncatedSeries:

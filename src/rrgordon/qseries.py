@@ -166,7 +166,8 @@ class _PackedLayout:
     scans (``partitions._growing_scan``), not the width they step in: they
     start narrower and, when the check fires, ``reslot`` the input states of
     that step into wider slots and step again, then hand their states off in
-    ``for_counts`` slots, the layout every reader sees.
+    ``for_counts`` slots, the layout every reader sees; a product tower
+    hands its top level off in them too (``products._family_at_level``).
 
     A difference of two checked series needs no more room: a slot that
     would go negative borrows from the slot above and is left at 2^B minus
@@ -177,14 +178,14 @@ class _PackedLayout:
     borrow from a dropped slot into a kept one.
     """
 
-    def __init__(self, order: int, r: int, bits: int, value_bits: int | None = None):
-        value_bits = bits - (r - 1).bit_length() if value_bits is None else value_bits
-        if bits % 8 or not 0 < value_bits < bits:
-            raise ValueError(f"slots need whole bytes above {value_bits} value bits, got {bits}")
+    def __init__(self, order: int, r: int, bits: int):
+        v = bits - (r - 1).bit_length()
+        if bits % 8 or not 0 < v < bits:
+            raise ValueError(f"slots need whole bytes above {v} value bits, got {bits}")
         self.order, self.r, self.bits = order, r, bits
         self._width = bits // 8
         self.one = 1 << order * bits
-        slot_bytes = ((1 << bits) - (1 << value_bits)).to_bytes(self._width, "little")
+        slot_bytes = ((1 << bits) - (1 << v)).to_bytes(self._width, "little")
         self._guard = int.from_bytes(slot_bytes * (order + 1), "little")
 
     @classmethod
@@ -197,30 +198,14 @@ class _PackedLayout:
         B is b + ceil(log2 r) rounded up to a whole byte. The bound is
         a priori and loose (88 bits at r = 3 and order 500, where no count
         needs more than 54), so the long scans only grow up to these slots
-        and hand their states off in them; the short walks, the towers and
-        the readers of memoized series use them throughout.
+        and hand their states off in them, and a tower hands its top level
+        off in them; the short walks and the readers of memoized series use
+        them throughout.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
-        value_bits = int(math.pi * math.sqrt(2 * order / 3) / math.log(2)) + 1
-        guard_bits = (r - 1).bit_length()
-        return cls(order, r, -(-(value_bits + guard_bits) // 8) * 8)
-
-    @classmethod
-    def for_products(cls, order: int, r: int) -> _PackedLayout:
-        """Slots for sums of r products of two series of partition counts.
-
-        Every bit at or above v = ``for_counts(order, r).bits - ceil(log2 r)``
-        is a guard bit, so each operand that passes the check is below 2^v.
-        A slot of the sum adds at most r(N+1) products below 2^(2v), so B =
-        2v + bitlen(N+1) + ceil(log2 r), rounded up to whole bytes, never
-        carries. That holds at all 2N+1 positions of the full product, the
-        N below q^N included, so shifting those off leaves the q^0..q^N
-        slots exact.
-        """
-        g = (r - 1).bit_length()
-        v = cls.for_counts(order, r).bits - g
-        return cls(order, r, -(-(2 * v + (order + 1).bit_length() + g) // 8) * 8, v)
+        b = int(math.pi * math.sqrt(2 * order / 3) / math.log(2)) + 1
+        return cls(order, r, -(-(b + (r - 1).bit_length()) // 8) * 8)
 
     def _check(self, x: int) -> int:
         if x < 0 or x & self._guard:
@@ -248,44 +233,31 @@ class _PackedLayout:
 
     def reslot(self, x: int, src: _PackedLayout) -> int:
         """x, packed in ``src``'s slots at this order, moved into this
-        layout's slots, which are at least as wide: one strided byte-slice
-        copy per byte of a source slot. Slot i holds q^(N-i) in both.
+        layout's slots, wider or narrower: one strided byte-slice copy per
+        byte both slots hold, none if they are equally wide. Slot i holds
+        q^(N-i) in both.
 
-        Raises ValueError if ``src`` has another order or wider slots, and
-        ArithmeticError if x does not fit ``src``'s slots or a slot reaches
-        this layout's guard bits.
+        Raises ValueError if ``src`` has another order, and ArithmeticError
+        if x does not fit ``src``'s slots, a narrowing would drop a nonzero
+        byte, or a slot reaches this layout's guard bits.
         """
-        if src.order != self.order or src.bits > self.bits:
-            raise ValueError(
-                f"cannot reslot {src.bits}-bit slots of order {src.order}"
-                f" into {self.bits}-bit slots of order {self.order}"
-            )
+        if src.order != self.order:
+            raise ValueError(f"cannot reslot order {src.order} into order {self.order}")
         n, w, sw = self.order + 1, self._width, src._width
-        try:
-            data = x.to_bytes(n * sw, "little")
-        except OverflowError:
-            raise ArithmeticError(f"a value does not fit {n} slots of {src.bits} bits") from None
+        if x < 0 or x >> n * src.bits:
+            raise ArithmeticError(f"a value does not fit {n} slots of {src.bits} bits")
+        if w == sw:
+            return self._check(x)
+        data = x.to_bytes(n * sw, "little")
+        if any(data[b::sw].count(0) < n for b in range(w, sw)):
+            raise ArithmeticError(f"a value does not fit {n} slots of {self.bits} bits")
         out = bytearray(n * w)
-        for b in range(sw):
+        for b in range(min(w, sw)):
             out[b::w] = data[b::sw]
         return self._check(int.from_bytes(out, "little"))
 
     def _times_q(self, x: int, s: int) -> int:
         return x >> s * self.bits
-
-    def _mul(self, x: int, f: int) -> int:
-        """x * f to this order, for x and f below the value bits of
-        ``for_products`` slots.
-
-        Slot 2N - t of the product holds q^t, and none of its 2N+1 slots
-        carries, so shifting off the low N leaves q^0..q^N. An x of low
-        degree is a long int whose z low slots are zero: they are shifted
-        off first, so the multiplication sees only the N+1-z slots above.
-        """
-        if not x:
-            return 0
-        z = ((x & -x).bit_length() - 1) // self.bits
-        return (x >> z * self.bits) * f >> (self.order - z) * self.bits
 
     def _has_valuation(self, x: int, v: int) -> bool:
         """Whether x has valuation at least v: its top v slots, which hold

@@ -28,9 +28,9 @@ MUTANTS = [
     ("step without its guard check", "qseries.py",
      "total = self._check(prefix[-1])", "total = prefix[-1]",
      ("tests/test_packed.py::test_step_raises_when_a_slot_reaches_its_guard_bits",)),
-    ("_mul dropping one slot too many", "qseries.py",
-     "* f >> (self.order - z) * self.bits", "* f >> (self.order - z + 1) * self.bits",
-     ("tests/test_families.py::test_expansion_identities",)),
+    ("a narrowing that skips the dropped-byte check", "qseries.py",
+     "if any(data[b::sw].count(0) < n for b in range(w, sw)):", "if False:",
+     ("tests/test_packed.py::test_reslot_refuses_a_wider_source",)),
     ("a tower that never takes the theta kernel", "products.py",
      "if (r - 1) * level * (level + 1) // 2 > N:", "if False:",
      ("tests/test_products.py::test_dropped_theta_term_blocks_a_division",)),
@@ -46,9 +46,26 @@ MUTANTS = [
     ("base_product reading slot r-ell+1", "products.py",
      "product_series(ProductIndex(r, ell), N)", "product_series(ProductIndex(r, r - ell + 1), N)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
-    ("a one-walk expansion that skips the product identity", "families.py",
-     "if sum(hp_terms) != hp_lhs or sum(pr_terms) != pr_lhs:", "if sum(hp_terms) != hp_lhs:",
-     ("tests/test_families.py::test_expansion_fails_on_a_bumped_deeper_factor",)),
+    ("expansion compares level s with floor s", "families.py",
+     "_floor(r, s + 1, N)", "_floor(r, s, N)",
+     ("tests/test_families.py::test_expansion_identities",)),
+    ("expansion compares entry j with cap j", "families.py",
+     "_floor(r, s + 1, N)[1][::-1]", "_floor(r, s + 1, N)[1]",
+     ("tests/test_families.py::test_expansion_identities",)),
+    ("an expansion that skips the left sides", "families.py",
+     "for s in range(d, params.J - 1, -1)", "for s in range(d, params.J, -1)",
+     ("tests/test_families.py::test_expansion_fails_on_a_bumped_left_side[hp_series]",)),
+    ("a _levels hand-off left in the climb's slots", "products.py",
+     "return layout, tuple(layout.reslot(x, src) for x in entries)", "return src, tuple(entries)",
+     ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[2-3-30]",)),
+    ("a partition number one too large", "products.py",
+     "return _over_euler([1] + [0] * N)", "return [p + (n == 10) for n, p in enumerate(_over_euler([1] + [0] * N))]",
+     ("tests/test_families.py::test_expansion_identities",)),
+    ("a top floor bumped at one exponent", "hilbert.py",
+     "layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)",
+     "layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)\n"
+     "        state[0] += layout._times_q(layout.one, min(N, 10))",
+     ("tests/test_families.py::test_expansion_identities",)),
     ("hp-identities without the cap-r generator check", "hilbert.py",
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_the_full_cap_drops_a_generator",)),
@@ -64,9 +81,9 @@ MUTANTS = [
     ("expansion reads stage s's product factors from level s-1", "families.py",
      "_family_at_level(r, s, N)", "_family_at_level(r, s - 1, N)",
      ("tests/test_families.py::test_expansion_identities",)),
-    ("left sides read at slot i instead of ell", "families.py",
-     "factor(params.J, params.ell)", "factor(params.J, params.i)",
-     ("tests/test_families.py::test_expansion_identities",)),
+    ("left sides read at slot i instead of ell", "partitions.py",
+     "return (self.r - 1) * self.J + self.ell", "return (self.r - 1) * self.J + self.i",
+     ("tests/test_products.py::test_identity_spot_instances[2-1-2-40]",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
      ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),

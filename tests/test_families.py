@@ -1,9 +1,11 @@
 """Tests of the coefficient families.
 
-``reference_verify_expansion`` is the list version of the expansion check
-at one stage: it unpacks each stage entry into a ``TruncatedSeries`` and
-sums list Cauchy products. The packed ``verify_expansion`` checks every
-stage up to d and must return what it returns on all of them.
+``reference_verify_expansion`` is the list version of the paper's two
+expansion identities at one stage: it unpacks each stage entry into a
+``TruncatedSeries`` and sums list Cauchy products. The packed
+``verify_expansion`` checks the level-against-floor agreement those sums
+reduce to, and on correct code it must return what the reference returns
+on every stage up to d.
 """
 
 import json
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrgordon import families
+from rrgordon import families, hilbert, partitions, products
 from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
     Side,
@@ -144,6 +146,23 @@ def test_stage_past_the_walk_is_its_last_stage(step_values):
     assert far.entries == last.entries
 
 
+def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
+    # with D = max(N, J+1), the limit goes on from the scan's stage-D states
+    # and stops at D+1 when they are one entry, else at D+2; so never past
+    # max(N, J)+2 <= J+N+2 (at i = 1 and N = J+1 one stage earlier than that)
+    for r in range(2, 5):
+        for i in range(1, r + 1):
+            for J in range(5):
+                for N in range(13):
+                    params = GordonParams(r, i, J)
+                    _, D, state = partitions._ascending_scan(params, N)
+                    step_values.clear()
+                    family_limit(Side.HILBERT, params, N)
+                    stop = D + 1 if len(state) == 1 else D + 2
+                    assert step_values == list(range(D + 1, stop + 1)), (params, N)
+                    assert stop <= max(N, J) + 2
+
+
 def test_match_fails_when_the_walk_trips_its_guard_bits(capsys, monkeypatch):
     # a walk that would start from [1] starts from 2^v at q^0 instead, so
     # its first step's guard check fires; the family route goes on from the
@@ -238,17 +257,11 @@ def with_coeff(layout, x, n, value):
     return x + layout._times_q((value - layout.unpack(x)[n]) * layout.one, n)
 
 
-def set_factor_coeff(monkeypatch, name, n, value):
-    """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
-    that the factor's q^n coefficient is value; every other factor is
-    unchanged. Hilbert factors are the caps ``_floor`` keeps, product factors
-    the entries of ``_family_at_level``: factor j at stage s is entry j of
-    level s."""
-    target = FACTOR_ONE[name]
-    if name == "hp_series":
-        attr, key, at = "_floor", (target.r, target.k), target.cap - 1
-    else:
-        attr, key, at = "_family_at_level", (target.r, EXPANSION_CASE[1]), 0
+def set_entry_coeff(monkeypatch, attr, key, at, n, value):
+    """Patch ``families``' packed cache ``attr``, ``_floor`` or
+    ``_family_at_level``, so that entry ``at`` of its result at ``key``,
+    (r, floor) or (r, level), has q^n coefficient value; every other entry
+    is unchanged."""
     original = getattr(families, attr)
 
     def patched(r, floor_or_level, order):
@@ -262,8 +275,21 @@ def set_factor_coeff(monkeypatch, name, n, value):
     monkeypatch.setattr(families, attr, patched)
 
 
+def set_factor_coeff(monkeypatch, name, n, value):
+    """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
+    that the factor's q^n coefficient is value. Hilbert factors are the caps
+    ``_floor`` keeps, product factors the entries of ``_family_at_level``:
+    factor j at stage s is entry j of level s."""
+    target = FACTOR_ONE[name]
+    if name == "hp_series":
+        set_entry_coeff(monkeypatch, "_floor", (target.r, target.k), target.cap - 1, n, value)
+    else:
+        set_entry_coeff(monkeypatch, "_family_at_level", (target.r, EXPANSION_CASE[1]), 0, n, value)
+
+
 def value_bits(N, r):
-    """v of ``_PackedLayout.for_products``: operands must stay below 2^v."""
+    """The value bits v of ``for_counts(N, r)`` slots: a checked series
+    stays below 2^v in every slot."""
     return _PackedLayout.for_counts(N, r).bits - (r - 1).bit_length()
 
 
@@ -273,6 +299,18 @@ def test_expansion_fails_on_a_bumped_deeper_factor(monkeypatch, name):
     assert verify_expansion(params, d, N)
     c = SERIES[name](FACTOR_ONE[name], N).coeffs[5]
     set_factor_coeff(monkeypatch, name, 5, c + 1)
+    assert not verify_expansion(params, d, N)
+
+
+@pytest.mark.parametrize(
+    "attr,key,at", [("_floor", (3, 2), 1), ("_family_at_level", (3, 1), 1)], ids=["hp_series", "product_series"]
+)
+def test_expansion_fails_on_a_bumped_left_side(monkeypatch, attr, key, at):
+    # the cell's two sides, cap i = 2 of floor J+1 = 2 and entry ell = 2 of
+    # level J = 1, meet as level J against floor J+1
+    params, d, N = EXPANSION_CASE
+    layout, packed = getattr(families, attr)(*key, N)
+    set_entry_coeff(monkeypatch, attr, key, at, 5, layout.unpack(packed[at])[5] + 1)
     assert not verify_expansion(params, d, N)
 
 
@@ -287,58 +325,50 @@ def test_expansion_fails_on_a_factor_bumped_at_either_end(monkeypatch, name, n):
     assert not verify_expansion(params, d, N)
 
 
-def raw_slots(layout, x):
-    """The N+1 slots of x, q^0 first, read with no check; x must fit them."""
-    w = layout.bits // 8
-    data = x.to_bytes((layout.order + 1) * w, "big")
-    return tuple(int.from_bytes(data[k : k + w], "big") for k in range(0, len(data), w))
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.data())
-def test_stripped_product_equals_the_list_product(data):
-    # stage entries are often 0, a monomial or of low degree: their low
-    # slots are zero and are shifted off before the multiplication
-    N, r = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 8))
-    layout, v = _PackedLayout.for_products(N, r), value_bits(N, r)
-    coeff = st.integers(0, (1 << v) - 1)
-    f = tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1)))
-    degree = data.draw(st.integers(0, N))
-    kind = data.draw(st.sampled_from(["zero", "monomial", "low degree"]))
-    x = [0] * (N + 1)
-    if kind == "monomial":
-        x[degree] = data.draw(st.integers(1, (1 << v) - 1))
-    elif kind == "low degree":
-        x[: degree + 1] = data.draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
-    want = TruncatedSeries(tuple(x)) * TruncatedSeries(f)
-    assert raw_slots(layout, layout._mul(layout.pack(tuple(x)), layout.pack(f))) == want.coeffs
-
-
 @pytest.mark.parametrize("name", FACTOR_ONE)
-def test_expansion_factor_at_its_value_bits_raises(monkeypatch, name):
+def test_a_factor_bumped_to_its_slots_largest_value_fails_the_suite(monkeypatch, name):
+    # levels and floors are compared as they are, with no check of their
+    # slots: a value the guard check would refuse is still a mismatch
     params, d, N = EXPANSION_CASE
-    v = value_bits(N, params.r)
-    # the largest coefficient the check admits enters the sum, which is then wrong
-    set_factor_coeff(monkeypatch, name, 5, (1 << v) - 1)
+    layout = _PackedLayout.for_counts(N, params.r)
+    set_factor_coeff(monkeypatch, name, 5, (1 << layout.bits) - 1)
     assert not verify_expansion(params, d, N)
-    set_factor_coeff(monkeypatch, name, 5, 1 << v)
-    with pytest.raises(ArithmeticError):
-        verify_expansion(params, d, N)
 
 
-def test_expansion_stage_entry_at_its_value_bits_raises(monkeypatch):
+# the faults that both expansion sums let through: a wrong P keeps every
+# climb's division exact, and a wrong top floor still telescopes
+def partition_number_ten_too_large(monkeypatch):
+    partition_numbers = products._partition_numbers
+
+    def bumped(N):
+        return [p + (n == 10) for n, p in enumerate(partition_numbers(N))]
+
+    monkeypatch.setattr(products, "_partition_numbers", bumped)
+
+
+def top_floor_bumped_at_q10(monkeypatch):
+    scan = hilbert._growing_scan
+
+    def bumped(r, N, values, floor, cap):
+        layout, state = scan(r, N, values, floor, cap)
+        return layout, [state[0] + layout._times_q(layout.one, 10)] + state[1:]
+
+    monkeypatch.setattr(hilbert, "_growing_scan", bumped)
+
+
+@pytest.mark.parametrize("fault", [partition_number_ten_too_large, top_floor_bumped_at_q10])
+def test_expansion_fails_on_a_fault_its_sums_let_through(capsys, monkeypatch, fault):
+    # verify_expansion reads its floors top down, as a scan cell fills them,
+    # so only the top one is scanned, and bumped
+    fault(monkeypatch)
     params, d, N = EXPANSION_CASE
-    v = value_bits(N, params.r)
-    walk = families._capped_walk
-
-    def inflated(layout, values, floor, cap, state=None):
-        # the walk goes on from its own states; only the yielded ones grow
-        for a, state in walk(layout, values, floor, cap, state):
-            yield a, [state[0] | 1 << v] + state[1:]
-
-    monkeypatch.setattr(families, "_capped_walk", inflated)
-    with pytest.raises(ArithmeticError):
-        verify_expansion(params, d, N)
+    assert not verify_expansion(params, d, N)
+    argv = ["scan", "--r", "2..3", "--i", "all", "--J", "0..1", "--order", "20", "--suites", "expansion", "--format", "json"]
+    code = main(argv)
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert code == 1
+    assert len(cells) == 10
+    assert all(cell["suites"] == {"expansion": "fail"} for cell in cells)
 
 
 def test_scan_reports_an_operand_out_of_range_as_a_failed_suite(capsys, monkeypatch):
@@ -352,8 +382,8 @@ def test_scan_reports_an_operand_out_of_range_as_a_failed_suite(capsys, monkeypa
 
 
 def test_expansion_walks_once(step_values):
-    # with the factors cached, the suite steps only one stage walk, once
-    # through stages J+1..J+3, whose entries serve both identities
+    # the suite steps no walk: with the floors and levels in the memo, it
+    # only compares them
     check = SUITE_CHECKS["expansion"]
     for r in range(2, 6):
         for i in range(1, r + 1):
@@ -362,7 +392,7 @@ def test_expansion_walks_once(step_values):
                 assert check(params, 12, 10)
                 step_values.clear()
                 assert check(params, 12, 10)
-                assert step_values == [J + 1, J + 2, J + 3], params
+                assert step_values == [], params
 
 
 def test_valuation_ladder():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, hilbert, partitions, products
+from rrgordon import cli, families, hilbert, partitions
 from rrgordon.families import (
     CoefficientFamily,
     Side,
@@ -190,22 +190,6 @@ def test_step_raises_when_a_slot_reaches_its_guard_bits():
             layout.pack(bad)
 
 
-# with r and N+1 powers of two, as at (63, 4) and (127, 2), the rounded-up
-# slot width has the least room to spare; N = 2000 is MAX_ORDER
-@pytest.mark.parametrize("N,r", [(0, 2), (1, 7), (7, 8), (63, 4), (127, 2), (255, 16), (2000, 5)])
-def test_sum_of_r_largest_products_never_carries(N, r):
-    layout = _PackedLayout.for_products(N, r)
-    v = _PackedLayout.for_counts(N, r).bits - (r - 1).bit_length()
-    top = (1 << v) - 1
-    x = layout.pack((top,) * (N + 1))
-    with pytest.raises(ArithmeticError):
-        layout.pack((top + 1,) + (0,) * N)
-    # all 2N+1 slots of the unmasked sum are exact, so none carried
-    total, slot = r * (x * x), (1 << layout.bits) - 1
-    got = [(total >> k * layout.bits) & slot for k in range(2 * N + 2)]
-    assert got == [r * top * top * min(k + 1, 2 * N + 1 - k) for k in range(2 * N + 1)] + [0]
-
-
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
     # every route packs its series, the product route its whole tower;
     # the caches start empty, so no result from wider slots hides them
@@ -274,15 +258,25 @@ def test_growing_scans_stop_at_for_counts(capsys, monkeypatch):
     # in 32-bit for_counts slots at r = 3, 30 value bits, the 32-bit counts
     # at order 200 outgrow the ceiling: scans that start in one byte widen
     # up to it and no further, and the guard error reaches the route report
+    # (a scan grown past them would fail only at its hand-off, which may
+    # narrow, so the widths that step are recorded too)
     narrow = classmethod(lambda cls, order, r: cls(order, r, 32))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
     monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+    widths, step = set(), _PackedLayout.step
+
+    def recorded(self, state, u, kept):
+        widths.add(self.bits)
+        return step(self, state, u, kept)
+
+    monkeypatch.setattr(_PackedLayout, "step", recorded)
     argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "200", "--format", "json"]
     code = cli.main(argv)
     routes = json.loads(capsys.readouterr().out)["routes"]
     assert code == 1
     for name in ("partition", "hilbert", "family"):
         assert routes[name]["error"].startswith("ArithmeticError: "), name
+    assert max(widths) == 32
 
 
 def test_unpack_round_trips():
@@ -392,7 +386,8 @@ def raw(layout, coeffs):
 @given(st.data())
 def test_reslot_widens_exactly_and_checks_the_guard_bits(data):
     N, r = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 12))
-    narrow, wide = _PackedLayout.for_counts(N, r), _PackedLayout.for_products(N, r)
+    narrow = _PackedLayout.for_counts(N, r)
+    wide = _PackedLayout(N, r, narrow.bits + 8 * data.draw(st.integers(1, 4)))
     v = narrow.bits - (r - 1).bit_length()
     coeffs = tuple(data.draw(st.lists(st.integers(0, (1 << v) - 1), min_size=N + 1, max_size=N + 1)))
     x = narrow.pack(coeffs)
@@ -400,34 +395,34 @@ def test_reslot_widens_exactly_and_checks_the_guard_bits(data):
     y = wide.reslot(x, narrow)
     assert wide.unpack(y) == coeffs
     assert wide.reslot(y, wide) == y == wide.pack(coeffs)
+    # so does a narrowing whose dropped bytes are all zero
+    assert narrow.reslot(y, wide) == x
     # a kept slot at the target's guard bits
     n = data.draw(st.integers(0, N))
     big = coeffs[:n] + (data.draw(st.integers(1 << v, (1 << narrow.bits) - 1)),) + coeffs[n + 1 :]
     with pytest.raises(ArithmeticError):
-        wide.reslot(raw(narrow, big), narrow)
+        narrow.reslot(raw(wide, big), wide)
 
 
 def test_reslot_refuses_a_value_past_the_source_slots():
     # a value with a bit above the source's top slot, or a negative one, is
     # no series of that layout
     narrow = _PackedLayout.for_counts(10, 3)
-    wide = _PackedLayout.for_products(10, 3)
+    wide = _PackedLayout(10, 3, narrow.bits + 8)
     for x in (narrow.one << narrow.bits, -narrow.one):
         with pytest.raises(ArithmeticError, match="does not fit 11 slots of"):
             wide.reslot(x, narrow)
 
 
 def test_reslot_refuses_a_wider_source():
-    # the widest tower the CLI admits, r = 10 at level 29 and order 85,
-    # leaves in slots no wider than the expansion suite's, so reslot only
-    # widens; a wider source, or one of another order, is refused
-    layout = _PackedLayout.for_products(85, 10)
-    fam, entries = products._family_at_level(10, 29, 85)
-    assert fam.bits <= layout.bits
-    for x in entries:
-        assert layout.unpack(layout.reslot(x, fam)) == fam.unpack(x)
-    wide = _PackedLayout(85, 10, layout.bits + 8)
+    # a wider source narrows only if every byte it drops is zero: here the
+    # kept bytes are all zero and would pass the guard check, but the q^0
+    # slot holds 2^B; a source of another order is refused
+    narrow = _PackedLayout.for_counts(10, 3)
+    wide = _PackedLayout(10, 3, narrow.bits + 8)
+    x = raw(wide, (1 << narrow.bits,) + (0,) * 10)
+    with pytest.raises(ArithmeticError, match=f"does not fit 11 slots of {narrow.bits} bits"):
+        narrow.reslot(x, wide)
+    other = _PackedLayout.for_counts(9, 3)
     with pytest.raises(ValueError, match="cannot reslot"):
-        layout.reslot(wide.reslot(entries[0], fam), wide)
-    with pytest.raises(ValueError, match="cannot reslot"):
-        layout.reslot(_PackedLayout.for_counts(84, 10).one, _PackedLayout.for_counts(84, 10))
+        narrow.reslot(other.one, other)

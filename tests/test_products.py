@@ -193,6 +193,19 @@ def test_level_entries_are_the_indexed_product_series(monkeypatch):
     assert switches == {0, 1, 40}
 
 
+@pytest.mark.parametrize("r,level,N", [(2, 3, 30), (3, 3, 30), (20, 0, 30), (5, 4, 20)])
+def test_every_level_leaves_in_for_counts_slots(r, level, N):
+    # the expansion suite compares levels with floors packed, so both
+    # kernels hand off in the floors' slots: (2, 3, 30) and (3, 3, 30) climb
+    # in 32-bit slots where for_counts(30, r) has 24, (20, 0, 30) in 24-bit
+    # slots where it has 32; (5, 4, 20) climbs the theta series alone
+    layout, entries = products._family_at_level(r, level, N)
+    fixed = _PackedLayout.for_counts(N, r)
+    assert (layout.order, layout.bits) == (N, fixed.bits)
+    want = (product_series(ProductIndex(r, (r - 1) * level + j), N) for j in range(1, r + 1))
+    assert entries == tuple(fixed.pack(series.coeffs) for series in want)
+
+
 def coin_partition_numbers(N):
     p = [1] + [0] * N
     for m in range(1, N + 1):
