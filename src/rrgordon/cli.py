@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from .families import Side, family_limit, verify_expansion, verify_family_match, verify_valuations
+from .families import family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import _floor, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, _padded_order, product_series
@@ -56,7 +56,7 @@ SERIES_ROUTES = {
     "product": lambda p, N: product_series(ProductIndex(p.r, p.product_index), N),
     "partition": lambda p, N: gordon_series(p, N),
     "hilbert": lambda p, N: hp_series(gordon_quotient(p), N),
-    "family": lambda p, N: family_limit(Side.HILBERT, p, N),
+    "family": lambda p, N: family_limit(None, p, N),
 }
 
 # the expansion suite compares product levels J..J+_EXPANSION_DEPTH with the floors one above

@@ -3,18 +3,18 @@
 Each family is a vector of r series evolving by one shared step rule: the
 new entry j is q^((d+1)(j-1)) times the sum of the previous entries
 1..r-j+1. The stages are the partition DP's ascending scan over the part
-values J+1, J+2, ... (``partitions._capped_walk``): stage d's entry j counts
-the multiplicity vectors on J+1..d whose multiplicity of d is j-1, and the
-first step, from [1] at J+1, keeps a prefix of i entries. The product
-side's prefix r - ell + 1 is i by the definition of ell, so the two sides
-are one family, walked once; ``family_limit``'s ``side`` is not read.
+values J+1, J+2, ... (``_walk``): stage d's entry j counts the multiplicity
+vectors on J+1..d whose multiplicity of d is j-1, and the first step, from
+[1] at J+1, keeps a prefix of i entries. The product side's prefix
+r - ell + 1 is i by the definition of ell, so the two sides are one family,
+walked once; ``family_limit``'s first argument is not read.
 
 Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk is constant from stage J+N+2
-on (``_walk``). ``family_limit`` realizes the q-adic limit as truncated
-stabilization, and it does not scan again: it goes on from the partition
-route's scan (``partitions._ascending_scan``, in the memo) to its stop, so
-only the stopping rule differs from ``gordon_series``.
+on, and ``_walk`` stops there. ``family_limit`` realizes the q-adic limit as
+truncated stabilization, and it does not scan again: it goes on from the
+partition route's scan (``partitions._ascending_scan``, in the memo) to its
+stop, so only the stopping rule differs from ``gordon_series``.
 
 ``verify_expansion`` checks that tower level s equals Hilbert floor s+1
 entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
@@ -31,22 +31,14 @@ sum through ``products._climb`` for any tower whose divisions are exact.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .hilbert import _floor
-from .partitions import GordonParams, _ascending_scan, _capped_walk
+from .partitions import GordonParams, _ascending_scan
 from .products import _family_at_level
 from .qseries import TruncatedSeries, _PackedLayout
-
-
-class Side(enum.Enum):
-    """The type of ``family_limit``'s first argument, which it does not read:
-    both sides of the identity are one family."""
-
-    HILBERT = "hilbert"
 
 
 @dataclass(frozen=True)
@@ -61,25 +53,31 @@ class CoefficientFamily:
 
 
 def _walk(
-    params: GordonParams,
-    layout: _PackedLayout,
-    end: int,
-    stage: int | None = None,
-    state: Sequence[int] | None = None,
-) -> Iterator[tuple[int, list[int]]]:
-    """(stage, packed entries, trailing zeros dropped) for the stages after
-    ``stage`` up to ``end``, going on from ``state``; by default from J,
-    where the empty scan leaves [``layout.one``], so from stage J+1 on.
+    params: GordonParams, N: int, end: int, stage: int | None = None, state: Sequence[int] | None = None
+) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
+    """The layout, ``for_counts(N, r)``, and (stage, packed entries, trailing
+    zeros dropped) for the stages after ``stage`` up to ``end`` or J+N+2,
+    whichever comes first, going on from ``state``; by default from J, where
+    the empty scan leaves [``layout.one``], so from stage J+1 on. A step
+    keeps i entries at J+1 and r after it.
 
-    At a stage d > N, N the layout's order, every entry j >= 2 is shifted by
-    d(j-1) > N, so it is zero, and the next stage's entry 1 is this stage's
-    total: entry 1 again. So to order N the walk is constant from stage
-    J+N+2 > N on, where a step returns [total] unchanged.
+    At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
+    zero, and the next stage's entry 1 is this stage's total: entry 1 again.
+    So to order N the walk is constant from stage J+N+2 > N on, where a step
+    returns [total] unchanged, and it stops there.
     """
-    if end < params.J + 1:
-        raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {end}")
-    start = params.J if stage is None else stage
-    return _capped_walk(layout, range(start + 1, end + 1), params.J + 1, params.i - 1, state)
+    J = params.J
+    if end < J + 1:
+        raise ValueError(f"stage must be at least J+1 = {J + 1}, got {end}")
+    layout = _PackedLayout.for_counts(N, params.r)
+    stop = min(end, J + N + 2)
+
+    def stages(state):
+        for d in range((J if stage is None else stage) + 1, stop + 1):
+            state = layout.step(state, d, params.i if d == J + 1 else params.r)
+            yield d, state
+
+    return layout, stages([layout.one] if state is None else state)
 
 
 def _family(params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
@@ -98,14 +96,14 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 
 
 def family_at_stage(params: GordonParams, d: int, N: int) -> CoefficientFamily:
-    """Stage d family; past the walk's end, J+N+2, its last stage relabelled d."""
-    layout = _PackedLayout.for_counts(N, params.r)
-    for _, state in _walk(params, layout, min(d, params.J + N + 2)):
+    """Stage d family; past the walk's end, its last stage relabelled d."""
+    layout, stages = _walk(params, N, d)
+    for _, state in stages:
         pass
     return _family(params, d, layout, state)
 
 
-def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
+def family_limit(side: object, params: GordonParams, N: int) -> TruncatedSeries:
     """q-adic limit of entry 1, exact to order N; ``side`` is not read.
 
     Goes on from the states of the partition route's scan
@@ -114,9 +112,9 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
     entry is zero to order N; from that point no future stage can alter
     entry 1 below q^(N+1). The walk's last two stages are equal (``_walk``).
     """
-    layout, stage, state = _ascending_scan(params, N)
-    walk = itertools.chain([(stage, state)], _walk(params, layout, params.J + N + 2, stage, state))
-    for (_, state), (_, nxt) in itertools.pairwise(walk):
+    _, stage, state = _ascending_scan(params, N)
+    layout, stages = _walk(params, N, params.J + N + 2, stage, state)
+    for (_, state), (_, nxt) in itertools.pairwise(itertools.chain([(stage, state)], stages)):
         if nxt[0] == state[0] and not any(nxt[1:]):
             return TruncatedSeries(layout.unpack(nxt[0]))
     raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
@@ -125,8 +123,7 @@ def family_limit(side: Side, params: GordonParams, N: int) -> TruncatedSeries:
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
     """Walks the one family to stage d_max, or to its end if that comes
     first; it passes unless a step trips its guard bits and raises."""
-    layout = _PackedLayout.for_counts(N, params.r)
-    for _ in _walk(params, layout, min(d_max, params.J + N + 2)):
+    for _ in _walk(params, N, d_max)[1]:
         pass
     return True
 
@@ -141,10 +138,10 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
     quotient one floor up is 1 + O(q^(J+2)), and entry j at stage
     d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's end
     repeat its last one, so they hold it too. Both are checked packed."""
-    layout, caps = _floor(params.r, params.J + 2, N)
+    layout, stages = _walk(params, N, params.J + 5)
+    caps = _floor(params.r, params.J + 2, N)[1]
     # only the q^0 coefficient of the uncapped series minus 1 can be negative
     tail_ok = layout._has_valuation(caps[-1] - layout.one, params.J + 2)
-    stages = _walk(params, layout, params.J + 5)
     return tail_ok and all(_on_ladder(layout, d, state) for d, state in stages)
 
 

@@ -188,11 +188,11 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
     return True
 
 
-def verify_hp_recursion(r: int, k: int, ell: int, N: int) -> bool:
-    """Peel the lowest variable: capped series at k as a q-power combination
-    of capped series at k+1, compared packed."""
-    if not 1 <= ell <= r:
-        raise ValueError(f"ell must lie in 1..{r}, got {ell}")
+def verify_hp_recursion(r: int, k: int, cap: int, N: int) -> bool:
+    """Peel the lowest variable: the series at k capped at ``cap`` as a
+    q-power combination of capped series at k+1, compared packed."""
+    if not 1 <= cap <= r:
+        raise ValueError(f"cap must lie in 1..{r}, got {cap}")
     layout, above = _floor(r, k + 1, N)
-    rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, ell + 1))
-    return _floor(r, k, N)[1][ell - 1] == layout._check(rhs)
+    rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, cap + 1))
+    return _floor(r, k, N)[1][cap - 1] == layout._check(rhs)

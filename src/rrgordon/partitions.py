@@ -11,7 +11,8 @@ adjacent part values a, a+1 together occur at most r-1 times.
 The DP is one ascending scan of the part values (``_ascending_scan``), kept
 packed; the memo (``qseries.memo``) keeps the latest cell's, and the family
 route (``families.family_limit``) goes on from its states to its q-adic stop
-instead of scanning again. That scan and the Hilbert side's descending one
+instead of scanning again, stepping them in their fixed slots
+(``families._walk``). That scan and the Hilbert side's descending one
 (``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
 counts so far need, checked at every step, and handed off in the
 ``_PackedLayout.for_counts`` slots that the a-priori bound gives.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .qseries import TruncatedSeries, _PackedLayout, memo
 
@@ -127,26 +128,6 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
     return found
 
 
-def _capped_walk(
-    layout: _PackedLayout, values: Iterable[int], floor: int, cap: int, state: Sequence[int] | None = None
-) -> Iterator[tuple[int, list[int]]]:
-    """Scans multiplicity vectors (f_a) over ``values`` to the layout's
-    order, and yields (a, states) after each value a.
-
-    Values are scanned in the given order; state j holds the vectors whose
-    last scanned multiplicity is j-1. Adjacent multiplicities sum to at most
-    r-1 (r = ``layout.r``), so scanning a sets f_a = j-1 on the vectors of
-    states 1..r-j+1, and the multiplicity of ``floor`` is at most ``cap``.
-    The states are packed series, one step per value from ``state``: by
-    default [``layout.one``], the empty scan.
-    """
-    if state is None:
-        state = [layout.one]
-    for a in values:
-        state = layout.step(state, a, cap + 1 if a == floor else layout.r)
-        yield a, state
-
-
 #: A scan whose ``for_counts`` slots are at most this many bits wide (orders
 #: up to about 60) runs in them from its first step. Starting those narrow
 #: too made the scan-suites benchmark slower in 5 of 6 alternating pairs
@@ -156,19 +137,25 @@ _FIXED_SLOT_BITS = 32
 
 
 def _growing_scan(r: int, N: int, values: Sequence[int], floor: int, cap: int) -> tuple[_PackedLayout, list[int]]:
-    """The scan of ``_capped_walk`` over ``values`` to order N, in slots that
-    grow with the counts: its layout, ``for_counts(N, r)``, and its states
-    in that layout.
+    """Scans multiplicity vectors (f_a) over ``values``, in the given order,
+    to order N: its layout, ``for_counts(N, r)``, and its states in that
+    layout, packed series stepped once per value from [1], the empty scan.
 
-    A scan wider than ``_FIXED_SLOT_BITS`` starts in the narrowest whole
-    bytes above the guard bits of r states, one byte for r <= 128. When a
-    step's guard check fires on its input total, its input states move into
-    slots half as wide again, rounded up to whole bytes, and the same value
-    is stepped again. They may: each is a partial sum of the last checked
-    total, so each slot is below its value bits. The scan never grows past
-    ``for_counts(N, r)``, and a check that fires there propagates. The
-    output of the last step was never checked, so its states are handed off
-    into ``for_counts`` slots and every reader checks their sums there.
+    State j holds the vectors whose last scanned multiplicity is j-1.
+    Adjacent multiplicities sum to at most r-1, so scanning a sets f_a = j-1
+    on the vectors of states 1..r-j+1, and the multiplicity of ``floor`` is
+    at most ``cap``.
+
+    The slots grow with the counts. A scan wider than ``_FIXED_SLOT_BITS``
+    starts in the narrowest whole bytes above the guard bits of r states,
+    one byte for r <= 128. When a step's guard check fires on its input
+    total, its input states move into slots half as wide again, rounded up
+    to whole bytes, and the same value is stepped again. They may: each is
+    a partial sum of the last checked total, so each slot is below its value
+    bits. The scan never grows past ``for_counts(N, r)``, and a check that
+    fires there propagates. The output of the last step was never checked,
+    so its states are handed off into ``for_counts`` slots and every reader
+    checks their sums there.
     """
     top = _PackedLayout.for_counts(N, r)
     if top.bits <= _FIXED_SLOT_BITS:

@@ -76,8 +76,12 @@ MUTANTS = [
      "if capped != block | tail:", "if False:",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_a_middle_cap_drops_a_generator",)),
     ("family-match that skips the one walk", "families.py",
-     "for _ in _walk(params, layout, min(d_max, params.J + N + 2)):", "for _ in ():",
+     "for _ in _walk(params, N, d_max)[1]:", "for _ in ():",
      ("tests/test_families.py::test_match_fails_when_the_walk_trips_its_guard_bits",)),
+    ("a walk that ignores its J+N+2 end", "families.py",
+     "stop = min(end, J + N + 2)", "stop = end",
+     ("tests/test_families.py::test_match_stops_where_the_walks_are_constant",
+      "tests/test_families.py::test_valuations_stop_at_the_walks_end")),
     ("expansion reads stage s's product factors from level s-1", "families.py",
      "_family_at_level(r, s, N)", "_family_at_level(r, s - 1, N)",
      ("tests/test_families.py::test_expansion_identities",)),

@@ -6,7 +6,6 @@ The main grid is 2 <= r <= 5, 1 <= i <= r, 0 <= J <= 3 (56 cells).
 
 from modular import allowed_residues, count_modular
 from rrgordon.families import (
-    Side,
     family_at_stage,
     family_limit,
     family_step,
@@ -97,7 +96,7 @@ def test_family_limits_and_stabilization(criterion):
             "hilbert": hp_series(gordon_quotient(params), N),
             "product": product_series(ProductIndex(params.r, params.product_index), N),
         }
-        limit = family_limit(Side.HILBERT, params, N)
+        limit = family_limit(None, params, N)
         for side, target in targets.items():
             if first_mismatch(limit, target) is not None:
                 failures.append((params, side, "limit != target"))
@@ -215,7 +214,7 @@ def test_classical_rogers_ramanujan(criterion):
         "product": product_series(ProductIndex(2, first.product_index), 4).coeffs[4],
         "partition": gordon_series(first, 4).coeffs[4],
         "hilbert": hp_series(gordon_quotient(first), 4).coeffs[4],
-        "family": family_limit(Side.HILBERT, first, 4).coeffs[4],
+        "family": family_limit(None, first, 4).coeffs[4],
     }
     if set(routes_at_4.values()) != {2}:
         failures.append(("n=4 coefficients", routes_at_4))

@@ -773,23 +773,22 @@ def test_library_calls_across_r_return_cold_series(monkeypatch):
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
     # the family route goes on from the partition route's cached states at
     # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2; the
-    # partition scan is a growing scan, the family walk a capped walk
-    scan, walk, starts = partitions._growing_scan, partitions._capped_walk, []
+    # partition scan is a growing scan, the family walk families._walk
+    scan, walk, starts = partitions._growing_scan, families._walk, []
 
     def counted_scan(r, N, values, *args):
         if values.step > 0:
             starts.append(values.start)
         return scan(r, N, values, *args)
 
-    def counted_walk(layout, values, *args):
-        if values.step > 0:
-            starts.append(values.start)
-        return walk(layout, values, *args)
+    def counted_walk(params, N, end, stage=None, state=None):
+        starts.append((params.J if stage is None else stage) + 1)
+        return walk(params, N, end, stage, state)
 
-    for name, original, counted in (("_growing_scan", scan, counted_scan), ("_capped_walk", walk, counted_walk)):
-        for module in (partitions, hilbert, families):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    for module in (partitions, hilbert, families):
+        if getattr(module, "_growing_scan", None) is scan:
+            monkeypatch.setattr(module, "_growing_scan", counted_scan)
+    monkeypatch.setattr(families, "_walk", counted_walk)
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
     assert code == 0
     assert starts == [2, 21]

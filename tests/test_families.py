@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from rrgordon import families, hilbert, partitions, products
 from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
-    Side,
     family_at_stage,
     family_limit,
     family_step,
     verify_expansion,
     verify_family_match,
+    verify_valuations,
 )
 from rrgordon.hilbert import QuotientSpec, gordon_quotient, hp_series
 from rrgordon.partitions import GordonParams
@@ -81,14 +81,14 @@ def test_family_at_stage_validates():
 
 
 def test_limit_frozen_value():
-    got = family_limit(Side.HILBERT, GordonParams(2, 2, 0), 5)
+    got = family_limit(None, GordonParams(2, 2, 0), 5)
     assert got.coeffs == (1, 1, 1, 1, 2, 2)
-    assert family_limit(Side.HILBERT, GordonParams(4, 2, 1), 0).coeffs == (1,)
+    assert family_limit(None, GordonParams(4, 2, 1), 0).coeffs == (1,)
 
 
 def test_limit_handles_singleton_prefix():
     # i = 1 leaves only entry 1 nonzero at the start; later stages still move
-    got = family_limit(Side.HILBERT, GordonParams(2, 1, 0), 8)
+    got = family_limit(None, GordonParams(2, 1, 0), 8)
     assert got.coeffs == (1, 0, 1, 1, 1, 1, 2, 2, 3)
 
 
@@ -97,7 +97,7 @@ def test_limit_matches_both_sides(r, i, J, N):
     params = GordonParams(r, i, J)
     hilb = hp_series(gordon_quotient(params), N)
     prod = product_series(ProductIndex(r, params.product_index), N)
-    limit = family_limit(Side.HILBERT, params, N)
+    limit = family_limit(None, params, N)
     assert first_mismatch(limit, hilb) is None
     assert first_mismatch(limit, prod) is None
 
@@ -114,7 +114,7 @@ def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
 
     monkeypatch.setattr(_PackedLayout, "step", drifting)
     with pytest.raises(RuntimeError, match="failed to stabilize"):
-        family_limit(Side.HILBERT, GordonParams(3, 2, 1), 10)
+        family_limit(None, GordonParams(3, 2, 1), 10)
 
 
 def test_match_between_sides():
@@ -132,6 +132,15 @@ def test_match_stops_where_the_walks_are_constant(step_values):
     params, N = GordonParams(3, 2, 1), 10
     assert verify_family_match(params, 10**12, N)
     # stages J+1..J+N+2, once
+    assert step_values == list(range(params.J + 1, params.J + N + 3))
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_valuations_stop_at_the_walks_end(step_values, N):
+    # the ladder is read at stages J+1..J+5, but to order N the walk ends at
+    # J+N+2, and the stages past it repeat its last one
+    params = GordonParams(2, 1, 0)
+    assert verify_valuations(params, N)
     assert step_values == list(range(params.J + 1, params.J + N + 3))
 
 
@@ -157,7 +166,7 @@ def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
                     params = GordonParams(r, i, J)
                     _, D, state = partitions._ascending_scan(params, N)
                     step_values.clear()
-                    family_limit(Side.HILBERT, params, N)
+                    family_limit(None, params, N)
                     stop = D + 1 if len(state) == 1 else D + 2
                     assert step_values == list(range(D + 1, stop + 1)), (params, N)
                     assert stop <= max(N, J) + 2
@@ -169,12 +178,14 @@ def test_match_fails_when_the_walk_trips_its_guard_bits(capsys, monkeypatch):
     # partition scan's states, so only the suite sees it
     params, N = GordonParams(3, 2, 1), 20
     v = value_bits(N, params.r)
-    walk = families._capped_walk
+    walk = families._walk
 
-    def inflated(layout, values, floor, cap, state=None):
-        return walk(layout, values, floor, cap, [layout.one << v] if state is None else state)
+    def inflated(params, N, end, stage=None, state=None):
+        if state is None:
+            state = [_PackedLayout.for_counts(N, params.r).one << v]
+        return walk(params, N, end, stage, state)
 
-    monkeypatch.setattr(families, "_capped_walk", inflated)
+    monkeypatch.setattr(families, "_walk", inflated)
     with pytest.raises(ArithmeticError):
         verify_family_match(params, params.J + 1, N)
     argv = ["scan", "--r", "3", "--i", "2", "--J", "1", "--order", str(N), "--suites", "family-match", "--format", "json"]
@@ -419,4 +430,4 @@ def test_limit_agrees_with_walk_to_bound():
     fam = family_at_stage(params, params.J + 1, N)
     while fam.stage < params.J + N + 2:
         fam = family_step(fam)
-    assert family_limit(Side.HILBERT, params, N).coeffs == fam.entries[0].coeffs
+    assert family_limit(None, params, N).coeffs == fam.entries[0].coeffs

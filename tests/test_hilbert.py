@@ -114,7 +114,7 @@ def test_hp_recursion():
     assert verify_hp_recursion(4, 3, 1, 30)
     assert verify_hp_recursion(5, 2, 5, 25)
     assert verify_hp_recursion(3, 1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cap must lie in 1..3, got 4$"):
         verify_hp_recursion(3, 1, 4, 10)
 
 

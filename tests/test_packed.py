@@ -2,8 +2,8 @@
 
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
-the packed scans ``_capped_walk`` and ``_growing_scan`` must reproduce
-exactly, in both directions.
+that ``fixed_scan``, one ``step`` per value in fixed slots, and
+``_growing_scan`` must reproduce exactly, in both directions.
 ``reference_family_init`` builds the initial family from monomials written
 out as coefficient tuples, as the package did before the family walk became
 the DP's scan, so the literal walk starts from code not under test.
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from rrgordon import cli, families, hilbert, partitions
 from rrgordon.families import (
     CoefficientFamily,
-    Side,
     family_at_stage,
     family_limit,
     verify_expansion,
@@ -32,7 +31,6 @@ from rrgordon.hilbert import (
 )
 from rrgordon.partitions import (
     GordonParams,
-    _capped_walk,
     enumerate_gordon,
     gordon_series,
 )
@@ -56,6 +54,15 @@ def reference_adjacent_capped_counts(r, values, floor, cap, N):
     return [sum(column) for column in zip(*dp)]
 
 
+def fixed_scan(layout, values, floor, cap):
+    """The states of ``_growing_scan`` over ``values``, stepped in the fixed
+    slots of ``layout`` from the empty scan."""
+    state = [layout.one]
+    for a in values:
+        state = layout.step(state, a, cap + 1 if a == floor else layout.r)
+    return state
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_packed_dp_equals_list_dp(data):
@@ -67,10 +74,7 @@ def test_packed_dp_equals_list_dp(data):
     values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
     want = reference_adjacent_capped_counts(r, values, floor, cap, N)
     layout = _PackedLayout.for_counts(N, r)
-    state = (layout.one,)
-    for _, state in _capped_walk(layout, values, floor, cap):
-        pass
-    assert list(layout.unpack(sum(state))) == want
+    assert list(layout.unpack(sum(fixed_scan(layout, values, floor, cap)))) == want
 
 
 @settings(deadline=None, max_examples=40)
@@ -130,16 +134,16 @@ def literal_family_limit(params, N):
 @given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
 def test_family_limit_equals_literal_walk(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    assert family_limit(Side.HILBERT, params, N) == literal_family_limit(params, N)
+    assert family_limit(None, params, N) == literal_family_limit(params, N)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
 def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    layout = _PackedLayout.for_counts(N, r)
+    layout, stages = families._walk(params, N, params.J + N + 2)
     zero = TruncatedSeries((0,) * (N + 1))
-    for stage, state in families._walk(params, layout, params.J + N + 2):
+    for stage, state in stages:
         # each entry also divided by q, one slot short, as a broken step
         # would leave it
         short = [layout.pack(layout.unpack(x)[1:] + (0,)) for x in state]
@@ -156,7 +160,7 @@ def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     [
         lambda: gordon_series(GordonParams(3, 2, 1), -1),
         lambda: hp_series(QuotientSpec(3, 2, cap=2), -1),
-        lambda: family_limit(Side.HILBERT, GordonParams(3, 2, 1), -1),
+        lambda: family_limit(None, GordonParams(3, 2, 1), -1),
         lambda: family_at_stage(GordonParams(3, 2, 1), 3, -1),
         lambda: verify_family_match(GordonParams(3, 2, 1), 10, -1),
         lambda: verify_expansion(GordonParams(3, 2, 1), 3, -1),
@@ -231,10 +235,7 @@ def test_growing_scan_equals_list_dp_and_fixed_slots(data):
         layout, state = partitions._growing_scan(r, N, values, floor, cap)
     fixed = _PackedLayout.for_counts(N, r)
     assert layout.bits == fixed.bits
-    want = [fixed.one]
-    for _, want in _capped_walk(fixed, values, floor, cap):
-        pass
-    assert state == want
+    assert state == fixed_scan(fixed, values, floor, cap)
     assert list(layout.unpack(sum(state))) == reference_adjacent_capped_counts(r, values, floor, cap, N)
 
 
