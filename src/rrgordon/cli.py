@@ -5,6 +5,9 @@ partition DP, standard-monomial count, and the family limit that continues
 the partition DP) and certifies that the four series agree to the order.
 ``scan`` runs that over a parameter grid, optionally with extra property
 suites and worker processes. ``table`` dumps one series as CSV or JSON.
+The routes hand over packed series (``qseries.PackedSeries``), which
+``_compare_routes`` compares as ints, so a passing scan cell unpacks and
+digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists its cells and the
 Hilbert floors each r reads. ``main`` empties the memo before a command,
@@ -27,7 +30,7 @@ from .families import family_limit, verify_expansion, verify_family_match, verif
 from .hilbert import _floor, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
 from .products import ProductIndex, _padded_order, product_series
-from .qseries import TruncatedSeries, first_mismatch, forget, held
+from .qseries import PackedSeries, first_mismatch, forget, held
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -76,7 +79,7 @@ SUITES = tuple(SUITE_CHECKS)
 _SUITE_FLOORS = {"hp-identities": 2, "hp-recursion": 2, "valuation": 2, "expansion": _EXPANSION_DEPTH + 1}
 
 
-def _run_route(name: str, params: GordonParams, order: int) -> tuple[TruncatedSeries | None, str | None]:
+def _run_route(name: str, params: GordonParams, order: int) -> tuple[PackedSeries | None, str | None]:
     """The route's series, or None and ``"Type: message"`` when it raises or
     returns anything but a series of order ``order``."""
     try:
@@ -89,43 +92,53 @@ def _run_route(name: str, params: GordonParams, order: int) -> tuple[TruncatedSe
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, float]]:
-    """The report ``verify --format json`` prints, and each route's seconds."""
-    routes, seconds, series = {}, {}, {}
-    # a digest is a function of the coefficients, so equal routes share one
-    fingerprints: dict[tuple[int, ...], str] = {}
+def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict, str, dict | None]:
+    """Each route's series or error, by name, each route's seconds, the
+    verdict, and the first mismatch among the series, or None. The series
+    are compared with ``==``, which for packed series in slots of one width
+    compares two ints, so only a mismatch reads coefficients."""
+    series, errors, seconds = {}, {}, {}
     for name in SERIES_ROUTES:
         start = time.perf_counter()
         s, error = _run_route(name, params, order)
         if error:
-            routes[name] = {"fingerprint": "-", "leading": [], "error": error}
+            errors[name] = error
         else:
             series[name] = s
-            if s.coeffs not in fingerprints:
-                fingerprints[s.coeffs] = s.fingerprint()
-            head = [str(c) for c in s.coeffs[:8]]
-            routes[name] = {"fingerprint": fingerprints[s.coeffs], "leading": head, "error": None}
         seconds[name] = time.perf_counter() - start
 
     # every series has order N and equality is transitive, so comparing each
     # route with the first one that computed finds any disagreement
-    mismatch = None
     names = list(series)
     for b in names[1:]:
         a = names[0]
-        if series[a].coeffs != series[b].coeffs:
+        if series[a] != series[b]:
             n = first_mismatch(series[a], series[b])
-            mismatch = {
-                "exponent": n,
-                "routes": [a, b],
-                "coefficients": [str(series[a].coeffs[n]), str(series[b].coeffs[n])],
-            }
-            break
+            coefficients = [str(series[a].coeffs[n]), str(series[b].coeffs[n])]
+            return series, errors, seconds, "fail", {"exponent": n, "routes": [a, b], "coefficients": coefficients}
+    return series, errors, seconds, "fail" if errors else "pass", None
+
+
+def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, float]]:
+    """The report ``verify --format json`` prints, and each route's seconds.
+    Each distinct series is digested once, and equal routes share it."""
+    series, errors, seconds, verdict, mismatch = _compare_routes(params, order)
+    routes, digests = {}, []
+    for name in SERIES_ROUTES:
+        if name in errors:
+            routes[name] = {"fingerprint": "-", "leading": [], "error": errors[name]}
+            continue
+        s = series[name]
+        digest = next((d for d in digests if d[0] == s), None)
+        if digest is None:
+            digest = (s, s.fingerprint(), [str(c) for c in s.coeffs[:8]])
+            digests.append(digest)
+        routes[name] = {"fingerprint": digest[1], "leading": digest[2], "error": None}
     report = {
         "params": {"r": params.r, "i": params.i, "J": params.J, "ell": params.ell, "index": params.product_index},
         "order": order,
         "routes": routes,
-        "verdict": "pass" if mismatch is None and len(series) == len(SERIES_ROUTES) else "fail",
+        "verdict": verdict,
         "mismatch": mismatch,
     }
     return report, seconds
@@ -233,17 +246,17 @@ def _scan_cell(cell: tuple[int, int, int, range, int, tuple[str, ...], int]) -> 
         except Exception:  # it raises again in each route or suite that reads it
             pass
     params = GordonParams(r, i, J)
-    report, _ = build_report(params, order)
+    *_, identity, mismatch = _compare_routes(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
-    passed = report["verdict"] == "pass" and all(suite_results.values())
+    passed = identity == "pass" and all(suite_results.values())
     return {
         "r": r,
         "i": i,
         "J": J,
         "verdict": "pass" if passed else "fail",
-        "identity": report["verdict"],
+        "identity": identity,
         "suites": {k: ("pass" if v else "fail") for k, v in sorted(suite_results.items())},
-        "mismatch": report["mismatch"],
+        "mismatch": mismatch,
     }
 
 

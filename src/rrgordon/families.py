@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 from .hilbert import _floor
 from .partitions import GordonParams, _ascending_scan
 from .products import _family_at_level
-from .qseries import TruncatedSeries, _PackedLayout
+from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ def family_at_stage(params: GordonParams, d: int, N: int) -> CoefficientFamily:
     return _family(params, d, layout, state)
 
 
-def family_limit(side: object, params: GordonParams, N: int) -> TruncatedSeries:
-    """q-adic limit of entry 1, exact to order N; ``side`` is not read.
+def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
+    """q-adic limit of entry 1, exact to order N, packed in the walk's
+    ``for_counts(N, r)`` slots; ``side`` is not read.
 
     Goes on from the states of the partition route's scan
     (``partitions._ascending_scan``), which are this walk's stages J+1..D,
@@ -116,7 +117,7 @@ def family_limit(side: object, params: GordonParams, N: int) -> TruncatedSeries:
     layout, stages = _walk(params, N, params.J + N + 2, stage, state)
     for (_, state), (_, nxt) in itertools.pairwise(itertools.chain([(stage, state)], stages)):
         if nxt[0] == state[0] and not any(nxt[1:]):
-            return TruncatedSeries(layout.unpack(nxt[0]))
+            return PackedSeries(layout, nxt[0])
     raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import TruncatedSeries, _PackedLayout, held, memo
+from .qseries import PackedSeries, _PackedLayout, held, memo
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -147,15 +147,16 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     return layout, caps + caps[-1:] * (r - len(caps))
 
 
-def hp_series(spec: QuotientSpec, N: int) -> TruncatedSeries:
+def hp_series(spec: QuotientSpec, N: int) -> PackedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
     Graded dimensions come from the multiplicity DP, scanning variables from
     index N down to k (``_floor``); a cap c keeps the vectors with f_k <= c-1,
-    the first c states of that scan.
+    the first c states of that scan. The series is the floor's packed cap c,
+    in its ``for_counts(N, r)`` slots.
     """
     layout, caps = _floor(spec.r, spec.k, N)
-    return TruncatedSeries(layout.unpack(caps[(spec.cap or spec.r) - 1]))
+    return PackedSeries(layout, caps[(spec.cap or spec.r) - 1])
 
 
 @memo

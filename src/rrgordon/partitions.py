@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
 
-from .qseries import TruncatedSeries, _PackedLayout, memo
+from .qseries import PackedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,10 @@ def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, t
     return layout, stage, tuple(state)
 
 
-def gordon_series(params: GordonParams, N: int) -> TruncatedSeries:
+def gordon_series(params: GordonParams, N: int) -> PackedSeries:
     """Generating function of the Gordon-condition counts, to order N: the
-    sum of the states of ``_ascending_scan``."""
+    sum of the states of ``_ascending_scan``, packed in its ``for_counts(N,
+    r)`` slots."""
     layout, _, state = _ascending_scan(params, N)
-    return TruncatedSeries(layout.unpack(sum(state)))
+    return PackedSeries(layout, sum(state))
 

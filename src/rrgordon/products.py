@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from .qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, memo
+from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _thetas(r: int, N: int) -> tuple[list[tuple[list[int], list[int]]], int]:
     return thetas, max(len(terms) for theta in thetas for terms in theta)
 
 
-def base_product(r: int, ell: int, N: int) -> TruncatedSeries:
+def base_product(r: int, ell: int, N: int) -> PackedSeries:
     """Base entry ell in 1..r: product of 1/(1-q^m) over allowed m up to N.
 
     A part value m is allowed unless m is congruent to 0 or +-(r-ell+1)
@@ -310,10 +310,11 @@ def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[i
     return layout, tuple(layout.reslot(x, src) for x in entries)
 
 
-def product_series(idx: ProductIndex, N: int) -> TruncatedSeries:
-    """The product-side series for the given index, exact to order N."""
+def product_series(idx: ProductIndex, N: int) -> PackedSeries:
+    """The product-side series for the given index, exact to order N: its
+    level's packed entry, in ``for_counts(N, r)`` slots."""
     if N < 0:
         raise ValueError("order must be non-negative")
     layout, entries = _family_at_level(idx.r, idx.level, N)
-    return TruncatedSeries(layout.unpack(entries[idx.slot - 1]))
+    return PackedSeries(layout, entries[idx.slot - 1])
 

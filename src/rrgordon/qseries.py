@@ -2,11 +2,20 @@
 
 A series is carried to an explicit truncation order N: exponents 0..N are
 retained, everything above is unknown. Coefficients are plain Python ints,
-so they never overflow and never round. All operations are pure; instances
-are immutable and safe to share between threads or processes.
+so they never overflow and never round. Two types hold one:
 
-Mixed-order operations truncate to the smaller order: callers build
-high-order intermediates and compare at the target order.
+- ``PackedSeries``, what the four routes hand over: a non-negative series as
+  one int in ``_PackedLayout`` slots, checked below its guard bits when it is
+  built. Two of them in slots of one width compare as ints; the coefficients
+  are unpacked on their first read and kept.
+- ``TruncatedSeries``, the oracle and output type: a frozen tuple of
+  coefficients, type-checked when it is built, with list arithmetic.
+  ``PackedSeries`` digests and serializes through it.
+
+All operations are pure, and neither type changes a series after it is
+built, so both are safe to share between threads or processes. Mixed-order
+operations truncate to the smaller order: callers build high-order
+intermediates and compare at the target order.
 """
 
 from __future__ import annotations
@@ -313,3 +322,51 @@ class _PackedLayout:
                 break
             new.append(prefix[min(self.r - j, last)] >> s * self.bits)
         return new
+
+
+class PackedSeries:
+    """A non-negative series of order N as a route hands it over: its
+    ``layout`` and the int ``packed`` in the layout's slots, checked below
+    the guard bits once, here.
+
+    Equal coefficients in slots of one width pack to one int, so two series
+    in equally wide slots compare as ints, and any other pair, or a
+    ``TruncatedSeries``, by coefficients. ``coeffs`` unpacks on its first
+    read and keeps the tuple; ``fingerprint`` and ``as_json_dict`` go through
+    ``TruncatedSeries``, so they print what it prints.
+    """
+
+    __slots__ = ("layout", "packed", "_coeffs")
+
+    def __init__(self, layout: _PackedLayout, packed: int):
+        self.layout, self.packed = layout, layout._check(packed)
+        self._coeffs: tuple[int, ...] | None = None
+
+    @property
+    def order(self) -> int:
+        return self.layout.order
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = self.layout.unpack(self.packed)
+        return self._coeffs
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedSeries) and other.layout.bits == self.layout.bits:
+            return other.order == self.order and other.packed == self.packed
+        if isinstance(other, (PackedSeries, TruncatedSeries)):
+            return other.coeffs == self.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))  # TruncatedSeries' hash: equal series hash alike
+
+    def __repr__(self) -> str:
+        return f"PackedSeries({self.coeffs})"
+
+    def fingerprint(self) -> str:
+        return TruncatedSeries(self.coeffs).fingerprint()
+
+    def as_json_dict(self) -> dict:
+        return TruncatedSeries(self.coeffs).as_json_dict()

@@ -140,6 +140,18 @@ MUTANTS = [
     ("a plan that checks the padded order at (r_lo, J_lo)", "cli.py",
      "_padded_order(r_hi, level, order)", "_padded_order(r_lo, level - j_hi + j_lo, order)",
      ("tests/test_cli.py::test_padded_order_above_max_is_usage_error[argv2]",)),
+    ("packed equality that ignores the int", "qseries.py",
+     "return other.order == self.order and other.packed == self.packed", "return other.order == self.order",
+     ("tests/test_cli.py::test_packed_routes_compare_by_coefficients[bumped]",)),
+    ("packed equality that skips the width test", "qseries.py",
+     "isinstance(other, PackedSeries) and other.layout.bits == self.layout.bits",
+     "isinstance(other, PackedSeries)",
+     ("tests/test_cli.py::test_packed_routes_compare_by_coefficients[wider]",)),
+    ("a scan cell that digests its routes", "cli.py",
+     "*_, identity, mismatch = _compare_routes(params, order)",
+     "series, *_, identity, mismatch = _compare_routes(params, order)\n"
+     "    [s.fingerprint() for s in series.values()]",
+     ("tests/test_cli.py::test_a_passing_scan_unpacks_and_digests_nothing",)),
 ]
 
 

@@ -16,7 +16,7 @@ from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.families import verify_valuations
 from rrgordon.hilbert import QuotientSpec, hp_series
 from rrgordon.partitions import GordonParams, gordon_series
-from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout
+from rrgordon.qseries import NonDivisibleError, PackedSeries, TruncatedSeries, _PackedLayout
 
 
 def run(capsys, *argv):
@@ -192,6 +192,65 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
     assert len(digested) == 2 and report["mismatch"]["exponent"] == 11
     assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(params, 30))
     assert report["routes"]["product"]["fingerprint"] == report["routes"]["family"]["fingerprint"]
+
+
+def test_a_passing_scan_unpacks_and_digests_nothing(capsys, monkeypatch):
+    # the routes hand over packed series, and a scan cell compares their ints;
+    # only verify prints a fingerprint and leading coefficients
+    unpack, digest = _PackedLayout.unpack, TruncatedSeries.fingerprint
+    unpacked, digested = [], []
+    monkeypatch.setattr(_PackedLayout, "unpack", lambda self, x: unpacked.append(x) or unpack(self, x))
+    monkeypatch.setattr(TruncatedSeries, "fingerprint", lambda self: digested.append(self) or digest(self))
+    code, out, _ = run(
+        capsys, "scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "20",
+        "--suites", ",".join(cli.SUITES), "--format", "json",
+    )
+    assert (code, json.loads(out)["passed"]) == (0, 56)
+    assert (len(unpacked), len(digested)) == (0, 0)
+    code, out, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
+    assert code == 0 and "verdict: PASS" in out
+    assert (len(unpacked), len(digested)) == (1, 1)
+
+
+def packed_route(route, slot=None, extra_bits=0):
+    """The route's packed series, with slot ``slot`` bumped by one, then
+    moved into slots ``extra_bits`` wider."""
+    original = SERIES_ROUTES[route]
+
+    def series(params, N):
+        s = original(params, N)
+        layout, x = s.layout, s.packed
+        if slot is not None:
+            x += 1 << slot * layout.bits
+        if extra_bits:
+            wide = _PackedLayout(N, params.r, layout.bits + extra_bits)
+            layout, x = wide, wide.reslot(x, layout)
+        return PackedSeries(layout, x)
+
+    return series
+
+
+# slot 19 of order 30 holds q^11; routes that hand over coefficients gave this
+BUMPED_AT_11 = {"exponent": 11, "routes": ["product", "hilbert"], "coefficients": ["8", "9"]}
+
+
+@pytest.mark.parametrize(
+    "slot,extra_bits,mismatch", [(19, 0, BUMPED_AT_11), (None, 8, None), (19, 8, BUMPED_AT_11)],
+    ids=["bumped", "wider", "bumped-wider"],
+)
+def test_packed_routes_compare_by_coefficients(capsys, monkeypatch, slot, extra_bits, mismatch):
+    # one width compares ints, two widths compare coefficients; either way a
+    # mismatch names the exponent and coefficients that differ
+    monkeypatch.setitem(SERIES_ROUTES, "hilbert", packed_route("hilbert", slot, extra_bits))
+    cell = ["--r", "3", "--i", "2", "--J", "1", "--order", "30"]
+    code, out, _ = run(capsys, "verify", *cell, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["mismatch"]) == (int(mismatch is not None), mismatch)
+    fingerprints = {route["fingerprint"] for route in payload["routes"].values()}
+    assert len(fingerprints) == 1 + (mismatch is not None)
+    code, out, _ = run(capsys, "scan", *cell, "--format", "json")
+    [cell] = json.loads(out)["cells"]
+    assert (code, cell["mismatch"]) == (int(mismatch is not None), mismatch)
 
 
 @pytest.mark.parametrize("route,kind", [("product", "product"), ("partition", "counts"), ("hilbert", "hilbert")])
