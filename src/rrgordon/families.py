@@ -4,10 +4,11 @@ Each family is a vector of r series evolving by one shared step rule: the
 new entry j is q^((d+1)(j-1)) times the sum of the previous entries
 1..r-j+1. The stages are the partition DP's ascending scan over the part
 values J+1, J+2, ... (``_walk``): stage d's entry j counts the multiplicity
-vectors on J+1..d whose multiplicity of d is j-1, and the first step, from
-[1] at J+1, keeps a prefix of i entries. The product side's prefix
-r - ell + 1 is i by the definition of ell, so the two sides are one family,
-walked once; ``family_limit``'s first argument is not read.
+vectors on J+1..d whose multiplicity of d is j-1. The walk starts at stage
+J from the unit vector e_ell, ell = r-i+1 as in the product index
+(r-1)J + ell, so the step at J+1 keeps i nonzero entries: one step rule and
+one initial vector serve both sides, walked once; ``family_limit``'s first
+argument is not read.
 
 Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk is constant from stage J+N+2
@@ -55,11 +56,11 @@ class CoefficientFamily:
 def _walk(
     params: GordonParams, N: int, end: int, stage: int | None = None, state: Sequence[int] | None = None
 ) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
-    """The layout, ``for_counts(N, r)``, and (stage, packed entries, trailing
-    zeros dropped) for the stages after ``stage`` up to ``end`` or J+N+2,
-    whichever comes first, going on from ``state``; by default from J, where
-    the empty scan leaves [``layout.one``], so from stage J+1 on. A step
-    keeps i entries at J+1 and r after it.
+    """The layout, ``for_counts(N, r)``, and (stage, packed entries, those
+    shifted past the order dropped) for the stages after ``stage`` up to
+    ``end`` or J+N+2, whichever comes first, going on from ``state``; by
+    default from J and the unit vector e_ell, so from stage J+1 on, where
+    entries i+1..r are zero.
 
     At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
     zero, and the next stage's entry 1 is this stage's total: entry 1 again.
@@ -74,10 +75,10 @@ def _walk(
 
     def stages(state):
         for d in range((J if stage is None else stage) + 1, stop + 1):
-            state = layout.step(state, d, params.i if d == J + 1 else params.r)
+            state = layout.step(state, d)
             yield d, state
 
-    return layout, stages([layout.one] if state is None else state)
+    return layout, stages([0] * (params.ell - 1) + [layout.one] if state is None else state)
 
 
 def _family(params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
@@ -89,9 +90,9 @@ def _family(params: GordonParams, stage: int, layout: _PackedLayout, state: list
 def family_step(fam: CoefficientFamily) -> CoefficientFamily:
     """Advance one stage: entry j becomes q^((d+1)(j-1)) times the running
     prefix sums of the current entries. Entries must be non-negative."""
-    r, d_new = fam.params.r, fam.stage + 1
-    layout = _PackedLayout.for_counts(fam.order, r)
-    state = layout.step([layout.pack(e.coeffs) for e in fam.entries], d_new, r)
+    d_new = fam.stage + 1
+    layout = _PackedLayout.for_counts(fam.order, fam.params.r)
+    state = layout.step([layout.pack(e.coeffs) for e in fam.entries], d_new)
     return _family(fam.params, d_new, layout, state)
 
 

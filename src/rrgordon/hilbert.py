@@ -140,9 +140,9 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """
     if above := held(_floor, r, k + 1, N):
         layout, caps = above
-        state = layout.step([b - a for a, b in zip((0,) + caps, caps)], k, r)
+        state = layout.step([b - a for a, b in zip((0,) + caps, caps)], k)
     else:
-        layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)
+        layout, state = _growing_scan(r, N, range(N, k - 1, -1))
     caps = tuple(layout._check(x) for x in accumulate(state))
     return layout, caps + caps[-1:] * (r - len(caps))
 

@@ -6,7 +6,9 @@ literally (the permanent correctness oracle, exponential in n), while
 ``gordon_series`` runs a polynomial dynamic program over part multiplicities.
 The DP rests on the equivalence: a partition whose parts all exceed J
 satisfies "parts r-1 apart differ by at least 2" exactly when every two
-adjacent part values a, a+1 together occur at most r-1 times.
+adjacent part values a, a+1 together occur at most r-1 times. The cap of
+i-1 parts equal to J+1 is that rule at J, J+1 with J taken r-i = ell-1
+times, so the DP has one step rule and starts from the unit vector e_ell.
 
 The DP is one ascending scan of the part values (``_ascending_scan``), kept
 packed; the memo (``qseries.memo``) keeps the latest cell's, and the family
@@ -136,15 +138,16 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
 _FIXED_SLOT_BITS = 32
 
 
-def _growing_scan(r: int, N: int, values: Sequence[int], floor: int, cap: int) -> tuple[_PackedLayout, list[int]]:
+def _growing_scan(r: int, N: int, values: Sequence[int], ell: int = 1) -> tuple[_PackedLayout, list[int]]:
     """Scans multiplicity vectors (f_a) over ``values``, in the given order,
     to order N: its layout, ``for_counts(N, r)``, and its states in that
-    layout, packed series stepped once per value from [1], the empty scan.
+    layout, packed series stepped once per value from the unit vector e_ell.
 
     State j holds the vectors whose last scanned multiplicity is j-1.
     Adjacent multiplicities sum to at most r-1, so scanning a sets f_a = j-1
-    on the vectors of states 1..r-j+1, and the multiplicity of ``floor`` is
-    at most ``cap``.
+    on the vectors of states 1..r-j+1. The start e_ell is the empty scan
+    after a multiplicity ell-1, so the first scanned value occurs at most
+    r-ell times; e_1 = [1] caps nothing.
 
     The slots grow with the counts. A scan wider than ``_FIXED_SLOT_BITS``
     starts in the narrowest whole bytes above the guard bits of r states,
@@ -162,12 +165,11 @@ def _growing_scan(r: int, N: int, values: Sequence[int], floor: int, cap: int) -
         layout = top
     else:
         layout = _PackedLayout(N, r, 8 * ((r - 1).bit_length() // 8 + 1))
-    state = [layout.one]
+    state = [0] * (ell - 1) + [layout.one]
     for a in values:
-        kept = cap + 1 if a == floor else r
         while True:
             try:
-                state = layout.step(state, a, kept)
+                state = layout.step(state, a)
                 break
             except ArithmeticError:
                 if layout is top:
@@ -187,12 +189,12 @@ def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, t
     layout, ``for_counts(N, r)``, D, and the packed states after D, scanned
     in slots that grow with the counts (``_growing_scan``).
 
-    At most i-1 parts equal J+1. Scanning J+1 even when N < J+1 applies
-    that cap to the states, which the family route goes on from. The memo
-    keeps the latest cell's scan only, for its partition and family routes.
+    At most i-1 parts equal J+1, since the scan starts from e_ell. Scanning
+    J+1 even when N < J+1 applies that cap to the states, which the family
+    route goes on from. The memo keeps the latest cell's scan only.
     """
-    floor, stage = params.J + 1, max(N, params.J + 1)
-    layout, state = _growing_scan(params.r, N, range(floor, stage + 1), floor, params.i - 1)
+    stage = max(N, params.J + 1)
+    layout, state = _growing_scan(params.r, N, range(params.J + 1, stage + 1), params.ell)
     return layout, stage, tuple(state)
 
 

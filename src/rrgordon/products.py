@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, memo
 
@@ -180,9 +180,9 @@ def _padded_order(r: int, top: int, N: int) -> int:
     return N + (r - 1) * top * (top + 1) // 2
 
 
-def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]]]:
-    """The r entries of each level 0..top in turn, packed, each exact to
-    the order of the layout it comes with, which is N or more.
+def _levels(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
+    """The r entries of level ``top``, climbed from P times the theta series
+    and moved (``_PackedLayout.reslot``) into ``for_counts(N, r)`` slots.
 
     Level 0 is P times each theta series: one packed difference of two sums
     of shifted copies of P, checked. Each sum adds at most t copies, t the
@@ -205,11 +205,11 @@ def _levels(r: int, top: int, N: int) -> Iterator[tuple[_PackedLayout, list[int]
     P = layout.pack(tuple(_partition_numbers(order)))
     sums = ([sum(layout._times_q(P, e) for e in terms) for terms in theta] for theta in thetas)
     entries = [layout._check(plus - minus) for plus, minus in sums]
-    yield layout, entries
     for g in range(1, top + 1):
         src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
         entries = _climb(entries, g, partial(layout.shift_div, src=src))
-        yield layout, entries
+    out = _PackedLayout.for_counts(N, r)
+    return out, tuple(out.reslot(x, layout) for x in entries)
 
 
 def _shift_div(x: int, k: int, bits: int) -> int:
@@ -296,18 +296,12 @@ def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[i
     A tower whose padding (r-1)*level*(level+1)/2 exceeds N climbs the theta
     series alone (``_theta_family``); any other climbs P times them
     (``_levels``), because its base level is cheaper than a pass of Euler's
-    recurrence over r lanes at order N, and its top level is moved out of
-    the climb's slots (``_PackedLayout.reslot``). A negative level raises
-    ValueError.
+    recurrence over r lanes at order N. A negative level raises ValueError.
     """
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
-    if (r - 1) * level * (level + 1) // 2 > N:
-        return _theta_family(r, level, N)
-    for src, entries in _levels(r, level, N):
-        pass
-    layout = _PackedLayout.for_counts(N, r)
-    return layout, tuple(layout.reslot(x, src) for x in entries)
+    kernel = _theta_family if _padded_order(r, level, N) > 2 * N else _levels
+    return kernel(r, level, N)
 
 
 def product_series(idx: ProductIndex, N: int) -> PackedSeries:

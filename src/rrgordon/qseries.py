@@ -305,18 +305,19 @@ class _PackedLayout:
             x = (x + (1 << drop - 1)) >> drop
         return self._check(x)
 
-    def step(self, state: list[int], u: int, kept: int) -> list[int]:
+    def step(self, state: list[int], u: int) -> list[int]:
         """Advance states e_1, e_2, ... (missing trailing states are zero).
 
         With prefix sums P_k = e_1 + ... + e_k, new state j is
-        q^(u(j-1)) P_(r-j+1), for j = 1..``kept`` (at most r). States
-        shifted past the order are dropped, so the result may be shorter.
+        q^(u(j-1)) P_(r-j+1), for j = 1..r. States shifted past the order
+        are dropped, so the result may be shorter. If states 1..ell-1 are
+        zero, as in the unit vector e_ell, so are new states r-ell+2..r.
         """
         prefix = list(accumulate(state))
         total = self._check(prefix[-1])
         new = [total]
         last = len(prefix) - 1
-        for j in range(2, kept + 1):
+        for j in range(2, self.r + 1):
             s = u * (j - 1)
             if s > self.order:
                 break

@@ -35,11 +35,11 @@ def step_values(monkeypatch):
     values = []
     step = _PackedLayout.step
 
-    def counted(self, state, u, kept):
+    def counted(self, state, u):
         values.append(u)
         if len(values) > 10_000:
             raise RuntimeError("the walk ignored its stopping stage")
-        return step(self, state, u, kept)
+        return step(self, state, u)
 
     monkeypatch.setattr(_PackedLayout, "step", counted)
     return values

@@ -32,7 +32,7 @@ MUTANTS = [
      "if any(data[b::sw].count(0) < n for b in range(w, sw)):", "if False:",
      ("tests/test_packed.py::test_reslot_refuses_a_wider_source",)),
     ("a tower that never takes the theta kernel", "products.py",
-     "if (r - 1) * level * (level + 1) // 2 > N:", "if False:",
+     "_padded_order(r, level, N) > 2 * N", "False",
      ("tests/test_products.py::test_dropped_theta_term_blocks_a_division",)),
     ("an Euler pass that adds the even pentagonal terms", "products.py",
      "x -= y[n - g]", "x += y[n - g]",
@@ -56,14 +56,14 @@ MUTANTS = [
      "for s in range(d, params.J - 1, -1)", "for s in range(d, params.J, -1)",
      ("tests/test_families.py::test_expansion_fails_on_a_bumped_left_side[hp_series]",)),
     ("a _levels hand-off left in the climb's slots", "products.py",
-     "return layout, tuple(layout.reslot(x, src) for x in entries)", "return src, tuple(entries)",
+     "return out, tuple(out.reslot(x, layout) for x in entries)", "return layout, tuple(entries)",
      ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[2-3-30]",)),
     ("a partition number one too large", "products.py",
      "return _over_euler([1] + [0] * N)", "return [p + (n == 10) for n, p in enumerate(_over_euler([1] + [0] * N))]",
      ("tests/test_families.py::test_expansion_identities",)),
     ("a top floor bumped at one exponent", "hilbert.py",
-     "layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)",
-     "layout, state = _growing_scan(r, N, range(N, k - 1, -1), k, r - 1)\n"
+     "layout, state = _growing_scan(r, N, range(N, k - 1, -1))",
+     "layout, state = _growing_scan(r, N, range(N, k - 1, -1))\n"
      "        state[0] += layout._times_q(layout.one, min(N, 10))",
      ("tests/test_families.py::test_expansion_identities",)),
     ("hp-identities without the cap-r generator check", "hilbert.py",
@@ -88,6 +88,12 @@ MUTANTS = [
     ("left sides read at slot i instead of ell", "partitions.py",
      "return (self.r - 1) * self.J + self.ell", "return (self.r - 1) * self.J + self.i",
      ("tests/test_products.py::test_identity_spot_instances[2-1-2-40]",)),
+    ("a growing scan that starts from e_(ell+1)", "partitions.py",
+     "state = [0] * (ell - 1) + [layout.one]", "state = [0] * ell + [layout.one]",
+     ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
+    ("a family walk that starts from e_(ell+1)", "families.py",
+     "[0] * (params.ell - 1) + [layout.one]", "[0] * params.ell + [layout.one]",
+     ("tests/test_packed.py::test_family_init_equals_list_monomials",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
      ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),
@@ -132,7 +138,7 @@ MUTANTS = [
      "for k in floors:", "for k in reversed(floors):",
      ("tests/test_cli.py::test_five_suite_scan_runs_one_hilbert_scan_per_r",)),
     ("a floor stepped from the one above at value k+1", "hilbert.py",
-     "caps, caps)], k, r)", "caps, caps)], k + 1, r)",
+     "caps, caps)], k)", "caps, caps)], k + 1)",
      ("tests/test_hilbert.py::test_floors_filled_from_the_top_equal_cold_floors",)),
     ("a floor fill whose error escapes its cell", "cli.py",
      "except Exception:  # it raises again", "except ZeroDivisionError:  # it raises again",

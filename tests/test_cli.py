@@ -682,9 +682,9 @@ def test_cell_at_max_padded_order_without_expansion_passes(capsys):
 def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
     step = _PackedLayout.step
 
-    def short(self, state, u, kept):
+    def short(self, state, u):
         # each entry after the first divided by q, its q^0 coefficient dropped
-        new = step(self, state, u, kept)
+        new = step(self, state, u)
         return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
     # the suite's hp tail is read from the memo, filled by the correct step,
@@ -722,10 +722,10 @@ def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
     floor above the memo did not hold."""
     scan, scans = partitions._growing_scan, []
 
-    def counted(r, N, values, floor, cap):
+    def counted(r, N, values, *args):
         if values.step < 0:
-            scans.append((r, floor))
-        return scan(r, N, values, floor, cap)
+            scans.append((r, values.stop + 1))
+        return scan(r, N, values, *args)
 
     monkeypatch.setattr(hilbert, "_growing_scan", counted)
     return scans

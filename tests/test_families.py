@@ -108,8 +108,8 @@ def test_limit_raises_when_entry_1_keeps_changing(monkeypatch):
     # limit goes on from starts empty, so it is stepped by the mutant too
     step = _PackedLayout.step
 
-    def drifting(self, state, u, kept):
-        new = step(self, state, u, kept)
+    def drifting(self, state, u):
+        new = step(self, state, u)
         return [new[0] + 1] + new[1:]
 
     monkeypatch.setattr(_PackedLayout, "step", drifting)
@@ -157,7 +157,7 @@ def test_stage_past_the_walk_is_its_last_stage(step_values):
 
 def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
     # with D = max(N, J+1), the limit goes on from the scan's stage-D states
-    # and stops at D+1 when they are one entry, else at D+2; so never past
+    # and stops at D+1 when they have one nonzero entry, else at D+2; so never past
     # max(N, J)+2 <= J+N+2 (at i = 1 and N = J+1 one stage earlier than that)
     for r in range(2, 5):
         for i in range(1, r + 1):
@@ -167,7 +167,7 @@ def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
                     _, D, state = partitions._ascending_scan(params, N)
                     step_values.clear()
                     family_limit(None, params, N)
-                    stop = D + 1 if len(state) == 1 else D + 2
+                    stop = D + 1 if not any(state[1:]) else D + 2
                     assert step_values == list(range(D + 1, stop + 1)), (params, N)
                     assert stop <= max(N, J) + 2
 
@@ -360,8 +360,8 @@ def partition_number_ten_too_large(monkeypatch):
 def top_floor_bumped_at_q10(monkeypatch):
     scan = hilbert._growing_scan
 
-    def bumped(r, N, values, floor, cap):
-        layout, state = scan(r, N, values, floor, cap)
+    def bumped(r, N, values, *args):
+        layout, state = scan(r, N, values, *args)
         return layout, [state[0] + layout._times_q(layout.one, 10)] + state[1:]
 
     monkeypatch.setattr(hilbert, "_growing_scan", bumped)

@@ -2,8 +2,9 @@
 
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
-that ``fixed_scan``, one ``step`` per value in fixed slots, and
-``_growing_scan`` must reproduce exactly, in both directions.
+that ``fixed_scan``, one ``step`` per value in fixed slots from the unit
+vector e_ell, and ``_growing_scan`` must reproduce exactly, in both
+directions.
 ``reference_family_init`` builds the initial family from monomials written
 out as coefficient tuples, as the package did before the family walk became
 the DP's scan, so the literal walk starts from code not under test.
@@ -38,14 +39,15 @@ from rrgordon.products import base_product
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, first_mismatch
 
 
-def reference_adjacent_capped_counts(r, values, floor, cap, N):
-    """State (multiplicity of the previously scanned value, weight)."""
+def reference_adjacent_capped_counts(r, values, cap, N):
+    """State (multiplicity of the previously scanned value, weight); the
+    first scanned value occurs at most ``cap`` times."""
     dp = [[0] * (N + 1) for _ in range(r)]
     dp[0][0] = 1
-    for a in values:
+    for n, a in enumerate(values):
         new = [[0] * (N + 1) for _ in range(r)]
         for prev, row in enumerate(dp):
-            bound = min(r - 1 - prev, cap) if a == floor else r - 1 - prev
+            bound = min(r - 1 - prev, cap) if n == 0 else r - 1 - prev
             for w, ways in enumerate(row):
                 if ways:
                     for f in range(min(bound, (N - w) // a) + 1):
@@ -54,27 +56,28 @@ def reference_adjacent_capped_counts(r, values, floor, cap, N):
     return [sum(column) for column in zip(*dp)]
 
 
-def fixed_scan(layout, values, floor, cap):
+def fixed_scan(layout, values, ell):
     """The states of ``_growing_scan`` over ``values``, stepped in the fixed
-    slots of ``layout`` from the empty scan."""
-    state = [layout.one]
+    slots of ``layout`` from the unit vector e_ell."""
+    state = [0] * (ell - 1) + [layout.one]
     for a in values:
-        state = layout.step(state, a, cap + 1 if a == floor else layout.r)
+        state = layout.step(state, a)
     return state
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_packed_dp_equals_list_dp(data):
+    # from e_ell the first scanned value, values[0], occurs at most r-ell times
     r = data.draw(st.integers(2, 6))
     N = data.draw(st.integers(0, 150))
-    floor = data.draw(st.integers(1, 12))
-    cap = data.draw(st.integers(0, r - 1))
+    lo = data.draw(st.integers(1, 12))
+    ell = data.draw(st.integers(1, r))
     ascending = data.draw(st.booleans())
-    values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
-    want = reference_adjacent_capped_counts(r, values, floor, cap, N)
+    values = range(lo, N + 1) if ascending else range(N, lo - 1, -1)
+    want = reference_adjacent_capped_counts(r, values, r - ell, N)
     layout = _PackedLayout.for_counts(N, r)
-    assert list(layout.unpack(sum(fixed_scan(layout, values, floor, cap)))) == want
+    assert list(layout.unpack(sum(fixed_scan(layout, values, ell)))) == want
 
 
 @settings(deadline=None, max_examples=40)
@@ -186,12 +189,29 @@ def test_step_raises_when_a_slot_reaches_its_guard_bits():
     # 8-bit slots with r = 3 leave 6 value bits: 63 + 63 reaches the guard
     layout = _PackedLayout(3, 3, 8)
     half = layout.pack((63, 0, 0, 0))
-    assert layout.step([half], 1, 3) == [half, layout.pack((0, 63, 0, 0)), layout.pack((0, 0, 63, 0))]
+    assert layout.step([half], 1) == [half, layout.pack((0, 63, 0, 0)), layout.pack((0, 0, 63, 0))]
     with pytest.raises(ArithmeticError):
-        layout.step([half, half], 1, 3)
+        layout.step([half, half], 1)
     for bad in ((64, 0, 0, 0), (0, -1, 0, 0)):
         with pytest.raises(ArithmeticError):
             layout.pack(bad)
+
+
+def test_step_from_e_ell_keeps_i_states():
+    # the cap "at most i-1 parts equal J+1" is the start e_ell, ell = r-i+1,
+    # not a rule of step: the step at J+1 leaves q^((J+1)(j-1)) in states
+    # j = 1..i and zero in every state after them
+    N = 30
+    for r in range(2, 7):
+        layout = _PackedLayout.for_counts(N, r)
+        for ell in range(1, r + 1):
+            i = r - ell + 1
+            for J in range(4):
+                state = layout.step([0] * (ell - 1) + [layout.one], J + 1)
+                assert [layout.unpack(x) for x in state[:i]] == [
+                    monomial((J + 1) * (j - 1), N).coeffs for j in range(1, i + 1)
+                ], (r, ell, J)
+                assert not any(state[i:]), (r, ell, J)
 
 
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
@@ -226,17 +246,17 @@ def test_growing_scan_equals_list_dp_and_fixed_slots(data):
     # it hands its states off in for_counts slots
     r = data.draw(st.integers(2, 6))
     N = data.draw(st.one_of(st.integers(0, 40), st.integers(150, 250)))
-    floor = data.draw(st.integers(1, 12))
-    cap = data.draw(st.integers(0, r - 1))
+    lo = data.draw(st.integers(1, 12))
+    ell = data.draw(st.integers(1, r))
     ascending = data.draw(st.booleans())
-    values = range(floor, N + 1) if ascending else range(N, floor - 1, -1)
+    values = range(lo, N + 1) if ascending else range(N, lo - 1, -1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
-        layout, state = partitions._growing_scan(r, N, values, floor, cap)
+        layout, state = partitions._growing_scan(r, N, values, ell)
     fixed = _PackedLayout.for_counts(N, r)
     assert layout.bits == fixed.bits
-    assert state == fixed_scan(fixed, values, floor, cap)
-    assert list(layout.unpack(sum(state))) == reference_adjacent_capped_counts(r, values, floor, cap, N)
+    assert state == fixed_scan(fixed, values, ell)
+    assert list(layout.unpack(sum(state))) == reference_adjacent_capped_counts(r, values, r - ell, N)
 
 
 def test_packed_routes_equal_oracles_from_narrow_starts(monkeypatch):
@@ -266,9 +286,9 @@ def test_growing_scans_stop_at_for_counts(capsys, monkeypatch):
     monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
     widths, step = set(), _PackedLayout.step
 
-    def recorded(self, state, u, kept):
+    def recorded(self, state, u):
         widths.add(self.bits)
-        return step(self, state, u, kept)
+        return step(self, state, u)
 
     monkeypatch.setattr(_PackedLayout, "step", recorded)
     argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "200", "--format", "json"]
@@ -310,11 +330,11 @@ def test_packed_primitives_mean_what_the_list_series_do(data):
     s = data.draw(st.integers(0, N + 2))
     assert layout.unpack(layout._times_q(packed[0], s)) == TruncatedSeries(states[0]).mul_qpow(s).coeffs
     # step: new entry j is q^(u(j-1)) times the sum of entries 1..r-j+1
-    u, kept = data.draw(st.integers(1, N + 2)), data.draw(st.integers(1, r))
+    u = data.draw(st.integers(1, N + 2))
     series = [TruncatedSeries(c) for c in states] + [TruncatedSeries((0,) * (N + 1))] * (r - len(states))
-    want = [sum(series[1 : r - j + 1], series[0]).mul_qpow(u * (j - 1)).coeffs for j in range(1, kept + 1)]
-    got = [layout.unpack(x) for x in layout.step(packed, u, kept)]
-    assert got + [(0,) * (N + 1)] * (kept - len(got)) == want
+    want = [sum(series[1 : r - j + 1], series[0]).mul_qpow(u * (j - 1)).coeffs for j in range(1, r + 1)]
+    got = [layout.unpack(x) for x in layout.step(packed, u)]
+    assert got + [(0,) * (N + 1)] * (r - len(got)) == want
 
 
 @settings(deadline=None, max_examples=120)

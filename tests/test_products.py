@@ -154,11 +154,13 @@ def test_packed_base_product_equals_list_dp(r, N):
 @example(3, 1, 200)  # padding 2 <= N: _family_at_level climbs P times theta
 @example(5, 12, 20)  # padding 312 > N: it climbs the theta series alone
 def test_packed_tower_equals_list_climb(r, top, N):
-    # both kernels, whichever side of _family_at_level's rule (r, top, N) is on
+    # both kernels, whichever side of _family_at_level's rule (r, top, N) is
+    # on; _levels hands off its top level only, so each level g is climbed
+    # to at the order the list climb leaves it, from the same base order
     expected = reference_levels(r, top, N)
-    got = list(products._levels(r, top, N))
-    assert len(got) == len(expected) == top + 1
-    for g, ((layout, entries), want) in enumerate(zip(got, expected)):
+    assert len(expected) == top + 1
+    for g, want in enumerate(expected):
+        layout, entries = products._levels(r, g, want[0].order)
         assert len(entries) == r, g
         for s, (x, series) in enumerate(zip(entries, want), start=1):
             assert layout.unpack(x) == series.coeffs, (g, s)
