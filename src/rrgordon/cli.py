@@ -10,8 +10,9 @@ The routes hand over packed series (``qseries.PackedSeries``), which
 digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists its cells and the
-Hilbert floors each r reads. ``main`` empties the memo before a command,
-and a scan cell of a new r empties it and fills that r's floors top down.
+Hilbert floors and product tower levels each r reads. ``main`` empties the
+memo before a command, and a scan cell of a new r empties it, fills that
+r's floors top down and files its levels from one climb.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -29,7 +30,7 @@ import time
 from .families import family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import _floor, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
-from .products import ProductIndex, _padded_order, product_series
+from .products import ProductIndex, _keep_levels, _padded_order, product_series
 from .qseries import PackedSeries, first_mismatch, forget, held
 
 DEFAULT_ORDER = 50
@@ -96,7 +97,8 @@ def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict,
     """Each route's series or error, by name, each route's seconds, the
     verdict, and the first mismatch among the series, or None. The series
     are compared with ``==``, which for packed series in slots of one width
-    compares two ints, so only a mismatch reads coefficients."""
+    compares two ints; a mismatch between two such series is read from
+    their XOR (``first_mismatch``) and their slots, so nothing is unpacked."""
     series, errors, seconds = {}, {}, {}
     for name in SERIES_ROUTES:
         start = time.perf_counter()
@@ -114,7 +116,7 @@ def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict,
         a = names[0]
         if series[a] != series[b]:
             n = first_mismatch(series[a], series[b])
-            coefficients = [str(series[a].coeffs[n]), str(series[b].coeffs[n])]
+            coefficients = [str(series[a].coefficient(n)), str(series[b].coefficient(n))]
             return series, errors, seconds, "fail", {"exponent": n, "routes": [a, b], "coefficients": coefficients}
     return series, errors, seconds, "fail" if errors else "pass", None
 
@@ -190,12 +192,14 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range]]]:
-    """A command's order and cells (r, i, J, floors), i clipped to r and
-    ``floors`` the Hilbert floors each r reads, top down. Raises UsageError
-    on an r, i or J out of range, an empty grid, and with ``tower`` a tower
-    padded above MAX_PADDED_ORDER at the deepest level read (J, or J+3 with
-    expansion); r_hi admits the most i, so the ranges' ends decide both."""
+def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range]]]:
+    """A command's order and cells (r, i, J, floors, levels), i clipped to r,
+    ``floors`` the Hilbert floors each r reads, top down, and ``levels`` the
+    product tower levels it reads, up to J, or J+3 with expansion, from the
+    level J-1 that the product route of i = r reads. Raises UsageError on
+    an r, i or J out of range, an empty grid, and with ``tower`` a tower
+    padded above MAX_PADDED_ORDER at the deepest level read; r_hi admits the
+    most i, so the ranges' ends decide both."""
     order = _order_from(args)
     r_lo, r_hi = _parse_range(str(args.r), "--r")
     j_lo, j_hi = _parse_range(str(args.J), "--J")
@@ -214,12 +218,13 @@ def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, 
     if tower and (padded := _padded_order(r_hi, level, order)) > MAX_PADDED_ORDER:
         raise UsageError(f"r={r_hi}, J={j_hi} at order {order} pads the product tower's level {level} to order {padded}, above {MAX_PADDED_ORDER}")
     floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
+    levels = range(max(j_lo - 1, 0), level + 1)
     rows = ((r, i) for r in range(r_lo, r_hi + 1) for i in range(i_lo, min(r, i_hi) + 1))
-    return order, [(r, i, J, floors) for r, i in rows for J in range(j_lo, j_hi + 1)]
+    return order, [(r, i, J, floors, levels) for r, i in rows for J in range(j_lo, j_hi + 1)]
 
 
 def cmd_verify(args) -> int:
-    order, [(r, i, J, _)] = _plan(args)
+    order, [(r, i, J, *_)] = _plan(args)
     report, seconds = build_report(GordonParams(r, i, J), order)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -236,14 +241,18 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
-def _scan_cell(cell: tuple[int, int, int, range, int, tuple[str, ...], int]) -> dict:
-    r, i, J, floors, order, suites, d_max = cell
+def _scan_cell(cell: tuple[int, int, int, range, range, int, tuple[str, ...], int]) -> dict:
+    r, i, J, floors, levels, order, suites, d_max = cell
     if held(_floor, r, floors[0], order) is None:
         forget()  # cells come r first, so no later cell reads an older r's entries
         try:  # top down, so each floor is one step from the one above
             for k in floors:
                 _floor(r, k, order)
         except Exception:  # it raises again in each route or suite that reads it
+            pass
+        try:  # one climb to the top level hands off every level
+            _keep_levels(r, levels, order)
+        except Exception:  # each level is then climbed alone, and raises again, where it is read
             pass
     params = GordonParams(r, i, J)
     *_, identity, mismatch = _compare_routes(params, order)
@@ -316,7 +325,7 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 
 def cmd_table(args) -> int:
-    order, [(r, i, J, _)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
+    order, [(r, i, J, *_)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
     series, error = _run_route(TABLE_KINDS[args.kind], GordonParams(r, i, J), order)
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback

@@ -10,28 +10,36 @@ defined level by level: climbing one level subtracts two entries of the
 previous level and divides exactly by a power of q. Because the division
 destroys low-order information, a tower to level L is computed at the
 padded order N + (r-1)L(L+1)/2, chosen upfront so the requested entry is
-exact to order N.
+exact to order N. Every level below L is then exact to a higher order.
+
+So one climb per r serves every level a command reads: ``_tower(r, levels,
+N)`` climbs to the last level of a range and hands off each level of the
+range, cut to order N, as the climb passes it. ``cli`` files the levels
+of a scan's r in the memo with ``_keep_levels``, and ``_family_at_level``,
+the one reader, climbs a level it does not find there alone.
 
 The climb is Z[q]-linear and P is a unit, so every entry is P times the
-same climb applied to the theta series alone. ``_family_at_level`` picks
-one of two packed kernels from (r, L, N) alone:
+same climb applied to the theta series alone. ``_tower`` picks one of two
+packed kernels from (r, L, N) alone, L the top level:
 
 - padding (r-1)L(L+1)/2 at most N (``_levels``): the base level is P times
   each theta series at the padded order, and the climb runs on those
   entries. Their slots (``_PackedLayout.for_counts``) hold sums of t + 1
   partition counts, t the most terms of any theta sum (``_thetas``), and
-  every result is checked below its guard bits. The top level is then
-  moved into ``for_counts(N, r)`` slots. Level 0 has no padding, so
-  ``base_product`` reads its entries from this kernel's memoized tower.
+  every result is checked below its guard bits. Each level handed off is
+  then cut to order N and moved into ``for_counts(N, r)`` slots. Level 0
+  has no padding, so ``base_product`` reads its entries from this
+  kernel's memoized tower.
 - padding above N (``_theta_family``): the climb runs on the theta series,
-  in balanced signed slots of top + bitlen(t) + 2 bits rounded up to whole
-  bytes, since a level-g coefficient is at most 2^g t in size. Level L is
-  then divided by (q;q)_inf once, at order N, with the r entries as lanes
-  of one int per exponent (entry j in bits jW..jW+W-1 for a lane width W),
-  and leaves in ``for_counts(N, r)`` slots. The pass adds one row per
-  pentagonal number per exponent, where the other kernel's base level
-  shifts P over about 2 sqrt(2N/(2r+1)) theta terms, so it pays only when
-  the padding is large.
+  in balanced signed slots of L + bitlen(t) + 2 bits rounded up to whole
+  bytes, since a level-g coefficient is at most 2^g t in size. The levels
+  handed off are then divided by (q;q)_inf once, at order N, with their r
+  entries each as lanes of one int per exponent (entry j of the k-th
+  level in bits (kr+j)W..(kr+j)W+W-1 for a lane width W), and leave in
+  ``for_counts(N, r)`` slots. The pass adds one row per pentagonal number
+  per exponent, where the other kernel's base level shifts P over about
+  2 sqrt(2N/(2r+1)) theta terms, so it pays only when the padding is
+  large.
 
 Either way a division that is not exact raises NonDivisibleError, and a
 coefficient that reaches its guard bits raises ArithmeticError.
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, memo
+from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, keep, memo
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,11 @@ def _padded_order(r: int, top: int, N: int) -> int:
     return N + (r - 1) * top * (top + 1) // 2
 
 
-def _levels(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The r entries of level ``top``, climbed from P times the theta series
-    and moved (``_PackedLayout.reslot``) into ``for_counts(N, r)`` slots.
+def _levels(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
+    """The r entries of each level in ``levels``, climbed from P times the
+    theta series to the last of them, each cut to order N as the climb
+    passes it and moved (``_PackedLayout.reslot``) into ``for_counts(N, r)``
+    slots.
 
     Level 0 is P times each theta series: one packed difference of two sums
     of shifted copies of P, checked. Each sum adds at most t copies, t the
@@ -193,23 +203,32 @@ def _levels(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     2^B - t 2^(B-g) >= 2^(B-g), so it sets one too.
 
     Climbing to level g divides by up to q^(g(r-1)), so the base level is
-    computed at order N + (r-1)*top*(top+1)/2 and each climb drops
-    g*(r-1) of it. All levels share the base level's slot width: every
+    computed at order N + (r-1)*top*(top+1)/2, top the last level, and each
+    climb drops g*(r-1) of it; a level below the top is exact to a higher
+    order, and the cut drops its slots past N, which are checked and so
+    carry nothing. All levels share the base level's slot width: every
     entry counts partitions. Raises NonDivisibleError if a division is
     ever inexact, and ArithmeticError if a slot reaches its guard bits;
     either would mean the construction itself is broken.
     """
-    order = _padded_order(r, top, N)
+    order = _padded_order(r, levels[-1], N)
     thetas, t = _thetas(r, order)
     layout = _PackedLayout.for_counts(order, t + 1)
     P = layout.pack(tuple(_partition_numbers(order)))
     sums = ([sum(layout._times_q(P, e) for e in terms) for terms in theta] for theta in thetas)
     entries = [layout._check(plus - minus) for plus, minus in sums]
-    for g in range(1, top + 1):
-        src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
-        entries = _climb(entries, g, partial(layout.shift_div, src=src))
     out = _PackedLayout.for_counts(N, r)
-    return out, tuple(out.reslot(x, layout) for x in entries)
+    family = []
+    for g in range(levels[-1] + 1):
+        if g:
+            src, layout = layout, _PackedLayout(layout.order - g * (r - 1), layout.r, layout.bits)
+            entries = _climb(entries, g, partial(layout.shift_div, src=src))
+        if g in levels:
+            # a level below the top is cut to order N by a right shift
+            cut = layout if layout.order == N else _PackedLayout(N, layout.r, layout.bits)
+            drop = (layout.order - N) * layout.bits
+            family.append((out, tuple(out.reslot(x >> drop, cut) for x in entries)))
+    return family
 
 
 def _shift_div(x: int, k: int, bits: int) -> int:
@@ -235,73 +254,100 @@ def _shift_div(x: int, k: int, bits: int) -> int:
     return x >> k * bits
 
 
-def _theta_family(r: int, top: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The r entries of level ``top``, packed at order exactly N in
-    ``for_counts(N, r)`` slots, climbed from the theta series alone.
+def _theta_family(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
+    """The r entries of each level in ``levels``, packed at order exactly N
+    in ``for_counts(N, r)`` slots, climbed from the theta series alone.
 
-    Level 0 is the r theta series at the padded order, in balanced slots of
-    S = top + bitlen(t) + 2 bits rounded up to whole bytes, t the largest
-    term count of either theta sum: each climb subtracts two slots, so a
-    level-g slot is at most 2^g t in size, and no slot ever overflows,
-    kept or not. Only the divisions are checked (NonDivisibleError), and
-    the slots above order N are dropped once, at the end. The top level's
-    r series are then laid out as lanes of one int per exponent and
-    divided by (q;q)_inf in one pass of ``_over_euler``. Each quotient
-    coefficient is checked below 2^v, the value bits of the result slots,
-    so a sum in the pass stays below 2^(top) t + m 2^v, m the number of
-    pentagonal terms up to N, and the lanes of W = max(top + bitlen(t),
-    v + bitlen(m)) + 2 bits rounded up to whole bytes never carry. A
-    quotient coefficient that fails its check raises ArithmeticError. The
-    climb's slots and the rows run from q^0 up; the result slots run from
-    q^N up (``_PackedLayout``), so the rows are copied in reverse.
+    Level 0 is the r theta series at the padded order of the last level,
+    top, in balanced slots of S = top + bitlen(t) + 2 bits rounded up to
+    whole bytes, t the largest term count of either theta sum: each climb
+    subtracts two slots, so a level-g slot is at most 2^g t in size, and no
+    slot ever overflows, kept or not. Only the divisions are checked
+    (NonDivisibleError). As the climb passes each level, the r series of
+    that level are laid out as r lanes of one int per exponent up to N, so
+    their slots above order N are dropped, and all the lanes are divided by
+    (q;q)_inf in one pass of ``_over_euler``. Each quotient coefficient is
+    checked below 2^v, the value bits of the result slots, so a sum in the
+    pass stays below 2^(top) t + m 2^v, m the number of pentagonal terms up
+    to N, and the lanes of W = max(top + bitlen(t), v + bitlen(m)) + 2 bits
+    rounded up to whole bytes never carry. A quotient coefficient that
+    fails its check raises ArithmeticError. The climb's slots and the rows
+    run from q^0 up; the result slots run from q^N up (``_PackedLayout``),
+    so the rows are copied in reverse.
     """
+    top = levels[-1]
     order = _padded_order(r, top, N)
     thetas, t = _thetas(r, order)
     S = -(-(top + t.bit_length() + 2) // 8) * 8
-    entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
-    for g in range(1, top + 1):
-        entries = _climb(entries, g, partial(_shift_div, bits=S))
-
     layout = _PackedLayout.for_counts(N, r)
     v = layout.bits - (r - 1).bit_length()
     odd, even = _pentagonal(N)
     W = -(-(max(top + t.bit_length(), v + (len(odd) + len(even)).bit_length()) + 2) // 8) * 8
-    n, s, w, b = N + 1, S // 8, W // 8, layout.bits // 8
-    # the top level's slots 0..N, each offset by 2^(S-1) into 0..2^S - 1,
-    # are copied byte by byte into lanes, and each row sheds the offsets
-    offset = int.from_bytes((1 << S - 1).to_bytes(s, "little") * n, "little")
-    rows = bytearray(n * r * w)
-    for j, x in enumerate(entries):
-        data = ((x + offset) & ((1 << n * S) - 1)).to_bytes(n * s, "little")
-        for k in range(s):
-            rows[j * w + k :: r * w] = data[k::s]
-    lane_offset = int.from_bytes((1 << S - 1).to_bytes(w, "little") * r, "little")
-    terms = [int.from_bytes(rows[k : k + r * w], "little") - lane_offset for k in range(0, n * r * w, r * w)]
-    guard = int.from_bytes(((1 << W) - (1 << v)).to_bytes(w, "little") * r, "little")
-    data = b"".join(y.to_bytes(r * w, "little") for y in reversed(_over_euler(terms, guard)))
+    n, s, w, b, lanes = N + 1, S // 8, W // 8, layout.bits // 8, r * len(levels)
+    row = lanes * w
+    # a level's slots 0..N, each offset by 2^(S-1) into 0..2^S - 1, are
+    # copied byte by byte into its lanes, and each row sheds the offsets
+    offset, cut = int.from_bytes((1 << S - 1).to_bytes(s, "little") * n, "little"), (1 << n * S) - 1
+    rows = bytearray(n * row)
+    entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
+    for g in range(top + 1):
+        if g:
+            entries = _climb(entries, g, partial(_shift_div, bits=S))
+        if g in levels:
+            for j, x in enumerate(entries, (g - levels.start) * r):
+                data = ((x + offset) & cut).to_bytes(n * s, "little")
+                for k in range(s):
+                    rows[j * w + k :: row] = data[k::s]
+    lane_offset = int.from_bytes((1 << S - 1).to_bytes(w, "little") * lanes, "little")
+    terms = [int.from_bytes(rows[k : k + row], "little") - lane_offset for k in range(0, n * row, row)]
+    guard = int.from_bytes(((1 << W) - (1 << v)).to_bytes(w, "little") * lanes, "little")
+    # each copy of the lanes goes as the next is made, so at most two live at once
+    del rows
+    quotients = _over_euler(terms, guard)
+    del terms
+    for k, y in enumerate(quotients):
+        quotients[k] = y.to_bytes(row, "little")
+    data = b"".join(reversed(quotients))
+    del quotients
     family = []
-    for j in range(r):
+    for j in range(lanes):
         out = bytearray(n * b)
         for k in range(min(b, w)):
-            out[k::b] = data[j * w + k :: r * w]
+            out[k::b] = data[j * w + k :: row]
         family.append(int.from_bytes(out, "little"))
-    return layout, tuple(family)
+    return [(layout, tuple(family[j : j + r])) for j in range(0, lanes, r)]
+
+
+def _tower(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
+    """The layout and r entries of each level in ``levels``, at order N in
+    ``for_counts(N, r)`` slots, from one climb to the last of them.
+
+    A tower whose padding at that level, (r-1)*top*(top+1)/2, exceeds N
+    climbs the theta series alone (``_theta_family``); any other climbs P
+    times them (``_levels``), because its base level is cheaper than a pass
+    of Euler's recurrence over r lanes per level at order N.
+    """
+    kernel = _theta_family if _padded_order(r, levels[-1], N) > 2 * N else _levels
+    return kernel(r, levels, N)
 
 
 @memo
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The r entries of one level, packed at order exactly N in
-    ``for_counts(N, r)`` slots, with that layout.
-
-    A tower whose padding (r-1)*level*(level+1)/2 exceeds N climbs the theta
-    series alone (``_theta_family``); any other climbs P times them
-    (``_levels``), because its base level is cheaper than a pass of Euler's
-    recurrence over r lanes at order N. A negative level raises ValueError.
-    """
+    ``for_counts(N, r)`` slots, with that layout: what ``_keep_levels``
+    filed in the memo, or else a climb to this level alone (``_tower``). A
+    negative level raises ValueError."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
-    kernel = _theta_family if _padded_order(r, level, N) > 2 * N else _levels
-    return kernel(r, level, N)
+    [family] = _tower(r, range(level, level + 1), N)
+    return family
+
+
+def _keep_levels(r: int, levels: range, N: int) -> None:
+    """Files every level in ``levels`` in the memo as ``_family_at_level``
+    would return it, all from one climb (``_tower``)."""
+    for level, family in zip(levels, _tower(r, levels, N)):
+        keep(_family_at_level, (r, level, N), family)
 
 
 def product_series(idx: ProductIndex, N: int) -> PackedSeries:

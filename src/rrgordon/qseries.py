@@ -97,6 +97,10 @@ class TruncatedSeries:
 
     # -- queries ----------------------------------------------------------
 
+    def coefficient(self, n: int) -> int:
+        """The q^n coefficient."""
+        return self.coeffs[n]
+
     def fingerprint(self) -> str:
         """Short stable digest of the exact coefficient vector."""
         payload = f"{self.order}:" + ",".join(str(c) for c in self.coeffs)
@@ -109,8 +113,16 @@ class TruncatedSeries:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
-def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
-    """Smallest exponent where the two series differ, None if they agree."""
+def first_mismatch(a: TruncatedSeries | PackedSeries, b: TruncatedSeries | PackedSeries) -> int | None:
+    """Smallest exponent where the two series differ, None if they agree.
+
+    Two ``PackedSeries`` of one order in slots of one width are read from
+    a ^ b, which has no borrow: its top set bit lies in the top slot where
+    they differ, and slot s holds q^(N-s). Any other pair is compared
+    coefficient by coefficient, to the smaller order."""
+    if isinstance(a, PackedSeries) and isinstance(b, PackedSeries) and (a.order, a.layout.bits) == (b.order, b.layout.bits):
+        x = a.packed ^ b.packed
+        return a.order - (x.bit_length() - 1) // a.layout.bits if x else None
     n = min(a.order, b.order)
     for t in range(n + 1):
         if a.coeffs[t] != b.coeffs[t]:
@@ -138,6 +150,13 @@ def memo(fn, latest=False):
 def held(fn, *args):
     """The memo's ``fn(*args)``, ``fn`` from ``memo`` without ``latest``, or None."""
     return _MEMO.get((fn, args), (None, None))[1]
+
+
+def keep(fn, args: tuple, value) -> None:
+    """Files ``value`` as the memo's ``fn(*args)``, ``fn`` from ``memo``
+    without ``latest``, for a caller that computed it more cheaply with
+    others; ``fn(*args)`` then returns it until ``forget``."""
+    _MEMO[(fn, args)] = args, value
 
 
 def forget() -> None:
@@ -352,6 +371,13 @@ class PackedSeries:
         if self._coeffs is None:
             self._coeffs = self.layout.unpack(self.packed)
         return self._coeffs
+
+    def coefficient(self, n: int) -> int:
+        """The q^n coefficient, read from its slot N-n without unpacking."""
+        if not 0 <= n <= self.order:
+            raise IndexError(f"exponent {n} lies outside 0..{self.order}")
+        bits = self.layout.bits
+        return (self.packed >> (self.order - n) * bits) & ((1 << bits) - 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedSeries) and other.layout.bits == self.layout.bits:

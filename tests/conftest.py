@@ -1,5 +1,6 @@
 import pytest
 
+from rrgordon import products
 from rrgordon.qseries import _PackedLayout, forget
 
 # (number, label, passed) tuples recorded by the acceptance tests
@@ -43,6 +44,20 @@ def step_values(monkeypatch):
 
     monkeypatch.setattr(_PackedLayout, "step", counted)
     return values
+
+
+@pytest.fixture
+def tower_climbs(monkeypatch):
+    """(r, levels) of every call of either product tower kernel,
+    ``products._levels`` or ``products._theta_family``, in call order."""
+    climbs = []
+    for name in ("_levels", "_theta_family"):
+        def counted(r, levels, N, kernel=getattr(products, name)):
+            climbs.append((r, levels))
+            return kernel(r, levels, N)
+
+        monkeypatch.setattr(products, name, counted)
+    return climbs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -32,7 +32,7 @@ MUTANTS = [
      "if any(data[b::sw].count(0) < n for b in range(w, sw)):", "if False:",
      ("tests/test_packed.py::test_reslot_refuses_a_wider_source",)),
     ("a tower that never takes the theta kernel", "products.py",
-     "_padded_order(r, level, N) > 2 * N", "False",
+     "_padded_order(r, levels[-1], N) > 2 * N", "False",
      ("tests/test_products.py::test_dropped_theta_term_blocks_a_division",)),
     ("an Euler pass that adds the even pentagonal terms", "products.py",
      "x -= y[n - g]", "x += y[n - g]",
@@ -56,8 +56,31 @@ MUTANTS = [
      "for s in range(d, params.J - 1, -1)", "for s in range(d, params.J, -1)",
      ("tests/test_families.py::test_expansion_fails_on_a_bumped_left_side[hp_series]",)),
     ("a _levels hand-off left in the climb's slots", "products.py",
-     "return out, tuple(out.reslot(x, layout) for x in entries)", "return layout, tuple(entries)",
+     "family.append((out, tuple(out.reslot(x >> drop, cut) for x in entries)))",
+     "family.append((layout, tuple(entries)))",
      ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[2-3-30]",)),
+    ("a climb that files level g's entries under level g+1", "products.py",
+     "keep(_family_at_level, (r, level, N), family)", "keep(_family_at_level, (r, level + 1, N), family)",
+     ("tests/test_products.py::test_kept_levels_are_the_levels_climbed_alone[3-0-3-30]",)),
+    ("a theta pass whose lanes are split one level off", "products.py",
+     "for j in range(0, lanes, r)]", "for j in range(r, lanes + r, r)]",
+     ("tests/test_products.py::test_packed_tower_equals_list_climb",)),
+    ("a plan whose levels stop at J without the expansion suite's J+3", "cli.py",
+     "levels = range(max(j_lo - 1, 0), level + 1)", "levels = range(max(j_lo - 1, 0), j_hi + 1)",
+     ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[five-suites]",)),
+    ("a plan whose levels start at J, above the level i = r reads", "cli.py",
+     "levels = range(max(j_lo - 1, 0), level + 1)", "levels = range(j_lo, level + 1)",
+     ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[from-J-1]",)),
+    ("a tower fill whose error escapes its cell", "cli.py",
+     "except Exception:  # each level is then climbed alone", "except ZeroDivisionError:  # each level is then climbed alone",
+     ("tests/test_cli.py::test_a_tower_fill_that_raises_fails_its_cells",)),
+    ("an XOR first mismatch one slot off", "qseries.py",
+     "return a.order - (x.bit_length() - 1) // a.layout.bits if x else None",
+     "return a.order - (x.bit_length() - 1) // a.layout.bits + 1 if x else None",
+     ("tests/test_cli.py::test_a_packed_bump_is_read_from_the_xor_and_the_slots[0]",)),
+    ("a packed coefficient read one slot off", "qseries.py",
+     "(self.packed >> (self.order - n) * bits)", "(self.packed >> (self.order - n - 1) * bits)",
+     ("tests/test_cli.py::test_a_packed_bump_is_read_from_the_xor_and_the_slots[15]",)),
     ("a partition number one too large", "products.py",
      "return _over_euler([1] + [0] * N)", "return [p + (n == 10) for n, p in enumerate(_over_euler([1] + [0] * N))]",
      ("tests/test_families.py::test_expansion_identities",)),

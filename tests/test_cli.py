@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rrgordon import cli, families, hilbert, partitions, qseries
+from rrgordon import cli, families, hilbert, partitions, products, qseries
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.families import verify_valuations
 from rrgordon.hilbert import QuotientSpec, hp_series
@@ -251,6 +251,24 @@ def test_packed_routes_compare_by_coefficients(capsys, monkeypatch, slot, extra_
     code, out, _ = run(capsys, "scan", *cell, "--format", "json")
     [cell] = json.loads(out)["cells"]
     assert (code, cell["mismatch"]) == (int(mismatch is not None), mismatch)
+
+
+@pytest.mark.parametrize("exponent", [0, 15, 30])
+def test_a_packed_bump_is_read_from_the_xor_and_the_slots(capsys, monkeypatch, exponent):
+    # slot 30-n of order 30 holds q^n; a scan cell finds the first mismatch
+    # from the XOR of two ints and reads both coefficients from their slots,
+    # unpacking nothing, and verify reports the same mismatch
+    c = gordon_series(GordonParams(3, 2, 1), 30).coeffs[exponent]
+    want = {"exponent": exponent, "routes": ["product", "hilbert"], "coefficients": [str(c), str(c + 1)]}
+    monkeypatch.setitem(SERIES_ROUTES, "hilbert", packed_route("hilbert", 30 - exponent))
+    unpack, unpacked = _PackedLayout.unpack, []
+    monkeypatch.setattr(_PackedLayout, "unpack", lambda self, x: unpacked.append(x) or unpack(self, x))
+    cell = ["--r", "3", "--i", "2", "--J", "1", "--order", "30", "--format", "json"]
+    code, out, _ = run(capsys, "scan", *cell)
+    [result] = json.loads(out)["cells"]
+    assert (code, result["mismatch"], unpacked) == (1, want, [])
+    code, out, _ = run(capsys, "verify", *cell)
+    assert (code, json.loads(out)["mismatch"]) == (1, want)
 
 
 @pytest.mark.parametrize("route,kind", [("product", "product"), ("partition", "counts"), ("hilbert", "hilbert")])
@@ -643,7 +661,7 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
     cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1))])
+    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31))])
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
         order, cells = cli._plan(grid, suites)
@@ -765,6 +783,46 @@ def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
     assert code == 1 and len(cells) == 2
     for cell in cells:
         assert (cell["identity"], cell["suites"]) == ("fail", {"family-match": "pass", "valuation": "fail"})
+
+
+@pytest.mark.parametrize(
+    "grid,climbs",
+    [
+        # to level J+3 = 6 that the expansion suite reads: 4 climbs, where one per level ran 28
+        (("--r", "2..5", "--J", "0..3", "--suites", ",".join(cli.SUITES)), [(r, range(0, 7)) for r in range(2, 6)]),
+        # from level J-1 = 0 that the product route of i = r = 3 reads at J = 1
+        (("--r", "3", "--J", "1..2"), [(3, range(0, 3))]),
+    ],
+    ids=["five-suites", "from-J-1"],
+)
+def test_a_scan_climbs_one_tower_per_r(capsys, tower_climbs, grid, climbs):
+    # the first cell of each r climbs its tower once, to the deepest level
+    # the grid reads, and hands off every level its cells read
+    code, _, _ = run(capsys, "scan", "--i", "all", "--order", "60", *grid)
+    assert (code, tower_climbs) == (0, climbs)
+
+
+def test_verify_climbs_one_level(capsys, tower_climbs):
+    code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "60")
+    assert (code, tower_climbs) == (0, [(3, range(1, 2))])
+
+
+def test_a_tower_fill_that_raises_fails_its_cells(capsys, monkeypatch):
+    # the first cell of an r climbs its tower; a climb that raises leaves
+    # each product route and expansion suite that reads a level to climb it
+    # alone, raise again and fail its cell, with no traceback
+    def failing(*args):
+        raise ArithmeticError("a 8-bit slot reached its guard bits")
+
+    monkeypatch.setattr(products, "_levels", failing)
+    monkeypatch.setattr(products, "_theta_family", failing)
+    argv = ("scan", "--r", "2", "--J", "0..1", "--order", "10", "--suites", "expansion,valuation", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    cells = json.loads(out)["cells"]
+    assert code == 1 and len(cells) == 4
+    for cell in cells:
+        assert (cell["identity"], cell["mismatch"]) == ("fail", None)
+        assert cell["suites"] == {"expansion": "fail", "valuation": "pass"}
 
 
 def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):

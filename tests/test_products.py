@@ -150,23 +150,41 @@ def test_packed_base_product_equals_list_dp(r, N):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 200))
-@example(3, 1, 200)  # padding 2 <= N: _family_at_level climbs P times theta
-@example(5, 12, 20)  # padding 312 > N: it climbs the theta series alone
-def test_packed_tower_equals_list_climb(r, top, N):
-    # both kernels, whichever side of _family_at_level's rule (r, top, N) is
-    # on; _levels hands off its top level only, so each level g is climbed
-    # to at the order the list climb leaves it, from the same base order
+@given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 12), st.integers(0, 200))
+@example(3, 0, 1, 200)  # padding 2 <= N: _tower climbs P times theta
+@example(4, 2, 3, 150)
+@example(2, 0, 9, 20)  # padding 45 > N: it climbs the theta series alone
+@example(5, 3, 12, 20)
+def test_packed_tower_equals_list_climb(r, lo, top, N):
+    # both kernels, whichever side of _tower's rule (r, top, N) is on, hand
+    # off every level of the range from one climb, each cut to order N
+    lo, top = sorted((lo, top))
+    levels = range(lo, top + 1)
     expected = reference_levels(r, top, N)
-    assert len(expected) == top + 1
-    for g, want in enumerate(expected):
-        layout, entries = products._levels(r, g, want[0].order)
-        assert len(entries) == r, g
-        for s, (x, series) in enumerate(zip(entries, want), start=1):
-            assert layout.unpack(x) == series.coeffs, (g, s)
-    layout, entries = products._theta_family(r, top, N)
-    assert layout.bits == _PackedLayout.for_counts(N, r).bits
-    assert [layout.unpack(x) for x in entries] == [series.coeffs for series in expected[-1]]
+    fixed = _PackedLayout.for_counts(N, r)
+    for kernel in (products._levels, products._theta_family):
+        family = kernel(r, levels, N)
+        assert len(family) == len(levels), kernel
+        for g, (layout, entries) in zip(levels, family):
+            assert (layout.order, layout.bits) == (N, fixed.bits), (kernel, g)
+            want = [series.coeffs[: N + 1] for series in expected[g]]
+            assert [layout.unpack(x) for x in entries] == want, (kernel, g)
+
+
+@pytest.mark.parametrize("r,lo,top,N", [(3, 0, 3, 30), (5, 2, 6, 20)])
+def test_kept_levels_are_the_levels_climbed_alone(tower_climbs, r, lo, top, N):
+    # (3, 0..3, 30) climbs P times theta, (5, 2..6, 20) the theta series
+    # alone; every kept level is the one a climb to it alone gives, and is
+    # read with no further climb
+    levels = range(lo, top + 1)
+    alone = [products._family_at_level(r, g, N) for g in levels]
+    qseries.forget()
+    tower_climbs.clear()
+    products._keep_levels(r, levels, N)
+    kept = [products._family_at_level(r, g, N) for g in levels]
+    assert tower_climbs == [(r, levels)]
+    assert [entries for _, entries in kept] == [entries for _, entries in alone]
+    assert {(layout.order, layout.bits) for layout, _ in kept} == {(N, _PackedLayout.for_counts(N, r).bits)}
 
 
 def test_level_entries_are_the_indexed_product_series(monkeypatch):
@@ -175,9 +193,9 @@ def test_level_entries_are_the_indexed_product_series(monkeypatch):
     theta = products._theta_family
     theta_levels = set()
 
-    def recorded(r, level, N):
-        theta_levels.add((r, level, N))
-        return theta(r, level, N)
+    def recorded(r, levels, N):
+        theta_levels.update((r, level, N) for level in levels)
+        return theta(r, levels, N)
 
     monkeypatch.setattr(products, "_theta_family", recorded)
     for N in (0, 1, 40, 200):
@@ -273,7 +291,7 @@ def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
 
     monkeypatch.setattr(products, "_theta_exponents", dropped)
     with pytest.raises(NonDivisibleError):
-        products._theta_family(3, 6, 40)
+        products._theta_family(3, range(6, 7), 40)
     code = cli.main(["verify", "--r", "3", "--i", "2", "--J", "6", "--order", "40", "--format", "json"])
     routes = json.loads(capsys.readouterr().out)["routes"]
     assert code == 1
