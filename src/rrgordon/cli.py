@@ -11,8 +11,7 @@ digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists its cells and the
 Hilbert floors and product tower levels each r reads. ``main`` empties the
-memo before a command, and a scan cell of a new r empties it, fills that
-r's floors top down and files its levels from one climb.
+memo before a command, and ``_fill`` files each r's floors and levels once.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -28,10 +27,10 @@ import sys
 import time
 
 from .families import family_limit, verify_expansion, verify_family_match, verify_valuations
-from .hilbert import _floor, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
+from .hilbert import _floor, _floors, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, gordon_series
-from .products import ProductIndex, _keep_levels, _padded_order, product_series
-from .qseries import PackedSeries, first_mismatch, forget, held
+from .products import ProductIndex, _family_at_level, _padded_order, _tower, product_series
+from .qseries import PackedSeries, first_mismatch, forget, keep, memo
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -241,19 +240,28 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
+@memo
+def _fill(r: int, floors: range, levels: range, order: int) -> None:
+    """Empties the memo, then files r's ``floors`` from one scan and its
+    ``levels`` from one climb, as ``_floor`` and ``_family_at_level`` return
+    them. A side that raises files nothing, so each reader fills it alone
+    and fails its cell; the memo keeps this call, so each r fills once."""
+    forget()  # cells come r first, so no later cell reads an older r's entries
+    try:
+        for k, floor in zip(floors, _floors(r, floors, order)):
+            keep(_floor, (r, k, order), floor)
+    except Exception:  # it raises again in each route or suite that reads it
+        pass
+    try:
+        for level, family in zip(levels, _tower(r, levels, order)):
+            keep(_family_at_level, (r, level, order), family)
+    except Exception:  # each level is then climbed alone, and raises again, where it is read
+        pass
+
+
 def _scan_cell(cell: tuple[int, int, int, range, range, int, tuple[str, ...], int]) -> dict:
     r, i, J, floors, levels, order, suites, d_max = cell
-    if held(_floor, r, floors[0], order) is None:
-        forget()  # cells come r first, so no later cell reads an older r's entries
-        try:  # top down, so each floor is one step from the one above
-            for k in floors:
-                _floor(r, k, order)
-        except Exception:  # it raises again in each route or suite that reads it
-            pass
-        try:  # one climb to the top level hands off every level
-            _keep_levels(r, levels, order)
-        except Exception:  # each level is then climbed alone, and raises again, where it is read
-            pass
+    _fill(r, floors, levels, order)
     params = GordonParams(r, i, J)
     *_, identity, mismatch = _compare_routes(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}

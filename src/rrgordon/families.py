@@ -26,15 +26,15 @@ two sums are one sum, which telescopes through the floors' ``step`` to the
 cell's Hilbert side, and that is its product side, since level J equals
 floor J+1; so the check fails whenever an identity does. The sums alone
 would check only our own recursions: the Hilbert sum telescopes through
-``_floor``'s one-step floors whatever the top floor is, and the product
+``_floors``' one-step floors whatever the top floor is, and the product
 sum through ``products._climb`` for any tower whose divisions are exact.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .hilbert import _floor
 from .partitions import GordonParams, _ascending_scan
@@ -150,9 +150,8 @@ def verify_valuations(params: GordonParams, N: int) -> bool:
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
     """Whether tower level s equals Hilbert floor s+1 to order N, entry j
     against cap r-j+1, at every s = J..d: the agreement both expansion
-    identities at stages J+1..d reduce to. Compared packed, unchecked, from
-    the top down, so each floor the memo lacks is one step from the one
-    above; a stage d below J+1 raises ValueError."""
+    identities at stages J+1..d reduce to. Compared packed, unchecked; a
+    stage d below J+1 raises ValueError."""
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
     r = params.r

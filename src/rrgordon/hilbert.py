@@ -12,13 +12,13 @@ counts multiplicity vectors with bounded adjacent sums, which is the same
 set by the divisor-avoidance characterization (f_a + f_(a+1) <= r-1 for all
 a >= k, and f_k <= cap-1 when capped).
 
-One descending scan serves every cap at a floor: ``_floor`` keeps the
-checked series of caps 1..r, the prefix sums of the scan's states, in the
-memo (``qseries.memo``), so ``hp_series``, the hp suites here and the
-valuation and expansion suites in ``families`` only index them; floors
-filled top down cost one scan. The scan runs in slots that grow with its
-counts (``partitions._growing_scan``); from large variables down, the
-counts stay small for most of it.
+One descending scan serves every cap at a floor and every floor below it,
+since floor k is floor k+1 after one more step, the peel of x_k:
+``_floors`` hands off the checked caps 1..r of each floor of a range. ``cli``
+files a scan's floors in the memo (``qseries.memo``), and ``_floor``, the
+one reader, scans a floor it lacks alone; ``hp_series`` and the suites only
+index its caps. The scan runs in slots that grow with its counts
+(``partitions._growing_scan``), which stay small for most of it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import PackedSeries, _PackedLayout, held, memo
+from .qseries import PackedSeries, _PackedLayout, memo
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -123,14 +123,11 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
     return count
 
 
-@memo
-def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The layout, ``for_counts(N, r)``, and the packed series of the
-    quotients at floor k with caps 1..r (cap r is uncapped), from one scan
-    of variables N down to k, one ``step`` per variable: one step at k of
-    floor k+1's states, the differences of its caps, if the memo holds it,
-    else the scan from N in slots that grow with the counts
-    (``partitions._growing_scan``). A floor above N keeps the series 1.
+def _floors(r: int, floors: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
+    """The layout, ``for_counts(N, r)``, and the packed caps 1..r (cap r is
+    uncapped) of each floor in ``floors``, top down: one scan of variables N
+    down to the first floor, then one ``step`` per lower floor. A floor
+    above N keeps the series 1.
 
     State j of the scan holds the multiplicity vectors with f_k = j-1, and
     the states past the returned ones are zero. So the quotient capped at c
@@ -138,20 +135,29 @@ def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     sums of the states, each checked once here in the ``for_counts`` slots
     the scan hands off, and a cap past the nonzero states repeats the total.
     """
-    if above := held(_floor, r, k + 1, N):
-        layout, caps = above
-        state = layout.step([b - a for a, b in zip((0,) + caps, caps)], k)
-    else:
-        layout, state = _growing_scan(r, N, range(N, k - 1, -1))
-    caps = tuple(layout._check(x) for x in accumulate(state))
-    return layout, caps + caps[-1:] * (r - len(caps))
+    layout, state = _growing_scan(r, N, range(N, floors[0] - 1, -1))
+    out = []
+    for k in floors:
+        if out:
+            state = layout.step(state, k)
+        caps = tuple(layout._check(x) for x in accumulate(state))
+        out.append((layout, caps + caps[-1:] * (r - len(caps))))
+    return out
+
+
+@memo
+def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
+    """The layout and caps 1..r of floor k, as ``_floors`` hands them off:
+    what ``cli`` filed in the memo, or else a scan to this floor alone."""
+    [floor] = _floors(r, range(k, k - 1, -1), N)
+    return floor
 
 
 def hp_series(spec: QuotientSpec, N: int) -> PackedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
     Graded dimensions come from the multiplicity DP, scanning variables from
-    index N down to k (``_floor``); a cap c keeps the vectors with f_k <= c-1,
+    index N down to k (``_floors``); a cap c keeps the vectors with f_k <= c-1,
     the first c states of that scan. The series is the floor's packed cap c,
     in its ``for_counts(N, r)`` slots.
     """

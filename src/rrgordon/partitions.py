@@ -22,9 +22,9 @@ counts so far need, checked at every step, and handed off in the
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
 
 from .qseries import PackedSeries, _PackedLayout, memo
 

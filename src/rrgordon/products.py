@@ -14,9 +14,9 @@ exact to order N. Every level below L is then exact to a higher order.
 
 So one climb per r serves every level a command reads: ``_tower(r, levels,
 N)`` climbs to the last level of a range and hands off each level of the
-range, cut to order N, as the climb passes it. ``cli`` files the levels
-of a scan's r in the memo with ``_keep_levels``, and ``_family_at_level``,
-the one reader, climbs a level it does not find there alone.
+range, cut to order N, as the climb passes it. ``cli`` files a scan's
+levels in the memo, as it files its floors, and ``_family_at_level``, the
+one reader, climbs a level it lacks alone.
 
 The climb is Z[q]-linear and P is a unit, so every entry is P times the
 same climb applied to the theta series alone. ``_tower`` picks one of two
@@ -58,11 +58,11 @@ rows from q^N up, so its result lands in the same reversed slots.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
-from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, keep, memo
+from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -334,20 +334,13 @@ def _tower(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int
 @memo
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The r entries of one level, packed at order exactly N in
-    ``for_counts(N, r)`` slots, with that layout: what ``_keep_levels``
-    filed in the memo, or else a climb to this level alone (``_tower``). A
-    negative level raises ValueError."""
+    ``for_counts(N, r)`` slots, with that layout, as ``_tower`` hands it
+    off: what ``cli`` filed in the memo, or else a climb to this level
+    alone. A negative level raises ValueError."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
     [family] = _tower(r, range(level, level + 1), N)
     return family
-
-
-def _keep_levels(r: int, levels: range, N: int) -> None:
-    """Files every level in ``levels`` in the memo as ``_family_at_level``
-    would return it, all from one climb (``_tower``)."""
-    for level, family in zip(levels, _tower(r, levels, N)):
-        keep(_family_at_level, (r, level, N), family)
 
 
 def product_series(idx: ProductIndex, N: int) -> PackedSeries:

@@ -147,21 +147,15 @@ def memo(fn, latest=False):
     return memoized
 
 
-def held(fn, *args):
-    """The memo's ``fn(*args)``, ``fn`` from ``memo`` without ``latest``, or None."""
-    return _MEMO.get((fn, args), (None, None))[1]
-
-
 def keep(fn, args: tuple, value) -> None:
-    """Files ``value`` as the memo's ``fn(*args)``, ``fn`` from ``memo``
-    without ``latest``, for a caller that computed it more cheaply with
-    others; ``fn(*args)`` then returns it until ``forget``."""
+    """Files ``value``, computed with others, as the memo's ``fn(*args)``,
+    ``fn`` from ``memo`` without ``latest``, until ``forget``."""
     _MEMO[(fn, args)] = args, value
 
 
 def forget() -> None:
     """Empties the memo. Its lifetime is the caller's: ``cli`` empties it
-    before every command and when a scan cell finds its r missing."""
+    before every command and before it fills a scan's next r."""
     _MEMO.clear()
 
 
@@ -195,7 +189,7 @@ class _PackedLayout:
     start narrower and, when the check fires, ``reslot`` the input states of
     that step into wider slots and step again, then hand their states off in
     ``for_counts`` slots, the layout every reader sees; a product tower
-    hands its top level off in them too (``products._family_at_level``).
+    hands every level of its range off in them too (``products._tower``).
 
     A difference of two checked series needs no more room: a slot that
     would go negative borrows from the slot above and is left at 2^B minus
@@ -226,9 +220,9 @@ class _PackedLayout:
         B is b + ceil(log2 r) rounded up to a whole byte. The bound is
         a priori and loose (88 bits at r = 3 and order 500, where no count
         needs more than 54), so the long scans only grow up to these slots
-        and hand their states off in them, and a tower hands its top level
-        off in them; the short walks and the readers of memoized series use
-        them throughout.
+        and hand their states off in them, and a tower hands every level of
+        its range off in them; the short walks and the readers of memoized
+        series use them throughout.
         """
         if order < 0:
             raise ValueError("order must be non-negative")

@@ -59,9 +59,9 @@ MUTANTS = [
      "family.append((out, tuple(out.reslot(x >> drop, cut) for x in entries)))",
      "family.append((layout, tuple(entries)))",
      ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[2-3-30]",)),
-    ("a climb that files level g's entries under level g+1", "products.py",
-     "keep(_family_at_level, (r, level, N), family)", "keep(_family_at_level, (r, level + 1, N), family)",
-     ("tests/test_products.py::test_kept_levels_are_the_levels_climbed_alone[3-0-3-30]",)),
+    ("a climb that files level g's entries under level g+1", "cli.py",
+     "keep(_family_at_level, (r, level, order), family)", "keep(_family_at_level, (r, level + 1, order), family)",
+     ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[five-suites]",)),
     ("a theta pass whose lanes are split one level off", "products.py",
      "for j in range(0, lanes, r)]", "for j in range(r, lanes + r, r)]",
      ("tests/test_products.py::test_packed_tower_equals_list_climb",)),
@@ -85,9 +85,9 @@ MUTANTS = [
      "return _over_euler([1] + [0] * N)", "return [p + (n == 10) for n, p in enumerate(_over_euler([1] + [0] * N))]",
      ("tests/test_families.py::test_expansion_identities",)),
     ("a top floor bumped at one exponent", "hilbert.py",
-     "layout, state = _growing_scan(r, N, range(N, k - 1, -1))",
-     "layout, state = _growing_scan(r, N, range(N, k - 1, -1))\n"
-     "        state[0] += layout._times_q(layout.one, min(N, 10))",
+     "layout, state = _growing_scan(r, N, range(N, floors[0] - 1, -1))",
+     "layout, state = _growing_scan(r, N, range(N, floors[0] - 1, -1))\n"
+     "    state[0] += layout._times_q(layout.one, min(N, 10))",
      ("tests/test_families.py::test_expansion_identities",)),
     ("hp-identities without the cap-r generator check", "hilbert.py",
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
@@ -157,12 +157,15 @@ MUTANTS = [
     ("a partition scan kept for every cell", "partitions.py",
      "@partial(memo, latest=True)", "@memo",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
-    ("a scan that fills its floors from the bottom up", "cli.py",
-     "for k in floors:", "for k in reversed(floors):",
+    ("a scan that fills its floors from the bottom up", "hilbert.py",
+     "range(N, floors[0] - 1, -1)", "range(N, floors[-1] - 1, -1)",
      ("tests/test_cli.py::test_five_suite_scan_runs_one_hilbert_scan_per_r",)),
     ("a floor stepped from the one above at value k+1", "hilbert.py",
-     "caps, caps)], k)", "caps, caps)], k + 1)",
+     "layout.step(state, k)", "layout.step(state, k + 1)",
      ("tests/test_hilbert.py::test_floors_filled_from_the_top_equal_cold_floors",)),
+    ("a fill that is not memoized", "cli.py",
+     "@memo\ndef _fill(", "def _fill(",
+     ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",)),
     ("a floor fill whose error escapes its cell", "cli.py",
      "except Exception:  # it raises again", "except ZeroDivisionError:  # it raises again",
      ("tests/test_cli.py::test_a_floor_fill_that_raises_fails_its_cells",)),

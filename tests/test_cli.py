@@ -736,8 +736,9 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
 
 
 def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
-    """(r, floor) of every descending scan from here on: one per floor whose
-    floor above the memo did not hold."""
+    """(r, floor) of every descending scan from here on: one per fill of a
+    scan's r, to its top floor, and one per floor read that the memo did
+    not hold."""
     scan, scans = partitions._growing_scan, []
 
     def counted(r, N, values, *args):
@@ -783,6 +784,25 @@ def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
     assert code == 1 and len(cells) == 2
     for cell in cells:
         assert (cell["identity"], cell["suites"]) == ("fail", {"family-match": "pass", "valuation": "fail"})
+
+
+def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_climbs):
+    # the memo keeps each r's fill, so the next cell does not run it again:
+    # one climb files every level, and the 13 scans are the fill's and, in
+    # each of the 6 cells, the hilbert route's and the expansion suite's,
+    # each of one floor; a fill per cell ran 6 climbs and 18 scans. The
+    # digest is sha256 of the exit code and stdout, as in test_golden.py
+    scans = []
+
+    def failing(*args):
+        scans.append(args)
+        raise ArithmeticError("a 8-bit slot reached its guard bits")
+
+    monkeypatch.setattr(hilbert, "_growing_scan", failing)
+    argv = ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "10", "--suites", "expansion", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert (code, len(tower_climbs), len(scans)) == (1, 1, 13)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == "cc559cc2398f1a33ae02672eae133fcfc3f359d24b75b90fa63ac094aae7235b"
 
 
 @pytest.mark.parametrize(

@@ -369,8 +369,8 @@ def top_floor_bumped_at_q10(monkeypatch):
 
 @pytest.mark.parametrize("fault", [partition_number_ten_too_large, top_floor_bumped_at_q10])
 def test_expansion_fails_on_a_fault_its_sums_let_through(capsys, monkeypatch, fault):
-    # verify_expansion reads its floors top down, as a scan cell fills them,
-    # so only the top one is scanned, and bumped
+    # verify_expansion alone scans, and bumps, each floor it reads; a scan's
+    # fill scans and bumps its top floor only, and steps the rest from it
     fault(monkeypatch)
     params, d, N = EXPANSION_CASE
     assert not verify_expansion(params, d, N)

@@ -153,14 +153,14 @@ def floor_runs(draw):
 @example((3, 1, 3, 1))
 @example((4, 10, 12, 11))
 def test_floors_filled_from_the_top_equal_cold_floors(run):
-    # floor k is floor k+1 after one more step: filled from hi down, the
-    # floors cost one scan, and each equals floor k scanned on its own
+    # floor k is floor k+1 after one more step: one scan to floor hi hands
+    # off floors hi..lo, each equal to floor k scanned on its own
     r, N, hi, lo = run
-    qseries.forget()
+    floors = range(hi, lo - 1, -1)
     with mock.patch.object(hilbert, "_growing_scan", wraps=partitions._growing_scan) as scan:
-        filled = {k: hilbert._floor(r, k, N) for k in range(hi, lo - 1, -1)}
-    assert scan.call_count == 1
-    for k, (layout, caps) in filled.items():
+        filled = hilbert._floors(r, floors, N)
+    assert (scan.call_count, len(filled)) == (1, len(floors))
+    for k, (layout, caps) in zip(floors, filled):
         qseries.forget()
         cold, cold_caps = hilbert._floor(r, k, N)
         assert (layout.bits, caps) == (cold.bits, cold_caps), k

@@ -174,17 +174,15 @@ def test_packed_tower_equals_list_climb(r, lo, top, N):
 @pytest.mark.parametrize("r,lo,top,N", [(3, 0, 3, 30), (5, 2, 6, 20)])
 def test_kept_levels_are_the_levels_climbed_alone(tower_climbs, r, lo, top, N):
     # (3, 0..3, 30) climbs P times theta, (5, 2..6, 20) the theta series
-    # alone; every kept level is the one a climb to it alone gives, and is
-    # read with no further climb
+    # alone; one climb to top hands off levels lo..top, each equal to the
+    # level climbed on its own
     levels = range(lo, top + 1)
-    alone = [products._family_at_level(r, g, N) for g in levels]
-    qseries.forget()
-    tower_climbs.clear()
-    products._keep_levels(r, levels, N)
-    kept = [products._family_at_level(r, g, N) for g in levels]
-    assert tower_climbs == [(r, levels)]
-    assert [entries for _, entries in kept] == [entries for _, entries in alone]
-    assert {(layout.order, layout.bits) for layout, _ in kept} == {(N, _PackedLayout.for_counts(N, r).bits)}
+    handed = products._tower(r, levels, N)
+    assert (tower_climbs, len(handed)) == ([(r, levels)], len(levels))
+    for g, (layout, entries) in zip(levels, handed):
+        qseries.forget()
+        cold, cold_entries = products._family_at_level(r, g, N)
+        assert (layout.order, layout.bits, entries) == (cold.order, cold.bits, cold_entries), g
 
 
 def test_level_entries_are_the_indexed_product_series(monkeypatch):
