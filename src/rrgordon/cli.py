@@ -10,8 +10,11 @@ The routes hand over packed series (``qseries.PackedSeries``), which
 digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists its cells and the
-Hilbert floors and product tower levels each r reads. ``main`` empties the
-memo before a command, and ``_fill`` files each r's floors and levels once.
+Hilbert floors and product tower levels each r reads, and its i's and J's.
+``main`` empties the memo before a command, and ``_fill`` files each r's
+floors and levels once, and the partition series and family limits of every
+i of the plan from one ascending lane scan per (r, J)
+(``partitions._lane_scans``).
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -28,7 +31,7 @@ import time
 
 from .families import family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import _floor, _floors, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
-from .partitions import GordonParams, gordon_series
+from .partitions import GordonParams, _ascending, _lane_scans, gordon_series
 from .products import ProductIndex, _family_at_level, _padded_order, _tower, product_series
 from .qseries import PackedSeries, first_mismatch, forget, keep, memo
 
@@ -191,11 +194,12 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range]]]:
-    """A command's order and cells (r, i, J, floors, levels), i clipped to r,
-    ``floors`` the Hilbert floors each r reads, top down, and ``levels`` the
-    product tower levels it reads, up to J, or J+3 with expansion, from the
-    level J-1 that the product route of i = r reads. Raises UsageError on
+def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range, range, range]]]:
+    """A command's order and cells (r, i, J, floors, levels, is, js), i
+    clipped to r, ``floors`` the Hilbert floors each r reads, top down,
+    ``levels`` the product tower levels it reads, up to J, or J+3 with
+    expansion, from the level J-1 that the product route of i = r reads,
+    and ``is`` and ``js`` the i's and J's of its cells. Raises UsageError on
     an r, i or J out of range, an empty grid, and with ``tower`` a tower
     padded above MAX_PADDED_ORDER at the deepest level read; r_hi admits the
     most i, so the ranges' ends decide both."""
@@ -218,8 +222,9 @@ def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, 
         raise UsageError(f"r={r_hi}, J={j_hi} at order {order} pads the product tower's level {level} to order {padded}, above {MAX_PADDED_ORDER}")
     floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
     levels = range(max(j_lo - 1, 0), level + 1)
-    rows = ((r, i) for r in range(r_lo, r_hi + 1) for i in range(i_lo, min(r, i_hi) + 1))
-    return order, [(r, i, J, floors, levels) for r, i in rows for J in range(j_lo, j_hi + 1)]
+    js = range(j_lo, j_hi + 1)
+    rows = ((r, range(i_lo, min(r, i_hi) + 1)) for r in range(r_lo, r_hi + 1))
+    return order, [(r, i, J, floors, levels, is_, js) for r, is_ in rows for i in is_ for J in js]
 
 
 def cmd_verify(args) -> int:
@@ -241,11 +246,13 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
 
 
 @memo
-def _fill(r: int, floors: range, levels: range, order: int) -> None:
-    """Empties the memo, then files r's ``floors`` from one scan and its
-    ``levels`` from one climb, as ``_floor`` and ``_family_at_level`` return
-    them. A side that raises files nothing, so each reader fills it alone
-    and fails its cell; the memo keeps this call, so each r fills once."""
+def _fill(r: int, floors: range, levels: range, is_: range, js: range, order: int) -> None:
+    """Empties the memo, then files r's ``floors`` from one scan, its
+    ``levels`` from one climb, and the partition series and family limits
+    of every i in ``is_`` at each J in ``js`` from one lane scan per J, as
+    ``_floor``, ``_family_at_level`` and ``_ascending`` return them. A side
+    that raises files nothing, so each reader fills it alone and fails its
+    cell; the memo keeps this call, so each r fills once."""
     forget()  # cells come r first, so no later cell reads an older r's entries
     try:
         for k, floor in zip(floors, _floors(r, floors, order)):
@@ -257,11 +264,17 @@ def _fill(r: int, floors: range, levels: range, order: int) -> None:
             keep(_family_at_level, (r, level, order), family)
     except Exception:  # each level is then climbed alone, and raises again, where it is read
         pass
+    for J in js:
+        try:
+            for i, sides in zip(is_, _lane_scans(r, J, [r - i + 1 for i in is_], order)):
+                keep(_ascending, (GordonParams(r, i, J), order), sides)
+        except Exception:  # each cell of this J then scans alone, and raises again
+            pass
 
 
-def _scan_cell(cell: tuple[int, int, int, range, range, int, tuple[str, ...], int]) -> dict:
-    r, i, J, floors, levels, order, suites, d_max = cell
-    _fill(r, floors, levels, order)
+def _scan_cell(cell: tuple[int, int, int, range, range, range, range, int, tuple[str, ...], int]) -> dict:
+    r, i, J, floors, levels, is_, js, order, suites, d_max = cell
+    _fill(r, floors, levels, is_, js, order)
     params = GordonParams(r, i, J)
     *_, identity, mismatch = _compare_routes(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}

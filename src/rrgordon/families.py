@@ -12,10 +12,13 @@ argument is not read.
 
 Entry j at stage d has q-adic valuation at least d*(j-1) (checked by
 ``verify_valuations``), so to order N the walk is constant from stage J+N+2
-on, and ``_walk`` stops there. ``family_limit`` realizes the q-adic limit as
-truncated stabilization, and it does not scan again: it goes on from the
-partition route's scan (``partitions._ascending_scan``, in the memo) to its
-stop, so only the stopping rule differs from ``gordon_series``.
+on, and ``_walk`` stops there (``partitions._stages``). ``family_limit``
+realizes the q-adic limit as truncated stabilization, and it does not scan
+again: the partition route's lane scan of (r, J) goes on to that stop, so
+one scan serves the partition and family routes of every i of a plan, and
+only the stopping rule differs from ``gordon_series``. ``cli`` files both
+series of each cell, and ``family_limit`` reads them from the memo
+(``partitions._ascending``).
 
 ``verify_expansion`` checks that tower level s equals Hilbert floor s+1
 entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
@@ -32,12 +35,11 @@ sum through ``products._climb`` for any tower whose divisions are exact.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .hilbert import _floor
-from .partitions import GordonParams, _ascending_scan
+from .partitions import GordonParams, _ascending, _stages
 from .products import _family_at_level
 from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
 
@@ -53,32 +55,16 @@ class CoefficientFamily:
         return self.entries[0].order
 
 
-def _walk(
-    params: GordonParams, N: int, end: int, stage: int | None = None, state: Sequence[int] | None = None
-) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
+def _walk(params: GordonParams, N: int, end: int) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
     """The layout, ``for_counts(N, r)``, and (stage, packed entries, those
-    shifted past the order dropped) for the stages after ``stage`` up to
-    ``end`` or J+N+2, whichever comes first, going on from ``state``; by
-    default from J and the unit vector e_ell, so from stage J+1 on, where
-    entries i+1..r are zero.
-
-    At a stage d > N every entry j >= 2 is shifted by d(j-1) > N, so it is
-    zero, and the next stage's entry 1 is this stage's total: entry 1 again.
-    So to order N the walk is constant from stage J+N+2 > N on, where a step
-    returns [total] unchanged, and it stops there.
-    """
+    shifted past the order dropped) for the stages J+1 up to ``end`` or
+    J+N+2, whichever comes first (``partitions._stages``), from J and the
+    unit vector e_ell, so entries i+1..r are zero."""
     J = params.J
     if end < J + 1:
         raise ValueError(f"stage must be at least J+1 = {J + 1}, got {end}")
     layout = _PackedLayout.for_counts(N, params.r)
-    stop = min(end, J + N + 2)
-
-    def stages(state):
-        for d in range((J if stage is None else stage) + 1, stop + 1):
-            state = layout.step(state, d)
-            yield d, state
-
-    return layout, stages([0] * (params.ell - 1) + [layout.one] if state is None else state)
+    return layout, _stages(layout, J, N, J, [0] * (params.ell - 1) + [layout.one], end)
 
 
 def _family(params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
@@ -108,18 +94,13 @@ def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
     """q-adic limit of entry 1, exact to order N, packed in the walk's
     ``for_counts(N, r)`` slots; ``side`` is not read.
 
-    Goes on from the states of the partition route's scan
-    (``partitions._ascending_scan``), which are this walk's stages J+1..D,
-    D = max(N, J+1). Steps until entry 1 stops changing and every later
-    entry is zero to order N; from that point no future stage can alter
-    entry 1 below q^(N+1). The walk's last two stages are equal (``_walk``).
+    It is the cell's lane of the ascending scan of (r, J)
+    (``partitions._lane_scans``), which goes on from the partition route's
+    states at stage D = max(N, J+1) until entry 1 stops changing and every
+    later entry is zero to order N: what ``cli`` filed in the memo, or else
+    a one-lane scan of this cell alone.
     """
-    _, stage, state = _ascending_scan(params, N)
-    layout, stages = _walk(params, N, params.J + N + 2, stage, state)
-    for (_, state), (_, nxt) in itertools.pairwise(itertools.chain([(stage, state)], stages)):
-        if nxt[0] == state[0] and not any(nxt[1:]):
-            return PackedSeries(layout, nxt[0])
-    raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
+    return _ascending(params, N)[1]
 
 
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:

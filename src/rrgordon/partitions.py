@@ -10,11 +10,15 @@ adjacent part values a, a+1 together occur at most r-1 times. The cap of
 i-1 parts equal to J+1 is that rule at J, J+1 with J taken r-i = ell-1
 times, so the DP has one step rule and starts from the unit vector e_ell.
 
-The DP is one ascending scan of the part values (``_ascending_scan``), kept
-packed; the memo (``qseries.memo``) keeps the latest cell's, and the family
-route (``families.family_limit``) goes on from its states to its q-adic stop
-instead of scanning again, stepping them in their fixed slots
-(``families._walk``). That scan and the Hilbert side's descending one
+The DP is one ascending scan of the part values, kept packed. The cells
+of one (r, J) differ only in their start e_ell, so one scan serves every i
+of a plan, its starts as interleaved lanes of one int (``_lane_scans``).
+It goes on from the states at stage max(N, J+1) to the family walk's
+q-adic stop (``_stages``), so the family route (``families.family_limit``)
+does not scan again, and each lane hands off its partition series and its
+family limit. ``cli`` files them in the memo (``qseries.memo``) for every
+cell of a scan, and ``_ascending``, the one reader, scans a cell it lacks
+alone, in one lane. That scan and the Hilbert side's descending one
 (``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
 counts so far need, checked at every step, and handed off in the
 ``_PackedLayout.for_counts`` slots that the a-priori bound gives.
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 from .qseries import PackedSeries, _PackedLayout, memo
 
@@ -132,16 +135,23 @@ def enumerate_gordon(params: GordonParams, n: int) -> list[Partition]:
 
 #: A scan whose ``for_counts`` slots are at most this many bits wide (orders
 #: up to about 60) runs in them from its first step. Starting those narrow
-#: too made the scan-suites benchmark slower in 5 of 6 alternating pairs
-#: (``perfbench/run.py --seconds 4``, Python 3.11 on a 2-core Xeon VM):
-#: median wall_s 60.3 ms against 56.6 ms.
+#: too made the scan-suites benchmark, with one lane scan per (r, J), slower
+#: in 8 of 10 alternating pairs (``perfbench/run.py --seconds 4``, Python
+#: 3.11 on a 2-core Xeon VM): median wall_s 22.97 ms against 22.21 ms.
 _FIXED_SLOT_BITS = 32
+#: Bytes that the r states of one ascending lane scan may take in their
+#: ``for_counts`` slots: lanes x r x (N+1) x slot bytes. A scan of more lanes
+#: than fit runs in passes of as many as fit, and always at least one.
+_LANE_BYTES = 2 * 2**20
 
 
-def _growing_scan(r: int, N: int, values: Sequence[int], ell: int = 1) -> tuple[_PackedLayout, list[int]]:
+def _growing_scan(r: int, N: int, values: Sequence[int], *ells: int) -> tuple[_PackedLayout, list[int]]:
     """Scans multiplicity vectors (f_a) over ``values``, in the given order,
-    to order N: its layout, ``for_counts(N, r)``, and its states in that
-    layout, packed series stepped once per value from the unit vector e_ell.
+    to order N, once per start e_ell, ell in ``ells`` (e_1 if none), as
+    interleaved lanes: its layout, with the slots of ``for_counts(N, r)``
+    and one lane per start (that layout itself for one start), and its
+    states in that layout, packed series stepped once per value, lane k
+    from e_(ells[k]).
 
     State j holds the vectors whose last scanned multiplicity is j-1.
     Adjacent multiplicities sum to at most r-1, so scanning a sets f_a = j-1
@@ -152,20 +162,26 @@ def _growing_scan(r: int, N: int, values: Sequence[int], ell: int = 1) -> tuple[
     The slots grow with the counts. A scan wider than ``_FIXED_SLOT_BITS``
     starts in the narrowest whole bytes above the guard bits of r states,
     one byte for r <= 128. When a step's guard check fires on its input
-    total, its input states move into slots half as wide again, rounded up
-    to whole bytes, and the same value is stepped again. They may: each is
-    a partial sum of the last checked total, so each slot is below its value
-    bits. The scan never grows past ``for_counts(N, r)``, and a check that
-    fires there propagates. The output of the last step was never checked,
-    so its states are handed off into ``for_counts`` slots and every reader
-    checks their sums there.
+    total, in any lane, its input states move into slots half as wide
+    again, rounded up to whole bytes, and the same value is stepped again.
+    They may: each is a partial sum of the last checked total, so each slot
+    is below its value bits. The scan never grows past the ``for_counts(N,
+    r)`` slots, and a check that fires there propagates. The output of the
+    last step was never checked, so its states are handed off into
+    ``for_counts`` slots and every reader checks their sums there.
     """
+    ells = ells or (1,)
     top = _PackedLayout.for_counts(N, r)
+    if len(ells) > 1:
+        top = _PackedLayout(N, r, top.bits, len(ells))
     if top.bits <= _FIXED_SLOT_BITS:
         layout = top
     else:
-        layout = _PackedLayout(N, r, 8 * ((r - 1).bit_length() // 8 + 1))
-    state = [0] * (ell - 1) + [layout.one]
+        layout = _PackedLayout(N, r, 8 * ((r - 1).bit_length() // 8 + 1), len(ells))
+    start = [0] * max(ells)
+    for k, ell in enumerate(ells):
+        start[ell - 1] |= 1 << k * layout.bits
+    state = [x * layout.one for x in start]
     for a in values:
         while True:
             try:
@@ -175,7 +191,7 @@ def _growing_scan(r: int, N: int, values: Sequence[int], ell: int = 1) -> tuple[
                 if layout is top:
                     raise
                 bits = layout.bits + -(-layout.bits // 16) * 8
-                wider = top if bits >= top.bits else _PackedLayout(N, r, bits)
+                wider = top if bits >= top.bits else _PackedLayout(N, r, bits, len(ells))
                 state = [wider.reslot(x, layout) for x in state]
                 layout = wider
     if layout is not top:
@@ -183,25 +199,66 @@ def _growing_scan(r: int, N: int, values: Sequence[int], ell: int = 1) -> tuple[
     return top, state
 
 
-@partial(memo, latest=True)
-def _ascending_scan(params: GordonParams, N: int) -> tuple[_PackedLayout, int, tuple[int, ...]]:
-    """The ascending scan of the part values J+1..D, D = max(N, J+1): its
-    layout, ``for_counts(N, r)``, D, and the packed states after D, scanned
-    in slots that grow with the counts (``_growing_scan``).
+def _stages(
+    layout: _PackedLayout, J: int, N: int, stage: int, state: list[int], end: int | None = None
+) -> Iterator[tuple[int, list[int]]]:
+    """(stage, packed states) for the stages after ``stage`` up to ``end``
+    or J+N+2, whichever comes first, stepping ``state`` once per stage.
 
-    At most i-1 parts equal J+1, since the scan starts from e_ell. Scanning
-    J+1 even when N < J+1 applies that cap to the states, which the family
-    route goes on from. The memo keeps the latest cell's scan only.
+    At a stage d > N every state j >= 2 is shifted by d(j-1) > N, so it is
+    zero, and the next stage's state 1 is this stage's total: state 1 again.
+    So to order N the walk is constant from stage J+N+2 > N on, where a step
+    returns [total] unchanged, and it stops there.
     """
-    stage = max(N, params.J + 1)
-    layout, state = _growing_scan(params.r, N, range(params.J + 1, stage + 1), params.ell)
-    return layout, stage, tuple(state)
+    last = J + N + 2 if end is None else min(end, J + N + 2)
+    for d in range(stage + 1, last + 1):
+        state = layout.step(state, d)
+        yield d, state
+
+
+def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[PackedSeries, PackedSeries]]:
+    """The partition series and the family limit, each packed in
+    ``for_counts(N, r)`` slots, of every start e_ell, ell in ``ells``, at
+    (r, J): one ascending lane scan of the part values J+1..D, D =
+    max(N, J+1), in passes of as many lanes as ``_LANE_BYTES`` holds.
+
+    At most i-1 = r-ell parts equal J+1, since lane ell starts from e_ell.
+    Scanning J+1 even when N < J+1 applies that cap to the states, which the
+    family walk goes on from. A lane's partition series is the sum of its
+    states. Its family limit is entry 1 where the walk stops: it steps the
+    same states on (``_stages``) until entry 1 stops changing and every
+    later entry is zero to order N in every lane; from that point no future
+    stage can alter entry 1 below q^(N+1), and a lane that stopped earlier
+    stays constant past stage N. Each lane leaves by ``unlace``.
+    """
+    one = _PackedLayout.for_counts(N, r)
+    per = max(1, _LANE_BYTES // (r * (N + 1) * one._width))
+    stage, out = max(N, J + 1), []
+    for k in range(0, len(ells), per):
+        layout, state = _growing_scan(r, N, range(J + 1, stage + 1), *ells[k : k + per])
+        total = sum(state)
+        for _, nxt in _stages(layout, J, N, stage, state):
+            if nxt[0] == state[0] and not any(nxt[1:]):
+                break
+            state = nxt
+        else:
+            raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
+        pairs = zip(one.unlace(total, layout), one.unlace(nxt[0], layout))
+        out += [(PackedSeries(one, x), PackedSeries(one, y)) for x, y in pairs]
+    return out
+
+
+@memo
+def _ascending(params: GordonParams, N: int) -> tuple[PackedSeries, PackedSeries]:
+    """The cell's partition series and family limit, as ``_lane_scans``
+    hands them off: what ``cli`` filed in the memo, or else a one-lane scan
+    of this cell alone."""
+    [sides] = _lane_scans(params.r, params.J, (params.ell,), N)
+    return sides
 
 
 def gordon_series(params: GordonParams, N: int) -> PackedSeries:
     """Generating function of the Gordon-condition counts, to order N: the
-    sum of the states of ``_ascending_scan``, packed in its ``for_counts(N,
-    r)`` slots."""
-    layout, _, state = _ascending_scan(params, N)
-    return PackedSeries(layout, sum(state))
-
+    sum of the states of the cell's ascending scan (``_lane_scans``),
+    packed in ``for_counts(N, r)`` slots."""
+    return _ascending(params, N)[0]

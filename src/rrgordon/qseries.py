@@ -131,17 +131,16 @@ def first_mismatch(a: TruncatedSeries | PackedSeries, b: TruncatedSeries | Packe
 
 
 # -- the memo: (args, result) of each call of a function ``memo`` wraps, under
-# (wrapper, args), or under the wrapper alone if it keeps its latest call
+# (wrapper, args)
 _MEMO: dict = {}
 
 
-def memo(fn, latest=False):
-    """Decorator that keeps ``fn``'s results in ``_MEMO`` until ``forget``:
-    every call's, or with ``latest`` only the latest call's."""
+def memo(fn):
+    """Decorator that keeps ``fn``'s results in ``_MEMO`` until ``forget``."""
     @functools.wraps(fn)
     def memoized(*args):
-        key = memoized if latest else (memoized, args)
-        if _MEMO.get(key, (None,))[0] != args:
+        key = (memoized, args)
+        if key not in _MEMO:
             _MEMO[key] = args, fn(*args)
         return _MEMO[key][1]
     return memoized
@@ -149,7 +148,7 @@ def memo(fn, latest=False):
 
 def keep(fn, args: tuple, value) -> None:
     """Files ``value``, computed with others, as the memo's ``fn(*args)``,
-    ``fn`` from ``memo`` without ``latest``, until ``forget``."""
+    ``fn`` from ``memo``, until ``forget``."""
     _MEMO[(fn, args)] = args, value
 
 
@@ -198,17 +197,25 @@ class _PackedLayout:
     exponent, so ``shift_div``, which divides such a difference by a power
     of q under the same check, rounds where it cuts instead of letting a
     borrow from a dropped slot into a kept one.
+
+    With L ``lanes``, one int holds L series interleaved: slot n of lane k
+    sits at bits (n L + k) B, so ``one`` is lane 0's series 1 and lane k's
+    is ``one << k B``. Multiplying by q^s is a right shift by s L B bits,
+    which moves whole groups of L sub-slots, so lanes never mix, and the
+    guard check covers every B-bit sub-slot. ``step`` and ``reslot`` act on
+    every lane at once, and ``unlace`` hands each lane off into a one-lane
+    layout; the other methods read one-lane layouts only.
     """
 
-    def __init__(self, order: int, r: int, bits: int):
+    def __init__(self, order: int, r: int, bits: int, lanes: int = 1):
         v = bits - (r - 1).bit_length()
         if bits % 8 or not 0 < v < bits:
             raise ValueError(f"slots need whole bytes above {v} value bits, got {bits}")
-        self.order, self.r, self.bits = order, r, bits
-        self._width = bits // 8
-        self.one = 1 << order * bits
+        self.order, self.r, self.bits, self.lanes = order, r, bits, lanes
+        self._width, self._slot = bits // 8, bits * lanes
+        self.one = 1 << order * self._slot
         slot_bytes = ((1 << bits) - (1 << v)).to_bytes(self._width, "little")
-        self._guard = int.from_bytes(slot_bytes * (order + 1), "little")
+        self._guard = int.from_bytes(slot_bytes * ((order + 1) * lanes), "little")
 
     @classmethod
     def for_counts(cls, order: int, r: int) -> _PackedLayout:
@@ -254,29 +261,42 @@ class _PackedLayout:
         return tuple(int.from_bytes(data[k : k + w], "big") for k in range(0, len(data), w))
 
     def reslot(self, x: int, src: _PackedLayout) -> int:
-        """x, packed in ``src``'s slots at this order, moved into this
-        layout's slots, wider or narrower: one strided byte-slice copy per
-        byte both slots hold, none if they are equally wide. Slot i holds
-        q^(N-i) in both.
+        """x, packed in ``src``'s slots at this order and with as many
+        lanes, moved into this layout's slots, wider or narrower: one strided
+        byte-slice copy per byte both slots hold, none if they are equally
+        wide. Slot i holds q^(N-i) in both.
 
-        Raises ValueError if ``src`` has another order, and ArithmeticError
-        if x does not fit ``src``'s slots, a narrowing would drop a nonzero
-        byte, or a slot reaches this layout's guard bits.
+        Raises ValueError if ``src`` has another order or other lanes, and
+        ArithmeticError if x does not fit ``src``'s slots, a narrowing would
+        drop a nonzero byte, or a slot reaches this layout's guard bits.
         """
-        if src.order != self.order:
-            raise ValueError(f"cannot reslot order {src.order} into order {self.order}")
-        n, w, sw = self.order + 1, self._width, src._width
-        if x < 0 or x >> n * src.bits:
+        if src.lanes != self.lanes:
+            raise ValueError(f"cannot reslot {src.lanes} lanes into {self.lanes}")
+        [y] = self.unlace(x, src)
+        return y
+
+    def unlace(self, x: int, src: _PackedLayout) -> list[int]:
+        """x, packed in ``src``'s slots at this order, moved into this
+        layout's slots as ``reslot`` moves it: as one int if both have as
+        many lanes, else, for a one-lane layout, as one int per lane of
+        ``src``, lane k read from every L-th sub-slot from sub-slot k."""
+        n, w, sw = (self.order + 1) * self.lanes, self._width, src._width
+        if src.order != self.order or self.lanes not in (1, src.lanes):
+            raise ValueError(f"cannot reslot order {src.order} in {src.lanes} lanes into order {self.order} in {self.lanes}")
+        if x < 0 or x >> (self.order + 1) * src._slot:
             raise ArithmeticError(f"a value does not fit {n} slots of {src.bits} bits")
-        if w == sw:
-            return self._check(x)
-        data = x.to_bytes(n * sw, "little")
-        if any(data[b::sw].count(0) < n for b in range(w, sw)):
-            raise ArithmeticError(f"a value does not fit {n} slots of {self.bits} bits")
-        out = bytearray(n * w)
-        for b in range(min(w, sw)):
-            out[b::w] = data[b::sw]
-        return self._check(int.from_bytes(out, "little"))
+        if w == sw and self.lanes == src.lanes:
+            return [self._check(x)]
+        data = x.to_bytes((self.order + 1) * src._slot // 8, "little")
+        stride, out = src.lanes // self.lanes * sw, []
+        for k in range(0, stride, sw):
+            if any(data[k + b :: stride].count(0) < n for b in range(w, sw)):
+                raise ArithmeticError(f"a value does not fit {n} slots of {self.bits} bits")
+            lane = bytearray(n * w)
+            for b in range(min(w, sw)):
+                lane[b::w] = data[k + b :: stride]
+            out.append(self._check(int.from_bytes(lane, "little")))
+        return out
 
     def _times_q(self, x: int, s: int) -> int:
         return x >> s * self.bits
@@ -334,7 +354,7 @@ class _PackedLayout:
             s = u * (j - 1)
             if s > self.order:
                 break
-            new.append(prefix[min(self.r - j, last)] >> s * self.bits)
+            new.append(prefix[min(self.r - j, last)] >> s * self._slot)
         return new
 
 

@@ -29,7 +29,7 @@ MUTANTS = [
      "total = self._check(prefix[-1])", "total = prefix[-1]",
      ("tests/test_packed.py::test_step_raises_when_a_slot_reaches_its_guard_bits",)),
     ("a narrowing that skips the dropped-byte check", "qseries.py",
-     "if any(data[b::sw].count(0) < n for b in range(w, sw)):", "if False:",
+     "if any(data[k + b :: stride].count(0) < n for b in range(w, sw)):", "if False:",
      ("tests/test_packed.py::test_reslot_refuses_a_wider_source",)),
     ("a tower that never takes the theta kernel", "products.py",
      "_padded_order(r, levels[-1], N) > 2 * N", "False",
@@ -101,8 +101,8 @@ MUTANTS = [
     ("family-match that skips the one walk", "families.py",
      "for _ in _walk(params, N, d_max)[1]:", "for _ in ():",
      ("tests/test_families.py::test_match_fails_when_the_walk_trips_its_guard_bits",)),
-    ("a walk that ignores its J+N+2 end", "families.py",
-     "stop = min(end, J + N + 2)", "stop = end",
+    ("a walk that ignores its J+N+2 end", "partitions.py",
+     "last = J + N + 2 if end is None else min(end, J + N + 2)", "last = J + N + 2 if end is None else end",
      ("tests/test_families.py::test_match_stops_where_the_walks_are_constant",
       "tests/test_families.py::test_valuations_stop_at_the_walks_end")),
     ("expansion reads stage s's product factors from level s-1", "families.py",
@@ -112,7 +112,8 @@ MUTANTS = [
      "return (self.r - 1) * self.J + self.ell", "return (self.r - 1) * self.J + self.i",
      ("tests/test_products.py::test_identity_spot_instances[2-1-2-40]",)),
     ("a growing scan that starts from e_(ell+1)", "partitions.py",
-     "state = [0] * (ell - 1) + [layout.one]", "state = [0] * ell + [layout.one]",
+     "start = [0] * max(ells)\n    for k, ell in enumerate(ells):\n        start[ell - 1]",
+     "start = [0] * (max(ells) + 1)\n    for k, ell in enumerate(ells):\n        start[ell]",
      ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
     ("a family walk that starts from e_(ell+1)", "families.py",
      "[0] * (params.ell - 1) + [layout.one]", "[0] * params.ell + [layout.one]",
@@ -127,8 +128,8 @@ MUTANTS = [
      "return top, state", "return layout, state",
      ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),
     ("growth not capped at for_counts", "partitions.py",
-     "wider = top if bits >= top.bits else _PackedLayout(N, r, bits)",
-     "wider = _PackedLayout(N, r, bits)",
+     "wider = top if bits >= top.bits else _PackedLayout(N, r, bits, len(ells))",
+     "wider = _PackedLayout(N, r, bits, len(ells))",
      ("tests/test_packed.py::test_growing_scans_stop_at_for_counts",)),
     ("a route of another order passes", "cli.py",
      "if got != order:", "if False:",
@@ -148,15 +149,31 @@ MUTANTS = [
     ("a main() that does not start cold", "cli.py",
      "forget()  # every command starts cold", "None",
      ("tests/test_cli.py::test_each_command_starts_cold",)),
+    ("a memo entry read for other arguments", "qseries.py",
+     "key = (memoized, args)", "key = (memoized, args[:-1])",
+     ("tests/test_packed.py::test_floor_checks_the_caps_it_keeps",)),
     ("a memo key that drops r", "qseries.py",
      "(memoized, args)", "(memoized, args[1:])",
      ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
-    ("a memo entry read for other arguments", "qseries.py",
-     "if _MEMO.get(key, (None,))[0] != args:", "if key not in _MEMO:",
-     ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
     ("a partition scan kept for every cell", "partitions.py",
-     "@partial(memo, latest=True)", "@memo",
+     "out += [(PackedSeries(one, x), PackedSeries(one, y)) for x, y in pairs]",
+     "out += [(PackedSeries(one, x), PackedSeries(one, y), state) for x, y in pairs]",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
+    ("a step that shifts state j by (u+1)(j-1)", "qseries.py",
+     "s = u * (j - 1)", "s = (u + 1) * (j - 1)",
+     ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
+    ("a step whose state j sums states 1..r-j+2", "qseries.py",
+     "prefix[min(self.r - j, last)]", "prefix[min(self.r - j + 1, last)]",
+     ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
+    ("a lane step that shifts by s B bits, mixing lanes", "qseries.py",
+     "prefix[min(self.r - j, last)] >> s * self._slot", "prefix[min(self.r - j, last)] >> s * self.bits",
+     ("tests/test_cli.py::test_a_scan_runs_one_ascending_scan_per_r_and_J",)),
+    ("a hand-off that reads lane k+1", "qseries.py",
+     "lane[b::w] = data[k + b :: stride]", "lane[b::w] = data[k + sw + b :: stride]",
+     ("tests/test_packed.py::test_lane_scans_equal_one_lane_scans_and_list_dp[default]",)),
+    ("a scan that ignores the lane budget", "partitions.py",
+     "per = max(1, _LANE_BYTES // (r * (N + 1) * one._width))", "per = len(ells)",
+     ("tests/test_cli.py::test_a_scan_splits_its_lanes_by_the_lane_budget",)),
     ("a scan that fills its floors from the bottom up", "hilbert.py",
      "range(N, floors[0] - 1, -1)", "range(N, floors[-1] - 1, -1)",
      ("tests/test_cli.py::test_five_suite_scan_runs_one_hilbert_scan_per_r",)),

@@ -661,7 +661,7 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
     cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31))])
+    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31))])
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
         order, cells = cli._plan(grid, suites)
@@ -866,14 +866,17 @@ def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
 
 def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
     # a cell of a new r empties the memo, since no later cell reads an older
-    # r's floors and levels; of the partition scans only the latest cell's stays
+    # r's floors, levels and lane scans; of the lane scans only each cell's
+    # two series stay, not the r states they were summed and stepped from
     argv = ("scan", "--r", "2..4", "--i", "all", "--J", "0..1", "--order", "12", "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
     assert code == 0
     rs = [args[0] if isinstance(args[0], int) else args[0].r for args, _ in qseries._MEMO.values()]
     assert rs and set(rs) == {4}
-    scans = [args for args, _ in qseries._MEMO.values() if isinstance(args[0], GordonParams)]
-    assert scans == [(GordonParams(4, 4, 1), 12)]
+    scans = {args: value for args, value in qseries._MEMO.values() if isinstance(args[0], GordonParams)}
+    assert sorted(scans, key=str) == sorted(((GordonParams(4, i, J), 12) for i in range(1, 5) for J in (0, 1)), key=str)
+    for partition, family in scans.values():
+        assert type(partition) is type(family) is PackedSeries
 
 
 def test_each_command_starts_cold(capsys, monkeypatch):
@@ -908,27 +911,68 @@ def test_library_calls_across_r_return_cold_series(monkeypatch):
 
 
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
-    # the family route goes on from the partition route's cached states at
-    # stage max(N, J+1) = 20 instead of scanning again from J+1 = 2; the
-    # partition scan is a growing scan, the family walk families._walk
-    scan, walk, starts = partitions._growing_scan, families._walk, []
+    # the family route goes on from the partition route's states at stage
+    # max(N, J+1) = 20 instead of scanning again from J+1 = 2; the partition
+    # scan is a growing scan, the family walk partitions._stages, and no
+    # family walk (families._walk) starts from e_ell
+    scan, stages, walk, starts = partitions._growing_scan, partitions._stages, families._walk, []
 
     def counted_scan(r, N, values, *args):
         if values.step > 0:
             starts.append(values.start)
         return scan(r, N, values, *args)
 
-    def counted_walk(params, N, end, stage=None, state=None):
-        starts.append((params.J if stage is None else stage) + 1)
-        return walk(params, N, end, stage, state)
+    def counted_stages(layout, J, N, stage, *args):
+        starts.append(stage + 1)
+        return stages(layout, J, N, stage, *args)
+
+    def counted_walk(*args):
+        starts.append("walk")
+        return walk(*args)
 
     for module in (partitions, hilbert, families):
         if getattr(module, "_growing_scan", None) is scan:
             monkeypatch.setattr(module, "_growing_scan", counted_scan)
+    monkeypatch.setattr(partitions, "_stages", counted_stages)
     monkeypatch.setattr(families, "_walk", counted_walk)
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "20")
     assert code == 0
     assert starts == [2, 21]
+
+
+def count_ascending_scans(monkeypatch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(r, first value, lanes' ells) of every ascending scan from here on."""
+    scan, scans = partitions._growing_scan, []
+
+    def counted(r, N, values, *ells):
+        if values.step > 0:
+            scans.append((r, values.start, ells))
+        return scan(r, N, values, *ells)
+
+    monkeypatch.setattr(partitions, "_growing_scan", counted)
+    return scans
+
+
+def test_a_scan_runs_one_ascending_scan_per_r_and_J(capsys, monkeypatch):
+    # the partition series and family limits of every i at one (r, J) come
+    # from one scan of r lanes, one per start e_ell; one scan per cell ran 56
+    scans = count_ascending_scans(monkeypatch)
+    argv = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "60",
+            "--suites", ",".join(cli.SUITES), "--format", "json")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert scans == [(r, J + 1, tuple(range(r, 0, -1))) for r in range(2, 6) for J in range(4)]
+
+
+def test_a_scan_splits_its_lanes_by_the_lane_budget(capsys, monkeypatch):
+    # a budget of two r = 5 lanes at order 60 scans the five i's of each J
+    # in passes of 2, 2 and 1 lanes, and prints the same bytes
+    argv = ("scan", "--r", "5", "--i", "all", "--J", "0..1", "--order", "60", "--format", "json")
+    want = run(capsys, *argv)
+    scans = count_ascending_scans(monkeypatch)
+    monkeypatch.setattr(partitions, "_LANE_BYTES", 2 * 5 * 61 * _PackedLayout.for_counts(60, 5).bits // 8)
+    assert run(capsys, *argv) == want
+    assert scans == [(5, J + 1, ells) for J in (0, 1) for ells in ((5, 4), (3, 2), (1,))]
 
 
 def test_huge_grid_is_refused_before_its_cells_are_built(capsys):

@@ -164,28 +164,30 @@ def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
             for J in range(5):
                 for N in range(13):
                     params = GordonParams(r, i, J)
-                    _, D, state = partitions._ascending_scan(params, N)
+                    D = max(N, J + 1)
+                    _, state = partitions._growing_scan(r, N, range(J + 1, D + 1), params.ell)
                     step_values.clear()
                     family_limit(None, params, N)
+                    # the cold limit scans J+1..D first, a widened value twice
+                    assert step_values == sorted(step_values)
+                    assert {u for u in step_values if u <= D} == set(range(J + 1, D + 1))
                     stop = D + 1 if not any(state[1:]) else D + 2
-                    assert step_values == list(range(D + 1, stop + 1)), (params, N)
+                    assert [u for u in step_values if u > D] == list(range(D + 1, stop + 1)), (params, N)
                     assert stop <= max(N, J) + 2
 
 
 def test_match_fails_when_the_walk_trips_its_guard_bits(capsys, monkeypatch):
-    # a walk that would start from [1] starts from 2^v at q^0 instead, so
+    # a walk that would start from e_ell starts from 2^v at q^0 instead, so
     # its first step's guard check fires; the family route goes on from the
     # partition scan's states, so only the suite sees it
     params, N = GordonParams(3, 2, 1), 20
     v = value_bits(N, params.r)
-    walk = families._walk
+    stages = families._stages
 
-    def inflated(params, N, end, stage=None, state=None):
-        if state is None:
-            state = [_PackedLayout.for_counts(N, params.r).one << v]
-        return walk(params, N, end, stage, state)
+    def inflated(layout, J, N, stage, state, end=None):
+        return stages(layout, J, N, stage, [layout.one << v], end)
 
-    monkeypatch.setattr(families, "_walk", inflated)
+    monkeypatch.setattr(families, "_stages", inflated)
     with pytest.raises(ArithmeticError):
         verify_family_match(params, params.J + 1, N)
     argv = ["scan", "--r", "3", "--i", "2", "--J", "1", "--order", str(N), "--suites", "family-match", "--format", "json"]

@@ -259,6 +259,38 @@ def test_growing_scan_equals_list_dp_and_fixed_slots(data):
     assert list(layout.unpack(sum(state))) == reference_adjacent_capped_counts(r, values, r - ell, N)
 
 
+@pytest.mark.parametrize("budget", ["default", "one-lane"])
+@settings(deadline=None, max_examples=12)
+@given(data=st.data())
+def test_lane_scans_equal_one_lane_scans_and_list_dp(budget, data):
+    # every lane of one ascending scan of J+1..max(N, J+1), from its own
+    # e_ell, in one-byte slots that widen up to for_counts slots, against
+    # the one-lane scan from that e_ell and the list DP; the partition
+    # series and family limit each lane hands off, in one pass of all the
+    # lanes or, with the budget down to one lane, in one pass per lane
+    r = data.draw(st.integers(2, 8))
+    ells = data.draw(st.lists(st.integers(1, r), min_size=1, max_size=r, unique=True))
+    J = data.draw(st.integers(0, 4))
+    N = data.draw(st.one_of(st.integers(0, 60), st.integers(200, 300)))
+    values = range(J + 1, max(N, J + 1) + 1)
+    one = _PackedLayout.for_counts(N, r)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
+        if budget == "one-lane":
+            patch.setattr(partitions, "_LANE_BYTES", 1)
+        layout, state = partitions._growing_scan(r, N, values, *ells)
+        singles = [partitions._growing_scan(r, N, values, ell)[1] for ell in ells]
+        sides = partitions._lane_scans(r, J, ells, N)
+    assert (layout.bits, layout.lanes) == (one.bits, len(ells))
+    lanes = list(zip(*(one.unlace(x, layout) for x in state)))
+    assert [list(lane) for lane in lanes] == singles
+    for ell, single, (partition, family) in zip(ells, singles, sides):
+        want = reference_adjacent_capped_counts(r, values, r - ell, N)
+        assert list(one.unpack(sum(single))) == want
+        assert partition.layout.bits == family.layout.bits == one.bits
+        assert partition.packed == family.packed == sum(single)
+
+
 def test_packed_routes_equal_oracles_from_narrow_starts(monkeypatch):
     # the same routes against the same oracles, with every scan starting in
     # one-byte slots and widening to its 24-bit for_counts slots
