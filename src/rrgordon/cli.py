@@ -12,9 +12,10 @@ Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists its cells and the
 Hilbert floors and product tower levels each r reads, and its i's and J's.
 ``main`` empties the memo before a command, and ``_fill`` files each r's
-floors and levels once, and the partition series and family limits of every
+floors and levels once, the partition series and family limits of every
 i of the plan from one ascending lane scan per (r, J)
-(``partitions._lane_scans``).
+(``partitions._lane_scans``), and, with family-match or valuation, their
+verdicts from one suite walk per (r, J) (``families._lane_walks``).
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -29,7 +30,7 @@ import os
 import sys
 import time
 
-from .families import family_limit, verify_expansion, verify_family_match, verify_valuations
+from .families import _ladder, _lane_walks, _match, family_limit, verify_expansion, verify_family_match, verify_valuations
 from .hilbert import _floor, _floors, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, _ascending, _lane_scans, gordon_series
 from .products import ProductIndex, _family_at_level, _padded_order, _tower, product_series
@@ -194,12 +195,15 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range, range, range]]]:
-    """A command's order and cells (r, i, J, floors, levels, is, js), i
-    clipped to r, ``floors`` the Hilbert floors each r reads, top down,
+def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range, range, range, int | None]]]:
+    """A command's order and cells (r, i, J, floors, levels, is, js, walk),
+    i clipped to r, ``floors`` the Hilbert floors each r reads, top down,
     ``levels`` the product tower levels it reads, up to J, or J+3 with
     expansion, from the level J-1 that the product route of i = r reads,
-    and ``is`` and ``js`` the i's and J's of its cells. Raises UsageError on
+    ``is`` and ``js`` the i's and J's of its cells, and ``walk`` the stage
+    bound of each (r, J)'s suite walk, which ``_fill`` runs to stage
+    max(walk, J+5) or J+N+2: ``d_max`` with family-match, 0 with valuation
+    alone, and None, no walk, with neither. Raises UsageError on
     an r, i or J out of range, an empty grid, and with ``tower`` a tower
     padded above MAX_PADDED_ORDER at the deepest level read; r_hi admits the
     most i, so the ranges' ends decide both."""
@@ -223,8 +227,13 @@ def _plan(args, suites: tuple[str, ...] = (), tower: bool = True) -> tuple[int, 
     floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
     levels = range(max(j_lo - 1, 0), level + 1)
     js = range(j_lo, j_hi + 1)
+    walk = None
+    if "family-match" in suites:
+        walk = d_max
+    elif "valuation" in suites:
+        walk = 0
     rows = ((r, range(i_lo, min(r, i_hi) + 1)) for r in range(r_lo, r_hi + 1))
-    return order, [(r, i, J, floors, levels, is_, js) for r, is_ in rows for i in is_ for J in js]
+    return order, [(r, i, J, floors, levels, is_, js, walk) for r, is_ in rows for i in is_ for J in js]
 
 
 def cmd_verify(args) -> int:
@@ -246,13 +255,17 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
 
 
 @memo
-def _fill(r: int, floors: range, levels: range, is_: range, js: range, order: int) -> None:
+def _fill(r: int, floors: range, levels: range, is_: range, js: range, walk: int | None, order: int) -> None:
     """Empties the memo, then files r's ``floors`` from one scan, its
     ``levels`` from one climb, and the partition series and family limits
     of every i in ``is_`` at each J in ``js`` from one lane scan per J, as
-    ``_floor``, ``_family_at_level`` and ``_ascending`` return them. A side
-    that raises files nothing, so each reader fills it alone and fails its
-    cell; the memo keeps this call, so each r fills once."""
+    ``_floor``, ``_family_at_level`` and ``_ascending`` return them. With a
+    ``walk``, it also walks every i at each J as lanes of one suite walk to
+    stage max(walk, J+5), or J+N+2 if that comes first, and files the
+    family-match and valuation verdicts (``_match``, ``_ladder``) of the
+    cells of every pass that kept all its lanes clean (``_lane_walks``). A
+    side that raises files nothing, so each reader fills it alone and fails
+    its cell; the memo keeps this call, so each r fills once."""
     forget()  # cells come r first, so no later cell reads an older r's entries
     try:
         for k, floor in zip(floors, _floors(r, floors, order)):
@@ -265,16 +278,24 @@ def _fill(r: int, floors: range, levels: range, is_: range, js: range, order: in
     except Exception:  # each level is then climbed alone, and raises again, where it is read
         pass
     for J in js:
+        ells = [r - i + 1 for i in is_]
         try:
-            for i, sides in zip(is_, _lane_scans(r, J, [r - i + 1 for i in is_], order)):
+            for i, sides in zip(is_, _lane_scans(r, J, ells, order)):
                 keep(_ascending, (GordonParams(r, i, J), order), sides)
         except Exception:  # each cell of this J then scans alone, and raises again
             pass
+        if walk is None:
+            continue
+        for i, clean in zip(is_, _lane_walks(r, J, ells, order, max(walk, J + 5))):
+            if clean:  # else the cell walks alone, and fails where it did
+                params = GordonParams(r, i, J)
+                keep(_match, (params, max(walk, J + 1), order), True)
+                keep(_ladder, (params, order), True)
 
 
-def _scan_cell(cell: tuple[int, int, int, range, range, range, range, int, tuple[str, ...], int]) -> dict:
-    r, i, J, floors, levels, is_, js, order, suites, d_max = cell
-    _fill(r, floors, levels, is_, js, order)
+def _scan_cell(cell: tuple[int, int, int, range, range, range, range, int | None, int, tuple[str, ...], int]) -> dict:
+    r, i, J, floors, levels, is_, js, walk, order, suites, d_max = cell
+    _fill(r, floors, levels, is_, js, walk, order)
     params = GordonParams(r, i, J)
     *_, identity, mismatch = _compare_routes(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
@@ -302,7 +323,7 @@ def cmd_scan(args) -> int:
             raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
         if s in suites[:k]:
             raise UsageError(f"suite {s!r} is named twice")
-    order, cells = _plan(args, suites)
+    order, cells = _plan(args, suites, args.d_max)
     cells = [(*cell, order, suites, args.d_max) for cell in cells]
 
     # a fork pool starts every worker up front, so never ask for idle ones

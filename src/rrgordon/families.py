@@ -20,6 +20,13 @@ only the stopping rule differs from ``gordon_series``. ``cli`` files both
 series of each cell, and ``family_limit`` reads them from the memo
 (``partitions._ascending``).
 
+The ``family-match`` and ``valuation`` suites walk the family from its
+start e_ell (``_walk``) and check its guard bits and its ladder on that
+walk, not on the partition scan's states. ``cli`` walks every i of a plan's (r, J) as
+interleaved lanes of one such walk (``_lane_walks``) and files the verdicts
+of each pass whose lanes all stayed clean; ``_match`` and ``_ladder`` read
+them, and a cell of any other pass walks alone, as the suites do cold.
+
 ``verify_expansion`` checks that tower level s equals Hilbert floor s+1
 entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
 the memoized packed series as they are: both live in ``for_counts(N, r)``
@@ -35,13 +42,13 @@ sum through ``products._climb`` for any tower whose divisions are exact.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .hilbert import _floor
-from .partitions import GordonParams, _ascending, _stages
+from .partitions import GordonParams, _ascending, _passes, _stages
 from .products import _family_at_level
-from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
+from .qseries import PackedSeries, TruncatedSeries, _PackedLayout, memo
 
 
 @dataclass(frozen=True)
@@ -55,16 +62,23 @@ class CoefficientFamily:
         return self.entries[0].order
 
 
-def _walk(params: GordonParams, N: int, end: int) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
-    """The layout, ``for_counts(N, r)``, and (stage, packed entries, those
-    shifted past the order dropped) for the stages J+1 up to ``end`` or
-    J+N+2, whichever comes first (``partitions._stages``), from J and the
-    unit vector e_ell, so entries i+1..r are zero."""
-    J = params.J
+def _walk(r: int, J: int, N: int, end: int, *ells: int) -> tuple[_PackedLayout, Iterator[tuple[int, list[int]]]]:
+    """The layout, ``for_counts(N, r)`` with one lane per start, and (stage,
+    packed entries, those shifted past the order dropped) for the stages J+1
+    up to ``end`` or J+N+2, whichever comes first (``partitions._stages``),
+    from J and the unit vectors e_ell, ell in ``ells``, lane k from
+    e_(ells[k]), so its entries past i = r-ells[k]+1 are zero.
+
+    Each lane's slots are as wide as a one-lane walk's, so the guard check of
+    a step, which covers every sub-slot, fires where one of its lanes' own
+    walks would, and at no other step."""
     if end < J + 1:
         raise ValueError(f"stage must be at least J+1 = {J + 1}, got {end}")
-    layout = _PackedLayout.for_counts(N, params.r)
-    return layout, _stages(layout, J, N, J, [0] * (params.ell - 1) + [layout.one], end)
+    layout = _PackedLayout(N, r, _PackedLayout.for_counts(N, r).bits, len(ells))
+    state = [0] * max(ells)
+    for k, ell in enumerate(ells):
+        state[ell - 1] += layout.one << k * layout.bits
+    return layout, _stages(layout, J, N, J, state, end)
 
 
 def _family(params: GordonParams, stage: int, layout: _PackedLayout, state: list[int]) -> CoefficientFamily:
@@ -84,7 +98,7 @@ def family_step(fam: CoefficientFamily) -> CoefficientFamily:
 
 def family_at_stage(params: GordonParams, d: int, N: int) -> CoefficientFamily:
     """Stage d family; past the walk's end, its last stage relabelled d."""
-    layout, stages = _walk(params, N, d)
+    layout, stages = _walk(params.r, params.J, N, d, params.ell)
     for _, state in stages:
         pass
     return _family(params, d, layout, state)
@@ -106,26 +120,61 @@ def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
     """Walks the one family to stage d_max, or to its end if that comes
     first; it passes unless a step trips its guard bits and raises."""
-    for _ in _walk(params, N, d_max)[1]:
+    return _match(params, d_max, N)
+
+
+@memo
+def _match(params: GordonParams, d_max: int, N: int) -> bool:
+    """``verify_family_match``'s verdict: what ``cli`` filed from the cell's
+    lane of a suite walk (``_lane_walks``), or else the cell's walk alone."""
+    for _ in _walk(params.r, params.J, N, d_max, params.ell)[1]:
         pass
     return True
 
 
 def _on_ladder(layout: _PackedLayout, stage: int, state: list[int]) -> bool:
-    """Entry j has valuation at least stage*(j-1)."""
+    """Entry j has valuation at least stage*(j-1), in every lane."""
     return all(layout._has_valuation(x, stage * j) for j, x in enumerate(state))
+
+
+@memo
+def _ladder(params: GordonParams, N: int) -> bool:
+    """Whether entry j of the cell's walk has valuation at least d(j-1) at
+    every stage d = J+1..J+5 (its last stage, where the walk ends sooner,
+    repeats past it): what ``cli`` filed from the cell's lane of a suite
+    walk (``_lane_walks``), or else the cell's walk alone."""
+    layout, stages = _walk(params.r, params.J, N, params.J + 5, params.ell)
+    return all(_on_ladder(layout, d, state) for d, state in stages)
+
+
+def _lane_walks(r: int, J: int, ells: Sequence[int], N: int, end: int) -> list[bool]:
+    """For each start e_ell, ell in ``ells``, at (r, J), True where its walk
+    to stage ``end``, or to its end, is known to trip no guard bits and to
+    stay on the ladder (``_ladder``) at stages J+1..J+5: one ``_walk`` of
+    interleaved lanes, in the passes of ``partitions._passes``. The guard
+    check and the ladder read every lane at once, so a pass that trips or
+    leaves the ladder in any lane answers False for all its lanes, and each
+    of its cells then walks alone."""
+    out = []
+    for lanes in _passes(r, N, ells):
+        try:
+            layout, stages = _walk(r, J, N, end, *lanes)
+            clean = all(d > J + 5 or _on_ladder(layout, d, state) for d, state in stages)
+        except Exception:  # each cell of the pass walks alone, and raises again
+            clean = False
+        out += [clean] * len(lanes)
+    return out
 
 
 def verify_valuations(params: GordonParams, N: int) -> bool:
     """The valuation bounds behind the q-adic limit, to order N: the uncapped
     quotient one floor up is 1 + O(q^(J+2)), and entry j at stage
-    d = J+1..J+5 has valuation at least d(j-1). Stages past the walk's end
-    repeat its last one, so they hold it too. Both are checked packed."""
-    layout, stages = _walk(params, N, params.J + 5)
-    caps = _floor(params.r, params.J + 2, N)[1]
+    d = J+1..J+5 has valuation at least d(j-1) (``_ladder``). Stages past
+    the walk's end repeat its last one, so they hold it too. Both are
+    checked packed."""
+    layout, caps = _floor(params.r, params.J + 2, N)
     # only the q^0 coefficient of the uncapped series minus 1 can be negative
-    tail_ok = layout._has_valuation(caps[-1] - layout.one, params.J + 2)
-    return tail_ok and all(_on_ladder(layout, d, state) for d, state in stages)
+    return layout._has_valuation(caps[-1] - layout.one, params.J + 2) and _ladder(params, N)
 
 
 def verify_expansion(params: GordonParams, d: int, N: int) -> bool:

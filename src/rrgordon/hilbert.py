@@ -76,30 +76,28 @@ def _generator_weight(gen: Generator) -> int:
 
 
 def expand_generators(spec: QuotientSpec, N: int) -> MonomialIdealSpec:
-    """All ideal generators of weight at most N, canonically ordered."""
+    """All ideal generators of weight at most N, canonically ordered: the
+    tuples' sorted order, which they are built in, by variable, then by its
+    exponent, so each variable's pure power comes last.
+
+    x_a^e x_(a+1)^(r-e) weighs (a+1)r - e, so it is kept from e = (a+1)r - N
+    on. The uncapped generators run over the variables a with a r <= N, so
+    each keeps its pure power x_a^r."""
     if N < 0:
         raise ValueError("weight bound must be non-negative")
-    r, k = spec.r, spec.k
+    r, k, cap = spec.r, spec.k, spec.cap
     gens: list[Generator] = []
-    if spec.cap is not None:
-        ell = spec.cap
-        if k * ell <= N:
-            gens.append(((k, ell),))
-        for s in range(1, ell):
-            gen = ((k, ell - s), (k + 1, r - ell + s))
-            if _generator_weight(gen) <= N:
-                gens.append(gen)
-        tail_start = k + 1
-    else:
-        tail_start = k
-    a = tail_start
-    while a * r <= N:
-        for t in range(r):
-            if a * r + t > N:
-                break
-            gens.append(((a, r),) if t == 0 else ((a, r - t), (a + 1, t)))
-        a += 1
-    gens.sort()
+    a = k
+    if cap is not None:
+        gens += [((k, e), (k + 1, r - e)) for e in range(max(1, (k + 1) * r - N), cap)]
+        if k * cap <= N:
+            gens.append(((k, cap),))
+        a = k + 1
+    gens += [
+        ((b, e), (b + 1, r - e)) if e < r else ((b, r),)
+        for b in range(a, N // r + 1)
+        for e in range(max(1, (b + 1) * r - N), r + 1)
+    ]
     return MonomialIdealSpec(tuple(gens), first_var=k, weight_bound=N)
 
 

@@ -216,6 +216,13 @@ def _stages(
         yield d, state
 
 
+def _passes(r: int, N: int, ells: Sequence[int]) -> list[Sequence[int]]:
+    """``ells`` in runs of as many lanes as ``_LANE_BYTES`` holds at (r, N),
+    and always at least one."""
+    per = max(1, _LANE_BYTES // (r * (N + 1) * _PackedLayout.for_counts(N, r)._width))
+    return [ells[k : k + per] for k in range(0, len(ells), per)]
+
+
 def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[PackedSeries, PackedSeries]]:
     """The partition series and the family limit, each packed in
     ``for_counts(N, r)`` slots, of every start e_ell, ell in ``ells``, at
@@ -229,13 +236,15 @@ def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[Packe
     same states on (``_stages``) until entry 1 stops changing and every
     later entry is zero to order N in every lane; from that point no future
     stage can alter entry 1 below q^(N+1), and a lane that stopped earlier
-    stays constant past stage N. Each lane leaves by ``unlace``.
+    stays constant past stage N, so the limit is the total of its stage-D
+    states. Each lane leaves by ``unlace``; where the two ints are equal, as
+    they are unless a step is at fault, they leave once, and each cell's one
+    series serves as both.
     """
     one = _PackedLayout.for_counts(N, r)
-    per = max(1, _LANE_BYTES // (r * (N + 1) * one._width))
     stage, out = max(N, J + 1), []
-    for k in range(0, len(ells), per):
-        layout, state = _growing_scan(r, N, range(J + 1, stage + 1), *ells[k : k + per])
+    for lanes in _passes(r, N, ells):
+        layout, state = _growing_scan(r, N, range(J + 1, stage + 1), *lanes)
         total = sum(state)
         for _, nxt in _stages(layout, J, N, stage, state):
             if nxt[0] == state[0] and not any(nxt[1:]):
@@ -243,8 +252,9 @@ def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[Packe
             state = nxt
         else:
             raise RuntimeError("entry 1 failed to stabilize in the walk; the valuation ladder must be broken")
-        pairs = zip(one.unlace(total, layout), one.unlace(nxt[0], layout))
-        out += [(PackedSeries(one, x), PackedSeries(one, y)) for x, y in pairs]
+        series = [PackedSeries(one, x) for x in one.unlace(total, layout)]
+        limits = series if nxt[0] == total else [PackedSeries(one, x) for x in one.unlace(nxt[0], layout)]
+        out += zip(series, limits)
     return out
 
 

@@ -202,9 +202,10 @@ class _PackedLayout:
     sits at bits (n L + k) B, so ``one`` is lane 0's series 1 and lane k's
     is ``one << k B``. Multiplying by q^s is a right shift by s L B bits,
     which moves whole groups of L sub-slots, so lanes never mix, and the
-    guard check covers every B-bit sub-slot. ``step`` and ``reslot`` act on
-    every lane at once, and ``unlace`` hands each lane off into a one-lane
-    layout; the other methods read one-lane layouts only.
+    guard check covers every B-bit sub-slot. ``step``, ``reslot``,
+    ``_times_q`` and ``_has_valuation`` act on every lane at once, and
+    ``unlace`` hands each lane off into a one-lane layout; the other methods
+    read one-lane layouts only.
     """
 
     def __init__(self, order: int, r: int, bits: int, lanes: int = 1):
@@ -299,13 +300,14 @@ class _PackedLayout:
         return out
 
     def _times_q(self, x: int, s: int) -> int:
-        return x >> s * self.bits
+        return x >> s * self._slot
 
     def _has_valuation(self, x: int, v: int) -> bool:
-        """Whether x has valuation at least v: its top v slots, which hold
-        q^0..q^(v-1) (all of its slots if v > N), are zero. No slot below
-        them may be negative, or its borrow would reach them."""
-        return not x >> max(self.order + 1 - v, 0) * self.bits
+        """Whether x has valuation at least v, in every lane: its top v
+        slots, which hold q^0..q^(v-1) (all of its slots if v > N), are
+        zero. No slot below them may be negative, or its borrow would reach
+        them."""
+        return not x >> max(self.order + 1 - v, 0) * self._slot
 
     def shift_div(self, x: int, k: int, src: _PackedLayout) -> int:
         """x / q^k at this layout's order, for x a packed difference of two

@@ -39,7 +39,7 @@ MUTANTS = [
      ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a ladder one slot short", "families.py",
      "layout._has_valuation(x, stage * j)", "layout._has_valuation(x, stage * j - 1)",
-     ("tests/test_packed.py::test_packed_ladder_agrees_with_valuation",)),
+     ("tests/test_packed.py::test_lane_walks_equal_one_lane_walks_and_their_ladder",)),
     ("a base level that adds the odd-n theta sum", "products.py",
      "layout._check(plus - minus)", "layout._check(plus + minus)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
@@ -99,7 +99,7 @@ MUTANTS = [
      "if capped != block | tail:", "if False:",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_a_middle_cap_drops_a_generator",)),
     ("family-match that skips the one walk", "families.py",
-     "for _ in _walk(params, N, d_max)[1]:", "for _ in ():",
+     "for _ in _walk(params.r, params.J, N, d_max, params.ell)[1]:", "for _ in ():",
      ("tests/test_families.py::test_match_fails_when_the_walk_trips_its_guard_bits",)),
     ("a walk that ignores its J+N+2 end", "partitions.py",
      "last = J + N + 2 if end is None else min(end, J + N + 2)", "last = J + N + 2 if end is None else end",
@@ -116,7 +116,8 @@ MUTANTS = [
      "start = [0] * (max(ells) + 1)\n    for k, ell in enumerate(ells):\n        start[ell]",
      ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
     ("a family walk that starts from e_(ell+1)", "families.py",
-     "[0] * (params.ell - 1) + [layout.one]", "[0] * params.ell + [layout.one]",
+     "state = [0] * max(ells)\n    for k, ell in enumerate(ells):\n        state[ell - 1]",
+     "state = [0] * (max(ells) + 1)\n    for k, ell in enumerate(ells):\n        state[ell]",
      ("tests/test_packed.py::test_family_init_equals_list_monomials",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
@@ -156,8 +157,8 @@ MUTANTS = [
      "(memoized, args)", "(memoized, args[1:])",
      ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
     ("a partition scan kept for every cell", "partitions.py",
-     "out += [(PackedSeries(one, x), PackedSeries(one, y)) for x, y in pairs]",
-     "out += [(PackedSeries(one, x), PackedSeries(one, y), state) for x, y in pairs]",
+     "out += zip(series, limits)",
+     "out += [(x, y, state) for x, y in zip(series, limits)]",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
     ("a step that shifts state j by (u+1)(j-1)", "qseries.py",
      "s = u * (j - 1)", "s = (u + 1) * (j - 1)",
@@ -172,8 +173,9 @@ MUTANTS = [
      "lane[b::w] = data[k + b :: stride]", "lane[b::w] = data[k + sw + b :: stride]",
      ("tests/test_packed.py::test_lane_scans_equal_one_lane_scans_and_list_dp[default]",)),
     ("a scan that ignores the lane budget", "partitions.py",
-     "per = max(1, _LANE_BYTES // (r * (N + 1) * one._width))", "per = len(ells)",
-     ("tests/test_cli.py::test_a_scan_splits_its_lanes_by_the_lane_budget",)),
+     "per = max(1, _LANE_BYTES // (r * (N + 1) * _PackedLayout.for_counts(N, r)._width))", "per = len(ells)",
+     ("tests/test_cli.py::test_a_scan_splits_its_lanes_by_the_lane_budget",
+      "tests/test_cli.py::test_a_suite_walk_splits_its_lanes_by_the_lane_budget")),
     ("a scan that fills its floors from the bottom up", "hilbert.py",
      "range(N, floors[0] - 1, -1)", "range(N, floors[-1] - 1, -1)",
      ("tests/test_cli.py::test_five_suite_scan_runs_one_hilbert_scan_per_r",)),
@@ -196,6 +198,21 @@ MUTANTS = [
      "isinstance(other, PackedSeries) and other.layout.bits == self.layout.bits",
      "isinstance(other, PackedSeries)",
      ("tests/test_cli.py::test_packed_routes_compare_by_coefficients[wider]",)),
+    ("a suite walk lane started one sub-slot off", "families.py",
+     "state[ell - 1] += layout.one << k * layout.bits", "state[ell - 1] += layout.one << (k + 1) * layout.bits",
+     ("tests/test_packed.py::test_lane_walks_equal_one_lane_walks_and_their_ladder",)),
+    ("a suite walk pass that files verdicts after a lane left the ladder", "families.py",
+     "d > J + 5 or _on_ladder(layout, d, state) for", "True for",
+     ("tests/test_cli.py::test_a_suite_walk_off_the_ladder_files_nothing",)),
+    ("a suite walk that ends at J+5 when d_max is larger", "cli.py",
+     "max(walk, J + 5)", "J + 5",
+     ("tests/test_cli.py::test_a_scan_runs_one_suite_walk_per_r_and_J",)),
+    ("a plan that walks without either walking suite", "cli.py",
+     'elif "valuation" in suites:', "else:",
+     ("tests/test_cli.py::test_a_scan_without_the_walking_suites_walks_nothing[]",)),
+    ("an expansion that emits each pure power before its block", "hilbert.py",
+     "for e in range(max(1, (b + 1) * r - N), r + 1)", "for e in (r, *range(max(1, (b + 1) * r - N), r))",
+     ("tests/test_hilbert.py::test_expanded_generators_are_the_sorted_reference_set",)),
     ("a scan cell that digests its routes", "cli.py",
      "*_, identity, mismatch = _compare_routes(params, order)",
      "series, *_, identity, mismatch = _compare_routes(params, order)\n"

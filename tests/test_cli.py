@@ -661,7 +661,7 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
     cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31))])
+    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), None)])
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
         order, cells = cli._plan(grid, suites)
@@ -873,7 +873,7 @@ def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
     assert code == 0
     rs = [args[0] if isinstance(args[0], int) else args[0].r for args, _ in qseries._MEMO.values()]
     assert rs and set(rs) == {4}
-    scans = {args: value for args, value in qseries._MEMO.values() if isinstance(args[0], GordonParams)}
+    scans = {args: value for (fn, args), (_, value) in qseries._MEMO.items() if fn is partitions._ascending}
     assert sorted(scans, key=str) == sorted(((GordonParams(4, i, J), 12) for i in range(1, 5) for J in (0, 1)), key=str)
     for partition, family in scans.values():
         assert type(partition) is type(family) is PackedSeries
@@ -973,6 +973,112 @@ def test_a_scan_splits_its_lanes_by_the_lane_budget(capsys, monkeypatch):
     monkeypatch.setattr(partitions, "_LANE_BYTES", 2 * 5 * 61 * _PackedLayout.for_counts(60, 5).bits // 8)
     assert run(capsys, *argv) == want
     assert scans == [(5, J + 1, ells) for J in (0, 1) for ells in ((5, 4), (3, 2), (1,))]
+
+
+def count_suite_walks(monkeypatch) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(r, J, end, lanes' ells) of every family walk from here on."""
+    walk, walks = families._walk, []
+
+    def counted(r, J, N, end, *ells):
+        walks.append((r, J, end, ells))
+        return walk(r, J, N, end, *ells)
+
+    monkeypatch.setattr(families, "_walk", counted)
+    return walks
+
+
+FIVE_SUITES = ("scan", "--r", "2..5", "--i", "all", "--J", "0..3", "--order", "60",
+               "--suites", ",".join(cli.SUITES), "--format", "json")
+
+
+def test_a_scan_runs_one_suite_walk_per_r_and_J(capsys, monkeypatch):
+    # family-match and valuation read every i of one (r, J) off one walk of
+    # r lanes, one per start e_ell, to stage max(d_max, J+5); a walk per
+    # suite and cell ran 112
+    want = run(capsys, *FIVE_SUITES, "--d-max", "12")
+    walks = count_suite_walks(monkeypatch)
+    assert run(capsys, *FIVE_SUITES, "--d-max", "12") == want
+    assert want[0] == 0
+    assert walks == [(r, J, 12, tuple(range(r, 0, -1))) for r in range(2, 6) for J in range(4)]
+    walks.clear()
+    run(capsys, *FIVE_SUITES, "--d-max", "1")
+    assert walks == [(r, J, J + 5, tuple(range(r, 0, -1))) for r in range(2, 6) for J in range(4)]
+
+
+@pytest.mark.parametrize("suites", ["", "hp-identities,hp-recursion,expansion"])
+def test_a_scan_without_the_walking_suites_walks_nothing(capsys, monkeypatch, suites):
+    walks = count_suite_walks(monkeypatch)
+    argv = ("scan", "--r", "2..3", "--i", "all", "--J", "0..1", "--order", "20", "--format", "json")
+    code, _, _ = run(capsys, *argv, *(("--suites", suites) if suites else ()))
+    assert (code, walks) == (0, [])
+
+
+def test_a_suite_walk_splits_its_lanes_by_the_lane_budget(capsys, monkeypatch):
+    # a budget of two r = 5 lanes at order 60 walks the five i's of each J
+    # in passes of 2, 2 and 1 lanes, and prints the same bytes
+    argv = ("scan", "--r", "5", "--i", "all", "--J", "0..1", "--order", "60",
+            "--suites", "family-match,valuation", "--format", "json")
+    want = run(capsys, *argv)
+    walks = count_suite_walks(monkeypatch)
+    monkeypatch.setattr(partitions, "_LANE_BYTES", 2 * 5 * 61 * _PackedLayout.for_counts(60, 5).bits // 8)
+    assert run(capsys, *argv) == want
+    assert walks == [(5, J, 10, ells) for J in (0, 1) for ells in ((5, 4), (3, 2), (1,))]
+
+
+def test_a_suite_walk_that_trips_in_one_lane_walks_each_cell_alone(capsys, monkeypatch):
+    # a walk that starts from e_1 starts with 2^v at q^0 instead, so the
+    # lane of i = r trips its guard bits at its first step; that pass files
+    # nothing, each of its cells walks alone, and only i = r fails, as when
+    # every cell walked alone
+    v = _PackedLayout.for_counts(20, 3).bits - 2  # its value bits
+    walks, stages = count_suite_walks(monkeypatch), families._stages
+
+    def inflated(layout, J, N, stage, state, end=None):
+        return stages(layout, J, N, stage, [state[0] << v, *state[1:]], end)
+
+    monkeypatch.setattr(families, "_stages", inflated)
+    argv = ("scan", "--r", "3", "--i", "all", "--J", "1", "--order", "20",
+            "--suites", "family-match,valuation", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    cells = json.loads(out)["cells"]
+    assert code == 1
+    assert [(c["i"], c["identity"], c["suites"]) for c in cells] == [
+        (i, "pass", dict.fromkeys(("family-match", "valuation"), "fail" if i == 3 else "pass")) for i in (1, 2, 3)
+    ]
+    # the lane walk, then each cell's valuation and family-match walk
+    assert walks[0] == (3, 1, 10, (3, 2, 1))
+    assert sorted(walks[1:]) == sorted((3, 1, end, (ell,)) for ell in (1, 2, 3) for end in (6, 10))
+
+
+def test_a_suite_walk_off_the_ladder_files_nothing(capsys, monkeypatch):
+    # a walk whose entries after the first come out one slot short, divided
+    # by q, leaves the ladder in every lane but trips no guard bits: the
+    # pass files nothing, and every cell's own walk fails valuation alone
+    stages = families._stages
+
+    def short(layout, J, N, stage, state, end=None):
+        mask = (1 << (N + 1) * layout._slot) - 1
+        for d, state in stages(layout, J, N, stage, state, end):
+            yield d, state[:1] + [x << layout._slot & mask for x in state[1:]]
+
+    monkeypatch.setattr(families, "_stages", short)
+    argv = ("scan", "--r", "3", "--i", "all", "--J", "1", "--order", "20",
+            "--suites", "family-match,valuation", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert [(c["identity"], c["suites"]) for c in json.loads(out)["cells"]] == [
+        ("pass", {"family-match": "pass", "valuation": "fail"})
+    ] * 3
+
+
+def test_a_passing_cell_files_one_series_for_both_sides(capsys):
+    # a passing cell's family limit equals its partition series int for
+    # int, so the memo keeps one series for both
+    argv = ("scan", "--r", "4", "--i", "all", "--J", "0..1", "--order", "30", "--format", "json")
+    assert run(capsys, *argv)[0] == 0
+    sides = [value for (fn, _), (_, value) in qseries._MEMO.items() if fn is partitions._ascending]
+    assert len(sides) == 8
+    assert all(partition is family for partition, family in sides)
 
 
 def test_huge_grid_is_refused_before_its_cells_are_built(capsys):

@@ -55,6 +55,30 @@ def test_capped_block_starts_tail_one_variable_higher():
     assert all(g[0][0] >= 2 for g in ideal.generators if g != ((1, 1),))
 
 
+def reference_generators(spec, N):
+    """The generators of weight at most N, as a set, from the definition:
+    with a cap ell, x_k^ell and x_k^(ell-s) x_(k+1)^(r-ell+s) for s =
+    1..ell-1, then, from x_(k+1) on (x_k without a cap), x_a^(r-t)
+    x_(a+1)^t for t = 0..r-1."""
+    r, k = spec.r, spec.k
+    gens = set()
+    if spec.cap is not None:
+        ell = spec.cap
+        gens |= {((k, ell - s), (k + 1, r - ell + s)) if s else ((k, ell),) for s in range(ell)}
+    first = k if spec.cap is None else k + 1
+    gens |= {((a, r - t), (a + 1, t)) if t else ((a, r),) for a in range(first, N + 1) for t in range(r)}
+    return {g for g in gens if sum(v * e for v, e in g) <= N}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 7), st.integers(1, 7), st.data(), st.integers(0, 90))
+def test_expanded_generators_are_the_sorted_reference_set(r, k, data, N):
+    # they are built in sorted order: by variable, then by its exponent,
+    # so each block's pure power comes after its mixed generators
+    spec = QuotientSpec(r, k, data.draw(st.sampled_from([None, *range(1, r + 1)])))
+    assert expand_generators(spec, N).generators == tuple(sorted(reference_generators(spec, N)))
+
+
 def test_standard_monomial_count_examples():
     ideal = expand_generators(QuotientSpec(2, 1, cap=2), 8)
     assert standard_monomial_count(ideal, 0) == 1

@@ -144,7 +144,7 @@ def test_family_limit_equals_literal_walk(r, data, J, N):
 @given(st.integers(2, 6), st.data(), st.integers(0, 4), st.integers(0, 40))
 def test_packed_ladder_agrees_with_valuation(r, data, J, N):
     params = GordonParams(r, data.draw(st.integers(1, r)), J)
-    layout, stages = families._walk(params, N, params.J + N + 2)
+    layout, stages = families._walk(r, J, N, J + N + 2, params.ell)
     zero = TruncatedSeries((0,) * (N + 1))
     for stage, state in stages:
         # each entry also divided by q, one slot short, as a broken step
@@ -156,6 +156,63 @@ def test_packed_ladder_agrees_with_valuation(r, data, J, N):
             vals = [first_mismatch(e, zero) for e in fam.entries]
             want = all(v is None or v >= stage * (j - 1) for j, v in enumerate(vals, start=1))
             assert families._on_ladder(layout, stage, entries) == want, (stage, entries)
+
+
+def one_slot_short(layout, x):
+    """x divided by q in every lane, its q^0 slot dropped, as a broken step
+    would leave an entry."""
+    return (x << layout._slot) & ((1 << (layout.order + 1) * layout._slot) - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_lane_walks_equal_one_lane_walks_and_their_ladder(data):
+    # every lane of a suite walk, from its own e_ell, steps as that cell's
+    # one-lane walk, and the ladder read once over all the lanes holds
+    # exactly where every lane's entry j has valuation at least d(j-1),
+    # read from its unpacked coefficients, also for entries one slot short
+    r = data.draw(st.integers(2, 6))
+    ells = data.draw(st.lists(st.integers(1, r), min_size=1, max_size=r, unique=True))
+    J, N = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 30))
+    end = data.draw(st.integers(J + 1, J + N + 3))
+    one = _PackedLayout.for_counts(N, r)
+    layout, stages = families._walk(r, J, N, end, *ells)
+    singles = [list(families._walk(r, J, N, end, ell)[1]) for ell in ells]
+    assert (layout.bits, layout.lanes) == (one.bits, len(ells))
+    zero = TruncatedSeries((0,) * (N + 1))
+    laned = list(stages)
+    assert [d for d, _ in laned] == list(range(J + 1, min(end, J + N + 2) + 1))
+    for (d, state), *walks in zip(laned, *singles):
+        lanes = [one.unlace(x, layout) for x in state]
+        for k, (_, single) in enumerate(walks):
+            assert [lane[k] for lane in lanes] == single + [0] * (len(state) - len(single))
+        for entries in (state, [one_slot_short(layout, x) for x in state]):
+            # the first mismatch with zero is the valuation; None is zero
+            vals = [[first_mismatch(TruncatedSeries(one.unpack(y)), zero) for y in one.unlace(x, layout)] for x in entries]
+            want = all(v is None or v >= d * j for j, lane_vals in enumerate(vals) for v in lane_vals)
+            assert families._on_ladder(layout, d, entries) == want, (d, entries)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_three_lane_valuation_and_shift_read_every_lane(data):
+    # a laned int has valuation at least v when every lane has, and times
+    # q^s it is every lane times q^s: both move whole slots of three lanes
+    N, r = data.draw(st.integers(0, 12)), data.draw(st.integers(2, 5))
+    one = _PackedLayout.for_counts(N, r)
+    laced = _PackedLayout(N, r, one.bits, 3)
+    coeff = st.integers(0, (1 << one.bits - (r - 1).bit_length()) - 1)
+    lanes = []
+    for _ in range(3):
+        low = data.draw(st.integers(0, N + 1))
+        lanes.append((0,) * low + tuple(data.draw(st.lists(coeff, min_size=N + 1 - low, max_size=N + 1 - low))))
+    x = sum(c << ((N - n) * 3 + k) * one.bits for k, lane in enumerate(lanes) for n, c in enumerate(lane))
+    packed = [one.pack(lane) for lane in lanes]
+    assert one.unlace(x, laced) == packed
+    for v in range(N + 3):
+        assert laced._has_valuation(x, v) == all(one._has_valuation(y, v) for y in packed), v
+    s = data.draw(st.integers(0, N + 2))
+    assert one.unlace(laced._times_q(x, s), laced) == [one._times_q(y, s) for y in packed]
 
 
 @pytest.mark.parametrize(
