@@ -39,8 +39,9 @@ from .qseries import PackedSeries, first_mismatch, forget, keep, memo
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
 #: Largest truncation order any command accepts, from --order or the
-#: environment. The packed DPs cost about r*N big-int steps of at most
-#: N*sqrt(N) bits, in slots that grow with the counts, so the descending
+#: environment. The packed DPs cost about r*N/2 big-int steps of at most
+#: N*sqrt(N) bits, one per value up to N/2 (the values above it are summed
+#: in closed form), in slots that grow with the counts, so the descending
 #: Hilbert scans run narrow for most of their steps; a product tower padded
 #: by at most N costs N*sqrt(N) int additions for the partition numbers at
 #: its padded order, and about r*sqrt(N/r) + r*J big-int shifts and

@@ -18,7 +18,10 @@ since floor k is floor k+1 after one more step, the peel of x_k:
 files a scan's floors in the memo (``qseries.memo``), and ``_floor``, the
 one reader, scans a floor it lacks alone; ``hp_series`` and the suites only
 index its caps. The scan runs in slots that grow with its counts
-(``partitions._growing_scan``), which stay small for most of it.
+(``partitions._growing_scan``), which stay small for most of it, and it
+steps only the variables from N/2 down: a standard monomial of weight at
+most N has at most one variable above N/2, to the first power, so the
+states after variables N..N/2+1 are read off in closed form.
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ def standard_monomial_count(ideal: MonomialIdealSpec, n: int) -> int:
 def _floors(r: int, floors: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
     """The layout, ``for_counts(N, r)``, and the packed caps 1..r (cap r is
     uncapped) of each floor in ``floors``, top down: one scan of variables N
-    down to the first floor, then one ``step`` per lower floor. A floor
-    above N keeps the series 1.
+    down to the first floor, which steps only those up to N/2 and starts
+    from the closed-form states after the ones above it, then one ``step``
+    per lower floor. A floor above N keeps the series 1.
 
     State j of the scan holds the multiplicity vectors with f_k = j-1, and
     the states past the returned ones are zero. So the quotient capped at c

@@ -21,13 +21,18 @@ cell of a scan, and ``_ascending``, the one reader, scans a cell it lacks
 alone, in one lane. That scan and the Hilbert side's descending one
 (``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
 counts so far need, checked at every step, and handed off in the
-``_PackedLayout.for_counts`` slots that the a-priori bound gives.
+``_PackedLayout.for_counts`` slots that the a-priori bound gives. Each
+steps only the values up to N/2: a vector of weight at most N takes at
+most one part above N/2, once, so the values above it are summed in closed
+form (``_above_half``), at the end of the ascending scan to N and at the
+start of the descending one from N.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .qseries import PackedSeries, _PackedLayout, memo
 
@@ -145,13 +150,50 @@ _FIXED_SLOT_BITS = 32
 _LANE_BYTES = 2 * 2**20
 
 
-def _growing_scan(r: int, N: int, values: Sequence[int], *ells: int) -> tuple[_PackedLayout, list[int]]:
+def _above_half(layout: _PackedLayout, state: list[int], values: range) -> list[int]:
+    """The states that one ``layout.step`` per value of ``values`` returns
+    from ``state``, in closed form: ``values`` are consecutive, ascending or
+    descending, and each lies above N/2 and at most at N, the order.
+
+    A vector of weight at most N takes at most one of those values, once.
+    With T the total of ``state`` and P its states 1..r-1, the ones that
+    admit one part of the first value u, the states after u are [T, q^u P].
+    Each later value v adds q^v T, the vectors that take v (one that took
+    an earlier value too weighs more than N), and state 2 holds those of
+    the last value, w: so the states are [T + q^u P + sum of q^v T - x, x],
+    x = q^w (P if w = u, else T). The later values form one run of
+    exponents lo..hi, and its sum is q^lo T times 1 + q + ... + q^(N-lo),
+    by doubling, less that times q^(hi+1-lo).
+
+    T is checked as ``step`` checks its input total. Every sum adds two
+    checked operands, which never carry, and is checked, so the states are
+    exact or ArithmeticError is raised; a difference takes a part of a sum,
+    and never borrows.
+    """
+    prefix = list(accumulate(state))
+    total = layout._check(prefix[-1])
+    capped = prefix[min(layout.r - 2, len(prefix) - 1)]
+    u, rest = values[0], values[1:]
+    out = layout._check(total + layout._times_q(capped, u))
+    if rest:
+        lo, hi = sorted((rest[0], rest[-1]))
+        run, terms = layout._times_q(total, lo), 1
+        while terms <= layout.order - lo:
+            run = layout._check(run + layout._times_q(run, terms))
+            terms *= 2
+        run -= layout._times_q(run, hi + 1 - lo)
+        out = layout._check(out + run)
+    last = layout._times_q(total if rest else capped, values[-1])
+    return [out - last, last]
+
+
+def _growing_scan(r: int, N: int, values: range, *ells: int) -> tuple[_PackedLayout, list[int]]:
     """Scans multiplicity vectors (f_a) over ``values``, in the given order,
     to order N, once per start e_ell, ell in ``ells`` (e_1 if none), as
     interleaved lanes: its layout, with the slots of ``for_counts(N, r)``
     and one lane per start (that layout itself for one start), and its
-    states in that layout, packed series stepped once per value, lane k
-    from e_(ells[k]).
+    states in that layout, packed series as one ``step`` per value leaves
+    them, lane k from e_(ells[k]).
 
     State j holds the vectors whose last scanned multiplicity is j-1.
     Adjacent multiplicities sum to at most r-1, so scanning a sets f_a = j-1
@@ -169,6 +211,12 @@ def _growing_scan(r: int, N: int, values: Sequence[int], *ells: int) -> tuple[_P
     r)`` slots, and a check that fires there propagates. The output of the
     last step was never checked, so its states are handed off into
     ``for_counts`` slots and every reader checks their sums there.
+
+    The values above N/2 and at most N are not stepped but summed in closed
+    form (``_above_half``): those that end an ascending scan to N, after the
+    hand-off and in the ``for_counts`` slots, and those that start a
+    descending one from N, from the start itself, whose counts are 0 and 1.
+    The states are the ones that stepping returns, list for list.
     """
     ells = ells or (1,)
     top = _PackedLayout.for_counts(N, r)
@@ -182,6 +230,13 @@ def _growing_scan(r: int, N: int, values: Sequence[int], *ells: int) -> tuple[_P
     for k, ell in enumerate(ells):
         start[ell - 1] |= 1 << k * layout.bits
     state = [x * layout.one for x in start]
+    tail = values[:0]
+    if values and values.step == -1 and values[0] == N:
+        head, values = values[: N - N // 2], values[N - N // 2 :]
+        state = _above_half(layout, state, head)
+    elif values and values.step == 1 and values[-1] == N:
+        cut = max(N // 2 + 1 - values[0], 0)
+        values, tail = values[:cut], values[cut:]
     for a in values:
         while True:
             try:
@@ -196,6 +251,8 @@ def _growing_scan(r: int, N: int, values: Sequence[int], *ells: int) -> tuple[_P
                 layout = wider
     if layout is not top:
         state = [top.reslot(x, layout) for x in state]
+    if tail:
+        state = _above_half(top, state, tail)
     return top, state
 
 
@@ -227,7 +284,8 @@ def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[Packe
     """The partition series and the family limit, each packed in
     ``for_counts(N, r)`` slots, of every start e_ell, ell in ``ells``, at
     (r, J): one ascending lane scan of the part values J+1..D, D =
-    max(N, J+1), in passes of as many lanes as ``_LANE_BYTES`` holds.
+    max(N, J+1), which steps J+1..max(J, N/2) and sums the rest in closed
+    form, in passes of as many lanes as ``_LANE_BYTES`` holds.
 
     At most i-1 = r-ell parts equal J+1, since lane ell starts from e_ell.
     Scanning J+1 even when N < J+1 applies that cap to the states, which the

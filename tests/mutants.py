@@ -119,6 +119,27 @@ MUTANTS = [
      "state = [0] * max(ells)\n    for k, ell in enumerate(ells):\n        state[ell - 1]",
      "state = [0] * (max(ells) + 1)\n    for k, ell in enumerate(ells):\n        state[ell]",
      ("tests/test_packed.py::test_family_init_equals_list_monomials",)),
+    ("a closed-form run started at q^(h+1)", "partitions.py",
+     "run, terms = layout._times_q(total, lo), 1", "run, terms = layout._times_q(total, lo - 1), 1",
+     ("tests/test_packed.py::test_growing_scan_equals_fixed_scan_at_every_edge[32]",)),
+    ("a closed form that reads P as T", "partitions.py",
+     "capped = prefix[min(layout.r - 2, len(prefix) - 1)]", "capped = total",
+     ("tests/test_packed.py::test_growing_scan_equals_fixed_scan_at_every_edge[32]",)),
+    ("a closed form whose second state is always from T", "partitions.py",
+     "last = layout._times_q(total if rest else capped, values[-1])", "last = layout._times_q(total, values[-1])",
+     ("tests/test_packed.py::test_growing_scan_equals_fixed_scan_at_every_edge[32]",)),
+    ("a descending head that drops the e_r cap", "partitions.py",
+     "state = _above_half(layout, state, head)", "state = _above_half(layout, [sum(state)], head)",
+     ("tests/test_packed.py::test_growing_scan_equals_fixed_scan_at_every_edge[32]",)),
+    ("a descending head whose run goes on to N", "partitions.py",
+     "run -= layout._times_q(run, hi + 1 - lo)", "pass",
+     ("tests/test_packed.py::test_growing_scan_equals_fixed_scan_at_every_edge[32]",)),
+    ("a closed form with an unchecked doubling", "partitions.py",
+     "run = layout._check(run + layout._times_q(run, terms))", "run = run + layout._times_q(run, terms)",
+     ("tests/test_packed.py::test_closed_form_sums_raise_at_the_guard_bits[doubling]",)),
+    ("a closed form with an unchecked tail sum", "partitions.py",
+     "out = layout._check(out + run)", "out = out + run",
+     ("tests/test_packed.py::test_closed_form_sums_raise_at_the_guard_bits[tail-sum]",)),
     ("a widening that relabels the states without reslot", "partitions.py",
      "state = [wider.reslot(x, layout) for x in state]", "state = list(state)",
      ("tests/test_packed.py::test_growing_scan_equals_list_dp_and_fixed_slots",)),

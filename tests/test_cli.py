@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -768,6 +769,16 @@ def test_verify_runs_one_hilbert_scan(capsys, monkeypatch):
     scans = count_descending_scans(monkeypatch)
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "500")
     assert (code, scans) == (0, [(3, 2)])
+
+
+def test_verify_steps_the_values_up_to_half_the_order(capsys, step_values):
+    # a vector of weight at most N = 500 has at most one part above 250, so
+    # both scans sum those values in closed form: the ascending scan steps
+    # 2..250, the family walk goes on from its stage-500 states to 502, and
+    # the descending scan steps 250..2; a widened value is stepped twice
+    code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "500")
+    stepped = [u for u, _ in itertools.groupby(step_values)]
+    assert (code, stepped) == (0, [*range(2, 251), 501, 502, *range(250, 1, -1)])
 
 
 def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):

@@ -168,9 +168,13 @@ def test_family_limit_stops_one_or_two_stages_past_the_scan(step_values):
                     _, state = partitions._growing_scan(r, N, range(J + 1, D + 1), params.ell)
                     step_values.clear()
                     family_limit(None, params, N)
-                    # the cold limit scans J+1..D first, a widened value twice
+                    # the cold limit steps J+1..h first, h = max(J, N/2), a
+                    # widened value twice, and sums the values above h to
+                    # N in closed form; with h >= N it steps J+1..D
+                    h = max(J, N // 2)
                     assert step_values == sorted(step_values)
-                    assert {u for u in step_values if u <= D} == set(range(J + 1, D + 1))
+                    stepped = range(J + 1, h + 1) if h < N else range(J + 1, D + 1)
+                    assert {u for u in step_values if u <= D} == set(stepped)
                     stop = D + 1 if not any(state[1:]) else D + 2
                     assert [u for u in step_values if u > D] == list(range(D + 1, stop + 1)), (params, N)
                     assert stop <= max(N, J) + 2

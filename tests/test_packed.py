@@ -3,8 +3,8 @@
 ``reference_adjacent_capped_counts`` is the list-of-lists multiplicity DP the
 package used before the kernel was packed; it stays here as the reference
 that ``fixed_scan``, one ``step`` per value in fixed slots from the unit
-vector e_ell, and ``_growing_scan`` must reproduce exactly, in both
-directions.
+vectors e_ell, and ``_growing_scan``, which sums the values above half the
+order in closed form, must reproduce exactly, in both directions.
 ``reference_family_init`` builds the initial family from monomials written
 out as coefficient tuples, as the package did before the family walk became
 the DP's scan, so the literal walk starts from code not under test.
@@ -56,10 +56,13 @@ def reference_adjacent_capped_counts(r, values, cap, N):
     return [sum(column) for column in zip(*dp)]
 
 
-def fixed_scan(layout, values, ell):
+def fixed_scan(layout, values, *ells):
     """The states of ``_growing_scan`` over ``values``, stepped in the fixed
-    slots of ``layout`` from the unit vector e_ell."""
-    state = [0] * (ell - 1) + [layout.one]
+    slots of ``layout``, one lane per start, lane k from the unit vector
+    e_(ells[k])."""
+    state = [0] * max(ells)
+    for k, ell in enumerate(ells):
+        state[ell - 1] += layout.one << k * layout.bits
     for a in values:
         state = layout.step(state, a)
     return state
@@ -293,6 +296,41 @@ def test_floor_checks_the_caps_it_keeps(monkeypatch):
     hilbert._floor(3, 1, 16)
     with pytest.raises(ArithmeticError):
         hilbert._floor(3, 1, 17)
+
+
+@pytest.mark.parametrize("slot_bits", [32, 0])
+def test_growing_scan_equals_fixed_scan_at_every_edge(monkeypatch, slot_bits):
+    # the values above N/2 are summed in closed form (_above_half): at the
+    # end of an ascending scan to N, which steps J+1..max(J, N/2) first or,
+    # past N, only J+1, and at the start of a descending one from N, which
+    # starts at max(N/2 + 1, its last value); every first value of both at
+    # orders 0..20, in fixed slots and from one-byte ones, and lanes from
+    # e_r, which caps the first value at 0 parts, alone and beside e_1
+    monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", slot_bits)
+    for r in range(2, 6):
+        for N in range(21):
+            bits = _PackedLayout.for_counts(N, r).bits
+            for first in range(1, N + 3):
+                for values in (range(first, max(N, first) + 1), range(N, first - 1, -1)):
+                    for ells in ((1,), (r,), (r, 1)):
+                        fixed = _PackedLayout(N, r, bits, len(ells))
+                        layout, state = partitions._growing_scan(r, N, values, *ells)
+                        assert (layout.bits, layout.lanes) == (bits, len(ells))
+                        assert state == fixed_scan(fixed, values, *ells), (r, N, values, ells)
+
+
+@pytest.mark.parametrize("a,b", [(2, 127), (1, 0)], ids=["doubling", "tail-sum"])
+def test_closed_form_sums_raise_at_the_guard_bits(a, b):
+    # r = 2 and N = 5 in 8-bit slots, 7 value bits: the values 3..5 sum
+    # q^4 T + q^5 T onto T + q^3 P, here with P = 0 and a checked T = a +
+    # b q + 127 q^5. With a + b = 129 the doubling's q^5 slot reaches the
+    # guard bits, and the last sum's 127 more carry out of it and clear them
+    # again, so only the doubling's own check sees it; with a + b = 1 only
+    # the last sum's q^5 slot, 128, reaches them
+    layout = _PackedLayout(5, 2, 8)
+    state = [0, layout.pack((a, b, 0, 0, 0, 127))]
+    with pytest.raises(ArithmeticError):
+        partitions._above_half(layout, state, range(3, 6))
 
 
 @settings(deadline=None, max_examples=30)
