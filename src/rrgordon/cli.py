@@ -9,13 +9,12 @@ The routes hand over packed series (``qseries.PackedSeries``), which
 ``_compare_routes`` compares as ints, so a passing scan cell unpacks and
 digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
-a one-cell grid for ``verify`` and ``table``, and lists its cells and the
-Hilbert floors and product tower levels each r reads, and its i's and J's.
-``main`` empties the memo before a command, and ``_fill`` files each r's
-floors and levels once, the partition series and family limits of every
-i of the plan from one ascending lane scan per (r, J)
-(``partitions._lane_scans``), and, with family-match or valuation, their
-verdicts from one suite walk per (r, J) (``families._lane_walks``).
+a one-cell grid for ``verify`` and ``table``, and lists one row per r: the
+Hilbert floors and product tower levels it reads, and its i's and J's.
+``main`` empties the memo before a command, and ``scan`` runs each row
+once (``_scan_row``), in-process or in a worker, which first files what its
+cells read: r's floors and levels, and one ascending lane scan and one suite
+walk per J (``partitions._lane_scans``, ``families._lane_walks``).
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -34,7 +33,7 @@ from .families import _ladder, _lane_walks, _match, family_limit, verify_expansi
 from .hilbert import _floor, _floors, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
 from .partitions import GordonParams, _ascending, _lane_scans, gordon_series
 from .products import ProductIndex, _family_at_level, _padded_order, _tower, product_series
-from .qseries import PackedSeries, first_mismatch, forget, keep, memo
+from .qseries import PackedSeries, first_mismatch, forget, keep
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -196,13 +195,13 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, int, int, range, range, range, range, int | None]]]:
-    """A command's order and cells (r, i, J, floors, levels, is, js, walk),
-    i clipped to r, ``floors`` the Hilbert floors each r reads, top down,
+def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, range, range, range, range, int | None]]]:
+    """A command's order and rows (r, floors, levels, is, js, walk), one per
+    r with cells, ``floors`` the Hilbert floors each r reads, top down,
     ``levels`` the product tower levels it reads, up to J, or J+3 with
     expansion, from the level J-1 that the product route of i = r reads,
-    ``is`` and ``js`` the i's and J's of its cells, and ``walk`` the stage
-    bound of each (r, J)'s suite walk, which ``_fill`` runs to stage
+    ``is`` and ``js`` the i's, clipped to r, and J's of its cells, and
+    ``walk`` the stage bound of each (r, J)'s suite walk, which runs to stage
     max(walk, J+5) or J+N+2: ``d_max`` with family-match, 0 with valuation
     alone, and None, no walk, with neither. Raises UsageError on
     an r, i or J out of range, an empty grid, and with ``tower`` a tower
@@ -234,11 +233,11 @@ def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True
     elif "valuation" in suites:
         walk = 0
     rows = ((r, range(i_lo, min(r, i_hi) + 1)) for r in range(r_lo, r_hi + 1))
-    return order, [(r, i, J, floors, levels, is_, js, walk) for r, is_ in rows for i in is_ for J in js]
+    return order, [(r, floors, levels, is_, js, walk) for r, is_ in rows if is_]
 
 
 def cmd_verify(args) -> int:
-    order, [(r, i, J, *_)] = _plan(args)
+    order, [(r, _, _, [i], [J], _)] = _plan(args)
     report, seconds = build_report(GordonParams(r, i, J), order)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -255,19 +254,18 @@ def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> b
         return False
 
 
-@memo
-def _fill(r: int, floors: range, levels: range, is_: range, js: range, walk: int | None, order: int) -> None:
-    """Empties the memo, then files r's ``floors`` from one scan, its
-    ``levels`` from one climb, and the partition series and family limits
-    of every i in ``is_`` at each J in ``js`` from one lane scan per J, as
-    ``_floor``, ``_family_at_level`` and ``_ascending`` return them. With a
-    ``walk``, it also walks every i at each J as lanes of one suite walk to
-    stage max(walk, J+5), or J+N+2 if that comes first, and files the
-    family-match and valuation verdicts (``_match``, ``_ladder``) of the
-    cells of every pass that kept all its lanes clean (``_lane_walks``). A
-    side that raises files nothing, so each reader fills it alone and fails
-    its cell; the memo keeps this call, so each r fills once."""
-    forget()  # cells come r first, so no later cell reads an older r's entries
+def _scan_row(row: tuple[int, range, range, range, range, int | None, int, tuple[str, ...], int]) -> list[dict]:
+    """The reports of the row's cells, i first, then J. It first empties the
+    memo and files r's ``floors`` from one scan, its ``levels`` from one
+    climb, and the partition series and family limits of every i in ``is_``
+    at each J in ``js`` from one lane scan per J, as ``_floor``,
+    ``_family_at_level`` and ``_ascending`` return them. With a ``walk``, it
+    walks every i at each J as lanes of one suite walk to stage max(walk,
+    J+5), or J+N+2 if that comes first, and files the verdicts (``_match``,
+    ``_ladder``) of each pass that kept all its lanes clean. A side that
+    raises files nothing, so each reader fills it alone and fails its cell."""
+    r, floors, levels, is_, js, walk, order, suites, d_max = row
+    forget()  # a row holds all of its r's cells, so no cell reads an older r's entries
     try:
         for k, floor in zip(floors, _floors(r, floors, order)):
             keep(_floor, (r, k, order), floor)
@@ -292,19 +290,17 @@ def _fill(r: int, floors: range, levels: range, is_: range, js: range, walk: int
                 params = GordonParams(r, i, J)
                 keep(_match, (params, max(walk, J + 1), order), True)
                 keep(_ladder, (params, order), True)
+    return [_scan_cell(GordonParams(r, i, J), order, suites, d_max) for i in is_ for J in js]
 
 
-def _scan_cell(cell: tuple[int, int, int, range, range, range, range, int | None, int, tuple[str, ...], int]) -> dict:
-    r, i, J, floors, levels, is_, js, walk, order, suites, d_max = cell
-    _fill(r, floors, levels, is_, js, walk, order)
-    params = GordonParams(r, i, J)
+def _scan_cell(params: GordonParams, order: int, suites: tuple[str, ...], d_max: int) -> dict:
     *_, identity, mismatch = _compare_routes(params, order)
     suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
     passed = identity == "pass" and all(suite_results.values())
     return {
-        "r": r,
-        "i": i,
-        "J": J,
+        "r": params.r,
+        "i": params.i,
+        "J": params.J,
         "verdict": "pass" if passed else "fail",
         "identity": identity,
         "suites": {k: ("pass" if v else "fail") for k, v in sorted(suite_results.items())},
@@ -324,25 +320,28 @@ def cmd_scan(args) -> int:
             raise UsageError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
         if s in suites[:k]:
             raise UsageError(f"suite {s!r} is named twice")
-    order, cells = _plan(args, suites, args.d_max)
-    cells = [(*cell, order, suites, args.d_max) for cell in cells]
+    order, rows = _plan(args, suites, args.d_max)
+    rows = [(*row, order, suites, args.d_max) for row in rows]
 
     # a fork pool starts every worker up front, so never ask for idle ones
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    workers = min(args.jobs, len(rows), os.cpu_count() or 1)
     if workers > 1:
         # the pool stack (multiprocessing, pickle, socket, ...) loads only here
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_cell, c) for c in cells]
-        # a cell whose worker died fails every check; one error line says why
-        errors = [f.exception() for f in futures]
+            futures = [pool.submit(_scan_row, row) for row in rows]
+        # each cell of a row whose worker died fails every check; one error line says why
         unfinished = {"verdict": "fail", "identity": "fail", "suites": dict.fromkeys(sorted(suites), "fail"), "mismatch": None}
-        results = [f.result() if e is None else {"r": c[0], "i": c[1], "J": c[2], **unfinished} for c, f, e in zip(cells, futures, errors)]
-        if lost := [e for e in errors if e]:
+        results, lost = [], []
+        for (r, _, _, is_, js, *_), f in zip(rows, futures):
+            dead = [{"r": r, "i": i, "J": J, **unfinished} for i in is_ for J in js] if f.exception() else []
+            results += dead or f.result()
+            lost += [f.exception()] * len(dead)
+        if lost:
             print(f"error: {len(lost)} cells did not finish: {lost[0]!r}", file=sys.stderr)
     else:
-        results = [_scan_cell(c) for c in cells]
+        results = [cell for row in rows for cell in _scan_row(row)]
 
     failed = [c for c in results if c["verdict"] != "pass"]
     if args.format == "json":
@@ -368,7 +367,7 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 
 def cmd_table(args) -> int:
-    order, [(r, i, J, *_)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
+    order, [(r, _, _, [i], [J], _)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
     series, error = _run_route(TABLE_KINDS[args.kind], GordonParams(r, i, J), order)
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback

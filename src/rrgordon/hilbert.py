@@ -173,8 +173,9 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
 
     cap 1 at k equals uncapped at k+1, compared packed; cap r at k equals
     uncapped at k, compared as generator lists, since ``_floor`` keeps both
-    series in one slot; and for every i, the capped expansion at k equals
-    the leading block joined with the uncapped expansion at k+1. The result
+    series in one slot; and for every i, the capped expansion at k is the
+    leading block followed by the uncapped expansion at k+1, compared as
+    generator tuples in their canonical order. The result
     does not depend on i, so the memo keeps one bool per (r, k, N), and the
     cells of one (r, J) share it.
     """
@@ -182,17 +183,12 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
         return False
     if expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N):
         return False
-    tail = set(expand_generators(QuotientSpec(r, k + 1), N).generators)
+    tail = expand_generators(QuotientSpec(r, k + 1), N).generators
     for i in range(1, r + 1):
-        capped = set(expand_generators(QuotientSpec(r, k, cap=i), N).generators)
-        block: set[Generator] = set()
-        if k * i <= N:
-            block.add(((k, i),))
-        for s in range(1, i):
-            gen = ((k, i - s), (k + 1, r - i + s))
-            if _generator_weight(gen) <= N:
-                block.add(gen)
-        if capped != block | tail:
+        # the block in canonical order: x_k^e x_(k+1)^(r-e) for e < i, then x_k^i
+        mixed = [((k, e), (k + 1, r - e)) for e in range(1, i)]
+        block = tuple(g for g in [*mixed, ((k, i),)] if _generator_weight(g) <= N)
+        if expand_generators(QuotientSpec(r, k, cap=i), N).generators != block + tail:
             return False
     return True
 

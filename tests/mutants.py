@@ -2,10 +2,12 @@
 
 Each entry of ``MUTANTS`` names a fault and gives the file under
 ``src/rrgordon``, the exact old text, the new text, and the ids of the tests
-that must catch it. The driver copies ``src/`` into a temporary directory,
-checks that the unpatched copy passes every test file those ids name, then
-for each mutant replaces the old text and runs ``pytest -x`` on its tests
-alone against the copy. A mutant is killed when a test fails. The old text must occur exactly
+that must catch it. The gate copies ``src/`` into one temporary directory
+per CPU, checks that the unpatched first copy passes every test file those
+ids name, then runs the mutants one per copy at a time from a thread pool:
+each replaces its old text, runs ``pytest -x`` on its tests alone against
+the copy and puts the text back. A mutant is killed when a test fails. The
+lines are printed in ``MUTANTS`` order. The old text must occur exactly
 once, so a refactor that moves it updates the mutant instead of dropping it.
 
 Run it from any directory with ``python tests/mutants.py``; it exits 0 when
@@ -15,10 +17,13 @@ every mutant is killed. pytest does not collect this file.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,7 +101,7 @@ MUTANTS = [
      "_floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]", "False",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_the_floor_above_moves",)),
     ("hp-identities without the block check", "hilbert.py",
-     "if capped != block | tail:", "if False:",
+     "if expand_generators(QuotientSpec(r, k, cap=i), N).generators != block + tail:", "if False:",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_a_middle_cap_drops_a_generator",)),
     ("family-match that skips the one walk", "families.py",
      "for _ in _walk(params.r, params.J, N, d_max, params.ell)[1]:", "for _ in ():",
@@ -166,7 +171,7 @@ MUTANTS = [
      "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a scan that keeps memo entries across r", "cli.py",
-     "forget()  # cells come r first", "None  # cells come r first",
+     "forget()  # a row holds all", "None  # a row holds all",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
     ("a main() that does not start cold", "cli.py",
      "forget()  # every command starts cold", "None",
@@ -203,9 +208,19 @@ MUTANTS = [
     ("a floor stepped from the one above at value k+1", "hilbert.py",
      "layout.step(state, k)", "layout.step(state, k + 1)",
      ("tests/test_hilbert.py::test_floors_filled_from_the_top_equal_cold_floors",)),
-    ("a fill that is not memoized", "cli.py",
-     "@memo\ndef _fill(", "def _fill(",
-     ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",)),
+    ("a scan that fills its r before every cell, one row per cell", "cli.py",
+     "rows = [(*row, order, suites, args.d_max) for row in rows]",
+     "rows = [(r, f, l, range(i, i + 1), range(J, J + 1), w, order, suites, args.d_max)"
+     " for r, f, l, is_, js, w in rows for i in is_ for J in js]",
+     ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",
+      "tests/test_cli.py::test_a_scan_fills_each_r_once_whatever_its_jobs")),
+    ("a pool sized by cells", "cli.py",
+     "min(args.jobs, len(rows), os.cpu_count() or 1)",
+     "min(args.jobs, sum(len(row[3]) * len(row[4]) for row in rows), os.cpu_count() or 1)",
+     ("tests/test_cli.py::test_scan_jobs_clamped",)),
+    ("a dead row reported as one cell", "cli.py",
+     "for i in is_ for J in js] if f.exception()", "for i in is_[:1] for J in js[:1]] if f.exception()",
+     ("tests/test_cli.py::test_dead_scan_worker_fails_its_cells",)),
     ("a floor fill whose error escapes its cell", "cli.py",
      "except Exception:  # it raises again", "except ZeroDivisionError:  # it raises again",
      ("tests/test_cli.py::test_a_floor_fill_that_raises_fails_its_cells",)),
@@ -262,10 +277,36 @@ def _first_failure(output: str) -> str:
     return "no failing test named"
 
 
+def _run_mutant(copies: queue.Queue, mutant) -> tuple[str, bool]:
+    """The report line of one mutant, and whether it fails the gate. It runs
+    in a pristine copy of ``src/`` taken from ``copies`` and given back."""
+    fault, file, old, new, tests = mutant
+    src = copies.get()
+    try:
+        path = src / "rrgordon" / file
+        text = path.read_text(encoding="utf-8")
+        if (count := text.count(old)) != 1:
+            return f"STALE     {fault}: old text found {count} times in {file}", True
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        try:
+            result = _pytest(src, tests)
+        finally:
+            path.write_text(text, encoding="utf-8")
+        if result.returncode == 1:
+            return f"killed    {fault}: {_first_failure(result.stdout)}", False
+        return f"SURVIVED  {fault}: pytest exited {result.returncode}", True
+    finally:
+        copies.put(src)
+
+
 def main() -> int:
+    jobs = min(os.cpu_count() or 1, len(MUTANTS))
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        copies: queue.Queue = queue.Queue()
+        for src in [Path(tmp) / f"src{n}" for n in range(jobs)]:
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
+        src = Path(tmp) / "src0"  # the probe and the unpatched run use the first copy
         probe = [sys.executable, "-c", "import rrgordon; print(rrgordon.__file__)"]
         found = subprocess.run(probe, cwd=ROOT, env=_env(src), capture_output=True, text=True).stdout.strip()
         if not found or not Path(found).resolve().is_relative_to(src.resolve()):
@@ -278,23 +319,10 @@ def main() -> int:
             return 1
 
         bad = 0
-        for fault, file, old, new, tests in MUTANTS:
-            path = src / "rrgordon" / file
-            text = path.read_text(encoding="utf-8")
-            if (count := text.count(old)) != 1:
-                print(f"STALE     {fault}: old text found {count} times in {file}")
-                bad += 1
-                continue
-            path.write_text(text.replace(old, new), encoding="utf-8")
-            try:
-                result = _pytest(src, tests)
-            finally:
-                path.write_text(text, encoding="utf-8")
-            if result.returncode == 1:
-                print(f"killed    {fault}: {_first_failure(result.stdout)}")
-            else:
-                print(f"SURVIVED  {fault}: pytest exited {result.returncode}")
-                bad += 1
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for line, failed in pool.map(partial(_run_mutant, copies), MUTANTS):
+                print(line, flush=True)
+                bad += failed
         print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed")
         return 1 if bad else 0
 

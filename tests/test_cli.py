@@ -477,14 +477,17 @@ class RecordingExecutor:
 @pytest.mark.parametrize(
     "jobs,grid,cpus,opened",
     [
-        ("64", ("--r", "2", "--J", "0"), 8, [2]),  # 2 cells
-        ("3", ("--r", "2..3", "--J", "0..1"), 8, [3]),  # 10 cells
+        ("64", ("--r", "2", "--J", "0"), 8, []),  # 1 r, 2 cells
+        ("3", ("--r", "2..3", "--J", "0..1"), 8, [2]),  # 2 r's, 10 cells
         ("4", ("--r", "2..3", "--J", "0..1"), 2, [2]),
         ("4", ("--r", "2..3", "--J", "0..1"), 1, []),
         ("4", ("--r", "2", "--i", "1", "--J", "0"), 8, []),  # 1 cell
+        ("8", ("--r", "2..5", "--J", "0"), 3, [3]),  # 4 r's
+        ("2", ("--r", "2..5", "--J", "0"), 8, [2]),
     ],
 )
 def test_scan_jobs_clamped(capsys, monkeypatch, jobs, grid, cpus, opened):
+    # the pool runs one task per r, so it opens no more workers than the grid has r's
     # cmd_scan imports the executor when it opens workers, so patch its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "opened", [])
@@ -662,11 +665,12 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
     cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, 1, 30, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), None)])
+    assert cli._plan(cell) == (200, [(5, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), None)])
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
-        order, cells = cli._plan(grid, suites)
-        assert order == cli.MAX_ORDER and len(cells) == 56
+        order, rows = cli._plan(grid, suites)
+        assert order == cli.MAX_ORDER and [r for r, *_ in rows] == [2, 3, 4, 5]
+        assert sum(len(is_) * len(js) for _, _, _, is_, js, _ in rows) == 56
 
 
 def test_huge_d_max_gives_the_same_bytes(capsys, step_values):
@@ -754,7 +758,7 @@ def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
 def test_five_suite_scan_runs_one_hilbert_scan_per_r(capsys, monkeypatch):
     # every cap at floor k is a prefix sum of one descending scan N..k, and
     # floor k is floor k+1 after one more step; the grid reads floors
-    # J+1..J+4 for J = 0..3, and the first cell of each r fills floors 7..1
+    # J+1..J+4 for J = 0..3, and each r's row fills floors 7..1
     # from one scan to 7: 4 scans, where one per floor ran 28 and one DP per
     # quotient and order 118
     scans = count_descending_scans(monkeypatch)
@@ -782,7 +786,7 @@ def test_verify_steps_the_values_up_to_half_the_order(capsys, step_values):
 
 
 def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
-    # the first cell of an r fills its floors; a fill that raises leaves
+    # each r's row fills its floors; a fill that raises leaves
     # each route and suite that reads a floor to raise and fail its cell,
     # with no traceback
     def failing(*args):
@@ -798,7 +802,7 @@ def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
 
 
 def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_climbs):
-    # the memo keeps each r's fill, so the next cell does not run it again:
+    # a row fills its r once, before its cells, and no cell fills it again:
     # one climb files every level, and the 13 scans are the fill's and, in
     # each of the 6 cells, the hilbert route's and the expansion suite's,
     # each of one floor; a fill per cell ran 6 climbs and 18 scans. The
@@ -827,7 +831,7 @@ def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_cli
     ids=["five-suites", "from-J-1"],
 )
 def test_a_scan_climbs_one_tower_per_r(capsys, tower_climbs, grid, climbs):
-    # the first cell of each r climbs its tower once, to the deepest level
+    # each r's row climbs its tower once, to the deepest level
     # the grid reads, and hands off every level its cells read
     code, _, _ = run(capsys, "scan", "--i", "all", "--order", "60", *grid)
     assert (code, tower_climbs) == (0, climbs)
@@ -839,7 +843,7 @@ def test_verify_climbs_one_level(capsys, tower_climbs):
 
 
 def test_a_tower_fill_that_raises_fails_its_cells(capsys, monkeypatch):
-    # the first cell of an r climbs its tower; a climb that raises leaves
+    # each r's row climbs its tower; a climb that raises leaves
     # each product route and expansion suite that reads a level to climb it
     # alone, raise again and fail its cell, with no traceback
     def failing(*args):
@@ -876,7 +880,7 @@ def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
 
 
 def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
-    # a cell of a new r empties the memo, since no later cell reads an older
+    # each r's row empties the memo, since no later cell reads an older
     # r's floors, levels and lane scans; of the lane scans only each cell's
     # two series stay, not the r states they were summed and stepped from
     argv = ("scan", "--r", "2..4", "--i", "all", "--J", "0..1", "--order", "12", "--suites", ",".join(cli.SUITES))
@@ -892,13 +896,18 @@ def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
 
 def test_each_command_starts_cold(capsys, monkeypatch):
     # main empties the memo before every command, so a second identical
-    # command in the same process runs its own descending scans
+    # command in the same process runs its own descending scans; a scan's
+    # rows empty it too, so only verify and table rest on main alone
     scans = count_descending_scans(monkeypatch)
-    argv = ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "12", "--suites", "hp-identities")
-    assert run(capsys, *argv)[0] == 0
-    first = list(scans)
-    assert first and run(capsys, *argv)[0] == 0
-    assert scans == first + first
+    for argv in [
+        ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "12", "--suites", "hp-identities"),
+        ("verify", "--r", "3", "--i", "2", "--J", "1", "--order", "12"),
+    ]:
+        scans.clear()
+        assert run(capsys, *argv)[0] == 0
+        first = list(scans)
+        assert first and run(capsys, *argv)[0] == 0
+        assert scans == first + first
 
 
 def test_library_calls_across_r_return_cold_series(monkeypatch):
@@ -1113,11 +1122,11 @@ def test_huge_grid_is_refused_before_its_cells_are_built(capsys):
 _SCAN_CELL = cli._scan_cell
 
 
-def _scan_cell_dying_at_3_2_0(cell):
-    # module level, so the pool can pickle it by name
-    if cell[:3] == (3, 2, 0):
+def _scan_cell_dying_at_3_2_0(params, order, suites, d_max):
+    # module level, as the worker's rows call it by name
+    if (params.r, params.i, params.J) == (3, 2, 0):
         os._exit(3)
-    return _SCAN_CELL(cell)
+    return _SCAN_CELL(params, order, suites, d_max)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched cell reaches workers by fork")
@@ -1129,7 +1138,8 @@ def test_dead_scan_worker_fails_its_cells(capsys, monkeypatch):
     report = json.loads(out)
     cells = {(c["r"], c["i"], c["J"]): c for c in report["cells"]}
     assert code == 1
-    # one error line, which counts the cells that did not finish
+    # one error line, which counts the cells that did not finish: every
+    # cell of the dead worker's row and of each row unfinished when the pool broke
     assert err.startswith("error: ") and err.count("\n") == 1 and "BrokenProcessPool" in err
     assert report["failed"] == int(err.split()[1])
     # every cell is reported with the usual keys, and the results that arrived are kept
@@ -1138,3 +1148,33 @@ def test_dead_scan_worker_fails_its_cells(capsys, monkeypatch):
         "r": 3, "i": 2, "J": 0, "verdict": "fail", "identity": "fail", "suites": {"valuation": "fail"}, "mismatch": None,
     }
     assert report["passed"] == sum(c["verdict"] == "pass" for c in report["cells"]) == 9 - report["failed"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the wrapped fill reaches workers by fork")
+@pytest.mark.parametrize(
+    "jobs,grid,filled",
+    [
+        ("1", ("--i", "all"), [2, 3, 4]),
+        ("2", ("--i", "all"), [2, 3, 4]),
+        ("2", ("--i", "3..4"), [3, 4]),  # r = 2 has no cells
+    ],
+)
+def test_a_scan_fills_each_r_once_whatever_its_jobs(capsys, monkeypatch, tmp_path, jobs, grid, filled):
+    # each r's cells are one task, so one process fills the r once; each
+    # floor fill, in a worker or not, appends (pid, r) to one file
+    log, floors = tmp_path / "fills", cli._floors
+
+    def logged(r, ks, N):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {r}\n")
+        return floors(r, ks, N)
+
+    monkeypatch.setattr(cli, "_floors", logged)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("scan", "--r", "2..4", *grid, "--J", "0..1", "--order", "20", "--suites", "valuation")
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert (code, err) == (0, "") and out.endswith(" cells passed at order 20\n")
+    fills = [tuple(map(int, line.split())) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(r for _, r in fills) == filled
+    # with two jobs every fill ran in a worker
+    assert all((pid == os.getpid()) == (jobs == "1") for pid, _ in fills)

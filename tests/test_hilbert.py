@@ -250,6 +250,31 @@ def test_hp_identities_fail_when_a_middle_cap_drops_a_generator(capsys, monkeypa
     assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
 
 
+def test_hp_identities_fail_when_a_capped_block_puts_its_pure_power_first(capsys, monkeypatch):
+    # the capped expansion is compared with its leading block and the
+    # uncapped tail as tuples in canonical order, so a block that emits x_k^c
+    # before its mixed generators fails, though it holds the same set; the
+    # caps below r of r = 3 at k = 2 each keep their pure power at N = 20
+    r, i, J, N = 3, 1, 1, 20
+    expand = hilbert.expand_generators
+
+    def reordered(spec, N):
+        ideal = expand(spec, N)
+        if spec.cap is None or spec.cap == spec.r or ((spec.k, spec.cap),) not in ideal.generators:
+            return ideal
+        pure = ideal.generators.index(((spec.k, spec.cap),))
+        gens = (ideal.generators[pure], *ideal.generators[:pure], *ideal.generators[pure + 1 :])
+        assert set(gens) == set(ideal.generators)
+        return hilbert.MonomialIdealSpec(gens, ideal.first_var, ideal.weight_bound)
+
+    monkeypatch.setattr(hilbert, "expand_generators", reordered)
+    assert reordered(QuotientSpec(r, J + 1, cap=2), N).generators[:2] == (((2, 2),), ((2, 1), (3, 2)))
+    assert not verify_hp_identities(r, J + 1, N)
+    code, cell = scan_hp_identities(capsys, r, i, J, N)
+    assert code == 1
+    assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
+
+
 def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
     # each floor checks its caps once, when it fills the cache, so reading
     # them checks nothing
