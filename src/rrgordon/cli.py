@@ -11,10 +11,13 @@ digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists one row per r: the
 Hilbert floors and product tower levels it reads, and its i's and J's.
-``main`` empties the memo before a command, and ``scan`` runs each row
-once (``_scan_row``), in-process or in a worker, which first files what its
-cells read: r's floors and levels, and one ascending lane scan and one suite
-walk per J (``partitions._lane_scans``, ``families._lane_walks``).
+Each route and suite is handed a ``_Row`` and reads what it needs from it.
+``scan`` runs each row once (``_scan_row``), in-process or in a worker, and
+``verify`` and ``table`` build a row of their one cell (``_cell_row``). A
+row computes each side on its first read, for all of its cells at once:
+r's floors and levels, and one ascending lane scan and one suite walk per J
+(``partitions._lane_scans``, ``families._lane_walks``). Nothing outlives
+the command that computed it.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 JSON and CSV output is byte-deterministic; wall times appear in text mode
@@ -29,11 +32,11 @@ import os
 import sys
 import time
 
-from .families import _ladder, _lane_walks, _match, family_limit, verify_expansion, verify_family_match, verify_valuations
-from .hilbert import _floor, _floors, gordon_quotient, hp_series, verify_hp_identities, verify_hp_recursion
-from .partitions import GordonParams, _ascending, _lane_scans, gordon_series
-from .products import ProductIndex, _family_at_level, _padded_order, _tower, product_series
-from .qseries import PackedSeries, first_mismatch, forget, keep
+from .families import _lane_walks, verify_expansion, verify_family_match, verify_valuations
+from .hilbert import _floors, verify_hp_identities, verify_hp_recursion
+from .partitions import GordonParams, _lane_scans
+from .products import ProductIndex, _padded_order, _tower
+from .qseries import PackedSeries, first_mismatch
 
 DEFAULT_ORDER = 50
 ORDER_ENV_VAR = "RRGORDON_ORDER"
@@ -58,45 +61,106 @@ MAX_R = 100
 #: padding grows as (r-1)*J^2/2, and its cost with the padded order.
 MAX_PADDED_ORDER = 2 * MAX_ORDER
 
-# the four independent routes to the same series; tests may patch entries
+
+class _Row:
+    """What the cells of one r read, each side computed on its first read,
+    for every cell at once, and kept: the floors ``floors`` from one
+    ``_floors`` scan, the levels ``levels`` from one ``_tower`` climb, per J
+    the partition series, family limit and clean-walk verdict of each i in
+    ``is_`` from one lane scan and one suite walk to stage max(``walk``,
+    J+5), and per floor the hp-identities verdict. A side that raised keeps
+    its exception, and every read raises it again. A command's rows die
+    with it, so every command starts cold."""
+
+    def __init__(self, r: int, floors: range, levels: range, is_: range, walk: int, order: int):
+        self.r, self.floors, self.levels, self.is_, self.walk, self.order = r, floors, levels, is_, walk, order
+        self._ells = [r - i + 1 for i in is_]
+        self._sides: dict = {}
+
+    def _side(self, key, compute):
+        """Side ``key``, from ``compute()`` on its first read."""
+        if key not in self._sides:
+            try:
+                self._sides[key] = compute()
+            except Exception as exc:
+                self._sides[key] = exc
+        if isinstance(side := self._sides[key], Exception):
+            raise side.with_traceback(None)
+        return side
+
+    def floor(self, k: int) -> tuple:
+        """The layout and caps 1..r of floor k."""
+        return self._side("floors", lambda: dict(zip(self.floors, _floors(self.r, self.floors, self.order))))[k]
+
+    def level(self, L: int) -> tuple:
+        """The layout and r entries of tower level L."""
+        return self._side("levels", lambda: dict(zip(self.levels, _tower(self.r, self.levels, self.order))))[L]
+
+    def ascending(self, p: GordonParams) -> tuple[PackedSeries, PackedSeries]:
+        """The partition series and family limit of cell p."""
+        return self._side(("scan", p.J), lambda: dict(zip(self.is_, _lane_scans(self.r, p.J, self._ells, self.order))))[p.i]
+
+    def walked(self, p: GordonParams) -> bool:
+        """Whether cell p's lane of its J's suite walk stayed clean."""
+        end = max(self.walk, p.J + 5)
+        return self._side(("walk", p.J), lambda: dict(zip(self.is_, _lane_walks(self.r, p.J, self._ells, self.order, end))))[p.i]
+
+    def hp_identities(self, k: int) -> bool:
+        """The hp-identities verdict at floor k, which no i changes."""
+        return self._side(("hp-identities", k), lambda: verify_hp_identities(self.r, k, self.order, self.floor))
+
+
+def _entry(side: tuple, n: int) -> PackedSeries:
+    """Entry n of a level's, or cap n+1 of a floor's, (layout, packed series)."""
+    return PackedSeries(side[0], side[1][n])
+
+
+# the four independent routes to the same series, each called as
+# route(row, params, order) and reading the row; tests may patch entries
 SERIES_ROUTES = {
-    "product": lambda p, N: product_series(ProductIndex(p.r, p.product_index), N),
-    "partition": lambda p, N: gordon_series(p, N),
-    "hilbert": lambda p, N: hp_series(gordon_quotient(p), N),
-    "family": lambda p, N: family_limit(None, p, N),
+    "product": lambda row, p, N: _entry(row.level((idx := ProductIndex(p.r, p.product_index)).level), idx.slot - 1),
+    "partition": lambda row, p, N: row.ascending(p)[0],
+    "hilbert": lambda row, p, N: _entry(row.floor(p.J + 1), p.i - 1),
+    "family": lambda row, p, N: row.ascending(p)[1],
 }
 
 # the expansion suite compares product levels J..J+_EXPANSION_DEPTH with the floors one above
 _EXPANSION_DEPTH = 3
 
 
-# each extra property suite, called as check(params, order, d_max) -> bool
+# each extra property suite, called as check(row, params, order, d_max) -> bool
 SUITE_CHECKS = {
-    "hp-identities": lambda p, N, d_max: verify_hp_identities(p.r, p.J + 1, N),
-    "hp-recursion": lambda p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N),
-    "family-match": lambda p, N, d_max: verify_family_match(p, max(d_max, p.J + 1), N),
-    "expansion": lambda p, N, d_max: verify_expansion(p, p.J + _EXPANSION_DEPTH, N),
-    "valuation": lambda p, N, d_max: verify_valuations(p, N),
+    "hp-identities": lambda row, p, N, d_max: row.hp_identities(p.J + 1),
+    "hp-recursion": lambda row, p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N, row.floor),
+    "family-match": lambda row, p, N, d_max: row.walked(p) or verify_family_match(p, max(d_max, p.J + 1), N),
+    "expansion": lambda row, p, N, d_max: verify_expansion(p, p.J + _EXPANSION_DEPTH, N, row.floor, row.level),
+    "valuation": lambda row, p, N, d_max: verify_valuations(p, N, row.floor, row.walked(p)),
 }
 SUITES = tuple(SUITE_CHECKS)
-# the top floor above J each suite reads (hilbert._floor); the hilbert route reads J+1
+# the top floor above J each suite reads (_Row.floor); the hilbert route reads J+1
 _SUITE_FLOORS = {"hp-identities": 2, "hp-recursion": 2, "valuation": 2, "expansion": _EXPANSION_DEPTH + 1}
 
 
-def _run_route(name: str, params: GordonParams, order: int) -> tuple[PackedSeries | None, str | None]:
+def _cell_row(p: GordonParams, order: int) -> _Row:
+    """The row of cell p alone: the floor J+1 and the level its routes read."""
+    level = ProductIndex(p.r, p.product_index).level
+    return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)
+
+
+def _run_route(name: str, row: _Row, params: GordonParams) -> tuple[PackedSeries | None, str | None]:
     """The route's series, or None and ``"Type: message"`` when it raises or
-    returns anything but a series of order ``order``."""
+    returns anything but a series of the row's order."""
     try:
-        series = SERIES_ROUTES[name](params, order)
+        series = SERIES_ROUTES[name](row, params, row.order)
         got = getattr(series, "order", None)
-        if got != order:
-            raise ValueError(f"the route returned order {got}, not {order}")
+        if got != row.order:
+            raise ValueError(f"the route returned order {got}, not {row.order}")
         return series, None
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict, str, dict | None]:
+def _compare_routes(row: _Row, params: GordonParams) -> tuple[dict, dict, dict, str, dict | None]:
     """Each route's series or error, by name, each route's seconds, the
     verdict, and the first mismatch among the series, or None. The series
     are compared with ``==``, which for packed series in slots of one width
@@ -105,7 +169,7 @@ def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict,
     series, errors, seconds = {}, {}, {}
     for name in SERIES_ROUTES:
         start = time.perf_counter()
-        s, error = _run_route(name, params, order)
+        s, error = _run_route(name, row, params)
         if error:
             errors[name] = error
         else:
@@ -127,7 +191,7 @@ def _compare_routes(params: GordonParams, order: int) -> tuple[dict, dict, dict,
 def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, float]]:
     """The report ``verify --format json`` prints, and each route's seconds.
     Each distinct series is digested once, and equal routes share it."""
-    series, errors, seconds, verdict, mismatch = _compare_routes(params, order)
+    series, errors, seconds, verdict, mismatch = _compare_routes(_cell_row(params, order), params)
     routes, digests = {}, []
     for name in SERIES_ROUTES:
         if name in errors:
@@ -195,18 +259,17 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, range, range, range, range, int | None]]]:
+def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, range, range, range, range, int]]]:
     """A command's order and rows (r, floors, levels, is, js, walk), one per
     r with cells, ``floors`` the Hilbert floors each r reads, top down,
     ``levels`` the product tower levels it reads, up to J, or J+3 with
     expansion, from the level J-1 that the product route of i = r reads,
     ``is`` and ``js`` the i's, clipped to r, and J's of its cells, and
     ``walk`` the stage bound of each (r, J)'s suite walk, which runs to stage
-    max(walk, J+5) or J+N+2: ``d_max`` with family-match, 0 with valuation
-    alone, and None, no walk, with neither. Raises UsageError on
-    an r, i or J out of range, an empty grid, and with ``tower`` a tower
-    padded above MAX_PADDED_ORDER at the deepest level read; r_hi admits the
-    most i, so the ranges' ends decide both."""
+    max(walk, J+5) or J+N+2: ``d_max`` with family-match, else 0. Raises
+    UsageError on an r, i or J out of range, an empty grid, and with
+    ``tower`` a tower padded above MAX_PADDED_ORDER at the deepest level
+    read; r_hi admits the most i, so the ranges' ends decide both."""
     order = _order_from(args)
     r_lo, r_hi = _parse_range(str(args.r), "--r")
     j_lo, j_hi = _parse_range(str(args.J), "--J")
@@ -227,11 +290,7 @@ def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True
     floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
     levels = range(max(j_lo - 1, 0), level + 1)
     js = range(j_lo, j_hi + 1)
-    walk = None
-    if "family-match" in suites:
-        walk = d_max
-    elif "valuation" in suites:
-        walk = 0
+    walk = d_max if "family-match" in suites else 0
     rows = ((r, range(i_lo, min(r, i_hi) + 1)) for r in range(r_lo, r_hi + 1))
     return order, [(r, floors, levels, is_, js, walk) for r, is_ in rows if is_]
 
@@ -246,56 +305,24 @@ def cmd_verify(args) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
-def _suite_passes(suite: str, params: GordonParams, order: int, d_max: int) -> bool:
+def _suite_passes(suite: str, row: _Row, params: GordonParams, d_max: int) -> bool:
     """A suite that raises counts as failed, like a mismatch."""
     try:
-        return SUITE_CHECKS[suite](params, order, d_max)
+        return SUITE_CHECKS[suite](row, params, row.order, d_max)
     except Exception:
         return False
 
 
-def _scan_row(row: tuple[int, range, range, range, range, int | None, int, tuple[str, ...], int]) -> list[dict]:
-    """The reports of the row's cells, i first, then J. It first empties the
-    memo and files r's ``floors`` from one scan, its ``levels`` from one
-    climb, and the partition series and family limits of every i in ``is_``
-    at each J in ``js`` from one lane scan per J, as ``_floor``,
-    ``_family_at_level`` and ``_ascending`` return them. With a ``walk``, it
-    walks every i at each J as lanes of one suite walk to stage max(walk,
-    J+5), or J+N+2 if that comes first, and files the verdicts (``_match``,
-    ``_ladder``) of each pass that kept all its lanes clean. A side that
-    raises files nothing, so each reader fills it alone and fails its cell."""
-    r, floors, levels, is_, js, walk, order, suites, d_max = row
-    forget()  # a row holds all of its r's cells, so no cell reads an older r's entries
-    try:
-        for k, floor in zip(floors, _floors(r, floors, order)):
-            keep(_floor, (r, k, order), floor)
-    except Exception:  # it raises again in each route or suite that reads it
-        pass
-    try:
-        for level, family in zip(levels, _tower(r, levels, order)):
-            keep(_family_at_level, (r, level, order), family)
-    except Exception:  # each level is then climbed alone, and raises again, where it is read
-        pass
-    for J in js:
-        ells = [r - i + 1 for i in is_]
-        try:
-            for i, sides in zip(is_, _lane_scans(r, J, ells, order)):
-                keep(_ascending, (GordonParams(r, i, J), order), sides)
-        except Exception:  # each cell of this J then scans alone, and raises again
-            pass
-        if walk is None:
-            continue
-        for i, clean in zip(is_, _lane_walks(r, J, ells, order, max(walk, J + 5))):
-            if clean:  # else the cell walks alone, and fails where it did
-                params = GordonParams(r, i, J)
-                keep(_match, (params, max(walk, J + 1), order), True)
-                keep(_ladder, (params, order), True)
-    return [_scan_cell(GordonParams(r, i, J), order, suites, d_max) for i in is_ for J in js]
+def _scan_row(task: tuple[int, range, range, range, range, int, int, tuple[str, ...], int]) -> list[dict]:
+    """The reports of a plan row's cells, i first, then J, from one ``_Row``."""
+    r, floors, levels, is_, js, walk, order, suites, d_max = task
+    row = _Row(r, floors, levels, is_, walk, order)
+    return [_scan_cell(row, GordonParams(r, i, J), suites, d_max) for i in is_ for J in js]
 
 
-def _scan_cell(params: GordonParams, order: int, suites: tuple[str, ...], d_max: int) -> dict:
-    *_, identity, mismatch = _compare_routes(params, order)
-    suite_results = {suite: _suite_passes(suite, params, order, d_max) for suite in suites}
+def _scan_cell(row: _Row, params: GordonParams, suites: tuple[str, ...], d_max: int) -> dict:
+    *_, identity, mismatch = _compare_routes(row, params)
+    suite_results = {suite: _suite_passes(suite, row, params, d_max) for suite in suites}
     passed = identity == "pass" and all(suite_results.values())
     return {
         "r": params.r,
@@ -368,7 +395,8 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 def cmd_table(args) -> int:
     order, [(r, _, _, [i], [J], _)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
-    series, error = _run_route(TABLE_KINDS[args.kind], GordonParams(r, i, J), order)
+    params = GordonParams(r, i, J)
+    series, error = _run_route(TABLE_KINDS[args.kind], _cell_row(params, order), params)
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback
         print(f"error: {error}", file=sys.stderr)
@@ -445,7 +473,6 @@ def main(argv=None) -> int:
         else:
             words.append(word)
     args = build_parser().parse_args(words)
-    forget()  # every command starts cold
     try:
         return args.func(args)
     except UsageError as exc:

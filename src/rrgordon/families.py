@@ -16,39 +16,40 @@ on, and ``_walk`` stops there (``partitions._stages``). ``family_limit``
 realizes the q-adic limit as truncated stabilization, and it does not scan
 again: the partition route's lane scan of (r, J) goes on to that stop, so
 one scan serves the partition and family routes of every i of a plan, and
-only the stopping rule differs from ``gordon_series``. ``cli`` files both
-series of each cell, and ``family_limit`` reads them from the memo
-(``partitions._ascending``).
+only the stopping rule differs from ``gordon_series``. ``cli`` hands each
+cell of a scan both series off its (r, J)'s lane scan, and ``family_limit``
+reads its series off a one-lane scan of its cell (``partitions._ascending``).
 
 The ``family-match`` and ``valuation`` suites walk the family from its
 start e_ell (``_walk``) and check its guard bits and its ladder on that
-walk, not on the partition scan's states. ``cli`` walks every i of a plan's (r, J) as
-interleaved lanes of one such walk (``_lane_walks``) and files the verdicts
-of each pass whose lanes all stayed clean; ``_match`` and ``_ladder`` read
-them, and a cell of any other pass walks alone, as the suites do cold.
+walk, not on the partition scan's states. ``cli`` walks every i of a
+plan's (r, J) as interleaved lanes of one such walk (``_lane_walks``), and
+a cell whose pass did not keep all its lanes clean walks alone, as the
+suites do by default.
 
 ``verify_expansion`` checks that tower level s equals Hilbert floor s+1
 entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
-the memoized packed series as they are: both live in ``for_counts(N, r)``
-slots. The paper's stage-s expansion identities sum the stage-s entries
-times these factors, one side each. Where every level equals its floor the
-two sums are one sum, which telescopes through the floors' ``step`` to the
-cell's Hilbert side, and that is its product side, since level J equals
-floor J+1; so the check fails whenever an identity does. The sums alone
-would check only our own recursions: the Hilbert sum telescopes through
-``_floors``' one-step floors whatever the top floor is, and the product
-sum through ``products._climb`` for any tower whose divisions are exact.
+the packed series that floors and levels hand off as they are: both live in
+``for_counts(N, r)`` slots. The paper's stage-s expansion identities sum
+the stage-s entries times these factors, one side each. Where every level
+equals its floor the two sums are one sum, which telescopes through the
+floors' ``step`` to the cell's Hilbert side, and that is its product side,
+since level J equals floor J+1; so the check fails whenever an identity
+does. The sums alone would check only our own recursions: the Hilbert sum
+telescopes through ``_floors``' one-step floors whatever the top floor is,
+and the product sum through ``products._climb`` for any tower whose
+divisions are exact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .hilbert import _floor
 from .partitions import GordonParams, _ascending, _passes, _stages
 from .products import _family_at_level
-from .qseries import PackedSeries, TruncatedSeries, _PackedLayout, memo
+from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
     It is the cell's lane of the ascending scan of (r, J)
     (``partitions._lane_scans``), which goes on from the partition route's
     states at stage D = max(N, J+1) until entry 1 stops changing and every
-    later entry is zero to order N: what ``cli`` filed in the memo, or else
-    a one-lane scan of this cell alone.
+    later entry is zero to order N, here from a one-lane scan of this cell
+    alone.
     """
     return _ascending(params, N)[1]
 
@@ -120,13 +121,6 @@ def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
     """Walks the one family to stage d_max, or to its end if that comes
     first; it passes unless a step trips its guard bits and raises."""
-    return _match(params, d_max, N)
-
-
-@memo
-def _match(params: GordonParams, d_max: int, N: int) -> bool:
-    """``verify_family_match``'s verdict: what ``cli`` filed from the cell's
-    lane of a suite walk (``_lane_walks``), or else the cell's walk alone."""
     for _ in _walk(params.r, params.J, N, d_max, params.ell)[1]:
         pass
     return True
@@ -137,12 +131,10 @@ def _on_ladder(layout: _PackedLayout, stage: int, state: list[int]) -> bool:
     return all(layout._has_valuation(x, stage * j) for j, x in enumerate(state))
 
 
-@memo
 def _ladder(params: GordonParams, N: int) -> bool:
     """Whether entry j of the cell's walk has valuation at least d(j-1) at
     every stage d = J+1..J+5 (its last stage, where the walk ends sooner,
-    repeats past it): what ``cli`` filed from the cell's lane of a suite
-    walk (``_lane_walks``), or else the cell's walk alone."""
+    repeats past it), on the cell's walk alone."""
     layout, stages = _walk(params.r, params.J, N, params.J + 5, params.ell)
     return all(_on_ladder(layout, d, state) for d, state in stages)
 
@@ -166,23 +158,30 @@ def _lane_walks(r: int, J: int, ells: Sequence[int], N: int, end: int) -> list[b
     return out
 
 
-def verify_valuations(params: GordonParams, N: int) -> bool:
+def verify_valuations(params: GordonParams, N: int, floor: Callable[[int], tuple] | None = None, walked: bool = False) -> bool:
     """The valuation bounds behind the q-adic limit, to order N: the uncapped
     quotient one floor up is 1 + O(q^(J+2)), and entry j at stage
     d = J+1..J+5 has valuation at least d(j-1) (``_ladder``). Stages past
     the walk's end repeat its last one, so they hold it too. Both are
-    checked packed."""
-    layout, caps = _floor(params.r, params.J + 2, N)
+    checked packed. ``floor(k)`` reads floor k at (r, N), by default from
+    ``_floor``, and the ladder is not walked again when ``walked``: the
+    cell's lane of a suite walk stayed on it (``_lane_walks``)."""
+    floor = floor or (lambda k: _floor(params.r, k, N))
+    layout, caps = floor(params.J + 2)
     # only the q^0 coefficient of the uncapped series minus 1 can be negative
-    return layout._has_valuation(caps[-1] - layout.one, params.J + 2) and _ladder(params, N)
+    return layout._has_valuation(caps[-1] - layout.one, params.J + 2) and (walked or _ladder(params, N))
 
 
-def verify_expansion(params: GordonParams, d: int, N: int) -> bool:
+def verify_expansion(params: GordonParams, d: int, N: int, floor: Callable[[int], tuple] | None = None, level: Callable[[int], tuple] | None = None) -> bool:
     """Whether tower level s equals Hilbert floor s+1 to order N, entry j
     against cap r-j+1, at every s = J..d: the agreement both expansion
     identities at stages J+1..d reduce to. Compared packed, unchecked; a
-    stage d below J+1 raises ValueError."""
+    stage d below J+1 raises ValueError. ``floor(k)`` and ``level(s)`` read
+    floor k and level s at (r, N), by default from ``_floor`` and
+    ``_family_at_level``."""
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
     r = params.r
-    return all(_family_at_level(r, s, N)[1] == _floor(r, s + 1, N)[1][::-1] for s in range(d, params.J - 1, -1))
+    floor = floor or (lambda k: _floor(r, k, N))
+    level = level or (lambda s: _family_at_level(r, s, N))
+    return all(level(s)[1] == floor(s + 1)[1][::-1] for s in range(d, params.J - 1, -1))

@@ -14,10 +14,10 @@ a >= k, and f_k <= cap-1 when capped).
 
 One descending scan serves every cap at a floor and every floor below it,
 since floor k is floor k+1 after one more step, the peel of x_k:
-``_floors`` hands off the checked caps 1..r of each floor of a range. ``cli``
-files a scan's floors in the memo (``qseries.memo``), and ``_floor``, the
-one reader, scans a floor it lacks alone; ``hp_series`` and the suites only
-index its caps. The scan runs in slots that grow with its counts
+``_floors`` hands off the checked caps 1..r of each floor of a range, and
+its readers only index them: a ``cli`` row of each r of a scan, and
+``_floor``, a scan to one floor alone, for ``hp_series`` and for the suites
+handed no floors. The scan runs in slots that grow with its counts
 (``partitions._growing_scan``), which stay small for most of it, and it
 steps only the variables from N/2 down: a standard monomial of weight at
 most N has at most one variable above N/2, to the first power, so the
@@ -27,11 +27,12 @@ states after variables N..N/2+1 are read off in closed form.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import PackedSeries, _PackedLayout, memo
+from .qseries import PackedSeries, _PackedLayout
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
@@ -147,10 +148,9 @@ def _floors(r: int, floors: range, N: int) -> list[tuple[_PackedLayout, tuple[in
     return out
 
 
-@memo
 def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The layout and caps 1..r of floor k, as ``_floors`` hands them off:
-    what ``cli`` filed in the memo, or else a scan to this floor alone."""
+    """The layout and caps 1..r of floor k, as ``_floors`` hands them off
+    from a scan to this floor alone."""
     [floor] = _floors(r, range(k, k - 1, -1), N)
     return floor
 
@@ -167,19 +167,19 @@ def hp_series(spec: QuotientSpec, N: int) -> PackedSeries:
     return PackedSeries(layout, caps[(spec.cap or spec.r) - 1])
 
 
-@memo
-def verify_hp_identities(r: int, k: int, N: int) -> bool:
+def verify_hp_identities(r: int, k: int, N: int, floor: Callable[[int], tuple] | None = None) -> bool:
     """The three structural identities tying capped and uncapped quotients.
 
     cap 1 at k equals uncapped at k+1, compared packed; cap r at k equals
-    uncapped at k, compared as generator lists, since ``_floor`` keeps both
+    uncapped at k, compared as generator lists, since a floor keeps both
     series in one slot; and for every i, the capped expansion at k is the
     leading block followed by the uncapped expansion at k+1, compared as
-    generator tuples in their canonical order. The result
-    does not depend on i, so the memo keeps one bool per (r, k, N), and the
-    cells of one (r, J) share it.
+    generator tuples in their canonical order. ``floor(j)`` reads floor j
+    at (r, N), by default from ``_floor``. The result does not depend on i,
+    so ``cli`` checks it once per (r, k) of a scan, for all of its cells.
     """
-    if _floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]:
+    floor = floor or (lambda j: _floor(r, j, N))
+    if floor(k)[1][0] != floor(k + 1)[1][-1]:
         return False
     if expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N):
         return False
@@ -193,11 +193,13 @@ def verify_hp_identities(r: int, k: int, N: int) -> bool:
     return True
 
 
-def verify_hp_recursion(r: int, k: int, cap: int, N: int) -> bool:
+def verify_hp_recursion(r: int, k: int, cap: int, N: int, floor: Callable[[int], tuple] | None = None) -> bool:
     """Peel the lowest variable: the series at k capped at ``cap`` as a
-    q-power combination of capped series at k+1, compared packed."""
+    q-power combination of capped series at k+1, compared packed, with
+    ``floor`` as in ``verify_hp_identities``."""
     if not 1 <= cap <= r:
         raise ValueError(f"cap must lie in 1..{r}, got {cap}")
-    layout, above = _floor(r, k + 1, N)
+    floor = floor or (lambda j: _floor(r, j, N))
+    layout, above = floor(k + 1)
     rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, cap + 1))
-    return _floor(r, k, N)[1][cap - 1] == layout._check(rhs)
+    return floor(k)[1][cap - 1] == layout._check(rhs)

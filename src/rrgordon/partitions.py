@@ -16,16 +16,16 @@ of a plan, its starts as interleaved lanes of one int (``_lane_scans``).
 It goes on from the states at stage max(N, J+1) to the family walk's
 q-adic stop (``_stages``), so the family route (``families.family_limit``)
 does not scan again, and each lane hands off its partition series and its
-family limit. ``cli`` files them in the memo (``qseries.memo``) for every
-cell of a scan, and ``_ascending``, the one reader, scans a cell it lacks
-alone, in one lane. That scan and the Hilbert side's descending one
-(``hilbert._floor``) run as ``_growing_scan``: in slots as wide as the
-counts so far need, checked at every step, and handed off in the
-``_PackedLayout.for_counts`` slots that the a-priori bound gives. Each
-steps only the values up to N/2: a vector of weight at most N takes at
-most one part above N/2, once, so the values above it are summed in closed
-form (``_above_half``), at the end of the ascending scan to N and at the
-start of the descending one from N.
+family limit. ``cli`` runs one such scan per (r, J) of a scan and hands each
+cell its pair; ``gordon_series`` and ``family_limit`` read theirs off a
+one-lane scan of one cell (``_ascending``). That scan and the Hilbert
+side's descending one (``hilbert._floors``) run as ``_growing_scan``: in
+slots as wide as the counts so far need, checked at every step, and handed
+off in the ``_PackedLayout.for_counts`` slots that the a-priori bound
+gives. Each steps only the values up to N/2: a vector of weight at most N
+takes at most one part above N/2, once, so the values above it are summed
+in closed form (``_above_half``), at the end of the ascending scan to N and
+at the start of the descending one from N.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .qseries import PackedSeries, _PackedLayout, memo
+from .qseries import PackedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -316,11 +316,9 @@ def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[Packe
     return out
 
 
-@memo
 def _ascending(params: GordonParams, N: int) -> tuple[PackedSeries, PackedSeries]:
     """The cell's partition series and family limit, as ``_lane_scans``
-    hands them off: what ``cli`` filed in the memo, or else a one-lane scan
-    of this cell alone."""
+    hands them off from a one-lane scan of this cell alone."""
     [sides] = _lane_scans(params.r, params.J, (params.ell,), N)
     return sides
 

@@ -14,9 +14,9 @@ exact to order N. Every level below L is then exact to a higher order.
 
 So one climb per r serves every level a command reads: ``_tower(r, levels,
 N)`` climbs to the last level of a range and hands off each level of the
-range, cut to order N, as the climb passes it. ``cli`` files a scan's
-levels in the memo, as it files its floors, and ``_family_at_level``, the
-one reader, climbs a level it lacks alone.
+range, cut to order N, as the climb passes it. ``cli`` hands a scan's cells
+the levels of one climb per r, and ``_family_at_level`` climbs to one level
+alone, for ``product_series`` and an expansion suite handed no levels.
 
 The climb is Z[q]-linear and P is a unit, so every entry is P times the
 same climb applied to the theta series alone. ``_tower`` picks one of two
@@ -28,8 +28,8 @@ packed kernels from (r, L, N) alone, L the top level:
   partition counts, t the most terms of any theta sum (``_thetas``), and
   every result is checked below its guard bits. Each level handed off is
   then cut to order N and moved into ``for_counts(N, r)`` slots. Level 0
-  has no padding, so ``base_product`` reads its entries from this
-  kernel's memoized tower.
+  has no padding, so ``base_product`` reads its entry off this kernel's
+  climb to level 0.
 - padding above N (``_theta_family``): the climb runs on the theta series,
   in balanced signed slots of L + bitlen(t) + 2 bits rounded up to whole
   bytes, since a level-g coefficient is at most 2^g t in size. The levels
@@ -62,7 +62,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, memo
+from .qseries import NonDivisibleError, PackedSeries, _PackedLayout
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,9 @@ def base_product(r: int, ell: int, N: int) -> PackedSeries:
     """Base entry ell in 1..r: product of 1/(1-q^m) over allowed m up to N.
 
     A part value m is allowed unless m is congruent to 0 or +-(r-ell+1)
-    mod 2r+1. The entry is level 0 of the product tower (``_levels``), kept
-    in the memo (``qseries.memo``) like every other level. An overflow or a
-    negative coefficient raises ArithmeticError.
+    mod 2r+1. The entry is level 0 of the product tower (``_levels``), from
+    one climb to that level per call. An overflow or a negative coefficient
+    raises ArithmeticError.
     """
     if not 1 <= ell <= r:
         raise ValueError(f"ell must lie in 1..{r}, got {ell}")
@@ -331,12 +331,11 @@ def _tower(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int
     return kernel(r, levels, N)
 
 
-@memo
 def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
     """The r entries of one level, packed at order exactly N in
     ``for_counts(N, r)`` slots, with that layout, as ``_tower`` hands it
-    off: what ``cli`` filed in the memo, or else a climb to this level
-    alone. A negative level raises ValueError."""
+    off from a climb to this level alone. A negative level raises
+    ValueError."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
     [family] = _tower(r, range(level, level + 1), N)

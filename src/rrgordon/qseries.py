@@ -13,14 +13,15 @@ so they never overflow and never round. Two types hold one:
   ``PackedSeries`` digests and serializes through it.
 
 All operations are pure, and neither type changes a series after it is
-built, so both are safe to share between threads or processes. Mixed-order
-operations truncate to the smaller order: callers build high-order
-intermediates and compare at the target order.
+built, so both are safe to share between threads or processes. No module
+keeps a series between calls: a command keeps what it computed in the row
+it hands its cells (``cli``). Mixed-order operations truncate to the
+smaller order: callers build high-order intermediates and compare at the
+target order.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -130,34 +131,6 @@ def first_mismatch(a: TruncatedSeries | PackedSeries, b: TruncatedSeries | Packe
     return None
 
 
-# -- the memo: (args, result) of each call of a function ``memo`` wraps, under
-# (wrapper, args)
-_MEMO: dict = {}
-
-
-def memo(fn):
-    """Decorator that keeps ``fn``'s results in ``_MEMO`` until ``forget``."""
-    @functools.wraps(fn)
-    def memoized(*args):
-        key = (memoized, args)
-        if key not in _MEMO:
-            _MEMO[key] = args, fn(*args)
-        return _MEMO[key][1]
-    return memoized
-
-
-def keep(fn, args: tuple, value) -> None:
-    """Files ``value``, computed with others, as the memo's ``fn(*args)``,
-    ``fn`` from ``memo``, until ``forget``."""
-    _MEMO[(fn, args)] = args, value
-
-
-def forget() -> None:
-    """Empties the memo. Its lifetime is the caller's: ``cli`` empties it
-    before every command and before it fills a scan's next r."""
-    _MEMO.clear()
-
-
 # -- packed non-negative series (private step kernel) -------------------------
 
 
@@ -229,8 +202,8 @@ class _PackedLayout:
         a priori and loose (88 bits at r = 3 and order 500, where no count
         needs more than 54), so the long scans only grow up to these slots
         and hand their states off in them, and a tower hands every level of
-        its range off in them; the short walks and the readers of memoized
-        series use them throughout.
+        its range off in them; the short walks and the readers of what those
+        hand off use them throughout.
         """
         if order < 0:
             raise ValueError("order must be non-negative")

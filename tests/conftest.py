@@ -1,20 +1,10 @@
 import pytest
 
 from rrgordon import products
-from rrgordon.qseries import _PackedLayout, forget
+from rrgordon.qseries import _PackedLayout
 
 # (number, label, passed) tuples recorded by the acceptance tests
 _ACCEPTANCE: list[tuple[int, str, bool]] = []
-
-
-@pytest.fixture(autouse=True)
-def cold_memo():
-    """Every test starts and ends with the rrgordon memo empty, so no test
-    reads a result another test left, and none computed by a patched kernel
-    outlives its test."""
-    forget()
-    yield
-    forget()
 
 
 @pytest.fixture

@@ -52,10 +52,10 @@ MUTANTS = [
      "product_series(ProductIndex(r, ell), N)", "product_series(ProductIndex(r, r - ell + 1), N)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
     ("expansion compares level s with floor s", "families.py",
-     "_floor(r, s + 1, N)", "_floor(r, s, N)",
+     "floor(s + 1)", "floor(s)",
      ("tests/test_families.py::test_expansion_identities",)),
     ("expansion compares entry j with cap j", "families.py",
-     "_floor(r, s + 1, N)[1][::-1]", "_floor(r, s + 1, N)[1]",
+     "floor(s + 1)[1][::-1]", "floor(s + 1)[1]",
      ("tests/test_families.py::test_expansion_identities",)),
     ("an expansion that skips the left sides", "families.py",
      "for s in range(d, params.J - 1, -1)", "for s in range(d, params.J, -1)",
@@ -65,7 +65,7 @@ MUTANTS = [
      "family.append((layout, tuple(entries)))",
      ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[2-3-30]",)),
     ("a climb that files level g's entries under level g+1", "cli.py",
-     "keep(_family_at_level, (r, level, order), family)", "keep(_family_at_level, (r, level + 1, order), family)",
+     "zip(self.levels, _tower(", "zip([g + 1 for g in self.levels], _tower(",
      ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[five-suites]",)),
     ("a theta pass whose lanes are split one level off", "products.py",
      "for j in range(0, lanes, r)]", "for j in range(r, lanes + r, r)]",
@@ -77,7 +77,7 @@ MUTANTS = [
      "levels = range(max(j_lo - 1, 0), level + 1)", "levels = range(j_lo, level + 1)",
      ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[from-J-1]",)),
     ("a tower fill whose error escapes its cell", "cli.py",
-     "except Exception:  # each level is then climbed alone", "except ZeroDivisionError:  # each level is then climbed alone",
+     "return series, None\n    except Exception as exc:", "return series, None\n    except ZeroDivisionError as exc:",
      ("tests/test_cli.py::test_a_tower_fill_that_raises_fails_its_cells",)),
     ("an XOR first mismatch one slot off", "qseries.py",
      "return a.order - (x.bit_length() - 1) // a.layout.bits if x else None",
@@ -98,7 +98,7 @@ MUTANTS = [
      "expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N)", "False",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_the_full_cap_drops_a_generator",)),
     ("hp-identities without the floor check", "hilbert.py",
-     "_floor(r, k, N)[1][0] != _floor(r, k + 1, N)[1][-1]", "False",
+     "floor(k)[1][0] != floor(k + 1)[1][-1]", "False",
      ("tests/test_hilbert.py::test_hp_identities_fail_when_the_floor_above_moves",)),
     ("hp-identities without the block check", "hilbert.py",
      "if expand_generators(QuotientSpec(r, k, cap=i), N).generators != block + tail:", "if False:",
@@ -111,7 +111,7 @@ MUTANTS = [
      ("tests/test_families.py::test_match_stops_where_the_walks_are_constant",
       "tests/test_families.py::test_valuations_stop_at_the_walks_end")),
     ("expansion reads stage s's product factors from level s-1", "families.py",
-     "_family_at_level(r, s, N)", "_family_at_level(r, s - 1, N)",
+     "level(s)[1] == floor", "level(s - 1)[1] == floor",
      ("tests/test_families.py::test_expansion_identities",)),
     ("left sides read at slot i instead of ell", "partitions.py",
      "return (self.r - 1) * self.J + self.ell", "return (self.r - 1) * self.J + self.i",
@@ -159,7 +159,7 @@ MUTANTS = [
      "wider = _PackedLayout(N, r, bits, len(ells))",
      ("tests/test_packed.py::test_growing_scans_stop_at_for_counts",)),
     ("a route of another order passes", "cli.py",
-     "if got != order:", "if False:",
+     "if got != row.order:", "if False:",
      ("tests/test_cli.py::test_a_series_one_order_short_fails_closed",)),
     ("a padded-order check on every table kind", "cli.py",
      'tower=args.kind == "product"', "tower=True",
@@ -170,22 +170,31 @@ MUTANTS = [
     ("pentagonal numbers that keep the exponent 0", "products.py",
      "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
-    ("a scan that keeps memo entries across r", "cli.py",
-     "forget()  # a row holds all", "None  # a row holds all",
-     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
-    ("a main() that does not start cold", "cli.py",
-     "forget()  # every command starts cold", "None",
+    ("a scan that keeps its first row across r", "cli.py",
+     "row = _Row(r, floors, levels, is_, walk, order)",
+     'row = _scan_row.__dict__.setdefault("row", _Row(r, floors, levels, is_, walk, order))',
+     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_its_row",)),
+    ("a main() that does not start cold: a cell's row kept across commands", "cli.py",
+     "return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)",
+     "return _cell_row.__dict__.setdefault((p, order), _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1),"
+     " range(p.i, p.i + 1), 0, order))",
      ("tests/test_cli.py::test_each_command_starts_cold",)),
-    ("a memo entry read for other arguments", "qseries.py",
-     "key = (memoized, args)", "key = (memoized, args[:-1])",
-     ("tests/test_packed.py::test_floor_checks_the_caps_it_keeps",)),
-    ("a memo key that drops r", "qseries.py",
-     "(memoized, args)", "(memoized, args[1:])",
-     ("tests/test_cli.py::test_library_calls_across_r_return_cold_series",)),
+    ("a one-cell row that computes every route's side up front", "cli.py",
+     "return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)",
+     "row = _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)\n"
+     "    row.floor(p.J + 1), row.level(level), row.ascending(p)\n"
+     "    return row",
+     ("tests/test_cli.py::test_table_computes_only_its_kind",)),
+    ("a lane scan read for another J", "cli.py",
+     '("scan", p.J)', '"scan"',
+     ("tests/test_cli.py::test_a_scan_runs_one_ascending_scan_per_r_and_J",)),
+    ("an hp-identities verdict kept without its floor", "cli.py",
+     '("hp-identities", k)', '"hp-identities"',
+     ("tests/test_cli.py::test_hp_identities_run_once_per_r_and_floor",)),
     ("a partition scan kept for every cell", "partitions.py",
      "out += zip(series, limits)",
      "out += [(x, y, state) for x, y in zip(series, limits)]",
-     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_the_memo",)),
+     ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_its_row",)),
     ("a step that shifts state j by (u+1)(j-1)", "qseries.py",
      "s = u * (j - 1)", "s = (u + 1) * (j - 1)",
      ("tests/test_partitions.py::test_gordon_series_frozen_values",)),
@@ -222,8 +231,15 @@ MUTANTS = [
      "for i in is_ for J in js] if f.exception()", "for i in is_[:1] for J in js[:1]] if f.exception()",
      ("tests/test_cli.py::test_dead_scan_worker_fails_its_cells",)),
     ("a floor fill whose error escapes its cell", "cli.py",
-     "except Exception:  # it raises again", "except ZeroDivisionError:  # it raises again",
+     "except Exception:\n        return False", "except ZeroDivisionError:\n        return False",
      ("tests/test_cli.py::test_a_floor_fill_that_raises_fails_its_cells",)),
+    ("a raised side computed again by each reader", "cli.py",
+     "                self._sides[key] = exc", "                raise",
+     ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",
+      "tests/test_cli.py::test_a_lane_scan_that_raises_runs_once_per_J")),
+    ("hp-identities computed once per cell", "cli.py",
+     "row.hp_identities(p.J + 1)", "verify_hp_identities(p.r, p.J + 1, N, row.floor)",
+     ("tests/test_cli.py::test_hp_identities_run_once_per_r_and_floor",)),
     ("a plan that checks the padded order at (r_lo, J_lo)", "cli.py",
      "_padded_order(r_hi, level, order)", "_padded_order(r_lo, level - j_hi + j_lo, order)",
      ("tests/test_cli.py::test_padded_order_above_max_is_usage_error[argv2]",)),
@@ -241,17 +257,17 @@ MUTANTS = [
      "d > J + 5 or _on_ladder(layout, d, state) for", "True for",
      ("tests/test_cli.py::test_a_suite_walk_off_the_ladder_files_nothing",)),
     ("a suite walk that ends at J+5 when d_max is larger", "cli.py",
-     "max(walk, J + 5)", "J + 5",
+     "max(self.walk, p.J + 5)", "p.J + 5",
      ("tests/test_cli.py::test_a_scan_runs_one_suite_walk_per_r_and_J",)),
-    ("a plan that walks without either walking suite", "cli.py",
-     'elif "valuation" in suites:', "else:",
+    ("a scan that walks without either walking suite: a lane scan walks too", "cli.py",
+     'return self._side(("scan", p.J)', 'self.walked(p)\n        return self._side(("scan", p.J)',
      ("tests/test_cli.py::test_a_scan_without_the_walking_suites_walks_nothing[]",)),
     ("an expansion that emits each pure power before its block", "hilbert.py",
      "for e in range(max(1, (b + 1) * r - N), r + 1)", "for e in (r, *range(max(1, (b + 1) * r - N), r))",
      ("tests/test_hilbert.py::test_expanded_generators_are_the_sorted_reference_set",)),
     ("a scan cell that digests its routes", "cli.py",
-     "*_, identity, mismatch = _compare_routes(params, order)",
-     "series, *_, identity, mismatch = _compare_routes(params, order)\n"
+     "*_, identity, mismatch = _compare_routes(row, params)",
+     "series, *_, identity, mismatch = _compare_routes(row, params)\n"
      "    [s.fingerprint() for s in series.values()]",
      ("tests/test_cli.py::test_a_passing_scan_unpacks_and_digests_nothing",)),
 ]

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import gc
 import hashlib
 import itertools
 import json
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from rrgordon import cli, families, hilbert, partitions, products, qseries
+from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
-from rrgordon.families import verify_valuations
-from rrgordon.hilbert import QuotientSpec, hp_series
+from rrgordon.families import family_limit, verify_valuations
+from rrgordon.hilbert import gordon_quotient, hp_series
 from rrgordon.partitions import GordonParams, gordon_series
+from rrgordon.products import ProductIndex, product_series
 from rrgordon.qseries import NonDivisibleError, PackedSeries, TruncatedSeries, _PackedLayout
 
 
@@ -24,6 +26,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def route_series(name, params, N):
+    """The route's series of one cell, read from a row of that cell alone."""
+    return SERIES_ROUTES[name](cli._cell_row(params, N), params, N)
+
+
+def record_rows(monkeypatch) -> list:
+    """Every ``cli._Row`` that a scan cell reads from here on, once each, in
+    the order of their first cells."""
+    rows, scan_cell = [], cli._scan_cell
+
+    def recorded(row, params, *args):
+        assert row.r == params.r
+        if not any(row is seen for seen in rows):
+            rows.append(row)
+        return scan_cell(row, params, *args)
+
+    monkeypatch.setattr(cli, "_scan_cell", recorded)
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -76,8 +98,8 @@ def test_verify_usage_errors(capsys, argv):
 
 
 def test_verify_reports_first_mismatch(capsys, monkeypatch):
-    def broken(params, N):
-        coeffs = list(SERIES_ROUTES["partition"](params, N).coeffs)
+    def broken(row, params, N):
+        coeffs = list(SERIES_ROUTES["partition"](row, params, N).coeffs)
         coeffs[7] += 1
         return TruncatedSeries(tuple(coeffs))
 
@@ -89,7 +111,7 @@ def test_verify_reports_first_mismatch(capsys, monkeypatch):
 
 
 def test_verify_route_error_fails(capsys, monkeypatch):
-    def exploding(params, N):
+    def exploding(row, params, N):
         raise NonDivisibleError("coefficient 1 at exponent 0 blocks division by q^2")
 
     monkeypatch.setitem(SERIES_ROUTES, "product", exploding)
@@ -102,13 +124,13 @@ def test_mismatch_and_errors_with_two_bumped_routes_and_a_crash(capsys, monkeypa
     originals = dict(SERIES_ROUTES)
 
     def bumped(route, exponent):
-        def series(params, N):
-            coeffs = list(originals[route](params, N).coeffs)
+        def series(row, params, N):
+            coeffs = list(originals[route](row, params, N).coeffs)
             coeffs[exponent] += 1
             return TruncatedSeries(tuple(coeffs))
         return series
 
-    def crashing(params, N):
+    def crashing(row, params, N):
         raise RuntimeError("tower fell over")
 
     monkeypatch.setitem(SERIES_ROUTES, "product", crashing)
@@ -131,7 +153,7 @@ def test_mismatch_and_errors_with_two_bumped_routes_and_a_crash(capsys, monkeypa
 
 
 def test_route_crash_stays_in_report(capsys, monkeypatch):
-    def crashing(params, N):
+    def crashing(row, params, N):
         raise RuntimeError("entry 1 failed to stabilize")
 
     monkeypatch.setitem(SERIES_ROUTES, "family", crashing)
@@ -148,7 +170,7 @@ def test_route_crash_stays_in_report(capsys, monkeypatch):
 
 
 def test_suite_crash_counts_as_fail(capsys, monkeypatch):
-    def crashing(params, N, d_max):
+    def crashing(row, params, N, d_max):
         raise RuntimeError("suite blew up")
 
     monkeypatch.setitem(SUITE_CHECKS, "valuation", crashing)
@@ -179,11 +201,11 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
     report, _ = build_report(params, 30)
     assert report["verdict"] == "pass" and len(digested) == 1
     fingerprints = {route["fingerprint"] for route in report["routes"].values()}
-    assert fingerprints == {digest(SERIES_ROUTES["partition"](params, 30))}
+    assert fingerprints == {digest(route_series("partition", params, 30))}
 
     # a bumped route gets its own digest, and only the bumped exponent differs
-    def bumped(params, N):
-        coeffs = list(SERIES_ROUTES["partition"](params, N).coeffs)
+    def bumped(row, params, N):
+        coeffs = list(SERIES_ROUTES["partition"](row, params, N).coeffs)
         coeffs[11] += 1
         return TruncatedSeries(tuple(coeffs))
 
@@ -191,7 +213,7 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
     digested.clear()
     report, _ = build_report(params, 30)
     assert len(digested) == 2 and report["mismatch"]["exponent"] == 11
-    assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(params, 30))
+    assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(cli._cell_row(params, 30), params, 30))
     assert report["routes"]["product"]["fingerprint"] == report["routes"]["family"]["fingerprint"]
 
 
@@ -213,13 +235,13 @@ def test_a_passing_scan_unpacks_and_digests_nothing(capsys, monkeypatch):
     assert (len(unpacked), len(digested)) == (1, 1)
 
 
-def packed_route(route, slot=None, extra_bits=0):
+def packed_route(name, slot=None, extra_bits=0):
     """The route's packed series, with slot ``slot`` bumped by one, then
     moved into slots ``extra_bits`` wider."""
-    original = SERIES_ROUTES[route]
+    original = SERIES_ROUTES[name]
 
-    def series(params, N):
-        s = original(params, N)
+    def series(row, params, N):
+        s = original(row, params, N)
         layout, x = s.layout, s.packed
         if slot is not None:
             x += 1 << slot * layout.bits
@@ -274,9 +296,15 @@ def test_a_packed_bump_is_read_from_the_xor_and_the_slots(capsys, monkeypatch, e
 
 @pytest.mark.parametrize("route,kind", [("product", "product"), ("partition", "counts"), ("hilbert", "hilbert")])
 def test_a_series_one_order_short_fails_closed(capsys, monkeypatch, route, kind):
-    # the short series is a true prefix, so no exponent they share differs
+    # the short series is a true prefix, so no exponent they share differs:
+    # slot 0, which holds q^N, is shifted off
     original = SERIES_ROUTES[route]
-    monkeypatch.setitem(SERIES_ROUTES, route, lambda p, N: original(p, N - 1))
+
+    def short(row, p, N):
+        s = original(row, p, N)
+        return PackedSeries(_PackedLayout(N - 1, p.r, s.layout.bits), s.packed >> s.layout.bits)
+
+    monkeypatch.setitem(SERIES_ROUTES, route, short)
     cell = ["--r", "3", "--i", "2", "--J", "1", "--order", "20"]
     code, out, _ = run(capsys, "verify", *cell, "--format", "json")
     assert code == 1
@@ -291,7 +319,7 @@ def test_a_series_one_order_short_fails_closed(capsys, monkeypatch, route, kind)
 
 @pytest.mark.parametrize("route", ["product", "partition", "hilbert", "family"])
 def test_a_route_that_returns_no_series_fails_its_cell(capsys, monkeypatch, route):
-    monkeypatch.setitem(SERIES_ROUTES, route, lambda p, N: None)
+    monkeypatch.setitem(SERIES_ROUTES, route, lambda row, p, N: None)
     code, out, _ = run(capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "10")
     assert code == 1
     assert f"{route:<10} ERROR ValueError: the route returned order None, not 10" in out
@@ -380,7 +408,7 @@ def test_scan_usage_errors(capsys, argv):
 
 def test_scan_fails_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(
-        SERIES_ROUTES, "family", lambda p, N: TruncatedSeries((1,) + (0,) * N)
+        SERIES_ROUTES, "family", lambda row, p, N: TruncatedSeries((1,) + (0,) * N)
     )
     code, out, _ = run(capsys, "scan", "--r", "2", "--J", "0..1", "--order", "10")
     assert code == 1
@@ -441,7 +469,7 @@ def test_table_out_unwritable_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_table_route_crash_is_one_error_line(tmp_path, capsys, monkeypatch, out):
-    def crashing(params, N):
+    def crashing(row, params, N):
         raise ArithmeticError("a 8-bit slot reached its guard bits")
 
     monkeypatch.setitem(SERIES_ROUTES, "partition", crashing)
@@ -611,7 +639,7 @@ def test_padded_order_above_max_is_usage_error(capsys, monkeypatch, argv):
     # J = 160 pads the r = 2 tower to order 50 + 160*161/2 = 12930
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
     code, out, err = run(capsys, *argv)
     assert (code, out, ran) == (2, "", [])
     assert err.startswith("error: ") and f"above {cli.MAX_PADDED_ORDER}" in err
@@ -638,7 +666,7 @@ def test_table_of_a_towerless_kind_ignores_the_padded_order(capsys, kind):
 def test_r_above_max_is_usage_error(capsys, monkeypatch, argv):
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
     code, out, err = run(capsys, *(a.format(cli.MAX_R + 1) for a in argv))
     assert (code, out, ran) == (2, "", [])
     assert err.startswith("error: ") and f"at most {cli.MAX_R}" in err
@@ -665,7 +693,7 @@ def test_max_padded_order_admits_the_baselines():
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
     cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), None)])
+    assert cli._plan(cell) == (200, [(5, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), 0)])
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
         order, rows = cli._plan(grid, suites)
@@ -687,8 +715,8 @@ def test_expansion_suite_is_checked_at_its_deepest_level(capsys, monkeypatch):
     # expansion suite reads level J+3, which pads to 388 + 4*45*46/2 = 4528
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda p, N, name=name: ran.append(name))
-    monkeypatch.setitem(SUITE_CHECKS, "expansion", lambda p, N, d_max: ran.append("expansion"))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
+    monkeypatch.setitem(SUITE_CHECKS, "expansion", lambda row, p, N, d_max: ran.append("expansion"))
     argv = ("scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
     code, out, err = run(capsys, *argv, "--suites", "expansion")
     assert (code, out, ran) == (2, "", [])
@@ -710,12 +738,12 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
         new = step(self, state, u)
         return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
-    # the suite's hp tail is read from the memo, filled by the correct step,
-    # so only the family ladder can fail it
-    hp_series(QuotientSpec(3, 3), 20)
+    # the suite is handed its hp tail, computed by the correct step, so only
+    # the family ladder can fail it
+    floor = hilbert._floor(3, 3, 20)
     monkeypatch.setattr(_PackedLayout, "step", short)
-    assert not verify_valuations(GordonParams(3, 2, 1), 20)
-    # a command starts cold, so there the short step fills the hp tail too
+    assert not verify_valuations(GordonParams(3, 2, 1), 20, lambda k: floor)
+    # a command computes its own, so there the short step computes the hp tail too
     argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
@@ -741,9 +769,8 @@ def test_five_suite_scan_keeps_its_bytes_at_orders_0_to_3(capsys, order, want):
 
 
 def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
-    """(r, floor) of every descending scan from here on: one per fill of a
-    scan's r, to its top floor, and one per floor read that the memo did
-    not hold."""
+    """(r, floor) of every descending scan from here on: one per row whose
+    cells read a floor, to the row's top floor."""
     scan, scans = partitions._growing_scan, []
 
     def counted(r, N, values, *args):
@@ -758,7 +785,7 @@ def count_descending_scans(monkeypatch) -> list[tuple[int, int]]:
 def test_five_suite_scan_runs_one_hilbert_scan_per_r(capsys, monkeypatch):
     # every cap at floor k is a prefix sum of one descending scan N..k, and
     # floor k is floor k+1 after one more step; the grid reads floors
-    # J+1..J+4 for J = 0..3, and each r's row fills floors 7..1
+    # J+1..J+4 for J = 0..3, and each r's row reads floors 7..1
     # from one scan to 7: 4 scans, where one per floor ran 28 and one DP per
     # quotient and order 118
     scans = count_descending_scans(monkeypatch)
@@ -786,9 +813,9 @@ def test_verify_steps_the_values_up_to_half_the_order(capsys, step_values):
 
 
 def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
-    # each r's row fills its floors; a fill that raises leaves
-    # each route and suite that reads a floor to raise and fail its cell,
-    # with no traceback
+    # each r's row scans its floors; a scan that raises leaves each route
+    # and suite that reads a floor to raise and fail its cell, with no
+    # traceback
     def failing(*args):
         raise ArithmeticError("a 8-bit slot reached its guard bits")
 
@@ -802,11 +829,11 @@ def test_a_floor_fill_that_raises_fails_its_cells(capsys, monkeypatch):
 
 
 def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_climbs):
-    # a row fills its r once, before its cells, and no cell fills it again:
-    # one climb files every level, and the 13 scans are the fill's and, in
-    # each of the 6 cells, the hilbert route's and the expansion suite's,
-    # each of one floor; a fill per cell ran 6 climbs and 18 scans. The
-    # digest is sha256 of the exit code and stdout, as in test_golden.py
+    # a row scans its floors once, for all of its cells, and keeps the
+    # error, which every cell's hilbert route and expansion suite reads:
+    # one climb and one scan, where a memo that kept no error ran 13 scans,
+    # and a fill per cell ran 6 climbs and 18 scans. The digest is sha256 of
+    # the exit code and stdout, as in test_golden.py
     scans = []
 
     def failing(*args):
@@ -816,7 +843,7 @@ def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_cli
     monkeypatch.setattr(hilbert, "_growing_scan", failing)
     argv = ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "10", "--suites", "expansion", "--format", "json")
     code, out, _ = run(capsys, *argv)
-    assert (code, len(tower_climbs), len(scans)) == (1, 1, 13)
+    assert (code, len(tower_climbs), len(scans)) == (1, 1, 1)
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == "cc559cc2398f1a33ae02672eae133fcfc3f359d24b75b90fa63ac094aae7235b"
 
 
@@ -831,8 +858,8 @@ def test_a_floor_fill_that_raises_runs_once_per_r(capsys, monkeypatch, tower_cli
     ids=["five-suites", "from-J-1"],
 )
 def test_a_scan_climbs_one_tower_per_r(capsys, tower_climbs, grid, climbs):
-    # each r's row climbs its tower once, to the deepest level
-    # the grid reads, and hands off every level its cells read
+    # each r's row climbs its tower once, to the deepest level the grid
+    # reads, and hands its cells every level they read
     code, _, _ = run(capsys, "scan", "--i", "all", "--order", "60", *grid)
     assert (code, tower_climbs) == (0, climbs)
 
@@ -843,9 +870,9 @@ def test_verify_climbs_one_level(capsys, tower_climbs):
 
 
 def test_a_tower_fill_that_raises_fails_its_cells(capsys, monkeypatch):
-    # each r's row climbs its tower; a climb that raises leaves
-    # each product route and expansion suite that reads a level to climb it
-    # alone, raise again and fail its cell, with no traceback
+    # each r's row climbs its tower; a climb that raises leaves each product
+    # route and expansion suite that reads a level to raise its error and
+    # fail its cell, with no traceback
     def failing(*args):
         raise ArithmeticError("a 8-bit slot reached its guard bits")
 
@@ -862,7 +889,7 @@ def test_a_tower_fill_that_raises_fails_its_cells(capsys, monkeypatch):
 
 def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
     # the suite does not depend on i, so the 56 cells of an --i all scan
-    # share 16 computations, one per (r, J), through the memo; each
+    # share 16 computations, one per (r, J), through their rows; each
     # computation expands the cap-1 ideal at its floor once, and nothing
     # else in the scan expands a capped ideal
     expand, computed = hilbert.expand_generators, []
@@ -879,25 +906,30 @@ def test_hp_identities_run_once_per_r_and_floor(capsys, monkeypatch):
     assert computed == [(r, J + 1) for r in range(2, 6) for J in range(4)]
 
 
-def test_scan_keeps_only_the_current_r_in_the_memo(capsys):
-    # each r's row empties the memo, since no later cell reads an older
-    # r's floors, levels and lane scans; of the lane scans only each cell's
-    # two series stay, not the r states they were summed and stepped from
+def live_packed_series() -> int:
+    gc.collect()
+    return sum(isinstance(obj, PackedSeries) for obj in gc.get_objects())
+
+
+def test_scan_keeps_only_the_current_r_in_its_row(capsys, monkeypatch):
+    # each r's cells read one row of that r; of the lane scans a row keeps
+    # only each cell's two series, not the r states they were summed and
+    # stepped from, and no series the scan computed outlives its rows
+    rows, before = record_rows(monkeypatch), live_packed_series()
     argv = ("scan", "--r", "2..4", "--i", "all", "--J", "0..1", "--order", "12", "--suites", ",".join(cli.SUITES))
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    rs = [args[0] if isinstance(args[0], int) else args[0].r for args, _ in qseries._MEMO.values()]
-    assert rs and set(rs) == {4}
-    scans = {args: value for (fn, args), (_, value) in qseries._MEMO.items() if fn is partitions._ascending}
-    assert sorted(scans, key=str) == sorted(((GordonParams(4, i, J), 12) for i in range(1, 5) for J in (0, 1)), key=str)
-    for partition, family in scans.values():
-        assert type(partition) is type(family) is PackedSeries
+    assert [row.r for row in rows] == [2, 3, 4]
+    scans = [(key, side) for key, side in rows[-1]._sides.items() if key[0] == "scan"]
+    assert [(key, sorted(side)) for key, side in scans] == [(("scan", J), [1, 2, 3, 4]) for J in (0, 1)]
+    assert {tuple(map(type, pair)) for _, side in scans for pair in side.values()} == {(PackedSeries, PackedSeries)}
+    rows.clear(), scans.clear()
+    assert live_packed_series() == before
 
 
 def test_each_command_starts_cold(capsys, monkeypatch):
-    # main empties the memo before every command, so a second identical
-    # command in the same process runs its own descending scans; a scan's
-    # rows empty it too, so only verify and table rest on main alone
+    # each command builds its own rows, so a second identical command in
+    # the same process runs its own descending scans
     scans = count_descending_scans(monkeypatch)
     for argv in [
         ("scan", "--r", "3", "--i", "all", "--J", "0..1", "--order", "12", "--suites", "hp-identities"),
@@ -911,23 +943,24 @@ def test_each_command_starts_cold(capsys, monkeypatch):
 
 
 def test_library_calls_across_r_return_cold_series(monkeypatch):
-    # with no command to empty it, the memo keeps every r's entries apart:
-    # r = 3, then 5, then 3 again give the cold series, and the second
-    # r = 3 reads its floors from the memo
-    def routes(r):
+    # the library keeps nothing between calls: r = 3, then 5, then 3 again
+    # give the series that the routes read off a row of the cell, and the
+    # second r = 3 scans its floor again
+    def library(r):
         params, N = GordonParams(r, 2, 1), 15
-        return [SERIES_ROUTES[name](params, N) for name in SERIES_ROUTES]
+        return [
+            product_series(ProductIndex(r, params.product_index), N),
+            gordon_series(params, N),
+            hp_series(gordon_quotient(params), N),
+            family_limit(None, params, N),
+        ]
 
-    cold = {}
-    for r in (3, 5):
-        qseries.forget()
-        cold[r] = routes(r)
-    qseries.forget()
+    cold = {r: [route_series(name, GordonParams(r, 2, 1), 15) for name in SERIES_ROUTES] for r in (3, 5)}
     scans = count_descending_scans(monkeypatch)
-    assert [routes(r) for r in (3, 5)] == [cold[3], cold[5]]
+    assert [library(r) for r in (3, 5)] == [cold[3], cold[5]]
     before = len(scans)
-    assert routes(3) == cold[3]
-    assert len(scans) == before
+    assert library(3) == cold[3]
+    assert len(scans) == before + 1
 
 
 def test_verify_runs_one_ascending_scan(capsys, monkeypatch):
@@ -993,6 +1026,50 @@ def test_a_scan_splits_its_lanes_by_the_lane_budget(capsys, monkeypatch):
     monkeypatch.setattr(partitions, "_LANE_BYTES", 2 * 5 * 61 * _PackedLayout.for_counts(60, 5).bits // 8)
     assert run(capsys, *argv) == want
     assert scans == [(5, J + 1, ells) for J in (0, 1) for ells in ((5, 4), (3, 2), (1,))]
+
+
+def test_a_lane_scan_that_raises_runs_once_per_J(capsys, monkeypatch):
+    # a row keeps the error of an ascending lane scan that raises, and the
+    # partition and family routes of every cell of its J read that error:
+    # one scan per (r, J), where readers that scanned again ran 24
+    scans, scan = [], partitions._growing_scan
+    error = "ArithmeticError: a 8-bit slot reached its guard bits"
+
+    def failing(r, N, values, *ells):
+        if values.step > 0:
+            scans.append((r, values.start, ells))
+            raise ArithmeticError(error.partition(": ")[2])
+        return scan(r, N, values, *ells)
+
+    errors, compare = [], cli._compare_routes
+
+    def recorded(row, params):
+        result = compare(row, params)
+        errors.append(result[1])
+        return result
+
+    monkeypatch.setattr(partitions, "_growing_scan", failing)
+    monkeypatch.setattr(cli, "_compare_routes", recorded)
+    argv = ("scan", "--r", "2..3", "--i", "all", "--J", "0..1", "--order", "20", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["failed"]) == (1, 10)
+    assert scans == [(r, J + 1, tuple(range(r, 0, -1))) for r in (2, 3) for J in (0, 1)]
+    assert errors == [{"partition": error, "family": error}] * 10
+
+
+def test_table_computes_only_its_kind(capsys, monkeypatch, tower_climbs):
+    # a table's row computes a side on its first read, so each kind runs
+    # only the scan or the climb that its route reads
+    descending, ascending = count_descending_scans(monkeypatch), count_ascending_scans(monkeypatch)
+    cell = ("--r", "3", "--i", "2", "--J", "1", "--order", "30")
+    for kind, want in [
+        ("counts", ([], [], [(3, 2, (2,))])),
+        ("product", ([(3, range(1, 2))], [], [])),
+        ("hilbert", ([], [(3, 2)], [])),
+    ]:
+        tower_climbs.clear(), descending.clear(), ascending.clear()
+        assert run(capsys, "table", "--kind", kind, *cell)[0] == 0
+        assert (tower_climbs, descending, ascending) == want, kind
 
 
 def count_suite_walks(monkeypatch) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -1091,12 +1168,14 @@ def test_a_suite_walk_off_the_ladder_files_nothing(capsys, monkeypatch):
     ] * 3
 
 
-def test_a_passing_cell_files_one_series_for_both_sides(capsys):
+def test_a_passing_cell_files_one_series_for_both_sides(capsys, monkeypatch):
     # a passing cell's family limit equals its partition series int for
-    # int, so the memo keeps one series for both
+    # int, so the row keeps one series for both
+    rows = record_rows(monkeypatch)
     argv = ("scan", "--r", "4", "--i", "all", "--J", "0..1", "--order", "30", "--format", "json")
     assert run(capsys, *argv)[0] == 0
-    sides = [value for (fn, _), (_, value) in qseries._MEMO.items() if fn is partitions._ascending]
+    [row] = rows
+    sides = [pair for key, side in row._sides.items() if key[0] == "scan" for pair in side.values()]
     assert len(sides) == 8
     assert all(partition is family for partition, family in sides)
 
@@ -1122,11 +1201,11 @@ def test_huge_grid_is_refused_before_its_cells_are_built(capsys):
 _SCAN_CELL = cli._scan_cell
 
 
-def _scan_cell_dying_at_3_2_0(params, order, suites, d_max):
+def _scan_cell_dying_at_3_2_0(row, params, suites, d_max):
     # module level, as the worker's rows call it by name
     if (params.r, params.i, params.J) == (3, 2, 0):
         os._exit(3)
-    return _SCAN_CELL(params, order, suites, d_max)
+    return _SCAN_CELL(row, params, suites, d_max)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched cell reaches workers by fork")

@@ -8,13 +8,14 @@ reduce to, and on correct code it must return what the reference returns
 on every stage up to d.
 """
 
+import argparse
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrgordon import families, hilbert, partitions, products
+from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
     family_at_stage,
@@ -275,28 +276,30 @@ def with_coeff(layout, x, n, value):
 
 
 def set_entry_coeff(monkeypatch, attr, key, at, n, value):
-    """Patch ``families``' packed cache ``attr``, ``_floor`` or
-    ``_family_at_level``, so that entry ``at`` of its result at ``key``,
-    (r, floor) or (r, level), has q^n coefficient value; every other entry
-    is unchanged."""
-    original = getattr(families, attr)
-
-    def patched(r, floor_or_level, order):
-        layout, packed = original(r, floor_or_level, order)
+    """Patch the packed floors or levels that the expansion suite reads,
+    ``families``' own reader ``attr``, ``_floor`` or ``_family_at_level``,
+    and the matching reader of a ``cli`` row, so that entry ``at`` of the
+    result at ``key``, (r, floor) or (r, level), has q^n coefficient value;
+    every other entry is unchanged."""
+    def patched(r, floor_or_level, layout, packed):
         if (r, floor_or_level) != key:
             return layout, packed
         packed = list(packed)
         packed[at] = with_coeff(layout, packed[at], n, value)
         return layout, tuple(packed)
 
-    monkeypatch.setattr(families, attr, patched)
+    original = getattr(families, attr)
+    monkeypatch.setattr(families, attr, lambda r, k, order: patched(r, k, *original(r, k, order)))
+    method = {"_floor": "floor", "_family_at_level": "level"}[attr]
+    read = getattr(cli._Row, method)
+    monkeypatch.setattr(cli._Row, method, lambda row, k: patched(row.r, k, *read(row, k)))
 
 
 def set_factor_coeff(monkeypatch, name, n, value):
-    """Patch the packed cache ``families`` reads FACTOR_ONE[name] from, so
-    that the factor's q^n coefficient is value. Hilbert factors are the caps
-    ``_floor`` keeps, product factors the entries of ``_family_at_level``:
-    factor j at stage s is entry j of level s."""
+    """Patch the packed series the expansion suite reads FACTOR_ONE[name]
+    from, so that the factor's q^n coefficient is value. Hilbert factors are
+    the caps of a floor, product factors the entries of a level: factor j at
+    stage s is entry j of level s."""
     target = FACTOR_ONE[name]
     if name == "hp_series":
         set_entry_coeff(monkeypatch, "_floor", (target.r, target.k), target.cap - 1, n, value)
@@ -376,7 +379,7 @@ def top_floor_bumped_at_q10(monkeypatch):
 @pytest.mark.parametrize("fault", [partition_number_ten_too_large, top_floor_bumped_at_q10])
 def test_expansion_fails_on_a_fault_its_sums_let_through(capsys, monkeypatch, fault):
     # verify_expansion alone scans, and bumps, each floor it reads; a scan's
-    # fill scans and bumps its top floor only, and steps the rest from it
+    # row scans and bumps its top floor only, and steps the rest from it
     fault(monkeypatch)
     params, d, N = EXPANSION_CASE
     assert not verify_expansion(params, d, N)
@@ -399,16 +402,18 @@ def test_scan_reports_an_operand_out_of_range_as_a_failed_suite(capsys, monkeypa
 
 
 def test_expansion_walks_once(step_values):
-    # the suite steps no walk: with the floors and levels in the memo, it
+    # the suite steps no walk: with the floors and levels in the row, it
     # only compares them
     check = SUITE_CHECKS["expansion"]
     for r in range(2, 6):
-        for i in range(1, r + 1):
-            for J in range(4):
+        for J in range(4):
+            [(_, floors, levels, is_, _, walk)] = cli._plan(argparse.Namespace(r=r, i="all", J=J, order=12), ("expansion",))[1]
+            row = cli._Row(r, floors, levels, is_, walk, 12)
+            for i in is_:
                 params = GordonParams(r, i, J)
-                assert check(params, 12, 10)
+                assert check(row, params, 12, 10)
                 step_values.clear()
-                assert check(params, 12, 10)
+                assert check(row, params, 12, 10)
                 assert step_values == [], params
 
 

@@ -62,8 +62,8 @@ def bumped(route: str, exponent: int, packed: bool = False):
     coefficients, or with ``packed`` in the route's own packed slots."""
     original = SERIES_ROUTES[route]
 
-    def series(params, N):
-        s = original(params, N)
+    def series(row, params, N):
+        s = original(row, params, N)
         if packed:
             return PackedSeries(s.layout, s.packed + (1 << (N - exponent) * s.layout.bits))
         coeffs = list(s.coeffs)
@@ -73,7 +73,7 @@ def bumped(route: str, exponent: int, packed: bool = False):
     return series
 
 
-def raising(params, N):
+def raising(row, params, N):
     raise NonDivisibleError("coefficient 1 at exponent 0 blocks division by q^2")
 
 

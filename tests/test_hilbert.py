@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrgordon import hilbert, partitions, qseries
+from rrgordon import cli, hilbert, partitions
 from rrgordon.cli import main
 from rrgordon.hilbert import (
     QuotientSpec,
@@ -185,13 +185,12 @@ def test_floors_filled_from_the_top_equal_cold_floors(run):
         filled = hilbert._floors(r, floors, N)
     assert (scan.call_count, len(filled)) == (1, len(floors))
     for k, (layout, caps) in zip(floors, filled):
-        qseries.forget()
         cold, cold_caps = hilbert._floor(r, k, N)
         assert (layout.bits, caps) == (cold.bits, cold_caps), k
 
 
 def test_hp_identities_fail_when_the_full_cap_drops_a_generator(monkeypatch):
-    # cap r and the uncapped quotient share one cached series, so the lemma
+    # cap r and the uncapped quotient share one series of a floor, so the lemma
     # tying them is checked on the generators their two branches build
     expand = hilbert.expand_generators
 
@@ -216,14 +215,15 @@ def test_hp_identities_fail_when_the_floor_above_moves(capsys, monkeypatch):
     # cap 1 at k must equal the uncapped series at k+1; one more monomial
     # of weight N in the uncapped quotient at floor 3 breaks that lemma at
     # k = 2, while the cell's own quotient, at floor 2, is unchanged
+    # in the floor that verify_hp_identities scans alone and in a scan's row
     r, i, J, N = 3, 2, 1, 20
-    floor = hilbert._floor
+    floor, row_floor = hilbert._floor, cli._Row.floor
 
-    def bumped(r, k, N):
-        layout, caps = floor(r, k, N)
+    def bumped(k, layout, caps):
         return (layout, caps[:-1] + (caps[-1] + 1,)) if k == J + 2 else (layout, caps)
 
-    monkeypatch.setattr(hilbert, "_floor", bumped)
+    monkeypatch.setattr(hilbert, "_floor", lambda r, k, N: bumped(k, *floor(r, k, N)))
+    monkeypatch.setattr(cli._Row, "floor", lambda row, k: bumped(k, *row_floor(row, k)))
     assert not verify_hp_identities(r, J + 1, N)
     code, cell = scan_hp_identities(capsys, r, i, J, N)
     assert code == 1
@@ -276,11 +276,11 @@ def test_hp_identities_fail_when_a_capped_block_puts_its_pure_power_first(capsys
 
 
 def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
-    # each floor checks its caps once, when it fills the cache, so reading
-    # them checks nothing
+    # each floor checks its caps once, when a row's scan hands them off, so
+    # reading them checks nothing
     r, k, N = 4, 2, 20
-    hilbert._floor(r, k, N)
-    hilbert._floor(r, k + 1, N)
+    row = cli._Row(r, range(k + 1, k - 1, -1), range(0), range(1, 2), None, N)
+    row.floor(k)
     check, calls = _PackedLayout._check, []
 
     def counted(self, x):
@@ -288,5 +288,5 @@ def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
         return check(self, x)
 
     monkeypatch.setattr(_PackedLayout, "_check", counted)
-    assert verify_hp_identities(r, k, N)
+    assert verify_hp_identities(r, k, N, row.floor)
     assert calls == []

@@ -276,7 +276,7 @@ def test_step_from_e_ell_keeps_i_states():
 
 def test_guard_error_stays_in_route_report(capsys, monkeypatch):
     # every route packs its series, the product route its whole tower;
-    # the caches start empty, so no result from wider slots hides them
+    # each command computes its own, so no result from wider slots hides them
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
     argv = ["verify", "--r", "3", "--i", "2", "--J", "0", "--order", "40", "--format", "json"]
@@ -290,7 +290,7 @@ def test_guard_error_stays_in_route_report(capsys, monkeypatch):
 def test_floor_checks_the_caps_it_keeps(monkeypatch):
     # in 8-bit slots at r=3, N=17 every step's input total clears the guard
     # bits, but the floor's uncapped series does not: only the check the
-    # floor makes before it caches its caps can see that
+    # floor makes before it hands off its caps can see that
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
     hilbert._floor(3, 1, 16)

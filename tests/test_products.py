@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modular import allowed_residues, count_modular
-from rrgordon import cli, products, qseries
+from rrgordon import cli, products
 from rrgordon.partitions import GordonParams, gordon_series
 from rrgordon.products import ProductIndex, base_product, product_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, first_mismatch
@@ -180,7 +180,6 @@ def test_kept_levels_are_the_levels_climbed_alone(tower_climbs, r, lo, top, N):
     handed = products._tower(r, levels, N)
     assert (tower_climbs, len(handed)) == ([(r, levels)], len(levels))
     for g, (layout, entries) in zip(levels, handed):
-        qseries.forget()
         cold, cold_entries = products._family_at_level(r, g, N)
         assert (layout.order, layout.bits, entries) == (cold.order, cold.bits, cold_entries), g
 
@@ -245,8 +244,9 @@ def test_partition_numbers_known_values():
     assert p[1000] == 24061467864032622473692149727991
 
 
-def test_base_entries_come_from_one_cached_tower(monkeypatch):
-    # every base entry and the routes' level 0 share one P, computed once
+def test_base_entries_come_from_unpadded_towers(monkeypatch):
+    # every base entry and the product route's level 0 are read off a
+    # level-0 tower, which computes P at the order itself, once per call
     numbers, orders = products._partition_numbers, []
 
     def counted(N):
@@ -257,7 +257,7 @@ def test_base_entries_come_from_one_cached_tower(monkeypatch):
     r, N = 4, 30
     entries = [base_product(r, ell, N) for ell in range(1, r + 1)]
     assert product_series(ProductIndex(r, 2), N) == entries[1]
-    assert orders == [N]
+    assert orders == [N] * (r + 1)
 
 
 def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
@@ -426,11 +426,10 @@ def test_tail_converges_to_one(r, N):
     assert all(v is None for v in profile[first_inf:])
 
 
-def test_a_negative_level_raises_before_the_memo_keeps_it():
+def test_a_negative_level_raises():
     # level -1 once climbed nothing and returned level 0's entries
     with pytest.raises(ValueError, match="level must be non-negative, got -1"):
         products._family_at_level(2, -1, 30)
-    assert not qseries._MEMO
 
 
 def test_deep_towers_divide_exactly():
