@@ -9,11 +9,11 @@ The routes hand over packed series (``qseries.PackedSeries``), which
 ``_compare_routes`` compares as ints, so a passing scan cell unpacks and
 digests nothing; only ``verify``'s report digests each distinct series.
 Each command first builds one plan (``_plan``), which checks the request,
-a one-cell grid for ``verify`` and ``table``, and lists one row per r: the
-Hilbert floors and product tower levels it reads, and its i's and J's.
-Each route and suite is handed a ``_Row`` and reads what it needs from it.
-``scan`` runs each row once (``_scan_row``), in-process or in a worker, and
-``verify`` and ``table`` build a row of their one cell (``_cell_row``). A
+a one-cell grid for ``verify`` and ``table``, and lists one ``_Row`` per r,
+which works out the Hilbert floors and tower levels its cells read. Each
+route and suite is called as ``(row, params)`` and reads what it needs
+from the row. ``scan`` runs each row once (``_scan_row``), in-process or in
+a worker, and ``verify`` and ``table`` read their one row's one cell. A
 row computes each side on its first read, for all of its cells at once:
 r's floors and levels, and one ascending lane scan and one suite walk per J
 (``partitions._lane_scans``, ``families._lane_walks``). Nothing outlives
@@ -63,19 +63,30 @@ MAX_PADDED_ORDER = 2 * MAX_ORDER
 
 
 class _Row:
-    """What the cells of one r read, each side computed on its first read,
+    """The cells (r, i, J), i in ``is_`` and J in ``js``, run with
+    ``suites``, and what they read, each side computed on its first read,
     for every cell at once, and kept: the floors ``floors`` from one
-    ``_floors`` scan, the levels ``levels`` from one ``_tower`` climb, per J
-    the partition series, family limit and clean-walk verdict of each i in
-    ``is_`` from one lane scan and one suite walk to stage max(``walk``,
-    J+5), and per floor the hp-identities verdict. A side that raised keeps
-    its exception, and every read raises it again. A command's rows die
-    with it, so every command starts cold."""
+    ``_floors`` scan, the levels ``levels`` from one ``_tower`` climb, from
+    the one the product route reads at (i_hi, J_lo), J-1 for i = r, else J,
+    to the one it reads at (i_lo, J_hi), or J_hi+3 with expansion, per J the
+    partition series, family limit and clean-walk verdict of each i from one
+    lane scan and one suite walk to stage max(``walk``, J+5), and per floor
+    the hp-identities verdict. A side that raised keeps its exception, and
+    every read raises it again. A command's rows die with it, so every
+    command starts cold."""
 
-    def __init__(self, r: int, floors: range, levels: range, is_: range, walk: int, order: int):
-        self.r, self.floors, self.levels, self.is_, self.walk, self.order = r, floors, levels, is_, walk, order
+    def __init__(self, r: int, is_: range, js: range, order: int, suites: tuple[str, ...] = (), d_max: int = 0):
+        self.r, self.is_, self.js, self.order, self.suites, self.d_max = r, is_, js, order, suites, d_max
+        self.floors = range(js[-1] + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), js[0], -1)
+        lo, hi = (ProductIndex(r, GordonParams(r, i, J).product_index).level for i, J in ((is_[-1], js[0]), (is_[0], js[-1])))
+        self.levels = range(lo, (js[-1] + _EXPANSION_DEPTH if "expansion" in suites else hi) + 1)
+        self.walk = d_max if "family-match" in suites else 0
         self._ells = [r - i + 1 for i in is_]
         self._sides: dict = {}
+
+    def cells(self) -> list[GordonParams]:
+        """The row's cells, i first, then J."""
+        return [GordonParams(self.r, i, J) for i in self.is_ for J in self.js]
 
     def _side(self, key, compute):
         """Side ``key``, from ``compute()`` on its first read."""
@@ -116,42 +127,36 @@ def _entry(side: tuple, n: int) -> PackedSeries:
 
 
 # the four independent routes to the same series, each called as
-# route(row, params, order) and reading the row; tests may patch entries
+# route(row, params) and reading the row; tests may patch entries
 SERIES_ROUTES = {
-    "product": lambda row, p, N: _entry(row.level((idx := ProductIndex(p.r, p.product_index)).level), idx.slot - 1),
-    "partition": lambda row, p, N: row.ascending(p)[0],
-    "hilbert": lambda row, p, N: _entry(row.floor(p.J + 1), p.i - 1),
-    "family": lambda row, p, N: row.ascending(p)[1],
+    "product": lambda row, p: _entry(row.level((idx := ProductIndex(p.r, p.product_index)).level), idx.slot - 1),
+    "partition": lambda row, p: row.ascending(p)[0],
+    "hilbert": lambda row, p: _entry(row.floor(p.J + 1), p.i - 1),
+    "family": lambda row, p: row.ascending(p)[1],
 }
 
 # the expansion suite compares product levels J..J+_EXPANSION_DEPTH with the floors one above
 _EXPANSION_DEPTH = 3
 
 
-# each extra property suite, called as check(row, params, order, d_max) -> bool
+# each extra property suite, called as check(row, params) -> bool
 SUITE_CHECKS = {
-    "hp-identities": lambda row, p, N, d_max: row.hp_identities(p.J + 1),
-    "hp-recursion": lambda row, p, N, d_max: verify_hp_recursion(p.r, p.J + 1, p.i, N, row.floor),
-    "family-match": lambda row, p, N, d_max: row.walked(p) or verify_family_match(p, max(d_max, p.J + 1), N),
-    "expansion": lambda row, p, N, d_max: verify_expansion(p, p.J + _EXPANSION_DEPTH, N, row.floor, row.level),
-    "valuation": lambda row, p, N, d_max: verify_valuations(p, N, row.floor, row.walked(p)),
+    "hp-identities": lambda row, p: row.hp_identities(p.J + 1),
+    "hp-recursion": lambda row, p: verify_hp_recursion(p.r, p.J + 1, p.i, row.order, row.floor),
+    "family-match": lambda row, p: row.walked(p) or verify_family_match(p, max(row.d_max, p.J + 1), row.order),
+    "expansion": lambda row, p: verify_expansion(p, p.J + _EXPANSION_DEPTH, row.order, row.floor, row.level),
+    "valuation": lambda row, p: verify_valuations(p, row.order, row.floor, row.walked(p)),
 }
 SUITES = tuple(SUITE_CHECKS)
 # the top floor above J each suite reads (_Row.floor); the hilbert route reads J+1
 _SUITE_FLOORS = {"hp-identities": 2, "hp-recursion": 2, "valuation": 2, "expansion": _EXPANSION_DEPTH + 1}
 
 
-def _cell_row(p: GordonParams, order: int) -> _Row:
-    """The row of cell p alone: the floor J+1 and the level its routes read."""
-    level = ProductIndex(p.r, p.product_index).level
-    return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)
-
-
 def _run_route(name: str, row: _Row, params: GordonParams) -> tuple[PackedSeries | None, str | None]:
     """The route's series, or None and ``"Type: message"`` when it raises or
     returns anything but a series of the row's order."""
     try:
-        series = SERIES_ROUTES[name](row, params, row.order)
+        series = SERIES_ROUTES[name](row, params)
         got = getattr(series, "order", None)
         if got != row.order:
             raise ValueError(f"the route returned order {got}, not {row.order}")
@@ -188,10 +193,12 @@ def _compare_routes(row: _Row, params: GordonParams) -> tuple[dict, dict, dict, 
     return series, errors, seconds, "fail" if errors else "pass", None
 
 
-def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, float]]:
-    """The report ``verify --format json`` prints, and each route's seconds.
-    Each distinct series is digested once, and equal routes share it."""
-    series, errors, seconds, verdict, mismatch = _compare_routes(_cell_row(params, order), params)
+def build_report(row: _Row) -> tuple[dict, dict[str, float]]:
+    """The report ``verify --format json`` prints of the row's one cell, and
+    each route's seconds. Each distinct series is digested once, and equal
+    routes share it."""
+    [params] = row.cells()
+    series, errors, seconds, verdict, mismatch = _compare_routes(row, params)
     routes, digests = {}, []
     for name in SERIES_ROUTES:
         if name in errors:
@@ -205,7 +212,7 @@ def build_report(params: GordonParams, order: int) -> tuple[dict, dict[str, floa
         routes[name] = {"fingerprint": digest[1], "leading": digest[2], "error": None}
     report = {
         "params": {"r": params.r, "i": params.i, "J": params.J, "ell": params.ell, "index": params.product_index},
-        "order": order,
+        "order": row.order,
         "routes": routes,
         "verdict": verdict,
         "mismatch": mismatch,
@@ -259,17 +266,13 @@ def _order_from(args) -> int:
     return order
 
 
-def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[tuple[int, range, range, range, range, int]]]:
-    """A command's order and rows (r, floors, levels, is, js, walk), one per
-    r with cells, ``floors`` the Hilbert floors each r reads, top down,
-    ``levels`` the product tower levels it reads, up to J, or J+3 with
-    expansion, from the level J-1 that the product route of i = r reads,
-    ``is`` and ``js`` the i's, clipped to r, and J's of its cells, and
-    ``walk`` the stage bound of each (r, J)'s suite walk, which runs to stage
-    max(walk, J+5) or J+N+2: ``d_max`` with family-match, else 0. Raises
-    UsageError on an r, i or J out of range, an empty grid, and with
-    ``tower`` a tower padded above MAX_PADDED_ORDER at the deepest level
-    read; r_hi admits the most i, so the ranges' ends decide both."""
+def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True) -> tuple[int, list[_Row]]:
+    """A command's order and rows, one ``_Row`` per r with cells, of the i's,
+    clipped to r, and the J's of the request, run with ``suites`` and
+    ``d_max``. Raises UsageError on an r, i or J out of range, an empty
+    grid, and with ``tower`` a tower padded above MAX_PADDED_ORDER at level
+    J_hi, or J_hi+3 with expansion; r_hi admits the most i, so the ranges'
+    ends decide both."""
     order = _order_from(args)
     r_lo, r_hi = _parse_range(str(args.r), "--r")
     j_lo, j_hi = _parse_range(str(args.J), "--J")
@@ -287,17 +290,13 @@ def _plan(args, suites: tuple[str, ...] = (), d_max: int = 0, tower: bool = True
     level = j_hi + _EXPANSION_DEPTH * ("expansion" in suites)
     if tower and (padded := _padded_order(r_hi, level, order)) > MAX_PADDED_ORDER:
         raise UsageError(f"r={r_hi}, J={j_hi} at order {order} pads the product tower's level {level} to order {padded}, above {MAX_PADDED_ORDER}")
-    floors = range(j_hi + max([1] + [_SUITE_FLOORS.get(s, 1) for s in suites]), j_lo, -1)
-    levels = range(max(j_lo - 1, 0), level + 1)
     js = range(j_lo, j_hi + 1)
-    walk = d_max if "family-match" in suites else 0
-    rows = ((r, range(i_lo, min(r, i_hi) + 1)) for r in range(r_lo, r_hi + 1))
-    return order, [(r, floors, levels, is_, js, walk) for r, is_ in rows if is_]
+    return order, [_Row(r, is_, js, order, suites, d_max) for r in range(r_lo, r_hi + 1) if (is_ := range(i_lo, min(r, i_hi) + 1))]
 
 
 def cmd_verify(args) -> int:
-    order, [(r, _, _, [i], [J], _)] = _plan(args)
-    report, seconds = build_report(GordonParams(r, i, J), order)
+    _, [row] = _plan(args)
+    report, seconds = build_report(row)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -305,24 +304,22 @@ def cmd_verify(args) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
-def _suite_passes(suite: str, row: _Row, params: GordonParams, d_max: int) -> bool:
+def _suite_passes(suite: str, row: _Row, params: GordonParams) -> bool:
     """A suite that raises counts as failed, like a mismatch."""
     try:
-        return SUITE_CHECKS[suite](row, params, row.order, d_max)
+        return SUITE_CHECKS[suite](row, params)
     except Exception:
         return False
 
 
-def _scan_row(task: tuple[int, range, range, range, range, int, int, tuple[str, ...], int]) -> list[dict]:
-    """The reports of a plan row's cells, i first, then J, from one ``_Row``."""
-    r, floors, levels, is_, js, walk, order, suites, d_max = task
-    row = _Row(r, floors, levels, is_, walk, order)
-    return [_scan_cell(row, GordonParams(r, i, J), suites, d_max) for i in is_ for J in js]
+def _scan_row(row: _Row) -> list[dict]:
+    """The reports of the row's cells, i first, then J."""
+    return [_scan_cell(row, params) for params in row.cells()]
 
 
-def _scan_cell(row: _Row, params: GordonParams, suites: tuple[str, ...], d_max: int) -> dict:
+def _scan_cell(row: _Row, params: GordonParams) -> dict:
     *_, identity, mismatch = _compare_routes(row, params)
-    suite_results = {suite: _suite_passes(suite, row, params, d_max) for suite in suites}
+    suite_results = {suite: _suite_passes(suite, row, params) for suite in row.suites}
     passed = identity == "pass" and all(suite_results.values())
     return {
         "r": params.r,
@@ -348,7 +345,6 @@ def cmd_scan(args) -> int:
         if s in suites[:k]:
             raise UsageError(f"suite {s!r} is named twice")
     order, rows = _plan(args, suites, args.d_max)
-    rows = [(*row, order, suites, args.d_max) for row in rows]
 
     # a fork pool starts every worker up front, so never ask for idle ones
     workers = min(args.jobs, len(rows), os.cpu_count() or 1)
@@ -361,14 +357,17 @@ def cmd_scan(args) -> int:
         # each cell of a row whose worker died fails every check; one error line says why
         unfinished = {"verdict": "fail", "identity": "fail", "suites": dict.fromkeys(sorted(suites), "fail"), "mismatch": None}
         results, lost = [], []
-        for (r, _, _, is_, js, *_), f in zip(rows, futures):
-            dead = [{"r": r, "i": i, "J": J, **unfinished} for i in is_ for J in js] if f.exception() else []
+        for row, f in zip(rows, futures):
+            dead = [{"r": p.r, "i": p.i, "J": p.J, **unfinished} for p in row.cells()] if f.exception() else []
             results += dead or f.result()
             lost += [f.exception()] * len(dead)
         if lost:
             print(f"error: {len(lost)} cells did not finish: {lost[0]!r}", file=sys.stderr)
     else:
-        results = [cell for row in rows for cell in _scan_row(row)]
+        # each row goes once its cells are reported, so a scan holds one r at a time
+        results = []
+        while rows:
+            results += _scan_row(rows.pop(0))
 
     failed = [c for c in results if c["verdict"] != "pass"]
     if args.format == "json":
@@ -394,9 +393,8 @@ TABLE_KINDS = {"counts": "partition", "product": "product", "hilbert": "hilbert"
 
 
 def cmd_table(args) -> int:
-    order, [(r, _, _, [i], [J], _)] = _plan(args, tower=args.kind == "product")  # only it builds a tower
-    params = GordonParams(r, i, J)
-    series, error = _run_route(TABLE_KINDS[args.kind], _cell_row(params, order), params)
+    _, [row] = _plan(args, tower=args.kind == "product")  # only it builds a tower
+    series, error = _run_route(TABLE_KINDS[args.kind], row, *row.cells())
     if error:
         # a failing route fails the table as it fails a verify cell, without a traceback
         print(f"error: {error}", file=sys.stderr)

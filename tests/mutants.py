@@ -70,12 +70,18 @@ MUTANTS = [
     ("a theta pass whose lanes are split one level off", "products.py",
      "for j in range(0, lanes, r)]", "for j in range(r, lanes + r, r)]",
      ("tests/test_products.py::test_packed_tower_equals_list_climb",)),
-    ("a plan whose levels stop at J without the expansion suite's J+3", "cli.py",
-     "levels = range(max(j_lo - 1, 0), level + 1)", "levels = range(max(j_lo - 1, 0), j_hi + 1)",
+    ("a row whose levels stop at its cells' top level without the expansion suite's J+3", "cli.py",
+     'js[-1] + _EXPANSION_DEPTH if "expansion" in suites else hi', "hi",
      ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[five-suites]",)),
-    ("a plan whose levels start at J, above the level i = r reads", "cli.py",
-     "levels = range(max(j_lo - 1, 0), level + 1)", "levels = range(j_lo, level + 1)",
+    ("a row whose levels start at the level of its lowest i, above the level i = r reads", "cli.py",
+     "for i, J in ((is_[-1], js[0]),", "for i, J in ((is_[0], js[0]),",
      ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[from-J-1]",)),
+    ("a row whose levels start at J even for i = r", "cli.py",
+     "self.levels = range(lo,", "self.levels = range(js[0],",
+     ("tests/test_cli.py::test_a_row_climbs_only_the_levels_its_cells_read[verify]",)),
+    ("a row whose levels start one level low", "cli.py",
+     "self.levels = range(lo,", "self.levels = range(max(lo - 1, 0),",
+     ("tests/test_cli.py::test_a_row_climbs_only_the_levels_its_cells_read[i-below-r]",)),
     ("a tower fill whose error escapes its cell", "cli.py",
      "return series, None\n    except Exception as exc:", "return series, None\n    except ZeroDivisionError as exc:",
      ("tests/test_cli.py::test_a_tower_fill_that_raises_fails_its_cells",)),
@@ -171,19 +177,19 @@ MUTANTS = [
      "return sorted(odd), sorted(even)[1:]", "return sorted(odd), sorted(even)",
      ("tests/test_products.py::test_base_product_frozen_values",)),
     ("a scan that keeps its first row across r", "cli.py",
-     "row = _Row(r, floors, levels, is_, walk, order)",
-     'row = _scan_row.__dict__.setdefault("row", _Row(r, floors, levels, is_, walk, order))',
+     "return [_scan_cell(row, params) for params in row.cells()]",
+     'first = _scan_row.__dict__.setdefault("row", row)\n'
+     "    return [_scan_cell(first, params) for params in row.cells()]",
      ("tests/test_cli.py::test_scan_keeps_only_the_current_r_in_its_row",)),
     ("a main() that does not start cold: a cell's row kept across commands", "cli.py",
-     "return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)",
-     "return _cell_row.__dict__.setdefault((p, order), _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1),"
-     " range(p.i, p.i + 1), 0, order))",
+     "[_Row(r, is_, js, order, suites, d_max) for r in",
+     "[_plan.__dict__.setdefault((r, is_, js, order, suites, d_max), _Row(r, is_, js, order, suites, d_max)) for r in",
      ("tests/test_cli.py::test_each_command_starts_cold",)),
     ("a one-cell row that computes every route's side up front", "cli.py",
-     "return _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)",
-     "row = _Row(p.r, range(p.J + 1, p.J, -1), range(level, level + 1), range(p.i, p.i + 1), 0, order)\n"
-     "    row.floor(p.J + 1), row.level(level), row.ascending(p)\n"
-     "    return row",
+     "        self._sides: dict = {}\n",
+     "        self._sides: dict = {}\n"
+     "        if len(is_) * len(js) == 1:\n"
+     "            self.floor(self.floors[0]), self.level(self.levels[0]), self.ascending(*self.cells())\n",
      ("tests/test_cli.py::test_table_computes_only_its_kind",)),
     ("a lane scan read for another J", "cli.py",
      '("scan", p.J)', '"scan"',
@@ -218,17 +224,17 @@ MUTANTS = [
      "layout.step(state, k)", "layout.step(state, k + 1)",
      ("tests/test_hilbert.py::test_floors_filled_from_the_top_equal_cold_floors",)),
     ("a scan that fills its r before every cell, one row per cell", "cli.py",
-     "rows = [(*row, order, suites, args.d_max) for row in rows]",
-     "rows = [(r, f, l, range(i, i + 1), range(J, J + 1), w, order, suites, args.d_max)"
-     " for r, f, l, is_, js, w in rows for i in is_ for J in js]",
+     "[_Row(r, is_, js, order, suites, d_max) for r in range(r_lo, r_hi + 1) if (is_ := range(i_lo, min(r, i_hi) + 1))]",
+     "[_Row(r, range(i, i + 1), range(J, J + 1), order, suites, d_max) for r in range(r_lo, r_hi + 1)"
+     " for i in range(i_lo, min(r, i_hi) + 1) for J in js]",
      ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",
       "tests/test_cli.py::test_a_scan_fills_each_r_once_whatever_its_jobs")),
     ("a pool sized by cells", "cli.py",
      "min(args.jobs, len(rows), os.cpu_count() or 1)",
-     "min(args.jobs, sum(len(row[3]) * len(row[4]) for row in rows), os.cpu_count() or 1)",
+     "min(args.jobs, sum(len(row.cells()) for row in rows), os.cpu_count() or 1)",
      ("tests/test_cli.py::test_scan_jobs_clamped",)),
     ("a dead row reported as one cell", "cli.py",
-     "for i in is_ for J in js] if f.exception()", "for i in is_[:1] for J in js[:1]] if f.exception()",
+     "for p in row.cells()] if f.exception()", "for p in row.cells()[:1]] if f.exception()",
      ("tests/test_cli.py::test_dead_scan_worker_fails_its_cells",)),
     ("a floor fill whose error escapes its cell", "cli.py",
      "except Exception:\n        return False", "except ZeroDivisionError:\n        return False",
@@ -238,7 +244,7 @@ MUTANTS = [
      ("tests/test_cli.py::test_a_floor_fill_that_raises_runs_once_per_r",
       "tests/test_cli.py::test_a_lane_scan_that_raises_runs_once_per_J")),
     ("hp-identities computed once per cell", "cli.py",
-     "row.hp_identities(p.J + 1)", "verify_hp_identities(p.r, p.J + 1, N, row.floor)",
+     "row.hp_identities(p.J + 1)", "verify_hp_identities(p.r, p.J + 1, row.order, row.floor)",
      ("tests/test_cli.py::test_hp_identities_run_once_per_r_and_floor",)),
     ("a plan that checks the padded order at (r_lo, J_lo)", "cli.py",
      "_padded_order(r_hi, level, order)", "_padded_order(r_lo, level - j_hi + j_lo, order)",

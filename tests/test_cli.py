@@ -28,9 +28,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cell_row(params, N):
+    """A row of one cell alone."""
+    return cli._Row(params.r, range(params.i, params.i + 1), range(params.J, params.J + 1), N)
+
+
 def route_series(name, params, N):
     """The route's series of one cell, read from a row of that cell alone."""
-    return SERIES_ROUTES[name](cli._cell_row(params, N), params, N)
+    return SERIES_ROUTES[name](cell_row(params, N), params)
 
 
 def record_rows(monkeypatch) -> list:
@@ -98,8 +103,8 @@ def test_verify_usage_errors(capsys, argv):
 
 
 def test_verify_reports_first_mismatch(capsys, monkeypatch):
-    def broken(row, params, N):
-        coeffs = list(SERIES_ROUTES["partition"](row, params, N).coeffs)
+    def broken(row, params):
+        coeffs = list(SERIES_ROUTES["partition"](row, params).coeffs)
         coeffs[7] += 1
         return TruncatedSeries(tuple(coeffs))
 
@@ -111,7 +116,7 @@ def test_verify_reports_first_mismatch(capsys, monkeypatch):
 
 
 def test_verify_route_error_fails(capsys, monkeypatch):
-    def exploding(row, params, N):
+    def exploding(row, params):
         raise NonDivisibleError("coefficient 1 at exponent 0 blocks division by q^2")
 
     monkeypatch.setitem(SERIES_ROUTES, "product", exploding)
@@ -124,13 +129,13 @@ def test_mismatch_and_errors_with_two_bumped_routes_and_a_crash(capsys, monkeypa
     originals = dict(SERIES_ROUTES)
 
     def bumped(route, exponent):
-        def series(row, params, N):
-            coeffs = list(originals[route](row, params, N).coeffs)
+        def series(row, params):
+            coeffs = list(originals[route](row, params).coeffs)
             coeffs[exponent] += 1
             return TruncatedSeries(tuple(coeffs))
         return series
 
-    def crashing(row, params, N):
+    def crashing(row, params):
         raise RuntimeError("tower fell over")
 
     monkeypatch.setitem(SERIES_ROUTES, "product", crashing)
@@ -153,7 +158,7 @@ def test_mismatch_and_errors_with_two_bumped_routes_and_a_crash(capsys, monkeypa
 
 
 def test_route_crash_stays_in_report(capsys, monkeypatch):
-    def crashing(row, params, N):
+    def crashing(row, params):
         raise RuntimeError("entry 1 failed to stabilize")
 
     monkeypatch.setitem(SERIES_ROUTES, "family", crashing)
@@ -170,7 +175,7 @@ def test_route_crash_stays_in_report(capsys, monkeypatch):
 
 
 def test_suite_crash_counts_as_fail(capsys, monkeypatch):
-    def crashing(row, params, N, d_max):
+    def crashing(row, params):
         raise RuntimeError("suite blew up")
 
     monkeypatch.setitem(SUITE_CHECKS, "valuation", crashing)
@@ -183,7 +188,7 @@ def test_suite_crash_counts_as_fail(capsys, monkeypatch):
 
 
 def test_build_report_detects_divergence():
-    report, _ = build_report(GordonParams(2, 2, 0), 15)
+    report, _ = build_report(cell_row(GordonParams(2, 2, 0), 15))
     assert report["verdict"] == "pass"
     assert report["mismatch"] is None
     assert set(report["routes"]) == {"product", "partition", "hilbert", "family"}
@@ -198,22 +203,22 @@ def test_build_report_digests_each_distinct_series_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "fingerprint", counted)
     params = GordonParams(3, 2, 1)
-    report, _ = build_report(params, 30)
+    report, _ = build_report(cell_row(params, 30))
     assert report["verdict"] == "pass" and len(digested) == 1
     fingerprints = {route["fingerprint"] for route in report["routes"].values()}
     assert fingerprints == {digest(route_series("partition", params, 30))}
 
     # a bumped route gets its own digest, and only the bumped exponent differs
-    def bumped(row, params, N):
-        coeffs = list(SERIES_ROUTES["partition"](row, params, N).coeffs)
+    def bumped(row, params):
+        coeffs = list(SERIES_ROUTES["partition"](row, params).coeffs)
         coeffs[11] += 1
         return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setitem(SERIES_ROUTES, "hilbert", bumped)
     digested.clear()
-    report, _ = build_report(params, 30)
+    report, _ = build_report(cell_row(params, 30))
     assert len(digested) == 2 and report["mismatch"]["exponent"] == 11
-    assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(cli._cell_row(params, 30), params, 30))
+    assert report["routes"]["hilbert"]["fingerprint"] == digest(bumped(cell_row(params, 30), params))
     assert report["routes"]["product"]["fingerprint"] == report["routes"]["family"]["fingerprint"]
 
 
@@ -240,13 +245,13 @@ def packed_route(name, slot=None, extra_bits=0):
     moved into slots ``extra_bits`` wider."""
     original = SERIES_ROUTES[name]
 
-    def series(row, params, N):
-        s = original(row, params, N)
+    def series(row, params):
+        s = original(row, params)
         layout, x = s.layout, s.packed
         if slot is not None:
             x += 1 << slot * layout.bits
         if extra_bits:
-            wide = _PackedLayout(N, params.r, layout.bits + extra_bits)
+            wide = _PackedLayout(row.order, params.r, layout.bits + extra_bits)
             layout, x = wide, wide.reslot(x, layout)
         return PackedSeries(layout, x)
 
@@ -300,9 +305,9 @@ def test_a_series_one_order_short_fails_closed(capsys, monkeypatch, route, kind)
     # slot 0, which holds q^N, is shifted off
     original = SERIES_ROUTES[route]
 
-    def short(row, p, N):
-        s = original(row, p, N)
-        return PackedSeries(_PackedLayout(N - 1, p.r, s.layout.bits), s.packed >> s.layout.bits)
+    def short(row, p):
+        s = original(row, p)
+        return PackedSeries(_PackedLayout(row.order - 1, p.r, s.layout.bits), s.packed >> s.layout.bits)
 
     monkeypatch.setitem(SERIES_ROUTES, route, short)
     cell = ["--r", "3", "--i", "2", "--J", "1", "--order", "20"]
@@ -319,7 +324,7 @@ def test_a_series_one_order_short_fails_closed(capsys, monkeypatch, route, kind)
 
 @pytest.mark.parametrize("route", ["product", "partition", "hilbert", "family"])
 def test_a_route_that_returns_no_series_fails_its_cell(capsys, monkeypatch, route):
-    monkeypatch.setitem(SERIES_ROUTES, route, lambda row, p, N: None)
+    monkeypatch.setitem(SERIES_ROUTES, route, lambda row, p: None)
     code, out, _ = run(capsys, "verify", "--r", "2", "--i", "2", "--J", "0", "--order", "10")
     assert code == 1
     assert f"{route:<10} ERROR ValueError: the route returned order None, not 10" in out
@@ -408,7 +413,7 @@ def test_scan_usage_errors(capsys, argv):
 
 def test_scan_fails_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(
-        SERIES_ROUTES, "family", lambda row, p, N: TruncatedSeries((1,) + (0,) * N)
+        SERIES_ROUTES, "family", lambda row, p: TruncatedSeries((1,) + (0,) * row.order)
     )
     code, out, _ = run(capsys, "scan", "--r", "2", "--J", "0..1", "--order", "10")
     assert code == 1
@@ -469,7 +474,7 @@ def test_table_out_unwritable_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_table_route_crash_is_one_error_line(tmp_path, capsys, monkeypatch, out):
-    def crashing(row, params, N):
+    def crashing(row, params):
         raise ArithmeticError("a 8-bit slot reached its guard bits")
 
     monkeypatch.setitem(SERIES_ROUTES, "partition", crashing)
@@ -639,7 +644,7 @@ def test_padded_order_above_max_is_usage_error(capsys, monkeypatch, argv):
     # J = 160 pads the r = 2 tower to order 50 + 160*161/2 = 12930
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, name=name: ran.append(name))
     code, out, err = run(capsys, *argv)
     assert (code, out, ran) == (2, "", [])
     assert err.startswith("error: ") and f"above {cli.MAX_PADDED_ORDER}" in err
@@ -666,7 +671,7 @@ def test_table_of_a_towerless_kind_ignores_the_padded_order(capsys, kind):
 def test_r_above_max_is_usage_error(capsys, monkeypatch, argv):
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, name=name: ran.append(name))
     code, out, err = run(capsys, *(a.format(cli.MAX_R + 1) for a in argv))
     assert (code, out, ran) == (2, "", [])
     assert err.startswith("error: ") and f"at most {cli.MAX_R}" in err
@@ -692,13 +697,15 @@ def test_max_padded_order_admits_the_baselines():
     # verify at r=5, J=30, order 200 pads to 2060; the 56-cell grid
     # (r <= 5, J <= 3) at MAX_ORDER pads to 2024, and to 2084 at level J+3
     # with the expansion suite
-    cell = argparse.Namespace(r=5, i=1, J=30, order=200)
-    assert cli._plan(cell) == (200, [(5, range(31, 30, -1), range(29, 31), range(1, 2), range(30, 31), 0)])
+    order, [row] = cli._plan(argparse.Namespace(r=5, i=1, J=30, order=200))
+    assert (order, row.r, row.floors, row.levels, row.is_, row.js, row.walk, row.cells()) == (
+        200, 5, range(31, 30, -1), range(30, 31), range(1, 2), range(30, 31), 0, [GordonParams(5, 1, 30)]
+    )
     grid = argparse.Namespace(r="2..5", i="all", J="0..3", order=cli.MAX_ORDER)
     for suites in ((), cli.SUITES):
         order, rows = cli._plan(grid, suites)
-        assert order == cli.MAX_ORDER and [r for r, *_ in rows] == [2, 3, 4, 5]
-        assert sum(len(is_) * len(js) for _, _, _, is_, js, _ in rows) == 56
+        assert order == cli.MAX_ORDER and [row.r for row in rows] == [2, 3, 4, 5]
+        assert sum(len(row.cells()) for row in rows) == 56
 
 
 def test_huge_d_max_gives_the_same_bytes(capsys, step_values):
@@ -715,8 +722,8 @@ def test_expansion_suite_is_checked_at_its_deepest_level(capsys, monkeypatch):
     # expansion suite reads level J+3, which pads to 388 + 4*45*46/2 = 4528
     ran = []
     for name in SERIES_ROUTES:
-        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, N, name=name: ran.append(name))
-    monkeypatch.setitem(SUITE_CHECKS, "expansion", lambda row, p, N, d_max: ran.append("expansion"))
+        monkeypatch.setitem(SERIES_ROUTES, name, lambda row, p, name=name: ran.append(name))
+    monkeypatch.setitem(SUITE_CHECKS, "expansion", lambda row, p: ran.append("expansion"))
     argv = ("scan", "--r", "5", "--i", "1", "--J", "42", "--order", "388")
     code, out, err = run(capsys, *argv, "--suites", "expansion")
     assert (code, out, ran) == (2, "", [])
@@ -867,6 +874,26 @@ def test_a_scan_climbs_one_tower_per_r(capsys, tower_climbs, grid, climbs):
 def test_verify_climbs_one_level(capsys, tower_climbs):
     code, _, _ = run(capsys, "verify", "--r", "3", "--i", "2", "--J", "1", "--order", "60")
     assert (code, tower_climbs) == (0, [(3, range(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "argv,climbs",
+    [
+        # no i = r: from level J_lo = 3, not J_lo - 1
+        (("scan", "--r", "5", "--i", "1..2", "--J", "3..5"), [(5, range(3, 6))]),
+        # r = 2 has i = r = 2 alone: levels J-1, up to J_hi - 1 = 4
+        (("scan", "--r", "2..6", "--i", "2..6", "--J", "3..5"), [(2, range(2, 5))] + [(r, range(2, 6)) for r in range(3, 7)]),
+        # one cell of i = r: its one level J-1
+        (("verify", "--r", "5", "--i", "5", "--J", "3"), [(5, range(2, 3))]),
+        (("table", "--kind", "product", "--r", "5", "--i", "5", "--J", "3"), [(5, range(2, 3))]),
+    ],
+    ids=["i-below-r", "i-r-alone", "verify", "table"],
+)
+def test_a_row_climbs_only_the_levels_its_cells_read(capsys, tower_climbs, argv, climbs):
+    # a row's levels run from the one its product route reads at (i_hi,
+    # J_lo) to the one it reads at (i_lo, J_hi)
+    code, _, _ = run(capsys, *argv, "--order", "40")
+    assert (code, tower_climbs) == (0, climbs)
 
 
 def test_a_tower_fill_that_raises_fails_its_cells(capsys, monkeypatch):
@@ -1201,11 +1228,11 @@ def test_huge_grid_is_refused_before_its_cells_are_built(capsys):
 _SCAN_CELL = cli._scan_cell
 
 
-def _scan_cell_dying_at_3_2_0(row, params, suites, d_max):
+def _scan_cell_dying_at_3_2_0(row, params):
     # module level, as the worker's rows call it by name
     if (params.r, params.i, params.J) == (3, 2, 0):
         os._exit(3)
-    return _SCAN_CELL(row, params, suites, d_max)
+    return _SCAN_CELL(row, params)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched cell reaches workers by fork")

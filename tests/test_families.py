@@ -407,13 +407,11 @@ def test_expansion_walks_once(step_values):
     check = SUITE_CHECKS["expansion"]
     for r in range(2, 6):
         for J in range(4):
-            [(_, floors, levels, is_, _, walk)] = cli._plan(argparse.Namespace(r=r, i="all", J=J, order=12), ("expansion",))[1]
-            row = cli._Row(r, floors, levels, is_, walk, 12)
-            for i in is_:
-                params = GordonParams(r, i, J)
-                assert check(row, params, 12, 10)
+            [row] = cli._plan(argparse.Namespace(r=r, i="all", J=J, order=12), ("expansion",))[1]
+            for params in row.cells():
+                assert check(row, params)
                 step_values.clear()
-                assert check(row, params, 12, 10)
+                assert check(row, params)
                 assert step_values == [], params
 
 

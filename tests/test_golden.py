@@ -62,10 +62,10 @@ def bumped(route: str, exponent: int, packed: bool = False):
     coefficients, or with ``packed`` in the route's own packed slots."""
     original = SERIES_ROUTES[route]
 
-    def series(row, params, N):
-        s = original(row, params, N)
+    def series(row, params):
+        s = original(row, params)
         if packed:
-            return PackedSeries(s.layout, s.packed + (1 << (N - exponent) * s.layout.bits))
+            return PackedSeries(s.layout, s.packed + (1 << (row.order - exponent) * s.layout.bits))
         coeffs = list(s.coeffs)
         coeffs[exponent] += 1
         return TruncatedSeries(tuple(coeffs))
@@ -73,7 +73,7 @@ def bumped(route: str, exponent: int, packed: bool = False):
     return series
 
 
-def raising(row, params, N):
+def raising(row, params):
     raise NonDivisibleError("coefficient 1 at exponent 0 blocks division by q^2")
 
 

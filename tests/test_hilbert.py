@@ -279,7 +279,8 @@ def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
     # each floor checks its caps once, when a row's scan hands them off, so
     # reading them checks nothing
     r, k, N = 4, 2, 20
-    row = cli._Row(r, range(k + 1, k - 1, -1), range(0), range(1, 2), None, N)
+    row = cli._Row(r, range(1, 2), range(k - 1, k), N, ("hp-identities",))
+    assert row.floors == range(k + 1, k - 1, -1)
     row.floor(k)
     check, calls = _PackedLayout._check, []
 
