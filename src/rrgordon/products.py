@@ -8,9 +8,14 @@ each entry is P(q) times that sum, where P = 1/(q;q)_inf counts all
 partitions and comes from Euler's pentagonal recurrence. Entries beyond r are
 defined level by level: climbing one level subtracts two entries of the
 previous level and divides exactly by a power of q. Because the division
-destroys low-order information, a tower to level L is computed at the
-padded order N + (r-1)L(L+1)/2, chosen upfront so the requested entry is
-exact to order N. Every level below L is then exact to a higher order.
+destroys low-order information, a tower to level L starts from a base level
+of higher order, chosen upfront so the requested entry is exact to order N.
+The padded order N + (r-1)L(L+1)/2 (``_padded_order``) assumes every climb
+to a level g divides by the largest shift g(r-1); ``_levels``, ``_tower``'s
+rule and ``cli``'s refusal read it. A path back to level 0 cannot take the
+largest shift at two levels in a row, so the theta climb starts at the
+least order that suffices, N + L(L+1)/2 + (r-2)floor((L+1)^2/4)
+(``_climb_order``), about half the padding for large r.
 
 So one climb per r serves every level a command reads: ``_tower(r, levels,
 N)`` climbs to the last level of a range and hands off each level of the
@@ -30,16 +35,16 @@ packed kernels from (r, L, N) alone, L the top level:
   then cut to order N and moved into ``for_counts(N, r)`` slots. Level 0
   has no padding, so ``base_product`` reads its entry off this kernel's
   climb to level 0.
-- padding above N (``_theta_family``): the climb runs on the theta series,
-  in balanced signed slots of L + bitlen(t) + 2 bits rounded up to whole
-  bytes, since a level-g coefficient is at most 2^g t in size. The levels
-  handed off are then divided by (q;q)_inf once, at order N, with their r
-  entries each as lanes of one int per exponent (entry j of the k-th
-  level in bits (kr+j)W..(kr+j)W+W-1 for a lane width W), and leave in
-  ``for_counts(N, r)`` slots. The pass adds one row per pentagonal number
-  per exponent, where the other kernel's base level shifts P over about
-  2 sqrt(2N/(2r+1)) theta terms, so it pays only when the padding is
-  large.
+- padding above N (``_theta_family``): the climb runs on the theta series
+  from the climb order, in balanced signed slots of L + bitlen(t) + 2 bits
+  rounded up to whole bytes, since a level-g coefficient is at most 2^g t
+  in size. The levels handed off are then divided by (q;q)_inf once, at
+  order N, with their r entries each as lanes of one int per exponent
+  (entry j of the k-th level in bits (kr+j)W..(kr+j)W+W-1 for a lane width
+  W), and leave in ``for_counts(N, r)`` slots. The pass adds one row per
+  pentagonal number per exponent, where the other kernel's base level
+  shifts P over about 2 sqrt(2N/(2r+1)) theta terms, so it pays only when
+  the padding is large.
 
 Either way a division that is not exact raises NonDivisibleError, and a
 coefficient that reaches its guard bits raises ArithmeticError.
@@ -184,8 +189,25 @@ def _climb(entries: list[int], g: int, divide: Callable[[int, int], int]) -> lis
 
 
 def _padded_order(r: int, top: int, N: int) -> int:
-    """Order of the base level that leaves level ``top`` exact to order N."""
+    """Order of the base level that leaves level ``top`` exact to order N
+    when every climb to a level g drops g*(r-1) of every entry: the bound
+    that ``_levels``, ``_tower``'s rule and ``cli``'s refusal read."""
     return N + (r - 1) * top * (top + 1) // 2
+
+
+def _climb_order(r: int, top: int, N: int) -> int:
+    """The least order of the base level that leaves every level up to
+    ``top`` exact to order N, at most ``_padded_order`` and equal to it at
+    r = 2.
+
+    Entry s of level g divides entries r-s+1 and r-s+2 of level g-1 by
+    q^(g(s-1)), and entry 1 copies entry r, so the indices of a path back
+    to level 0 satisfy s_g + s_(g-1) in {r+1, r+2}, and a large shift at
+    one level forces a small one at the next. The heaviest path takes s = r
+    at levels top, top-2, ... and s = 2 at top-1, top-3, ..., and drops
+    top(top+1)/2 + (r-2)*floor((top+1)^2/4).
+    """
+    return N + top * (top + 1) // 2 + (r - 2) * ((top + 1) ** 2 // 4)
 
 
 def _levels(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
@@ -206,10 +228,13 @@ def _levels(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[in
     computed at order N + (r-1)*top*(top+1)/2, top the last level, and each
     climb drops g*(r-1) of it; a level below the top is exact to a higher
     order, and the cut drops its slots past N, which are checked and so
-    carry nothing. All levels share the base level's slot width: every
-    entry counts partitions. Raises NonDivisibleError if a division is
-    ever inexact, and ArithmeticError if a slot reaches its guard bits;
-    either would mean the construction itself is broken.
+    carry nothing. It keeps this padded order, not the lower
+    ``_climb_order``: the r entries of a level share one layout, so each
+    climb drops the largest shift from all of them. All levels share the
+    base level's slot width: every entry counts partitions. Raises
+    NonDivisibleError if a division is ever inexact, and ArithmeticError if
+    a slot reaches its guard bits; either would mean the construction
+    itself is broken.
     """
     order = _padded_order(r, levels[-1], N)
     thetas, t = _thetas(r, order)
@@ -254,29 +279,42 @@ def _shift_div(x: int, k: int, bits: int) -> int:
     return x >> k * bits
 
 
+def _theta_int(even: list[int], odd: list[int], order: int, s: int) -> int:
+    """The theta series with these even-n (sign +) and odd-n (sign -)
+    exponents up to ``order``, in balanced ``s``-byte slots in ascending
+    order (slot w holds q^w): one byte set per term in each sign's bytes."""
+    plus, minus = bytearray((order + 1) * s), bytearray((order + 1) * s)
+    for terms, data in ((even, plus), (odd, minus)):
+        for e in terms:
+            data[e * s] = 1
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
 def _theta_family(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int, ...]]]:
     """The r entries of each level in ``levels``, packed at order exactly N
     in ``for_counts(N, r)`` slots, climbed from the theta series alone.
 
-    Level 0 is the r theta series at the padded order of the last level,
-    top, in balanced slots of S = top + bitlen(t) + 2 bits rounded up to
-    whole bytes, t the largest term count of either theta sum: each climb
-    subtracts two slots, so a level-g slot is at most 2^g t in size, and no
-    slot ever overflows, kept or not. Only the divisions are checked
-    (NonDivisibleError). As the climb passes each level, the r series of
-    that level are laid out as r lanes of one int per exponent up to N, so
-    their slots above order N are dropped, and all the lanes are divided by
-    (q;q)_inf in one pass of ``_over_euler``. Each quotient coefficient is
-    checked below 2^v, the value bits of the result slots, so a sum in the
-    pass stays below 2^(top) t + m 2^v, m the number of pentagonal terms up
-    to N, and the lanes of W = max(top + bitlen(t), v + bitlen(m)) + 2 bits
-    rounded up to whole bytes never carry. A quotient coefficient that
+    Level 0 is the r theta series (``_theta_int``) at the climb order of
+    the last level, top (``_climb_order``), the least order that leaves
+    every level up to top exact to N, in balanced slots of S = top +
+    bitlen(t) + 2 bits rounded up to whole bytes, t the largest term count
+    of either theta sum: each climb subtracts two slots, so a level-g slot
+    is at most 2^g t in size, and no slot ever overflows, kept or not.
+    Only the divisions are checked (NonDivisibleError). As the climb passes
+    each level, the r series of that level are laid out as r lanes of one
+    int per exponent up to N, so their slots above order N are dropped, and
+    all the lanes are divided by (q;q)_inf in one pass of ``_over_euler``.
+    Each quotient coefficient is checked below 2^v, the value bits of the
+    result slots, so a sum in the pass stays below 2^(top) t + m 2^v, m the
+    number of pentagonal terms up to N, and the lanes of W = max(top +
+    bitlen(t), v + bitlen(m)) + 2 bits rounded up to whole bytes never
+    carry. A quotient coefficient that
     fails its check raises ArithmeticError. The climb's slots and the rows
     run from q^0 up; the result slots run from q^N up (``_PackedLayout``),
     so the rows are copied in reverse.
     """
     top = levels[-1]
-    order = _padded_order(r, top, N)
+    order = _climb_order(r, top, N)
     thetas, t = _thetas(r, order)
     S = -(-(top + t.bit_length() + 2) // 8) * 8
     layout = _PackedLayout.for_counts(N, r)
@@ -289,7 +327,7 @@ def _theta_family(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tu
     # copied byte by byte into its lanes, and each row sheds the offsets
     offset, cut = int.from_bytes((1 << S - 1).to_bytes(s, "little") * n, "little"), (1 << n * S) - 1
     rows = bytearray(n * row)
-    entries = [sum(1 << e * S for e in even) - sum(1 << e * S for e in odd) for even, odd in thetas]
+    entries = [_theta_int(even, odd, order, s) for even, odd in thetas]
     for g in range(top + 1):
         if g:
             entries = _climb(entries, g, partial(_shift_div, bits=S))
@@ -323,9 +361,11 @@ def _tower(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int
     ``for_counts(N, r)`` slots, from one climb to the last of them.
 
     A tower whose padding at that level, (r-1)*top*(top+1)/2, exceeds N
-    climbs the theta series alone (``_theta_family``); any other climbs P
-    times them (``_levels``), because its base level is cheaper than a pass
-    of Euler's recurrence over r lanes per level at order N.
+    climbs the theta series alone (``_theta_family``, from the lower
+    ``_climb_order``); any other climbs P times them (``_levels``), because
+    its base level is cheaper than a pass of Euler's recurrence over r lanes
+    per level at order N. The rule reads the padded order, not the climb
+    order, so no tower changes kernel when the theta climb starts lower.
     """
     kernel = _theta_family if _padded_order(r, levels[-1], N) > 2 * N else _levels
     return kernel(r, levels, N)

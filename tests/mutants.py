@@ -70,6 +70,15 @@ MUTANTS = [
     ("a theta pass whose lanes are split one level off", "products.py",
      "for j in range(0, lanes, r)]", "for j in range(r, lanes + r, r)]",
      ("tests/test_products.py::test_packed_tower_equals_list_climb",)),
+    ("a theta climb order that pads every level by top(top+1)/2 alone", "products.py",
+     " + (r - 2) * ((top + 1) ** 2 // 4)", "",
+     ("tests/test_products.py::test_padded_order_is_enough",)),
+    ("a theta climb order one short", "products.py",
+     "return N + top * (top + 1) // 2", "return N - 1 + top * (top + 1) // 2",
+     ("tests/test_products.py::test_climb_order_is_the_heaviest_division_path",)),
+    ("theta series that write the odd-n terms with a plus sign", "products.py",
+     '- int.from_bytes(minus, "little")', '+ int.from_bytes(minus, "little")',
+     ("tests/test_products.py::test_every_level_leaves_in_for_counts_slots[5-4-20]",)),
     ("a row whose levels stop at its cells' top level without the expansion suite's J+3", "cli.py",
      'js[-1] + _EXPANSION_DEPTH if "expansion" in suites else hi', "hi",
      ("tests/test_cli.py::test_a_scan_climbs_one_tower_per_r[five-suites]",)),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from modular import allowed_residues, count_modular
 from rrgordon import cli, products
 from rrgordon.partitions import GordonParams, gordon_series
-from rrgordon.products import ProductIndex, base_product, product_series
+from rrgordon.products import ProductIndex, _climb, base_product, product_series
 from rrgordon.qseries import NonDivisibleError, TruncatedSeries, _PackedLayout, first_mismatch
 
 
@@ -155,6 +155,8 @@ def test_packed_base_product_equals_list_dp(r, N):
 @example(4, 2, 3, 150)
 @example(2, 0, 9, 20)  # padding 45 > N: it climbs the theta series alone
 @example(5, 3, 12, 20)
+@example(5, 0, 12, 200)  # r = 5 and 7 at top = 12: the theta climb starts
+@example(7, 12, 12, 200)  # 108 and 180 below the padded order
 def test_packed_tower_equals_list_climb(r, lo, top, N):
     # both kernels, whichever side of _tower's rule (r, top, N) is on, hand
     # off every level of the range from one climb, each cut to order N
@@ -169,6 +171,52 @@ def test_packed_tower_equals_list_climb(r, lo, top, N):
             assert (layout.order, layout.bits) == (N, fixed.bits), (kernel, g)
             want = [series.coeffs[: N + 1] for series in expected[g]]
             assert [layout.unpack(x) for x in entries] == want, (kernel, g)
+
+
+class Reads(frozenset):
+    """The entries of the level below that an entry reads: a difference
+    reads both of its sides."""
+
+    def __sub__(self, other):
+        return Reads(self | other)
+
+
+def test_climb_order_is_the_heaviest_division_path():
+    # a backward pass over the index pattern ``_climb`` itself follows: the
+    # order entry a of level g-1 needs is the most any entry s of level g
+    # that reads it needs, plus the shift s divides by; every level handed
+    # off needs order N
+    for r in range(2, 13):
+        for top in range(41):
+            for lo in {0, top // 2, top}:
+                for N in (0, 7, 60):
+                    need = [N] * r
+                    for g in range(top, 0, -1):
+                        reads = []
+                        _climb([Reads({a}) for a in range(r)], g, lambda x, k: reads.append((x, k)))
+                        below = [N if g - 1 >= lo else 0] * r
+                        for s, (entries, k) in enumerate(reads):
+                            for a in entries:
+                                below[a] = max(below[a], need[s] + k)
+                        need = below
+                    order = products._climb_order(r, top, N)
+                    assert max(need) == order, (r, lo, top, N)
+                    padded = products._padded_order(r, top, N)
+                    assert order == padded if r == 2 else order <= padded, (r, top, N)
+
+
+def test_theta_climb_starts_at_its_climb_order(monkeypatch):
+    # verify-shift's cell: the theta series start at the heaviest path's
+    # order, not at the padded order 2060
+    thetas, orders = products._thetas, []
+
+    def recorded(r, N):
+        orders.append(N)
+        return thetas(r, N)
+
+    monkeypatch.setattr(products, "_thetas", recorded)
+    products._theta_family(5, range(30, 31), 200)
+    assert (orders, products._padded_order(5, 30, 200)) == ([1385], 2060)
 
 
 @pytest.mark.parametrize("r,lo,top,N", [(3, 0, 3, 30), (5, 2, 6, 20)])
