@@ -12,7 +12,8 @@ Each command first builds one plan (``_plan``), which checks the request,
 a one-cell grid for ``verify`` and ``table``, and lists one ``_Row`` per r,
 which works out the Hilbert floors and tower levels its cells read. Each
 route and suite is called as ``(row, params)`` and reads what it needs
-from the row. ``scan`` runs each row once (``_scan_row``), in-process or in
+from the row; the suite functions take the row's readers (``_Row.floor``,
+``_Row.level``) as arguments and scan or climb nothing themselves. ``scan`` runs each row once (``_scan_row``), in-process or in
 a worker, and ``verify`` and ``table`` read their one row's one cell. A
 row computes each side on its first read, for all of its cells at once:
 r's floors and levels, and one ascending lane scan and one suite walk per J
@@ -70,7 +71,8 @@ class _Row:
     the one the product route reads at (i_hi, J_lo), J-1 for i = r, else J,
     to the one it reads at (i_lo, J_hi), or J_hi+3 with expansion, per J the
     partition series, family limit and clean-walk verdict of each i from one
-    lane scan and one suite walk to stage max(``walk``, J+5), and per floor
+    lane scan and one suite walk to stage ``walk``, or to the ladder's J+5
+    if later (``families._lane_walks``), and per floor
     the hp-identities verdict. A side that raised keeps its exception, and
     every read raises it again. A command's rows die with it, so every
     command starts cold."""
@@ -113,8 +115,7 @@ class _Row:
 
     def walked(self, p: GordonParams) -> bool:
         """Whether cell p's lane of its J's suite walk stayed clean."""
-        end = max(self.walk, p.J + 5)
-        return self._side(("walk", p.J), lambda: dict(zip(self.is_, _lane_walks(self.r, p.J, self._ells, self.order, end))))[p.i]
+        return self._side(("walk", p.J), lambda: dict(zip(self.is_, _lane_walks(self.r, p.J, self._ells, self.order, self.walk))))[p.i]
 
     def hp_identities(self, k: int) -> bool:
         """The hp-identities verdict at floor k, which no i changes."""

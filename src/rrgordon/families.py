@@ -18,14 +18,14 @@ again: the partition route's lane scan of (r, J) goes on to that stop, so
 one scan serves the partition and family routes of every i of a plan, and
 only the stopping rule differs from ``gordon_series``. ``cli`` hands each
 cell of a scan both series off its (r, J)'s lane scan, and ``family_limit``
-reads its series off a one-lane scan of its cell (``partitions._ascending``).
+reads its series off a one-lane scan of its cell alone.
 
 The ``family-match`` and ``valuation`` suites walk the family from its
 start e_ell (``_walk``) and check its guard bits and its ladder on that
 walk, not on the partition scan's states. ``cli`` walks every i of a
 plan's (r, J) as interleaved lanes of one such walk (``_lane_walks``), and
-a cell whose pass did not keep all its lanes clean walks alone, as the
-suites do by default.
+a cell whose pass did not keep all its lanes clean walks alone
+(``verify_family_match``, ``_ladder``).
 
 ``verify_expansion`` checks that tower level s equals Hilbert floor s+1
 entry for entry, entry j against cap r-j+1, at every s = J..d, comparing
@@ -39,6 +39,10 @@ does. The sums alone would check only our own recursions: the Hilbert sum
 telescopes through ``_floors``' one-step floors whatever the top floor is,
 and the product sum through ``products._climb`` for any tower whose
 divisions are exact.
+
+The suites scan no floor and climb no level themselves: each reads the
+floors and levels its caller hands it (``floor``, ``level``), a ``cli``
+row's, so this module imports neither ``hilbert`` nor ``products``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .hilbert import _floor
-from .partitions import GordonParams, _ascending, _passes, _stages
-from .products import _family_at_level
+from .partitions import GordonParams, _lane_scans, _passes, _stages
 from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
 
 
@@ -115,7 +117,8 @@ def family_limit(side: object, params: GordonParams, N: int) -> PackedSeries:
     later entry is zero to order N, here from a one-lane scan of this cell
     alone.
     """
-    return _ascending(params, N)[1]
+    [(_, limit)] = _lane_scans(params.r, params.J, (params.ell,), N)
+    return limit
 
 
 def verify_family_match(params: GordonParams, d_max: int, N: int) -> bool:
@@ -141,8 +144,9 @@ def _ladder(params: GordonParams, N: int) -> bool:
 
 def _lane_walks(r: int, J: int, ells: Sequence[int], N: int, end: int) -> list[bool]:
     """For each start e_ell, ell in ``ells``, at (r, J), True where its walk
-    to stage ``end``, or to its end, is known to trip no guard bits and to
-    stay on the ladder (``_ladder``) at stages J+1..J+5: one ``_walk`` of
+    to stage ``end`` or the ladder's last stage J+5, whichever is later, or
+    to its end, is known to trip no guard bits and to stay on the ladder
+    (``_ladder``) at stages J+1..J+5: one ``_walk`` of
     interleaved lanes, in the passes of ``partitions._passes``. The guard
     check and the ladder read every lane at once, so a pass that trips or
     leaves the ladder in any lane answers False for all its lanes, and each
@@ -150,7 +154,7 @@ def _lane_walks(r: int, J: int, ells: Sequence[int], N: int, end: int) -> list[b
     out = []
     for lanes in _passes(r, N, ells):
         try:
-            layout, stages = _walk(r, J, N, end, *lanes)
+            layout, stages = _walk(r, J, N, max(end, J + 5), *lanes)
             clean = all(d > J + 5 or _on_ladder(layout, d, state) for d, state in stages)
         except Exception:  # each cell of the pass walks alone, and raises again
             clean = False
@@ -158,30 +162,25 @@ def _lane_walks(r: int, J: int, ells: Sequence[int], N: int, end: int) -> list[b
     return out
 
 
-def verify_valuations(params: GordonParams, N: int, floor: Callable[[int], tuple] | None = None, walked: bool = False) -> bool:
+def verify_valuations(params: GordonParams, N: int, floor: Callable[[int], tuple], walked: bool) -> bool:
     """The valuation bounds behind the q-adic limit, to order N: the uncapped
     quotient one floor up is 1 + O(q^(J+2)), and entry j at stage
     d = J+1..J+5 has valuation at least d(j-1) (``_ladder``). Stages past
     the walk's end repeat its last one, so they hold it too. Both are
-    checked packed. ``floor(k)`` reads floor k at (r, N), by default from
-    ``_floor``, and the ladder is not walked again when ``walked``: the
-    cell's lane of a suite walk stayed on it (``_lane_walks``)."""
-    floor = floor or (lambda k: _floor(params.r, k, N))
+    checked packed. ``floor(k)`` reads floor k at (r, N), as a ``cli`` row
+    does, and the ladder is walked alone (``_ladder``) unless ``walked``:
+    the cell's lane of a suite walk stayed on it (``_lane_walks``)."""
     layout, caps = floor(params.J + 2)
     # only the q^0 coefficient of the uncapped series minus 1 can be negative
     return layout._has_valuation(caps[-1] - layout.one, params.J + 2) and (walked or _ladder(params, N))
 
 
-def verify_expansion(params: GordonParams, d: int, N: int, floor: Callable[[int], tuple] | None = None, level: Callable[[int], tuple] | None = None) -> bool:
+def verify_expansion(params: GordonParams, d: int, N: int, floor: Callable[[int], tuple], level: Callable[[int], tuple]) -> bool:
     """Whether tower level s equals Hilbert floor s+1 to order N, entry j
     against cap r-j+1, at every s = J..d: the agreement both expansion
     identities at stages J+1..d reduce to. Compared packed, unchecked; a
     stage d below J+1 raises ValueError. ``floor(k)`` and ``level(s)`` read
-    floor k and level s at (r, N), by default from ``_floor`` and
-    ``_family_at_level``."""
+    floor k and level s at (r, N), as a ``cli`` row does."""
     if d < params.J + 1:
         raise ValueError(f"stage must be at least J+1 = {params.J + 1}, got {d}")
-    r = params.r
-    floor = floor or (lambda k: _floor(r, k, N))
-    level = level or (lambda s: _family_at_level(r, s, N))
     return all(level(s)[1] == floor(s + 1)[1][::-1] for s in range(d, params.J - 1, -1))

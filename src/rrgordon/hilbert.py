@@ -15,9 +15,9 @@ a >= k, and f_k <= cap-1 when capped).
 One descending scan serves every cap at a floor and every floor below it,
 since floor k is floor k+1 after one more step, the peel of x_k:
 ``_floors`` hands off the checked caps 1..r of each floor of a range, and
-its readers only index them: a ``cli`` row of each r of a scan, and
-``_floor``, a scan to one floor alone, for ``hp_series`` and for the suites
-handed no floors. The scan runs in slots that grow with its counts
+its readers only index them: a ``cli`` row of each r of a command, whose
+floors the hilbert route and the suites read, and ``hp_series``, from a
+scan to its one floor. The scan runs in slots that grow with its counts
 (``partitions._growing_scan``), which stay small for most of it, and it
 steps only the variables from N/2 down: a standard monomial of weight at
 most N has at most one variable above N/2, to the first power, so the
@@ -148,13 +148,6 @@ def _floors(r: int, floors: range, N: int) -> list[tuple[_PackedLayout, tuple[in
     return out
 
 
-def _floor(r: int, k: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The layout and caps 1..r of floor k, as ``_floors`` hands them off
-    from a scan to this floor alone."""
-    [floor] = _floors(r, range(k, k - 1, -1), N)
-    return floor
-
-
 def hp_series(spec: QuotientSpec, N: int) -> PackedSeries:
     """Hilbert-Poincare series of the quotient, to order N.
 
@@ -163,11 +156,11 @@ def hp_series(spec: QuotientSpec, N: int) -> PackedSeries:
     the first c states of that scan. The series is the floor's packed cap c,
     in its ``for_counts(N, r)`` slots.
     """
-    layout, caps = _floor(spec.r, spec.k, N)
+    [(layout, caps)] = _floors(spec.r, range(spec.k, spec.k - 1, -1), N)
     return PackedSeries(layout, caps[(spec.cap or spec.r) - 1])
 
 
-def verify_hp_identities(r: int, k: int, N: int, floor: Callable[[int], tuple] | None = None) -> bool:
+def verify_hp_identities(r: int, k: int, N: int, floor: Callable[[int], tuple]) -> bool:
     """The three structural identities tying capped and uncapped quotients.
 
     cap 1 at k equals uncapped at k+1, compared packed; cap r at k equals
@@ -175,10 +168,9 @@ def verify_hp_identities(r: int, k: int, N: int, floor: Callable[[int], tuple] |
     series in one slot; and for every i, the capped expansion at k is the
     leading block followed by the uncapped expansion at k+1, compared as
     generator tuples in their canonical order. ``floor(j)`` reads floor j
-    at (r, N), by default from ``_floor``. The result does not depend on i,
+    at (r, N), as a ``cli`` row does. The result does not depend on i,
     so ``cli`` checks it once per (r, k) of a scan, for all of its cells.
     """
-    floor = floor or (lambda j: _floor(r, j, N))
     if floor(k)[1][0] != floor(k + 1)[1][-1]:
         return False
     if expand_generators(QuotientSpec(r, k, cap=r), N) != expand_generators(QuotientSpec(r, k), N):
@@ -193,13 +185,12 @@ def verify_hp_identities(r: int, k: int, N: int, floor: Callable[[int], tuple] |
     return True
 
 
-def verify_hp_recursion(r: int, k: int, cap: int, N: int, floor: Callable[[int], tuple] | None = None) -> bool:
+def verify_hp_recursion(r: int, k: int, cap: int, N: int, floor: Callable[[int], tuple]) -> bool:
     """Peel the lowest variable: the series at k capped at ``cap`` as a
     q-power combination of capped series at k+1, compared packed, with
     ``floor`` as in ``verify_hp_identities``."""
     if not 1 <= cap <= r:
         raise ValueError(f"cap must lie in 1..{r}, got {cap}")
-    floor = floor or (lambda j: _floor(r, j, N))
     layout, above = floor(k + 1)
     rhs = sum(layout._times_q(above[r - j], k * (j - 1)) for j in range(1, cap + 1))
     return floor(k)[1][cap - 1] == layout._check(rhs)

@@ -18,7 +18,7 @@ q-adic stop (``_stages``), so the family route (``families.family_limit``)
 does not scan again, and each lane hands off its partition series and its
 family limit. ``cli`` runs one such scan per (r, J) of a scan and hands each
 cell its pair; ``gordon_series`` and ``family_limit`` read theirs off a
-one-lane scan of one cell (``_ascending``). That scan and the Hilbert
+one-lane scan of one cell. That scan and the Hilbert
 side's descending one (``hilbert._floors``) run as ``_growing_scan``: in
 slots as wide as the counts so far need, checked at every step, and handed
 off in the ``_PackedLayout.for_counts`` slots that the a-priori bound
@@ -316,15 +316,9 @@ def _lane_scans(r: int, J: int, ells: Sequence[int], N: int) -> list[tuple[Packe
     return out
 
 
-def _ascending(params: GordonParams, N: int) -> tuple[PackedSeries, PackedSeries]:
-    """The cell's partition series and family limit, as ``_lane_scans``
-    hands them off from a one-lane scan of this cell alone."""
-    [sides] = _lane_scans(params.r, params.J, (params.ell,), N)
-    return sides
-
-
 def gordon_series(params: GordonParams, N: int) -> PackedSeries:
     """Generating function of the Gordon-condition counts, to order N: the
     sum of the states of the cell's ascending scan (``_lane_scans``),
     packed in ``for_counts(N, r)`` slots."""
-    return _ascending(params, N)[0]
+    [(series, _)] = _lane_scans(params.r, params.J, (params.ell,), N)
+    return series

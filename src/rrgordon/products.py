@@ -19,9 +19,9 @@ least order that suffices, N + L(L+1)/2 + (r-2)floor((L+1)^2/4)
 
 So one climb per r serves every level a command reads: ``_tower(r, levels,
 N)`` climbs to the last level of a range and hands off each level of the
-range, cut to order N, as the climb passes it. ``cli`` hands a scan's cells
-the levels of one climb per r, and ``_family_at_level`` climbs to one level
-alone, for ``product_series`` and an expansion suite handed no levels.
+range, cut to order N, as the climb passes it. ``cli`` hands a command's
+cells the levels of one climb per r, and ``product_series`` climbs to its
+one level alone.
 
 The climb is Z[q]-linear and P is a unit, so every entry is P times the
 same climb applied to the theta series alone. ``_tower`` picks one of two
@@ -371,22 +371,11 @@ def _tower(r: int, levels: range, N: int) -> list[tuple[_PackedLayout, tuple[int
     return kernel(r, levels, N)
 
 
-def _family_at_level(r: int, level: int, N: int) -> tuple[_PackedLayout, tuple[int, ...]]:
-    """The r entries of one level, packed at order exactly N in
-    ``for_counts(N, r)`` slots, with that layout, as ``_tower`` hands it
-    off from a climb to this level alone. A negative level raises
-    ValueError."""
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
-    [family] = _tower(r, range(level, level + 1), N)
-    return family
-
-
 def product_series(idx: ProductIndex, N: int) -> PackedSeries:
     """The product-side series for the given index, exact to order N: its
     level's packed entry, in ``for_counts(N, r)`` slots."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    layout, entries = _family_at_level(idx.r, idx.level, N)
+    [(layout, entries)] = _tower(idx.r, range(idx.level, idx.level + 1), N)
     return PackedSeries(layout, entries[idx.slot - 1])
 

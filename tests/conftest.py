@@ -1,10 +1,28 @@
 import pytest
 
-from rrgordon import products
+from rrgordon import cli, hilbert, products
 from rrgordon.qseries import _PackedLayout
 
 # (number, label, passed) tuples recorded by the acceptance tests
 _ACCEPTANCE: list[tuple[int, str, bool]] = []
+
+
+def cell_row(params, N, suites=(), d_max=0):
+    """The ``cli._Row`` of the one cell ``params`` at order N, run with
+    ``suites``: the floors, levels and scans a command hands that cell's
+    routes and suites. Import it with ``from conftest import cell_row``."""
+    return cli._Row(params.r, range(params.i, params.i + 1), range(params.J, params.J + 1), N, suites, d_max)
+
+
+def expansion_readers(r, levels, N):
+    """The ``floor`` and ``level`` readers that ``verify_expansion`` takes,
+    over the tower levels ``levels`` and the floors one above each, from one
+    ``hilbert._floors`` scan and one ``products._tower`` climb, as a row
+    reads them: for stages deeper than the J+3 a row holds."""
+    floors = range(levels[-1] + 1, levels[0], -1)
+    floor = dict(zip(floors, hilbert._floors(r, floors, N)))
+    level = dict(zip(levels, products._tower(r, levels, N)))
+    return floor.__getitem__, level.__getitem__
 
 
 @pytest.fixture

@@ -271,8 +271,8 @@ MUTANTS = [
     ("a suite walk pass that files verdicts after a lane left the ladder", "families.py",
      "d > J + 5 or _on_ladder(layout, d, state) for", "True for",
      ("tests/test_cli.py::test_a_suite_walk_off_the_ladder_files_nothing",)),
-    ("a suite walk that ends at J+5 when d_max is larger", "cli.py",
-     "max(self.walk, p.J + 5)", "p.J + 5",
+    ("a suite walk that ends at J+5 when d_max is larger", "families.py",
+     "max(end, J + 5)", "J + 5",
      ("tests/test_cli.py::test_a_scan_runs_one_suite_walk_per_r_and_J",)),
     ("a scan that walks without either walking suite: a lane scan walks too", "cli.py",
      'return self._side(("scan", p.J)', 'self.walked(p)\n        return self._side(("scan", p.J)',

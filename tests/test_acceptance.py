@@ -4,6 +4,7 @@ exact (zero-tolerance) coefficient comparison, and reports one summary line.
 The main grid is 2 <= r <= 5, 1 <= i <= r, 0 <= J <= 3 (56 cells).
 """
 
+from conftest import cell_row, expansion_readers
 from modular import allowed_residues, count_modular
 from rrgordon.families import (
     family_at_stage,
@@ -116,13 +117,14 @@ def test_family_limits_and_stabilization(criterion):
 
 
 def test_hp_recursion_grid(criterion):
-    """[5] the variable-peeling recursion holds for r<=5, k<=6, ell<=r at N=40."""
+    """[5] the variable-peeling recursion holds for r<=5, k<=6, ell<=r at N=40,
+    on the floors of the one-cell row (r, ell, k-1) that the suite reads."""
     failures = [
         (r, k, ell)
         for r in range(2, 6)
         for k in range(1, 7)
         for ell in range(1, r + 1)
-        if not verify_hp_recursion(r, k, ell, 40)
+        if not verify_hp_recursion(r, k, ell, 40, cell_row(GordonParams(r, ell, k - 1), 40, ("hp-recursion",)).floor)
     ]
     ok = not failures
     criterion(5, "Hilbert peel recursion (r<=5, k<=6, ell<=r, N=40)", ok)
@@ -140,12 +142,14 @@ def test_families_match_on_grid(criterion):
 
 
 def test_expansion_identities_on_grid(criterion):
-    """[7] both stage-d expansion identities hold for J+1 <= d <= 8 at N=30."""
+    """[7] both stage-d expansion identities hold for J+1 <= d <= 8 at N=30,
+    on one floor scan and one tower climb to level 8 per r."""
+    readers = {r: expansion_readers(r, range(9), 30) for r in range(2, 6)}
     failures = [
         (params, d)
         for params in GRID
         for d in range(params.J + 1, 9)
-        if not verify_expansion(params, d, 30)
+        if not verify_expansion(params, d, 30, *readers[params.r])
     ]
     ok = not failures
     criterion(7, "stage-d expansion identities (d<=8, N=30)", ok)

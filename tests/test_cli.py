@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cell_row
 from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.cli import SERIES_ROUTES, SUITE_CHECKS, build_report, main
 from rrgordon.families import family_limit, verify_valuations
@@ -26,11 +27,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def cell_row(params, N):
-    """A row of one cell alone."""
-    return cli._Row(params.r, range(params.i, params.i + 1), range(params.J, params.J + 1), N)
 
 
 def route_series(name, params, N):
@@ -745,11 +741,13 @@ def test_valuation_suite_fails_on_a_step_one_slot_short(capsys, monkeypatch):
         new = step(self, state, u)
         return new[:1] + [self.pack(self.unpack(x)[1:] + (0,)) for x in new[1:]]
 
-    # the suite is handed its hp tail, computed by the correct step, so only
-    # the family ladder can fail it
-    floor = hilbert._floor(3, 3, 20)
+    # the suite is handed its hp tail, kept in its row from the correct
+    # step, and walks the ladder alone, so only the ladder can fail it
+    params = GordonParams(3, 2, 1)
+    row = cell_row(params, 20, ("valuation",))
+    row.floor(params.J + 2)
     monkeypatch.setattr(_PackedLayout, "step", short)
-    assert not verify_valuations(GordonParams(3, 2, 1), 20, lambda k: floor)
+    assert not verify_valuations(params, 20, row.floor, False)
     # a command computes its own, so there the short step computes the hp tail too
     argv = ("scan", "--r", "3", "--i", "2", "--J", "1", "--order", "20", "--suites", "valuation")
     code, out, _ = run(capsys, *argv, "--format", "json")

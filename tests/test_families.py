@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cell_row, expansion_readers
 from rrgordon import cli, families, hilbert, partitions, products
 from rrgordon.cli import SUITE_CHECKS, main
 from rrgordon.families import (
@@ -139,9 +140,13 @@ def test_match_stops_where_the_walks_are_constant(step_values):
 @pytest.mark.parametrize("N", [0, 1])
 def test_valuations_stop_at_the_walks_end(step_values, N):
     # the ladder is read at stages J+1..J+5, but to order N the walk ends at
-    # J+N+2, and the stages past it repeat its last one
+    # J+N+2, and the stages past it repeat its last one; the row hands the
+    # suite its hp tail first, and the cell walks its ladder alone
     params = GordonParams(2, 1, 0)
-    assert verify_valuations(params, N)
+    row = cell_row(params, N, ("valuation",))
+    row.floor(params.J + 2)
+    step_values.clear()
+    assert verify_valuations(params, N, row.floor, False)
     assert step_values == list(range(params.J + 1, params.J + N + 3))
 
 
@@ -228,10 +233,17 @@ def reference_verify_expansion(params, d, N):
     return first_mismatch(lhs_pr, rhs_pr) is None
 
 
+def row_expansion(params, d, N):
+    """``verify_expansion`` at a stage d up to J+3, on the floors and levels
+    of the cell's one-cell row, as the expansion suite reads them."""
+    row = cell_row(params, N, ("expansion",))
+    return verify_expansion(params, d, N, row.floor, row.level)
+
+
 def test_expansion_identities():
-    assert verify_expansion(GordonParams(2, 2, 0), 3, 30)
-    assert verify_expansion(GordonParams(3, 1, 1), 2, 30)
-    assert verify_expansion(GordonParams(3, 1, 1), 2, 0)
+    assert row_expansion(GordonParams(2, 2, 0), 3, 30)
+    assert row_expansion(GordonParams(3, 1, 1), 2, 30)
+    assert row_expansion(GordonParams(3, 1, 1), 2, 0)
 
 
 @st.composite
@@ -247,14 +259,15 @@ def cells(draw):
 @example(GordonParams(3, 3, 1), 5, 0)
 @example(GordonParams(4, 1, 2), 5, 1)
 def test_packed_expansion_agrees_with_reference(params, depth, N):
+    # stages past a row's J+3 read one scan and one climb to J+5
     J, d = params.J, params.J + depth
     want = all(reference_verify_expansion(params, s, N) for s in range(J + 1, d + 1))
-    assert verify_expansion(params, d, N) == want
+    assert verify_expansion(params, d, N, *expansion_readers(params.r, range(J, d + 1), N)) == want
 
 
 def test_expansion_rejects_a_stage_below_j_plus_1():
     with pytest.raises(ValueError):
-        verify_expansion(GordonParams(3, 2, 2), 2, 10)
+        row_expansion(GordonParams(3, 2, 2), 2, 10)
 
 
 # params (3, 2, 1) at stage 3: factor 1 of each side lies one floor above the
@@ -275,12 +288,11 @@ def with_coeff(layout, x, n, value):
     return x + layout._times_q((value - layout.unpack(x)[n]) * layout.one, n)
 
 
-def set_entry_coeff(monkeypatch, attr, key, at, n, value):
-    """Patch the packed floors or levels that the expansion suite reads,
-    ``families``' own reader ``attr``, ``_floor`` or ``_family_at_level``,
-    and the matching reader of a ``cli`` row, so that entry ``at`` of the
-    result at ``key``, (r, floor) or (r, level), has q^n coefficient value;
-    every other entry is unchanged."""
+def set_entry_coeff(monkeypatch, method, key, at, n, value):
+    """Patch the reader ``method`` of every ``cli`` row, ``floor`` or
+    ``level``, so that entry ``at`` of the packed floor or level at ``key``,
+    (r, floor) or (r, level), has q^n coefficient value; every other entry
+    is unchanged."""
     def patched(r, floor_or_level, layout, packed):
         if (r, floor_or_level) != key:
             return layout, packed
@@ -288,9 +300,6 @@ def set_entry_coeff(monkeypatch, attr, key, at, n, value):
         packed[at] = with_coeff(layout, packed[at], n, value)
         return layout, tuple(packed)
 
-    original = getattr(families, attr)
-    monkeypatch.setattr(families, attr, lambda r, k, order: patched(r, k, *original(r, k, order)))
-    method = {"_floor": "floor", "_family_at_level": "level"}[attr]
     read = getattr(cli._Row, method)
     monkeypatch.setattr(cli._Row, method, lambda row, k: patched(row.r, k, *read(row, k)))
 
@@ -302,9 +311,9 @@ def set_factor_coeff(monkeypatch, name, n, value):
     stage s is entry j of level s."""
     target = FACTOR_ONE[name]
     if name == "hp_series":
-        set_entry_coeff(monkeypatch, "_floor", (target.r, target.k), target.cap - 1, n, value)
+        set_entry_coeff(monkeypatch, "floor", (target.r, target.k), target.cap - 1, n, value)
     else:
-        set_entry_coeff(monkeypatch, "_family_at_level", (target.r, EXPANSION_CASE[1]), 0, n, value)
+        set_entry_coeff(monkeypatch, "level", (target.r, EXPANSION_CASE[1]), 0, n, value)
 
 
 def value_bits(N, r):
@@ -316,22 +325,22 @@ def value_bits(N, r):
 @pytest.mark.parametrize("name", FACTOR_ONE)
 def test_expansion_fails_on_a_bumped_deeper_factor(monkeypatch, name):
     params, d, N = EXPANSION_CASE
-    assert verify_expansion(params, d, N)
+    assert row_expansion(params, d, N)
     c = SERIES[name](FACTOR_ONE[name], N).coeffs[5]
     set_factor_coeff(monkeypatch, name, 5, c + 1)
-    assert not verify_expansion(params, d, N)
+    assert not row_expansion(params, d, N)
 
 
 @pytest.mark.parametrize(
-    "attr,key,at", [("_floor", (3, 2), 1), ("_family_at_level", (3, 1), 1)], ids=["hp_series", "product_series"]
+    "method,key,at", [("floor", (3, 2), 1), ("level", (3, 1), 1)], ids=["hp_series", "product_series"]
 )
-def test_expansion_fails_on_a_bumped_left_side(monkeypatch, attr, key, at):
+def test_expansion_fails_on_a_bumped_left_side(monkeypatch, method, key, at):
     # the cell's two sides, cap i = 2 of floor J+1 = 2 and entry ell = 2 of
     # level J = 1, meet as level J against floor J+1
     params, d, N = EXPANSION_CASE
-    layout, packed = getattr(families, attr)(*key, N)
-    set_entry_coeff(monkeypatch, attr, key, at, 5, layout.unpack(packed[at])[5] + 1)
-    assert not verify_expansion(params, d, N)
+    layout, packed = getattr(cell_row(params, N, ("expansion",)), method)(key[1])
+    set_entry_coeff(monkeypatch, method, key, at, 5, layout.unpack(packed[at])[5] + 1)
+    assert not row_expansion(params, d, N)
 
 
 @pytest.mark.parametrize("n", [0, EXPANSION_CASE[2]], ids=["q^0", "q^N"])
@@ -342,7 +351,7 @@ def test_expansion_fails_on_a_factor_bumped_at_either_end(monkeypatch, name, n):
     params, d, N = EXPANSION_CASE
     c = SERIES[name](FACTOR_ONE[name], N).coeffs[n]
     set_factor_coeff(monkeypatch, name, n, c + 1)
-    assert not verify_expansion(params, d, N)
+    assert not row_expansion(params, d, N)
 
 
 @pytest.mark.parametrize("name", FACTOR_ONE)
@@ -352,7 +361,7 @@ def test_a_factor_bumped_to_its_slots_largest_value_fails_the_suite(monkeypatch,
     params, d, N = EXPANSION_CASE
     layout = _PackedLayout.for_counts(N, params.r)
     set_factor_coeff(monkeypatch, name, 5, (1 << layout.bits) - 1)
-    assert not verify_expansion(params, d, N)
+    assert not row_expansion(params, d, N)
 
 
 # the faults that both expansion sums let through: a wrong P keeps every
@@ -378,11 +387,10 @@ def top_floor_bumped_at_q10(monkeypatch):
 
 @pytest.mark.parametrize("fault", [partition_number_ten_too_large, top_floor_bumped_at_q10])
 def test_expansion_fails_on_a_fault_its_sums_let_through(capsys, monkeypatch, fault):
-    # verify_expansion alone scans, and bumps, each floor it reads; a scan's
-    # row scans and bumps its top floor only, and steps the rest from it
+    # a row scans and bumps its top floor only, and steps the rest from it
     fault(monkeypatch)
     params, d, N = EXPANSION_CASE
-    assert not verify_expansion(params, d, N)
+    assert not row_expansion(params, d, N)
     argv = ["scan", "--r", "2..3", "--i", "all", "--J", "0..1", "--order", "20", "--suites", "expansion", "--format", "json"]
     code = main(argv)
     cells = json.loads(capsys.readouterr().out)["cells"]

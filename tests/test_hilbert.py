@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cell_row
 from rrgordon import cli, hilbert, partitions
 from rrgordon.cli import main
 from rrgordon.hilbert import (
@@ -126,20 +127,24 @@ def test_hp_matches_gordon_counts():
                 assert series.coeffs[:14] == gordon_series(params, 13).coeffs
 
 
+def row_floor(r, k, N):
+    """The floor reader of a one-cell row at J = k-1, which holds the floors
+    k+1 and k that the hp suites read at k."""
+    return cell_row(GordonParams(r, 1, k - 1), N, ("hp-identities",)).floor
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_hp_identities(r):
     for k in range(1, 7):
-        assert verify_hp_identities(r, k, 40), (r, k)
-    assert verify_hp_identities(r, 1, 0)
+        assert verify_hp_identities(r, k, 40, row_floor(r, k, 40)), (r, k)
+    assert verify_hp_identities(r, 1, 0, row_floor(r, 1, 0))
 
 
 def test_hp_recursion():
-    assert verify_hp_recursion(2, 1, 2, 30)
-    assert verify_hp_recursion(4, 3, 1, 30)
-    assert verify_hp_recursion(5, 2, 5, 25)
-    assert verify_hp_recursion(3, 1, 2, 0)
+    for r, k, cap, N in ((2, 1, 2, 30), (4, 3, 1, 30), (5, 2, 5, 25), (3, 1, 2, 0)):
+        assert verify_hp_recursion(r, k, cap, N, row_floor(r, k, N)), (r, k, cap, N)
     with pytest.raises(ValueError, match="^cap must lie in 1..3, got 4$"):
-        verify_hp_recursion(3, 1, 4, 10)
+        verify_hp_recursion(3, 1, 4, 10, row_floor(3, 1, 10))
 
 
 def test_uncapped_tail_valuation():
@@ -154,8 +159,9 @@ def test_uncapped_tail_valuation():
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 18))
 def test_every_cap_read_off_one_floor_is_the_monomial_count(r, k, N):
     # the floor's one scan keeps the quotient capped at c at c-1, and the
-    # uncapped one at r-1
-    layout, caps = hilbert._floor(r, k, N)
+    # uncapped one at r-1; a one-cell row at J = k-1 hands the hilbert
+    # route floor k
+    layout, caps = cell_row(GordonParams(r, 1, k - 1), N).floor(k)
     assert len(caps) == r
     for cap in (*range(1, r + 1), None):
         ideal = expand_generators(QuotientSpec(r, k, cap=cap), N)
@@ -178,14 +184,15 @@ def floor_runs(draw):
 @example((4, 10, 12, 11))
 def test_floors_filled_from_the_top_equal_cold_floors(run):
     # floor k is floor k+1 after one more step: one scan to floor hi hands
-    # off floors hi..lo, each equal to floor k scanned on its own
+    # off floors hi..lo, each equal to floor k scanned on its own, as
+    # hp_series scans it
     r, N, hi, lo = run
     floors = range(hi, lo - 1, -1)
     with mock.patch.object(hilbert, "_growing_scan", wraps=partitions._growing_scan) as scan:
         filled = hilbert._floors(r, floors, N)
     assert (scan.call_count, len(filled)) == (1, len(floors))
     for k, (layout, caps) in zip(floors, filled):
-        cold, cold_caps = hilbert._floor(r, k, N)
+        [(cold, cold_caps)] = hilbert._floors(r, range(k, k - 1, -1), N)
         assert (layout.bits, caps) == (cold.bits, cold_caps), k
 
 
@@ -201,7 +208,7 @@ def test_hp_identities_fail_when_the_full_cap_drops_a_generator(monkeypatch):
         return ideal
 
     monkeypatch.setattr(hilbert, "expand_generators", dropped)
-    assert not verify_hp_identities(3, 2, 20)
+    assert not verify_hp_identities(3, 2, 20, row_floor(3, 2, 20))
 
 
 def scan_hp_identities(capsys, r, i, J, N):
@@ -213,18 +220,17 @@ def scan_hp_identities(capsys, r, i, J, N):
 
 def test_hp_identities_fail_when_the_floor_above_moves(capsys, monkeypatch):
     # cap 1 at k must equal the uncapped series at k+1; one more monomial
-    # of weight N in the uncapped quotient at floor 3 breaks that lemma at
-    # k = 2, while the cell's own quotient, at floor 2, is unchanged
-    # in the floor that verify_hp_identities scans alone and in a scan's row
+    # of weight N in the uncapped quotient at floor 3, as every row hands it
+    # over, breaks that lemma at k = 2, while the cell's own quotient, at
+    # floor 2, is unchanged
     r, i, J, N = 3, 2, 1, 20
-    floor, row_floor = hilbert._floor, cli._Row.floor
+    read = cli._Row.floor
 
     def bumped(k, layout, caps):
         return (layout, caps[:-1] + (caps[-1] + 1,)) if k == J + 2 else (layout, caps)
 
-    monkeypatch.setattr(hilbert, "_floor", lambda r, k, N: bumped(k, *floor(r, k, N)))
-    monkeypatch.setattr(cli._Row, "floor", lambda row, k: bumped(k, *row_floor(row, k)))
-    assert not verify_hp_identities(r, J + 1, N)
+    monkeypatch.setattr(cli._Row, "floor", lambda row, k: bumped(k, *read(row, k)))
+    assert not verify_hp_identities(r, J + 1, N, row_floor(r, J + 1, N))
     code, cell = scan_hp_identities(capsys, r, i, J, N)
     assert code == 1
     assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
@@ -244,7 +250,7 @@ def test_hp_identities_fail_when_a_middle_cap_drops_a_generator(capsys, monkeypa
         return ideal
 
     monkeypatch.setattr(hilbert, "expand_generators", dropped)
-    assert not verify_hp_identities(r, J + 1, N)
+    assert not verify_hp_identities(r, J + 1, N, row_floor(r, J + 1, N))
     code, cell = scan_hp_identities(capsys, r, i, J, N)
     assert code == 1
     assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
@@ -269,7 +275,7 @@ def test_hp_identities_fail_when_a_capped_block_puts_its_pure_power_first(capsys
 
     monkeypatch.setattr(hilbert, "expand_generators", reordered)
     assert reordered(QuotientSpec(r, J + 1, cap=2), N).generators[:2] == (((2, 2),), ((2, 1), (3, 2)))
-    assert not verify_hp_identities(r, J + 1, N)
+    assert not verify_hp_identities(r, J + 1, N, row_floor(r, J + 1, N))
     code, cell = scan_hp_identities(capsys, r, i, J, N)
     assert code == 1
     assert (cell["identity"], cell["suites"]) == ("pass", {"hp-identities": "fail"})
@@ -279,7 +285,7 @@ def test_hp_identities_check_nothing_once_their_floors_are_filled(monkeypatch):
     # each floor checks its caps once, when a row's scan hands them off, so
     # reading them checks nothing
     r, k, N = 4, 2, 20
-    row = cli._Row(r, range(1, 2), range(k - 1, k), N, ("hp-identities",))
+    row = cell_row(GordonParams(r, 1, k - 1), N, ("hp-identities",))
     assert row.floors == range(k + 1, k - 1, -1)
     row.floor(k)
     check, calls = _PackedLayout._check, []

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon import cli, families, hilbert, partitions
+from conftest import cell_row
+from rrgordon import cli, families, partitions
 from rrgordon.families import (
     CoefficientFamily,
     family_at_stage,
     family_limit,
-    verify_expansion,
     verify_family_match,
 )
 from rrgordon.hilbert import (
@@ -226,7 +226,7 @@ def test_three_lane_valuation_and_shift_read_every_lane(data):
         lambda: family_limit(None, GordonParams(3, 2, 1), -1),
         lambda: family_at_stage(GordonParams(3, 2, 1), 3, -1),
         lambda: verify_family_match(GordonParams(3, 2, 1), 10, -1),
-        lambda: verify_expansion(GordonParams(3, 2, 1), 3, -1),
+        lambda p=GordonParams(3, 2, 1): cli.SUITE_CHECKS["expansion"](cell_row(p, -1, ("expansion",)), p),
         lambda: base_product(3, 2, -1),
     ],
     ids=["gordon_series", "hp_series", "family_limit", "family_at_stage",
@@ -290,12 +290,13 @@ def test_guard_error_stays_in_route_report(capsys, monkeypatch):
 def test_floor_checks_the_caps_it_keeps(monkeypatch):
     # in 8-bit slots at r=3, N=17 every step's input total clears the guard
     # bits, but the floor's uncapped series does not: only the check the
-    # floor makes before it hands off its caps can see that
+    # floor makes before it hands off its caps can see that; a one-cell row
+    # at J = 0 hands the hilbert route floor 1
     narrow = classmethod(lambda cls, order, r: cls(order, r, 8))
     monkeypatch.setattr(_PackedLayout, "for_counts", narrow)
-    hilbert._floor(3, 1, 16)
+    cell_row(GordonParams(3, 1, 0), 16).floor(1)
     with pytest.raises(ArithmeticError):
-        hilbert._floor(3, 1, 17)
+        cell_row(GordonParams(3, 1, 0), 17).floor(1)
 
 
 @pytest.mark.parametrize("slot_bits", [32, 0])
@@ -397,7 +398,7 @@ def test_floor_above_the_order_is_one(monkeypatch):
     # no variable of weight at most N lies at or above k, so every cap is 1,
     # in the for_counts slots a narrow start hands off
     monkeypatch.setattr(partitions, "_FIXED_SLOT_BITS", 0)
-    layout, caps = hilbert._floor(3, 12, 10)
+    layout, caps = cell_row(GordonParams(3, 1, 11), 10).floor(12)
     assert layout.bits == _PackedLayout.for_counts(10, 3).bits
     assert caps == (layout.one,) * 3
 

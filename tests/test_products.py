@@ -228,7 +228,7 @@ def test_kept_levels_are_the_levels_climbed_alone(tower_climbs, r, lo, top, N):
     handed = products._tower(r, levels, N)
     assert (tower_climbs, len(handed)) == ([(r, levels)], len(levels))
     for g, (layout, entries) in zip(levels, handed):
-        cold, cold_entries = products._family_at_level(r, g, N)
+        [(cold, cold_entries)] = products._tower(r, range(g, g + 1), N)
         assert (layout.order, layout.bits, entries) == (cold.order, cold.bits, cold_entries), g
 
 
@@ -247,7 +247,7 @@ def test_level_entries_are_the_indexed_product_series(monkeypatch):
         for r in range(2, 8):
             for s in range(6):
                 assert N + (r - 1) * s * (s + 1) // 2 <= cli.MAX_PADDED_ORDER
-                layout, entries = products._family_at_level(r, s, N)
+                [(layout, entries)] = products._tower(r, range(s, s + 1), N)
                 got = [layout.unpack(x) for x in entries]
                 want = [product_series(ProductIndex(r, (r - 1) * s + j), N).coeffs for j in range(1, r + 1)]
                 assert got == want, (r, s, N)
@@ -264,7 +264,7 @@ def test_every_level_leaves_in_for_counts_slots(r, level, N):
     # kernels hand off in the floors' slots: (2, 3, 30) and (3, 3, 30) climb
     # in 32-bit slots where for_counts(30, r) has 24, (20, 0, 30) in 24-bit
     # slots where it has 32; (5, 4, 20) climbs the theta series alone
-    layout, entries = products._family_at_level(r, level, N)
+    [(layout, entries)] = products._tower(r, range(level, level + 1), N)
     fixed = _PackedLayout.for_counts(N, r)
     assert (layout.order, layout.bits) == (N, fixed.bits)
     want = (product_series(ProductIndex(r, (r - 1) * level + j), N) for j in range(1, r + 1))
@@ -321,7 +321,7 @@ def test_base_product_raises_when_a_slot_reaches_its_guard_bits(monkeypatch):
     # reach 76 in for_counts(40, 3) slots, and the division by
     # (q;q)_inf checks them before anything unpacks them
     with pytest.raises(ArithmeticError):
-        products._family_at_level(3, 6, 40)
+        products._tower(3, range(6, 7), 40)
 
 
 def test_dropped_theta_term_blocks_a_division(capsys, monkeypatch):
@@ -472,12 +472,6 @@ def test_tail_converges_to_one(r, N):
     # once the tail reaches 1 it stays there
     first_inf = profile.index(None)
     assert all(v is None for v in profile[first_inf:])
-
-
-def test_a_negative_level_raises():
-    # level -1 once climbed nothing and returned level 0's entries
-    with pytest.raises(ValueError, match="level must be non-negative, got -1"):
-        products._family_at_level(2, -1, 30)
 
 
 def test_deep_towers_divide_exactly():
