@@ -48,17 +48,21 @@ row's, so this module imports neither ``hilbert`` nor ``products``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .partitions import GordonParams, _lane_scans, _passes, _stages
-from .qseries import PackedSeries, TruncatedSeries, _PackedLayout
+from .qseries import PackedSeries, TruncatedSeries, _PackedLayout, _Value, _set
 
 
-@dataclass(frozen=True)
-class CoefficientFamily:
-    params: GordonParams
-    stage: int
-    entries: tuple[TruncatedSeries, ...]
+class CoefficientFamily(_Value):
+    """The r entries of the family of ``params`` at ``stage``, an immutable
+    value (``qseries._Value``)."""
+
+    __slots__ = ("params", "stage", "entries")
+
+    def __init__(self, params: GordonParams, stage: int, entries: tuple[TruncatedSeries, ...]):
+        _set(self, "params", params)
+        _set(self, "stage", stage)
+        _set(self, "entries", entries)
 
     @property
     def order(self) -> int:

@@ -28,19 +28,18 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .partitions import GordonParams, _growing_scan, iter_partitions
-from .qseries import PackedSeries, _PackedLayout
+from .qseries import PackedSeries, _PackedLayout, _Value, _set
 
 # a generator is a tuple of (variable_index, exponent) pairs, sorted by index
 Generator = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
-    """Graded quotient S_k / ideal, for the gap ideal with optional cap.
+class QuotientSpec(_Value):
+    """Graded quotient S_k / ideal, for the gap ideal with optional cap, an
+    immutable value (``qseries._Value``).
 
     Without ``cap`` the generators run over all variables from index k.
     With ``cap`` = ell, the lowest variable gets the shorter leading block
@@ -48,26 +47,30 @@ class QuotientSpec:
     unrestricted generators start one variable higher.
     """
 
-    r: int
-    k: int
-    cap: int | None = None
+    __slots__ = ("r", "k", "cap")
 
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"r must be at least 2, got {self.r}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.cap is not None and not 1 <= self.cap <= self.r:
-            raise ValueError(f"cap must lie in 1..{self.r}, got {self.cap}")
+    def __init__(self, r: int, k: int, cap: int | None = None):
+        if r < 2:
+            raise ValueError(f"r must be at least 2, got {r}")
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if cap is not None and not 1 <= cap <= r:
+            raise ValueError(f"cap must lie in 1..{r}, got {cap}")
+        _set(self, "r", r)
+        _set(self, "k", k)
+        _set(self, "cap", cap)
 
 
-@dataclass(frozen=True)
-class MonomialIdealSpec:
-    """Generators of weight <= weight_bound, in variables >= first_var."""
+class MonomialIdealSpec(_Value):
+    """Generators of weight <= weight_bound, in variables >= first_var, an
+    immutable value (``qseries._Value``)."""
 
-    generators: tuple[Generator, ...]
-    first_var: int
-    weight_bound: int
+    __slots__ = ("generators", "first_var", "weight_bound")
+
+    def __init__(self, generators: tuple[Generator, ...], first_var: int, weight_bound: int):
+        _set(self, "generators", generators)
+        _set(self, "first_var", first_var)
+        _set(self, "weight_bound", weight_bound)
 
 
 def gordon_quotient(params: GordonParams) -> QuotientSpec:

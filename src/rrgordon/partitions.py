@@ -31,32 +31,32 @@ at the start of the descending one from N.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .qseries import PackedSeries, _PackedLayout
+from .qseries import PackedSeries, _PackedLayout, _Value, _set
 
 
-@dataclass(frozen=True)
-class GordonParams:
-    """Parameter triple (r, i, J) of the shifted Gordon conditions.
+class GordonParams(_Value):
+    """Parameter triple (r, i, J) of the shifted Gordon conditions, an
+    immutable value (``qseries._Value``).
 
     r >= 2 is the modulus parameter (classes mod 2r+1 on the product side),
     1 <= i <= r bounds how many parts may equal J+1, and J >= 0 is the
     shift: all parts must exceed J.
     """
 
-    r: int
-    i: int
-    J: int
+    __slots__ = ("r", "i", "J")
 
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"r must be at least 2, got {self.r}")
-        if not 1 <= self.i <= self.r:
-            raise ValueError(f"i must lie in 1..{self.r}, got {self.i}")
-        if self.J < 0:
-            raise ValueError(f"J must be non-negative, got {self.J}")
+    def __init__(self, r: int, i: int, J: int):
+        if r < 2:
+            raise ValueError(f"r must be at least 2, got {r}")
+        if not 1 <= i <= r:
+            raise ValueError(f"i must lie in 1..{r}, got {i}")
+        if J < 0:
+            raise ValueError(f"J must be non-negative, got {J}")
+        _set(self, "r", r)
+        _set(self, "i", i)
+        _set(self, "J", J)
 
     @property
     def ell(self) -> int:
@@ -69,17 +69,18 @@ class GordonParams:
         return (self.r - 1) * self.J + self.ell
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A non-increasing sequence of positive integer parts."""
+class Partition(_Value):
+    """A non-increasing sequence of positive integer parts, an immutable
+    value (``qseries._Value``)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be non-increasing")
+        _set(self, "parts", parts)
 
 
 def iter_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:

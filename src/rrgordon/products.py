@@ -64,15 +64,14 @@ rows from q^N up, so its result lands in the same reversed slots.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
-from .qseries import NonDivisibleError, PackedSeries, _PackedLayout
+from .qseries import NonDivisibleError, PackedSeries, _PackedLayout, _Value, _set
 
 
-@dataclass(frozen=True)
-class ProductIndex:
-    """Index into the product-side family, canonically decomposed.
+class ProductIndex(_Value):
+    """Index into the product-side family, canonically decomposed, an
+    immutable value (``qseries._Value``).
 
     index = (r-1)*level + slot, with level = 0 and slot = index for the base
     range 1..r, and slot in 2..r for every higher level. The overlap
@@ -80,14 +79,15 @@ class ProductIndex:
     so evaluation never sees a slot-1 recursion step.
     """
 
-    r: int
-    index: int
+    __slots__ = ("r", "index")
 
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"r must be at least 2, got {self.r}")
-        if self.index < 1:
-            raise ValueError(f"index must be positive, got {self.index}")
+    def __init__(self, r: int, index: int):
+        if r < 2:
+            raise ValueError(f"r must be at least 2, got {r}")
+        if index < 1:
+            raise ValueError(f"index must be positive, got {index}")
+        _set(self, "r", r)
+        _set(self, "index", index)
 
     @property
     def level(self) -> int:

@@ -12,6 +12,15 @@ so they never overflow and never round. Two types hold one:
   coefficients, type-checked when it is built, with list arithmetic.
   ``PackedSeries`` digests and serializes through it.
 
+``TruncatedSeries`` and the other modules' parameter and result types
+(``GordonParams``, ``Partition``, ``QuotientSpec``, ``MonomialIdealSpec``,
+``ProductIndex``, ``CoefficientFamily``) are ``_Value`` classes: immutable
+tuples of named fields, each class with its own ``__init__`` that validates
+them. The base derives equality, hashing, ``repr``, pickling and copying
+from the field names alone, so no module imports the standard library's
+class generator, which would load ``inspect``, ``ast`` and ``dis`` at
+every start-up.
+
 All operations are pure, and neither type changes a series after it is
 built, so both are safe to share between threads or processes. No module
 keeps a series between calls: a command keeps what it computed in the row
@@ -24,19 +33,63 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable tuple of the fields named in a subclass's ``__slots__``.
+
+    Two values are equal when they are of one class and their field tuples
+    are equal, and a value hashes as its field tuple. ``repr`` reads
+    ``GordonParams(r=3, i=2, J=1)``. Pickling and copying rebuild a value
+    from its fields through its ``__init__``, which sets them with ``_set``,
+    since assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class NonDivisibleError(ArithmeticError):
     """Exact division by a power of q hit a nonzero low-order coefficient."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal power series mod q^(order+1); ``coeffs[n]`` is the q^n coefficient."""
+class TruncatedSeries(_Value):
+    """Formal power series mod q^(order+1); ``coeffs[n]`` is the q^n coefficient.
 
-    coeffs: tuple[int, ...]
+    ``__init__`` validates through ``__post_init__``, looked up on the class,
+    so a caller can count the series built by replacing it."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.coeffs:

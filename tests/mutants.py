@@ -280,6 +280,19 @@ MUTANTS = [
     ("an expansion that emits each pure power before its block", "hilbert.py",
      "for e in range(max(1, (b + 1) * r - N), r + 1)", "for e in (r, *range(max(1, (b + 1) * r - N), r))",
      ("tests/test_hilbert.py::test_expanded_generators_are_the_sorted_reference_set",)),
+    ("qseries importing dataclasses again, and with it inspect, ast and dis", "qseries.py",
+     "from itertools import accumulate\n", "from dataclasses import dataclass\nfrom itertools import accumulate\n",
+     ("tests/test_cli.py::test_cold_start_loads_no_worker_pool",)),
+    ("a value __eq__ that ignores the class", "qseries.py",
+     "if type(other) is type(self):", "if isinstance(other, _Value):",
+     ("tests/test_qseries.py::test_value_classes_keep_their_contract[GordonParams]",)),
+    ("a value hash that drops the last field", "qseries.py",
+     "return hash(self._astuple())", "return hash(self._astuple()[:-1])",
+     ("tests/test_qseries.py::test_value_classes_keep_their_contract[GordonParams]",)),
+    ("a TruncatedSeries that validates inline, past the __post_init__ the spans count", "qseries.py",
+     "        self.__post_init__()\n",
+     "        if not coeffs:\n            raise ValueError(\"a truncated series retains at least exponent 0\")\n",
+     ("tests/test_benchmark_hooks.py::test_the_benchmark_spans_wrap_every_kernel_they_name",)),
     ("a scan cell that digests its routes", "cli.py",
      "*_, identity, mismatch = _compare_routes(row, params)",
      "series, *_, identity, mismatch = _compare_routes(row, params)\n"

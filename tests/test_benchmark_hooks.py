@@ -36,6 +36,9 @@ def test_the_benchmark_spans_wrap_every_kernel_they_name(monkeypatch):
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
+    # the spans count each TruncatedSeries built through the __post_init__
+    # its __init__ calls, as qseries.series_built
+    assert tracer.built > 0
     assert names >= {
         "products.product_series",
         "families.family_limit",

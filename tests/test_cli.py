@@ -527,8 +527,13 @@ def test_scan_jobs_clamped(capsys, monkeypatch, jobs, grid, cpus, opened):
     assert RecordingExecutor.opened == opened
 
 
+# the directory this process imported rrgordon from, so a fresh interpreter
+# runs the same copy (the mutant gate's, under tests/mutants.py)
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
 _COLD_START = """
 import contextlib, io, json, os, sys
+before = set(sys.modules)
 from rrgordon.cli import main
 
 def run(*argv):
@@ -539,22 +544,26 @@ def run(*argv):
 
 scan = ("scan", "--r", "2..3", "--J", "0", "--order", "10", "--format", "json")
 verify = run("verify", "--r", "3", "--i", "2", "--J", "1", "--order", "30", "--format", "json")
+heavy = sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules) - before)
 serial = run(*scan, "--jobs", "1")
 pool_before = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
 os.cpu_count = lambda: 2
 parallel = run(*scan, "--jobs", "2")
 opened = "concurrent.futures.process" in sys.modules
-print(json.dumps([verify[0], serial, parallel, pool_before, opened]))
+print(json.dumps([verify[0], heavy, serial, parallel, pool_before, opened]))
 """
 
 
 def test_cold_start_loads_no_worker_pool():
     # a fresh interpreter, so nothing this test process imported counts
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": _SRC}
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    verify_code, serial, parallel, pool_before, opened = json.loads(proc.stdout)
+    verify_code, heavy, serial, parallel, pool_before, opened = json.loads(proc.stdout)
     assert verify_code == 0 and serial[0] == 0
+    # the import and a verify load no class generator and no source
+    # introspection: dataclasses would bring inspect, ast and dis
+    assert heavy == []
     # verify and a one-worker scan leave concurrent.futures and multiprocessing unloaded
     assert pool_before == []
     # two workers load the pool and print the same bytes
@@ -574,7 +583,7 @@ print(json.dumps([package, loaded()]))
 
 def test_importing_the_package_loads_no_module():
     # a fresh interpreter, so nothing this test process imported counts
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": _SRC}
     proc = subprocess.run([sys.executable, "-c", _PACKAGE_ONLY], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     package, cli_modules = json.loads(proc.stdout)

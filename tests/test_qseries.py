@@ -1,8 +1,15 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrgordon.qseries import NonDivisibleError, TruncatedSeries, first_mismatch
+from rrgordon.families import CoefficientFamily
+from rrgordon.hilbert import MonomialIdealSpec, QuotientSpec
+from rrgordon.partitions import GordonParams, Partition
+from rrgordon.products import ProductIndex
+from rrgordon.qseries import NonDivisibleError, PackedSeries, TruncatedSeries, _PackedLayout, first_mismatch
 
 T = TruncatedSeries
 
@@ -130,3 +137,68 @@ def test_valuation_superadditive_under_mul(a, b):
     if va is not None and vb is not None and va + vb <= prod.order:
         vp = first_mismatch(prod, T((0,) * (prod.order + 1)))
         assert vp is None or vp >= va + vb
+
+
+# -- the value classes ----------------------------------------------------
+
+_VALUE_CLASSES = [
+    # (class, field names, field values, repr, another class's value with
+    # the same fields or None, construction errors: (args, type, message))
+    (GordonParams, ("r", "i", "J"), (3, 2, 1), "GordonParams(r=3, i=2, J=1)", QuotientSpec(3, 2, 1), [
+        ((1, 1, 0), ValueError, "r must be at least 2, got 1"),
+        ((3, 4, 0), ValueError, "i must lie in 1..3, got 4"),
+        ((3, 1, -1), ValueError, "J must be non-negative, got -1"),
+    ]),
+    (Partition, ("parts",), ((3, 1),), "Partition(parts=(3, 1))", T((3, 1)), [
+        (((2, 0),), ValueError, "parts must be positive"),
+        (((1, 2),), ValueError, "parts must be non-increasing"),
+    ]),
+    (QuotientSpec, ("r", "k", "cap"), (3, 2, 1), "QuotientSpec(r=3, k=2, cap=1)", GordonParams(3, 2, 1), [
+        ((1, 1), ValueError, "r must be at least 2, got 1"),
+        ((3, 0), ValueError, "k must be at least 1, got 0"),
+        ((3, 1, 4), ValueError, "cap must lie in 1..3, got 4"),
+    ]),
+    (MonomialIdealSpec, ("generators", "first_var", "weight_bound"), ((((1, 1),), ((2, 2),)), 1, 4),
+     "MonomialIdealSpec(generators=(((1, 1),), ((2, 2),)), first_var=1, weight_bound=4)", None, []),
+    (ProductIndex, ("r", "index"), (3, 5), "ProductIndex(r=3, index=5)", None, [
+        ((1, 1), ValueError, "r must be at least 2, got 1"),
+        ((3, 0), ValueError, "index must be positive, got 0"),
+    ]),
+    (TruncatedSeries, ("coeffs",), ((3, 1),), "TruncatedSeries(coeffs=(3, 1))", Partition((3, 1)), [
+        (((),), ValueError, "a truncated series retains at least exponent 0"),
+        (((1.5, 2),), TypeError, "coefficients must be exact integers"),
+    ]),
+    (CoefficientFamily, ("params", "stage", "entries"), (GordonParams(2, 1, 0), 1, (T((1, 0)), T((0, 0)))),
+     "CoefficientFamily(params=GordonParams(r=2, i=1, J=0), stage=1, "
+     "entries=(TruncatedSeries(coeffs=(1, 0)), TruncatedSeries(coeffs=(0, 0))))", None, []),
+]
+
+
+@pytest.mark.parametrize("cls, names, fields, text, twin, errors", _VALUE_CLASSES, ids=[case[0].__name__ for case in _VALUE_CLASSES])
+def test_value_classes_keep_their_contract(cls, names, fields, text, twin, errors):
+    x = cls(*fields)
+    # keyword construction, equality and hashing by the field tuple, in one class only
+    assert cls(**dict(zip(names, fields))) == x
+    assert tuple(getattr(x, name) for name in names) == fields
+    assert x != fields and x != twin and twin != x
+    assert hash(x) == hash(fields)
+    assert repr(x) == text
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(x, names[0])
+    assert tuple(getattr(x, name) for name in names) == fields
+    for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(copied) is cls and copied == x and hash(copied) == hash(x)
+    for args, error, message in errors:
+        with pytest.raises(error) as caught:
+            cls(*args)
+        assert str(caught.value) == message
+    if cls is QuotientSpec:
+        assert QuotientSpec(3, 2).cap is None and QuotientSpec(3, 2) == QuotientSpec(r=3, k=2, cap=None)
+    if cls is TruncatedSeries:
+        # a route's packed series equals and hashes like its coefficients' series
+        layout = _PackedLayout.for_counts(1, 2)
+        packed = PackedSeries(layout, layout.pack(fields[0]))
+        assert packed == x and hash(packed) == hash(x)
